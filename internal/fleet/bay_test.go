@@ -1,59 +1,87 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/movr-sim/movr/internal/coex"
 )
 
-// TestBayBatchByteIdentical is the bay-batched execution contract as a
-// property test: for every coexistence scenario kind, under every
-// scheduler policy and every worker count, the bay-batched path (the
-// default) must reproduce the per-session path byte for byte — whole
-// SessionOutcome structs compared with ==, fleet aggregate included.
-// This is what licenses bay batching as a pure performance change.
+var updateGoldens = flag.Bool("update", false, "rewrite the fleet result goldens under testdata/")
+
+// goldenCases are the frozen fleet runs: every scenario kind at seed 7
+// and 2 s, the coex and venue families under every airtime policy (the
+// venue both at its default channel budget and squeezed onto one channel,
+// so every bay has co-channel neighbours), and a coex spec set whose last
+// bay is truncated.
+var goldenCases = []struct {
+	name     string
+	kind     Kind
+	sessions int
+	policy   coex.PolicyName
+	channels int
+}{
+	{"mixed", KindMixed, 8, "", 0},
+	{"arcade", KindArcade, 8, "", 0},
+	{"home", KindHome, 8, "", 0},
+	{"dense", KindDense, 8, "", 0},
+	{"coex-rr", KindCoex, 8, "", 0},
+	{"coex-pf", KindCoexPF, 8, "", 0},
+	{"coex-edf", KindCoexEDF, 8, "", 0},
+	{"coex-truncated", KindCoex, 10, "", 0},
+	{"venue-rr", KindVenue, 16, "", 0},
+	{"venue-pf", KindVenue, 16, coex.PolicyPF, 0},
+	{"venue-edf", KindVenue, 16, coex.PolicyEDF, 0},
+	{"venue1ch-rr", KindVenue, 16, "", 1},
+	{"venue1ch-pf", KindVenue, 16, coex.PolicyPF, 1},
+	{"venue1ch-edf", KindVenue, 16, coex.PolicyEDF, 1},
+}
+
+// TestBayBatchByteIdentical is the execution contract as a golden test:
+// for every case, at every worker count, the whole fleet Result — every
+// SessionOutcome plus the aggregate — must encode to exactly the bytes
+// frozen under testdata/. Regenerate with `go test ./internal/fleet/
+// -run TestBayBatchByteIdentical -update` only for an intentional change
+// to simulation results.
 func TestBayBatchByteIdentical(t *testing.T) {
-	cases := []struct {
-		name   string
-		kind   Kind
-		policy coex.PolicyName
-	}{
-		{"coex-rr", KindCoex, ""},
-		{"coex-pf", KindCoexPF, ""},
-		{"coex-edf", KindCoexEDF, ""},
-		{"venue-rr", KindVenue, ""},
-		{"venue-pf", KindVenue, coex.PolicyPF},
-		{"venue-edf", KindVenue, coex.PolicyEDF},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := coexTestCfg()
 			cfg.CoexPolicy = tc.policy
-			specs, err := tc.kind.Specs(8, cfg)
+			cfg.VenueChannels = tc.channels
+			specs, err := tc.kind.Specs(tc.sessions, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := Run(context.Background(), specs, Config{Workers: 2, DisableBayBatch: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 8} {
-				got, err := Run(context.Background(), specs, Config{Workers: workers})
+			path := filepath.Join("testdata", "golden_"+tc.name+".json")
+			// The per-session path must land on the same bytes too.
+			for _, rc := range []Config{{Workers: 1}, {Workers: 2}, {Workers: 8}, {Workers: 2, DisableBayBatch: true}} {
+				workers := rc.Workers
+				res, err := Run(context.Background(), specs, rc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got.Sessions) != len(ref.Sessions) {
-					t.Fatalf("workers=%d: %d sessions batched, %d per-session", workers, len(got.Sessions), len(ref.Sessions))
+				got, err := json.MarshalIndent(res, "", "  ")
+				if err != nil {
+					t.Fatal(err)
 				}
-				for i := range ref.Sessions {
-					if got.Sessions[i] != ref.Sessions[i] {
-						t.Errorf("workers=%d session %q:\n  batched     %+v\n  per-session %+v",
-							workers, ref.Sessions[i].ID, got.Sessions[i], ref.Sessions[i])
+				got = append(got, '\n')
+				if *updateGoldens && workers == 1 && !rc.DisableBayBatch {
+					if err := os.WriteFile(path, got, 0o644); err != nil {
+						t.Fatal(err)
 					}
 				}
-				if got.Agg != ref.Agg {
-					t.Errorf("workers=%d: batched aggregate %+v != per-session %+v", workers, got.Agg, ref.Agg)
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("workers=%d per-session=%v: result differs from %s:\n%s", workers, rc.DisableBayBatch, path, got)
 				}
 			}
 		})
