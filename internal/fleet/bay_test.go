@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -154,5 +155,50 @@ func TestAlignedRangeTilesBays(t *testing.T) {
 		if prev != n {
 			t.Fatalf("count=%d: shards cover [0,%d), want [0,%d)", count, prev, n)
 		}
+	}
+}
+
+// TestShardRangesFrozen pins the bay-aligned shard ranges of every
+// scenario kind at 1–5 shards against testdata/shard_ranges.txt, so a
+// change to bay grouping (BayLen) can never move a shard boundary and
+// silently invalidate results cached per shard.
+func TestShardRangesFrozen(t *testing.T) {
+	var got bytes.Buffer
+	for _, kind := range Kinds {
+		for _, n := range []int{1, 3, 8, 10} {
+			for _, headsets := range []int{0, 3} {
+				cfg := coexTestCfg()
+				cfg.HeadsetsPerRoom = headsets
+				specs, err := kind.Specs(n, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&got, "%s n=%d headsets=%d:", kind, n, headsets)
+				for count := 1; count <= 5; count++ {
+					for idx := 0; idx < count; idx++ {
+						sh := Shard{Index: idx, Count: count}
+						lo, hi := sh.AlignedRange(len(specs), BayLen(specs))
+						if sub := sh.SliceAligned(specs); len(sub) != hi-lo || (len(sub) > 0 && &sub[0] != &specs[lo]) {
+							t.Fatalf("%s n=%d: SliceAligned disagrees with AlignedRange [%d,%d)", kind, n, lo, hi)
+						}
+						fmt.Fprintf(&got, " %d/%d=[%d,%d)", idx, count, lo, hi)
+					}
+				}
+				got.WriteByte('\n')
+			}
+		}
+	}
+	path := filepath.Join("testdata", "shard_ranges.txt")
+	if *updateGoldens {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("shard ranges moved; got\n%s", got.Bytes())
 	}
 }
