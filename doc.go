@@ -73,17 +73,16 @@
 // In a shared bay the schedule and the peer poses conceptually belong
 // to the room, not to any one session — every co-located session must
 // derive the identical schedule. The simulator makes that ownership
-// literal: coex.BuildGeometry precomputes a room-owned snapshot (every
-// player's pose on the world-tick grid plus every player's slot
+// literal: coex.BuildGeometry precomputes the room's schedule table
+// (every player's pose on the world-tick grid plus every player's slot
 // boundaries for every scheduling window over the horizon), the fleet
 // generator builds it once per room, and all of the room's sessions
 // read it instead of re-evaluating the airtime policy N times per
-// window. The snapshot is recorded by running the scheduler's own
-// window-layout code, live evaluation remains the fallback beyond its
-// horizon, and pose queries answer only exact on-grid times — so
-// results with and without the snapshot are bit-identical, pinned end
-// to end by golden tests that compare whole per-session streaming
-// reports with ==. One layer down, channel.PathCache applies the same
+// window. The table is the only schedule source: a session whose room
+// carries none builds a private one, and pose queries answer only
+// exact on-grid times. Every session runs as a bay — a session on its
+// own is a bay of one — and golden tests pin whole fleet results byte
+// for byte. One layer down, channel.PathCache applies the same
 // temporal-coherence idea to ray tracing: each link leg caches last
 // tick's path set and revalidates only the blockage legs that moved
 // geometry could have changed, re-tracing in full when endpoints or

@@ -112,13 +112,12 @@ func linkmgrSpec() Spec {
 	}
 }
 
-// coexSnapshotSpec measures the room-owned geometry snapshot layer:
-// building the full pose table and window-schedule table for a
-// four-player shared bay (coex.BuildGeometry — one airtime-policy
-// evaluation per window over the horizon) and then serving one
-// session's schedule reads from it across every window. This is the
-// per-room cost the fleet generator pays once so its sessions stop
-// re-running the policy N times per window.
+// coexSnapshotSpec measures the room's schedule table: building the
+// full pose table and window-schedule table for a four-player shared
+// bay (coex.BuildGeometry — one airtime-policy evaluation per window
+// over the horizon) and then serving one session's schedule reads from
+// it across every window. This is the per-room cost the fleet generator
+// pays once; sessions only read the table.
 func coexSnapshotSpec() Spec {
 	const dur = 2 * time.Second
 	traces := make([]vr.Trace, 4)
@@ -151,7 +150,7 @@ func coexSnapshotSpec() Spec {
 			}
 			snap := rm
 			snap.Geometry = geo
-			s, err := coex.NewScheduler(snap, experiments.APPos)
+			s, err := coex.NewScheduler(snap)
 			if err != nil {
 				return err
 			}

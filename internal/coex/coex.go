@@ -19,33 +19,32 @@
 //     traces used for scheduling into the ray tracer's world as dynamic
 //     body obstacles.
 //
-// The scheduler is deterministic and purely geometric: every quantity a
-// policy may consult — the active set, link quality, deadline grid — is
-// a pure function of the window index and the players' motion traces, so
-// every session in a room (simulated independently and concurrently)
-// derives the identical schedule regardless of query order.
+// The window layout is deterministic and purely geometric: every
+// quantity a policy may consult — the active set, link quality, deadline
+// grid — is a pure function of the window index and the players' motion
+// traces, so the room's schedule does not depend on which session asks
+// or in what order.
 //
-// # Room-owned geometry snapshots
+// # The room's schedule table
 //
-// Because the schedule and the peer poses belong to the room rather
-// than to any one session, they can be computed once per room instead
-// of once per session: BuildGeometry precomputes a Geometry — every
-// player's pose on a fixed tick grid plus every player's slot
-// boundaries for every window over a horizon — and co-located sessions
-// attach the shared snapshot via Room.Geometry. The snapshot contract:
+// The schedule and the peer poses belong to the room rather than to any
+// one session, so they are computed once per room: BuildGeometry runs
+// the window layout — the active set, the uplink reservation and the
+// airtime policy — over the room's horizon and records a Geometry,
+// every player's pose on a fixed tick grid plus every player's slot
+// boundaries in every window. That table is the only schedule source:
+// a Scheduler reads one session's slots from it and never lays out a
+// window itself, and the session engine reads peer poses from the same
+// table by player number. The contract:
 //
-//   - the tables are recorded by running the scheduler's own
-//     window-layout code, and live evaluation (the fallback beyond the
-//     horizon, or with no snapshot attached) runs that same code, so
-//     snapshot reads are bit-identical to live evaluation by
-//     construction;
-//   - Geometry.PoseAt answers only exact on-grid queries (ok=false off
-//     the step grid, beyond the horizon, or out of range) — callers
-//     fall back to the trace, and no pose is ever interpolated;
-//   - NewScheduler verifies the snapshot against the room's resolved
-//     configuration (players compared by trace content, policy,
-//     period, weights, uplink, frame grid) and rejects any mismatch,
-//     so a stale snapshot fails fast instead of skewing a schedule.
+//   - layoutWindow runs only inside BuildGeometry, and co-located
+//     sessions share the one table, so they agree on every slot;
+//   - a window past the table's horizon holds no slot for anyone;
+//   - the table answers pose queries only on its tick grid;
+//   - NewScheduler trusts the table to describe its room. The session
+//     engine builds a private table for a room that carries none, and
+//     checks a shared one with O(1) guards: its tick is the world tick,
+//     its horizon covers the session, and Self is in range.
 package coex
 
 import (
@@ -70,9 +69,8 @@ const DefaultPeriod = 50 * time.Millisecond
 // of them this session is.
 type Room struct {
 	// Players holds the motion trace of every headset sharing the
-	// room's medium, in TDMA slot order. Each session in the room must
-	// be built with the same Players list for the per-session schedules
-	// to agree.
+	// room's medium, in TDMA slot order. BuildGeometry lays the room's
+	// schedule out from them.
 	Players []vr.Trace
 
 	// Self is this session's index in Players.
@@ -117,34 +115,155 @@ type Room struct {
 	// computes the table per bay from the neighbors' geometry snapshots;
 	// a plain table rather than a callback keeps rooms comparable and
 	// spec generation trivially deterministic. It reaches the airtime
-	// policies via Window.ExtPenaltyDB and the session's link budget via
-	// Scheduler.ExtPenaltyDB; the built-in policies' shares are
-	// invariant to it (a bay-wide penalty scales every player's quality
-	// equally and shares normalize), which is what keeps a Geometry
-	// snapshot built without the input bit-identical to live layout.
-	// Empty means no external interference — the historical single-room
+	// policies via Window.ExtPenaltyDB when the Geometry is built and
+	// the session's link budget via Scheduler.ExtPenaltyDB; the built-in
+	// policies' shares are invariant to it (a bay-wide penalty scales
+	// every player's quality equally and shares normalize), so a table
+	// built before the venue computes the penalties stays valid. Empty
+	// means no external interference — the historical single-room
 	// behavior.
 	ExtSINRPenaltyDB []float64
 
-	// Geometry, when non-nil, is the room-owned precomputed snapshot —
-	// peer poses and the full window schedule over the room's horizon,
-	// built once with BuildGeometry and shared read-only by every
-	// co-located session. NewScheduler verifies it was built for this
-	// room's exact configuration (traces compared by content, so a
-	// session substituting its own regenerated trace at Self still
-	// matches) and fails fast on any mismatch. Schedules read from a
-	// Geometry are bit-identical to live evaluation.
+	// Geometry is the room's schedule table — peer poses and the full
+	// window schedule over the room's horizon, built once with
+	// BuildGeometry and shared read-only by every co-located session.
+	// NewScheduler requires it and reads every window from it; the
+	// other fields describe the room the table is built from.
 	Geometry *Geometry
 }
 
-// Scheduler computes this session's airtime share of the room's medium
-// over virtual time. It caches the most recent scheduling window, so the
-// mostly-monotonic time queries of a streaming run cost one policy
-// evaluation per window. A Scheduler is stateful scratch and must not be
-// shared between sessions; build one per streamed session.
+// Scheduler serves one session's airtime share of the room's medium
+// over virtual time, read from the room's Geometry. It caches the most
+// recent scheduling window, so the mostly-monotonic time queries of a
+// streaming run cost one table read per window. A Scheduler is stateful
+// scratch and must not be shared between sessions; build one per
+// streamed session.
 type Scheduler struct {
+	geo    *Geometry
+	self   int
+	period time.Duration
+	ext    []float64
+
+	// Cached window: the sub-slot [slotStart, slotEnd) assigned to Self
+	// inside window winIdx (selfActive=false when Self's slots were
+	// reclaimed or sized to nothing, or the window is past the table).
+	winIdx             int64
+	selfActive         bool
+	slotStart, slotEnd time.Duration
+
+	// obs, when non-nil, receives a slot_grant or slot_reclaim event
+	// plus an airtime event per scheduling window; entitled is Self's
+	// weight fraction of the room, precomputed so window emission stays
+	// allocation- and division-free. Recording never feeds back into
+	// the schedule.
+	obs      *obs.Recorder
+	entitled float64
+}
+
+// NewScheduler builds the session's scheduler over the room's Geometry,
+// which it requires. Self must index one of the table's players.
+func NewScheduler(rm Room) (*Scheduler, error) {
+	g := rm.Geometry
+	if g == nil {
+		return nil, fmt.Errorf("coex: room has no geometry (build one with BuildGeometry)")
+	}
+	if rm.Self < 0 || rm.Self >= g.Players() {
+		return nil, fmt.Errorf("coex: self index %d out of range [0,%d)", rm.Self, g.Players())
+	}
+	return &Scheduler{
+		geo:      g,
+		self:     rm.Self,
+		period:   g.period,
+		ext:      rm.ExtSINRPenaltyDB,
+		winIdx:   -1,
+		entitled: g.entitled[rm.Self],
+	}, nil
+}
+
+// SetRecorder attaches an event recorder to the scheduler. Each
+// scheduling window then emits a slot_grant (or slot_reclaim, when
+// blockage cost Self its slot) plus an airtime received-vs-entitled
+// event, stamped at the window start. A nil recorder disables emission.
+func (s *Scheduler) SetRecorder(r *obs.Recorder) { s.obs = r }
+
+// Share returns this session's airtime multiplier at virtual time t: 1
+// inside its own TDMA sub-slot, 0 outside — including the window-head
+// pose-uplink reservation, during which no session's downlink is on the
+// air. Slot order rotates window to window, so a player's slot sweeps
+// every phase of the frame cadence over a session, and the sub-slots of
+// body-blocked players are redistributed to the active ones.
+func (s *Scheduler) Share(t time.Duration) float64 {
+	if t < 0 {
+		t = 0
+	}
+	if win := int64(t / s.period); win != s.winIdx {
+		s.computeWindow(win)
+	}
+	if s.selfActive && t >= s.slotStart && t < s.slotEnd {
+		return 1
+	}
+	return 0
+}
+
+// Wrap composes the schedule into a link-rate function: the wrapped rate
+// is the underlying link rate during this session's slots and zero while
+// another player holds the medium (or the pose uplink does).
+func (s *Scheduler) Wrap(rate stream.RateFunc) stream.RateFunc {
+	return func(now time.Duration) float64 {
+		return rate(now) * s.Share(now)
+	}
+}
+
+// ExtPenaltyDB returns the external (cross-bay) SINR penalty in dB at
+// virtual time t: the room's interference table indexed by t's
+// scheduling window, 0 when the room carries none or the window is
+// past the table. It is a pure per-window lookup — it neither touches
+// nor advances the cached window, so calling it never perturbs
+// schedule evaluation order.
+func (s *Scheduler) ExtPenaltyDB(t time.Duration) float64 {
+	if t < 0 {
+		t = 0
+	}
+	if win := int64(t / s.period); win < int64(len(s.ext)) {
+		return s.ext[win]
+	}
+	return 0
+}
+
+// computeWindow reads Self's slot of window win from the room's table
+// and records it. Slots start at or after the window's uplink
+// reservation ends, so the slot bounds alone gate Share. Streaming runs
+// query time monotonically, so each window is computed — and therefore
+// emitted — exactly once, in order.
+func (s *Scheduler) computeWindow(win int64) {
+	s.winIdx = win
+	s.slotStart, s.slotEnd, s.selfActive = s.geo.SlotAt(win, s.self)
+	if s.obs == nil {
+		return
+	}
+	start := s.period * time.Duration(win)
+	received := 0.0
+	if s.selfActive {
+		s.obs.EmitAt(start, obs.KindSlotGrant, int32(win), 0, s.slotStart.Seconds(), s.slotEnd.Seconds())
+		received = float64(s.slotEnd-s.slotStart) / float64(s.period)
+	} else {
+		s.obs.EmitAt(start, obs.KindSlotReclaim, int32(win), 0, 0, 0)
+	}
+	s.obs.EmitAt(start, obs.KindAirtime, int32(win), 0, received, s.entitled)
+	if len(s.ext) > 0 {
+		s.obs.EmitAt(start, obs.KindBayInterference, int32(win), 0, s.ExtPenaltyDB(start), 0)
+	}
+}
+
+// layout is the window-layout engine BuildGeometry runs over a room's
+// horizon: the room's resolved configuration, its airtime policy, and
+// reusable per-window scratch (layoutWindow is allocation-free) —
+// player poses and the active set at the window start, the policy's
+// share vector, a second pose buffer for quality lookbacks so policies
+// can evaluate past windows without clobbering the current one, and the
+// integer slot widths of the window being laid out.
+type layout struct {
 	players []vr.Trace
-	self    int
 	period  time.Duration
 	radius  float64
 	ap      geom.Vec
@@ -154,56 +273,20 @@ type Scheduler struct {
 	policy  AirtimePolicy
 	ext     []float64
 
-	// Cached window: the sub-slot [slotStart, slotEnd) assigned to Self
-	// inside window winIdx (selfActive=false when Self's slots were
-	// reclaimed or sized to nothing), plus the end of the window's
-	// uplink pose reservation.
-	winIdx             int64
-	selfActive         bool
-	slotStart, slotEnd time.Duration
-	upEnd              time.Duration
-
-	// obs, when non-nil, receives a slot_grant or slot_reclaim event
-	// plus an airtime event per scheduling window; entitled is Self's
-	// weight fraction of the room, precomputed so window emission stays
-	// allocation- and division-free. Recording never feeds back into
-	// the schedule.
-	obs      *obs.Recorder
-	entitled float64
-
-	// geo, when non-nil, is the room-owned precomputed schedule this
-	// scheduler reads windows from instead of evaluating its policy —
-	// see Geometry. Windows beyond the geometry's horizon fall back to
-	// the live layout, which is the same code the geometry was recorded
-	// from, so the fallback is bit-identical.
-	geo *Geometry
-
-	// Reusable per-window scratch (computeWindow is allocation-free):
-	// player poses and the active set at the window start, the policy's
-	// share vector, a second pose buffer for quality lookbacks so
-	// policies can evaluate past windows without clobbering the current
-	// one, and the integer slot widths plus all-player slot boundaries
-	// of the window being laid out.
 	poses     []geom.Vec
 	activeSet []bool
 	shares    []float64
 	lbPoses   []geom.Vec
 	win       Window
 	wis       []int64
-	actAll    []bool
-	startAll  []time.Duration
-	endAll    []time.Duration
 }
 
-// NewScheduler validates the room and builds the session's scheduler.
-// ap is the transmitter position the idle-reclaim LOS test sights from
-// (the room's AP).
-func NewScheduler(rm Room, ap geom.Vec) (*Scheduler, error) {
+// newLayout validates the room and resolves its defaults. ap is the
+// transmitter position the idle-reclaim LOS test sights from (the
+// room's AP).
+func newLayout(rm Room, ap geom.Vec) (*layout, error) {
 	if len(rm.Players) == 0 {
 		return nil, fmt.Errorf("coex: room has no players")
-	}
-	if rm.Self < 0 || rm.Self >= len(rm.Players) {
-		return nil, fmt.Errorf("coex: self index %d out of range [0,%d)", rm.Self, len(rm.Players))
 	}
 	for i, tr := range rm.Players {
 		if len(tr) == 0 {
@@ -240,112 +323,28 @@ func NewScheduler(rm Room, ap geom.Vec) (*Scheduler, error) {
 		frame = vr.HTCVive().FrameInterval()
 	}
 	n := len(rm.Players)
-	s := &Scheduler{
+	policy, err := newPolicy(rm.Policy, n)
+	if err != nil {
+		return nil, err
+	}
+	l := &layout{
 		players:   rm.Players,
-		self:      rm.Self,
-		ext:       rm.ExtSINRPenaltyDB,
 		period:    period,
 		radius:    radius,
 		ap:        ap,
 		weights:   rm.Weights,
 		uplink:    rm.UplinkSlot,
 		frame:     frame,
-		winIdx:    -1,
+		policy:    policy,
+		ext:       rm.ExtSINRPenaltyDB,
 		poses:     make([]geom.Vec, n),
 		activeSet: make([]bool, n),
 		shares:    make([]float64, n),
 		lbPoses:   make([]geom.Vec, n),
 		wis:       make([]int64, n),
-		actAll:    make([]bool, n),
-		startAll:  make([]time.Duration, n),
-		endAll:    make([]time.Duration, n),
 	}
-	policy, err := newPolicy(rm.Policy, n)
-	if err != nil {
-		return nil, err
-	}
-	s.policy = policy
-	if rm.Weights != nil {
-		var sumW float64
-		for _, w := range rm.Weights {
-			sumW += w
-		}
-		s.entitled = rm.Weights[rm.Self] / sumW
-	} else {
-		s.entitled = 1 / float64(n)
-	}
-	s.win.sched = s
-	if rm.Geometry != nil {
-		if err := rm.Geometry.check(s); err != nil {
-			return nil, err
-		}
-		s.geo = rm.Geometry
-	}
-	return s, nil
-}
-
-// Players returns the number of headsets sharing the medium.
-func (s *Scheduler) Players() int { return len(s.players) }
-
-// SetRecorder attaches an event recorder to the scheduler. Each
-// scheduling window then emits a slot_grant (or slot_reclaim, when
-// blockage cost Self its slot) plus an airtime received-vs-entitled
-// event, stamped at the window start. A nil recorder disables emission.
-func (s *Scheduler) SetRecorder(r *obs.Recorder) { s.obs = r }
-
-// Policy returns the name of the active airtime policy.
-func (s *Scheduler) Policy() PolicyName { return s.policy.Name() }
-
-// Share returns this session's airtime multiplier at virtual time t: 1
-// inside its own TDMA sub-slot, 0 outside — including the window-head
-// pose-uplink reservation, during which no session's downlink is on the
-// air. Slot order rotates window to window, so a player's slot sweeps
-// every phase of the frame cadence over a session, and the sub-slots of
-// body-blocked players are redistributed to the active ones.
-func (s *Scheduler) Share(t time.Duration) float64 {
-	if t < 0 {
-		t = 0
-	}
-	if win := int64(t / s.period); win != s.winIdx {
-		s.computeWindow(win)
-	}
-	if t < s.upEnd {
-		return 0 // pose-uplink reservation holds the medium
-	}
-	if s.selfActive && t >= s.slotStart && t < s.slotEnd {
-		return 1
-	}
-	return 0
-}
-
-// Wrap composes the schedule into a link-rate function: the wrapped rate
-// is the underlying link rate during this session's slots and zero while
-// another player holds the medium (or the pose uplink does).
-func (s *Scheduler) Wrap(rate stream.RateFunc) stream.RateFunc {
-	return func(now time.Duration) float64 {
-		return rate(now) * s.Share(now)
-	}
-}
-
-// HasExtInterference reports whether the room carries an external-
-// interference input (a venue bay with co-channel neighbors).
-func (s *Scheduler) HasExtInterference() bool { return len(s.ext) > 0 }
-
-// ExtPenaltyDB returns the external (cross-bay) SINR penalty in dB at
-// virtual time t: the room's interference table indexed by t's
-// scheduling window, 0 when the room carries none or the window is
-// past the table. It is a pure per-window lookup — it neither touches
-// nor advances the cached window, so calling it never perturbs
-// schedule evaluation order.
-func (s *Scheduler) ExtPenaltyDB(t time.Duration) float64 {
-	if t < 0 {
-		t = 0
-	}
-	win := int64(t / s.period)
-	if win < 0 || win >= int64(len(s.ext)) {
-		return 0
-	}
-	return s.ext[win]
+	l.win.lay = l
+	return l, nil
 }
 
 // shareScale returns the integer weight scale policy share fractions
@@ -365,53 +364,6 @@ func shareScale(down time.Duration) int64 {
 	return scale
 }
 
-// computeWindow fills the cached window for win: from the room's
-// precomputed Geometry when one covers it, otherwise by running the
-// live layout. Both paths execute the identical integer arithmetic
-// (the geometry table is recorded from layoutWindow), so a session's
-// schedule is bit-identical with and without a room snapshot.
-func (s *Scheduler) computeWindow(win int64) {
-	s.winIdx = win
-	if g := s.geo; g != nil && win >= 0 && win < g.nWins {
-		base := int(win) * len(s.players)
-		s.upEnd = g.upEnds[win]
-		s.selfActive = g.active[base+s.self]
-		s.slotStart = g.starts[base+s.self]
-		s.slotEnd = g.ends[base+s.self]
-	} else {
-		s.upEnd = s.layoutWindow(win, s.actAll, s.startAll, s.endAll)
-		s.selfActive = s.actAll[s.self]
-		s.slotStart, s.slotEnd = s.startAll[s.self], s.endAll[s.self]
-	}
-	s.emitWindow(win)
-}
-
-// emitWindow records the freshly computed window. Streaming runs query
-// time monotonically, so each window is computed — and therefore
-// emitted — exactly once, in order, on both the snapshot and live
-// paths; the event file is independent of which path served it.
-func (s *Scheduler) emitWindow(win int64) {
-	if s.obs == nil || win < 0 {
-		return
-	}
-	start := s.period * time.Duration(win)
-	received := 0.0
-	if s.selfActive {
-		s.obs.EmitAt(start, obs.KindSlotGrant, int32(win), 0, s.slotStart.Seconds(), s.slotEnd.Seconds())
-		received = float64(s.slotEnd-s.slotStart) / float64(s.period)
-	} else {
-		s.obs.EmitAt(start, obs.KindSlotReclaim, int32(win), 0, 0, 0)
-	}
-	s.obs.EmitAt(start, obs.KindAirtime, int32(win), 0, received, s.entitled)
-	if len(s.ext) > 0 {
-		pen := 0.0
-		if win < int64(len(s.ext)) {
-			pen = s.ext[win]
-		}
-		s.obs.EmitAt(start, obs.KindBayInterference, int32(win), 0, pen, 0)
-	}
-}
-
 // layoutWindow evaluates the active set at the start of window win,
 // reserves the pose-uplink sub-slots, and asks the policy to size the
 // active players' shares of the remaining downlink span. Sub-slots are
@@ -423,26 +375,25 @@ func (s *Scheduler) emitWindow(win int64) {
 // The full layout — every player's sub-slot, not just Self's — is
 // written into active/starts/ends (each len(players); a player with no
 // slot gets active=false and zero boundaries) and the end of the
-// window's uplink reservation is returned. This is the single source
-// of schedule truth: the per-session cache and the room-owned Geometry
-// table are both filled from it.
-func (s *Scheduler) layoutWindow(win int64, active []bool, starts, ends []time.Duration) time.Duration {
-	start := s.period * time.Duration(win)
+// window's uplink reservation is returned. BuildGeometry records every
+// window of the room's table from it.
+func (l *layout) layoutWindow(win int64, active []bool, starts, ends []time.Duration) time.Duration {
+	start := l.period * time.Duration(win)
 
-	n := len(s.players)
-	for i, tr := range s.players {
-		s.poses[i] = tr.At(start).Pos
+	n := len(l.players)
+	for i, tr := range l.players {
+		l.poses[i] = tr.At(start).Pos
 	}
 	nActive := 0
-	for i := range s.players {
-		s.activeSet[i] = s.losClear(s.poses, i)
-		if s.activeSet[i] {
+	for i := range l.players {
+		l.activeSet[i] = l.losClear(l.poses, i)
+		if l.activeSet[i] {
 			nActive++
 		}
 	}
 	if nActive == 0 {
-		for i := range s.activeSet {
-			s.activeSet[i] = true
+		for i := range l.activeSet {
+			l.activeSet[i] = true
 		}
 		nActive = n
 	}
@@ -450,37 +401,37 @@ func (s *Scheduler) layoutWindow(win int64, active []bool, starts, ends []time.D
 	// The pose-uplink reservation at the window head: one sub-slot per
 	// active player (blocked players report nothing worth airtime), all
 	// downlink slots shifted past it.
-	up := s.uplink * time.Duration(nActive)
+	up := l.uplink * time.Duration(nActive)
 	upEnd := start + up
-	down := s.period - up
+	down := l.period - up
 
-	w := &s.win
-	w.Index, w.Start, w.DownStart, w.Downlink, w.Frame = win, start, upEnd, down, s.frame
-	w.Poses, w.Active, w.NActive, w.Weights = s.poses, s.activeSet, nActive, s.weights
+	w := &l.win
+	w.Index, w.Start, w.DownStart, w.Downlink, w.Frame = win, start, upEnd, down, l.frame
+	w.Poses, w.Active, w.NActive, w.Weights = l.poses, l.activeSet, nActive, l.weights
 	w.ExtPenaltyDB = 0
-	if win >= 0 && win < int64(len(s.ext)) {
-		w.ExtPenaltyDB = s.ext[win]
+	if win >= 0 && win < int64(len(l.ext)) {
+		w.ExtPenaltyDB = l.ext[win]
 	}
 
-	for i := range s.shares {
-		s.shares[i] = 0
+	for i := range l.shares {
+		l.shares[i] = 0
 	}
-	s.policy.Shares(w, s.shares)
+	l.policy.Shares(w, l.shares)
 
 	// Sanitize the policy output: inactive players hold no air whatever
 	// the policy says, and non-finite or non-positive shares are "no
 	// slot". A policy that zeroes everyone degrades to the even split.
 	sum := 0.0
-	for i := range s.shares {
-		if !s.activeSet[i] || !(s.shares[i] > 0) || math.IsInf(s.shares[i], 0) {
-			s.shares[i] = 0
+	for i := range l.shares {
+		if !l.activeSet[i] || !(l.shares[i] > 0) || math.IsInf(l.shares[i], 0) {
+			l.shares[i] = 0
 		}
-		sum += s.shares[i]
+		sum += l.shares[i]
 	}
 	if sum <= 0 {
-		for i := range s.shares {
-			if s.activeSet[i] {
-				s.shares[i] = 1
+		for i := range l.shares {
+			if l.activeSet[i] {
+				l.shares[i] = 1
 				sum++
 			}
 		}
@@ -489,29 +440,26 @@ func (s *Scheduler) layoutWindow(win int64, active []bool, starts, ends []time.D
 	// Lay the sub-slots out in cyclic order from the rotation offset,
 	// boundaries computed from the window span so the slots partition
 	// [upEnd, start+period) exactly — the same full-coverage rule
-	// stream.Run uses. Every session derives the identical layout from
-	// the shared traces, so recording all players' boundaries here (for
-	// the Geometry table) and reading back only Self's (per session)
-	// commute.
+	// stream.Run uses.
 	off := int(win % int64(n))
 	scale := float64(shareScale(down))
 	var cum int64
 	for o := 0; o < n; o++ {
 		i := (off + o) % n
 		var wi int64
-		if s.shares[i] > 0 {
-			wi = int64(math.Round(scale * s.shares[i] / sum))
+		if l.shares[i] > 0 {
+			wi = int64(math.Round(scale * l.shares[i] / sum))
 			if wi == 0 {
 				wi = 1
 			}
 		}
-		s.wis[i] = wi
+		l.wis[i] = wi
 		cum += wi
 	}
 	var c int64
 	for o := 0; o < n; o++ {
 		i := (off + o) % n
-		wi := s.wis[i]
+		wi := l.wis[i]
 		if wi == 0 || cum == 0 {
 			active[i], starts[i], ends[i] = false, 0, 0
 			continue
@@ -529,13 +477,13 @@ func (s *Scheduler) layoutWindow(win int64, active []bool, starts, ends []time.D
 // It deliberately ignores walls and furniture: the question is whether
 // the *other players* have shadowed this one, which is the signal the
 // room's scheduler can read from tracking data alone.
-func (s *Scheduler) losClear(poses []geom.Vec, i int) bool {
-	seg := geom.Seg(s.ap, poses[i])
+func (l *layout) losClear(poses []geom.Vec, i int) bool {
+	seg := geom.Seg(l.ap, poses[i])
 	for j := range poses {
 		if j == i {
 			continue
 		}
-		body := geom.Circle{C: poses[j], R: s.radius}
+		body := geom.Circle{C: poses[j], R: l.radius}
 		if body.IntersectsSegment(seg) {
 			return false
 		}
@@ -543,30 +491,14 @@ func (s *Scheduler) losClear(poses []geom.Vec, i int) bool {
 	return true
 }
 
-// qualityOf returns player i's geometric link quality at the start of
-// the given window: an AP-proximity factor 1/(1+d²) discounted hard when
-// the player's direct path is body-blocked. It is a pure function of the
-// window index and the room's traces — the only link-state signal a
-// purely tracking-driven scheduler can read — and uses the lookback pose
-// scratch so policies can consult past windows while the current
-// window's poses stay live.
-func (s *Scheduler) qualityOf(win int64, i int) float64 {
-	if win < 0 {
-		win = 0
-	}
-	start := s.period * time.Duration(win)
-	for j, tr := range s.players {
-		s.lbPoses[j] = tr.At(start).Pos
-	}
-	return s.lbQuality(i)
-}
-
-// lbQuality evaluates one player's quality over the poses currently in
-// the lookback scratch.
-func (s *Scheduler) lbQuality(i int) float64 {
-	d := s.ap.Dist(s.lbPoses[i])
+// lbQuality returns player i's geometric link quality over the poses
+// currently in the lookback scratch: an AP-proximity factor 1/(1+d²)
+// discounted hard when the player's direct path is body-blocked — the
+// only link-state signal a purely tracking-driven scheduler can read.
+func (l *layout) lbQuality(i int) float64 {
+	d := l.ap.Dist(l.lbPoses[i])
 	q := 1 / (1 + d*d)
-	if !s.losClear(s.lbPoses, i) {
+	if !l.losClear(l.lbPoses, i) {
 		q *= blockedQuality
 	}
 	return q
@@ -575,9 +507,8 @@ func (s *Scheduler) lbQuality(i int) float64 {
 // recentQualityInto fills q with every player's mean geometric link
 // quality over the trailing qualityLookback windows ending at win — the
 // bulk form the proportional-fair policy runs every window: each
-// lookback window's poses are evaluated once for all players, instead
-// of once per player as chaining Window.RecentQuality would.
-func (s *Scheduler) recentQualityInto(win int64, q []float64) {
+// lookback window's poses are evaluated once for all players.
+func (l *layout) recentQualityInto(win int64, q []float64) {
 	lo := win - qualityLookback + 1
 	if lo < 0 {
 		lo = 0
@@ -586,12 +517,12 @@ func (s *Scheduler) recentQualityInto(win int64, q []float64) {
 		q[i] = 0
 	}
 	for k := lo; k <= win; k++ {
-		start := s.period * time.Duration(k)
-		for j, tr := range s.players {
-			s.lbPoses[j] = tr.At(start).Pos
+		start := l.period * time.Duration(k)
+		for j, tr := range l.players {
+			l.lbPoses[j] = tr.At(start).Pos
 		}
 		for i := range q {
-			q[i] += s.lbQuality(i)
+			q[i] += l.lbQuality(i)
 		}
 	}
 	n := float64(win - lo + 1)

@@ -17,13 +17,33 @@ func standing(pos geom.Vec) vr.Trace {
 
 var apPos = geom.V(0.4, 0.4)
 
-func mustScheduler(t *testing.T, rm Room) *Scheduler {
+// testHorizon is how far the test rooms' schedule tables reach.
+const testHorizon = 5 * time.Second
+
+// roomSchedulers builds rm's schedule table over testHorizon, poses on a
+// 10 ms grid, and returns one scheduler per player reading it — every
+// session of the room sharing the one table.
+func roomSchedulers(t *testing.T, rm Room) []*Scheduler {
 	t.Helper()
-	s, err := NewScheduler(rm, apPos)
+	geo, err := BuildGeometry(rm, apPos, 10*time.Millisecond, testHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	rm.Geometry = geo
+	scheds := make([]*Scheduler, geo.Players())
+	for self := range scheds {
+		rm.Self = self
+		if scheds[self], err = NewScheduler(rm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return scheds
+}
+
+// mustScheduler returns rm.Self's scheduler over rm's table.
+func mustScheduler(t *testing.T, rm Room) *Scheduler {
+	t.Helper()
+	return roomSchedulers(t, rm)[rm.Self]
 }
 
 // shareIntegral samples Share over [0, dur) at sub-slot resolution and
@@ -51,9 +71,8 @@ func TestTwoClearPlayersSplitEvenly(t *testing.T) {
 	// Both players have clear line of sight from the AP: each gets half
 	// of every window, so the average share is 1/2 and at any instant
 	// exactly one of the two holds the medium.
-	players := []vr.Trace{standing(geom.V(6, 2)), standing(geom.V(2, 6))}
-	a := mustScheduler(t, Room{Players: players, Self: 0})
-	b := mustScheduler(t, Room{Players: players, Self: 1})
+	scheds := roomSchedulers(t, Room{Players: []vr.Trace{standing(geom.V(6, 2)), standing(geom.V(2, 6))}})
+	a, b := scheds[0], scheds[1]
 
 	if got := shareIntegral(a, time.Second); math.Abs(got-0.5) > 0.01 {
 		t.Errorf("player 0 average share = %v, want 0.5", got)
@@ -87,9 +106,8 @@ func TestIdleReclaim(t *testing.T) {
 	// 1 holds the whole medium.
 	blockedPos := geom.V(4.4, 4.4)
 	onTheLine := geom.V(2.4, 2.4)
-	players := []vr.Trace{standing(blockedPos), standing(onTheLine)}
-	blocked := mustScheduler(t, Room{Players: players, Self: 0})
-	clear := mustScheduler(t, Room{Players: players, Self: 1})
+	scheds := roomSchedulers(t, Room{Players: []vr.Trace{standing(blockedPos), standing(onTheLine)}})
+	blocked, clear := scheds[0], scheds[1]
 
 	if got := shareIntegral(blocked, time.Second); got != 0 {
 		t.Errorf("blocked player share = %v, want 0 (slots reclaimed)", got)
@@ -116,10 +134,7 @@ func TestSlotsCoverTheWholeWindow(t *testing.T) {
 	// window, so every instant belongs to exactly one player even when
 	// the period does not divide evenly.
 	players := []vr.Trace{standing(geom.V(6, 2)), standing(geom.V(2, 6)), standing(geom.V(7, 7))}
-	scheds := make([]*Scheduler, len(players))
-	for i := range players {
-		scheds[i] = mustScheduler(t, Room{Players: players, Self: i})
-	}
+	scheds := roomSchedulers(t, Room{Players: players})
 	for us := 0; us < 150_000; us += 61 {
 		at := time.Duration(us) * time.Microsecond
 		total := 0.0
@@ -144,18 +159,36 @@ func TestWrapGatesTheRate(t *testing.T) {
 	}
 }
 
+// TestNewSchedulerValidation: invalid rooms fail when their table is
+// built, and a scheduler needs a table and a Self inside it.
 func TestNewSchedulerValidation(t *testing.T) {
 	ok := []vr.Trace{standing(geom.V(1, 1))}
 	cases := []Room{
-		{},                                  // no players
-		{Players: ok, Self: -1},             // self below range
-		{Players: ok, Self: 1},              // self beyond range
-		{Players: []vr.Trace{nil}, Self: 0}, // empty trace
-		{Players: []vr.Trace{ok[0], nil}},   // empty peer trace
+		{},                                // no players
+		{Players: []vr.Trace{nil}},        // empty trace
+		{Players: []vr.Trace{ok[0], nil}}, // empty peer trace
 	}
 	for i, rm := range cases {
-		if _, err := NewScheduler(rm, apPos); err == nil {
-			t.Errorf("case %d: NewScheduler accepted an invalid room", i)
+		if _, err := BuildGeometry(rm, apPos, 10*time.Millisecond, time.Second); err == nil {
+			t.Errorf("case %d: BuildGeometry accepted an invalid room", i)
+		}
+	}
+	for _, grid := range [][2]time.Duration{{0, time.Second}, {10 * time.Millisecond, 0}} {
+		if _, err := BuildGeometry(Room{Players: ok}, apPos, grid[0], grid[1]); err == nil {
+			t.Errorf("BuildGeometry accepted step %v, horizon %v", grid[0], grid[1])
+		}
+	}
+
+	if _, err := NewScheduler(Room{Players: ok}); err == nil {
+		t.Error("NewScheduler accepted a room without a geometry")
+	}
+	geo, err := BuildGeometry(Room{Players: ok}, apPos, 10*time.Millisecond, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, self := range []int{-1, 1} {
+		if _, err := NewScheduler(Room{Players: ok, Self: self, Geometry: geo}); err == nil {
+			t.Errorf("NewScheduler accepted self %d of a 1-player table", self)
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // ExampleBuildGeometry builds a two-player shared room, precomputes its
-// room-owned geometry snapshot, and reads one session's airtime shares
-// from it. The snapshot is built once per room and shared by every
-// co-located session; schedules read from it are bit-identical to live
-// policy evaluation, and PoseAt answers only exact on-grid queries.
+// schedule table, and reads one session's airtime shares from it. The
+// table is built once per room and shared by every co-located session;
+// it is their only schedule source, and it answers pose queries only on
+// its tick grid.
 func ExampleBuildGeometry() {
 	players := make([]vr.Trace, 2)
 	for i := range players {
@@ -39,7 +39,7 @@ func ExampleBuildGeometry() {
 		geo.Players(), geo.Windows(), geo.Step())
 
 	rm.Geometry = geo
-	s, err := coex.NewScheduler(rm, ap)
+	s, err := coex.NewScheduler(rm)
 	if err != nil {
 		fmt.Println("scheduler:", err)
 		return
@@ -47,13 +47,13 @@ func ExampleBuildGeometry() {
 	for _, t := range []time.Duration{0, 30 * time.Millisecond, 60 * time.Millisecond} {
 		fmt.Printf("share(%v) = %.2f\n", t, s.Share(t))
 	}
-	if _, ok := geo.PoseAt(0, 15*time.Millisecond); !ok {
-		fmt.Println("PoseAt(15ms): off the 10ms grid, caller falls back to the trace")
+	if _, ok := geo.PosesAtTick(15 * time.Millisecond); !ok {
+		fmt.Println("PosesAtTick(15ms): off the 10ms grid")
 	}
 	// Output:
 	// snapshot: 2 players, 11 windows, 10ms pose grid
 	// share(0s) = 1.00
 	// share(30ms) = 0.00
 	// share(60ms) = 0.00
-	// PoseAt(15ms): off the 10ms grid, caller falls back to the trace
+	// PosesAtTick(15ms): off the 10ms grid
 }

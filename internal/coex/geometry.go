@@ -5,43 +5,30 @@ import (
 	"time"
 
 	"github.com/movr-sim/movr/internal/geom"
-	"github.com/movr-sim/movr/internal/vr"
 )
 
-// Geometry is a room-owned snapshot of everything geometric the room's
-// sessions would otherwise each rederive per tick: every player's pose
-// sampled on the world-tick grid, and the complete TDMA window schedule
-// (uplink reservation plus every player's downlink sub-slot) over the
-// room's horizon. It is built once per room — BuildGeometry runs the
-// same trace lookups and the same window layout the per-session
-// schedulers run live — and then shared read-only by all co-located
-// sessions, so N sessions in a bay evaluate the airtime policy once per
-// window instead of N times.
-//
-// Determinism contract: a schedule read from a Geometry is bit-identical
-// to one evaluated live, because the table is recorded from the very
-// function (Scheduler.layoutWindow) the live path executes, and pose
-// lookups only answer on the exact tick grid they were sampled on —
-// off-grid or out-of-horizon queries report a miss and the caller falls
-// back to the trace itself.
+// Geometry is the room's schedule table: every player's pose sampled on
+// the world-tick grid, and the complete TDMA window schedule (uplink
+// reservation plus every player's downlink sub-slot) over the room's
+// horizon. It is built once per room — BuildGeometry runs the trace
+// lookups and the window layout — and then shared read-only by all
+// co-located sessions, so N sessions in a bay evaluate the airtime
+// policy once per window instead of N times. It is the only source
+// their schedulers read.
 type Geometry struct {
-	// Room configuration the snapshot was built for, with defaults
-	// resolved; NewScheduler rejects a Geometry whose configuration
-	// does not match the session's room exactly.
-	players []vr.Trace
-	ap      geom.Vec
-	period  time.Duration
-	radius  float64
-	uplink  time.Duration
-	frame   time.Duration
-	policy  PolicyName
-	weights []float64
+	// players is the number of players the table covers; period the
+	// scheduling window with defaults resolved; entitled each player's
+	// weight fraction of the room.
+	players  int
+	period   time.Duration
+	entitled []float64
 
 	// Pose table: players' positions on the [0, horizon] grid of step
 	// multiples, player-major within each tick.
-	step   time.Duration
-	nTicks int
-	poses  []geom.Vec
+	step    time.Duration
+	horizon time.Duration
+	nTicks  int
+	poses   []geom.Vec
 
 	// Window schedule table: for each window, the end of its uplink
 	// reservation and every player's downlink sub-slot (active=false
@@ -54,12 +41,12 @@ type Geometry struct {
 	ends   []time.Duration
 }
 
-// BuildGeometry precomputes the room snapshot for rm as seen from the
+// BuildGeometry precomputes the room's table for rm as seen from the
 // AP at ap: poses on the step grid and window schedules out to horizon.
 // step is the world-tick cadence the sessions advance geometry at, and
-// horizon the session duration; both must be positive. rm.Geometry is
-// ignored (a snapshot is always built from the traces, never from
-// another snapshot).
+// horizon the session duration; both must be positive. rm.Self and
+// rm.Geometry are ignored (a table is always built from the traces,
+// never from another table).
 func BuildGeometry(rm Room, ap geom.Vec, step, horizon time.Duration) (*Geometry, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("coex: geometry step %v must be positive", step)
@@ -67,49 +54,55 @@ func BuildGeometry(rm Room, ap geom.Vec, step, horizon time.Duration) (*Geometry
 	if horizon <= 0 {
 		return nil, fmt.Errorf("coex: geometry horizon %v must be positive", horizon)
 	}
-	rm.Geometry = nil
-	s, err := NewScheduler(rm, ap)
+	l, err := newLayout(rm, ap)
 	if err != nil {
 		return nil, err
 	}
 
-	n := len(s.players)
+	n := len(l.players)
 	g := &Geometry{
-		players: s.players,
-		ap:      s.ap,
-		period:  s.period,
-		radius:  s.radius,
-		uplink:  s.uplink,
-		frame:   s.frame,
-		policy:  s.policy.Name(),
-		weights: s.weights,
-		step:    step,
-		nTicks:  int(horizon/step) + 1,
+		players:  n,
+		period:   l.period,
+		entitled: make([]float64, n),
+		step:     step,
+		horizon:  horizon,
+		nTicks:   int(horizon/step) + 1,
+	}
+	var sumW float64
+	for _, w := range l.weights {
+		sumW += w
+	}
+	for i := range g.entitled {
+		if l.weights != nil {
+			g.entitled[i] = l.weights[i] / sumW
+		} else {
+			g.entitled[i] = 1 / float64(n)
+		}
 	}
 
 	g.poses = make([]geom.Vec, g.nTicks*n)
 	for k := 0; k < g.nTicks; k++ {
 		t := step * time.Duration(k)
-		for i, tr := range s.players {
+		for i, tr := range l.players {
 			g.poses[k*n+i] = tr.At(t).Pos
 		}
 	}
 
-	g.nWins = int64(horizon/s.period) + 1
+	g.nWins = int64(horizon/l.period) + 1
 	g.upEnds = make([]time.Duration, g.nWins)
 	g.active = make([]bool, int(g.nWins)*n)
 	g.starts = make([]time.Duration, int(g.nWins)*n)
 	g.ends = make([]time.Duration, int(g.nWins)*n)
 	for w := int64(0); w < g.nWins; w++ {
 		base := int(w) * n
-		g.upEnds[w] = s.layoutWindow(w,
+		g.upEnds[w] = l.layoutWindow(w,
 			g.active[base:base+n], g.starts[base:base+n], g.ends[base:base+n])
 	}
 	return g, nil
 }
 
-// Players returns the number of players the snapshot covers.
-func (g *Geometry) Players() int { return len(g.players) }
+// Players returns the number of players the table covers.
+func (g *Geometry) Players() int { return g.players }
 
 // Windows returns the number of scheduling windows in the table.
 func (g *Geometry) Windows() int64 { return g.nWins }
@@ -117,46 +110,33 @@ func (g *Geometry) Windows() int64 { return g.nWins }
 // Step returns the pose-table tick cadence.
 func (g *Geometry) Step() time.Duration { return g.step }
 
-// Period returns the scheduling window length the snapshot was built
-// with (defaults resolved).
+// Horizon returns the last virtual time the table covers: poses are
+// tabled through it, and every window starting at or before it.
+func (g *Geometry) Horizon() time.Duration { return g.horizon }
+
+// Period returns the scheduling window length the table was built with
+// (defaults resolved).
 func (g *Geometry) Period() time.Duration { return g.period }
 
 // SlotAt returns player i's downlink sub-slot of window win in absolute
 // virtual time, and whether the player holds one (active=false when its
 // airtime was reclaimed or sized to nothing, or the query is out of the
-// table's range). The venue layer reads neighboring bays' transmit
-// activity through this: which player the bay's AP serves when, without
-// re-running the airtime policy.
+// table's range). Schedulers read their own slot through it, and the
+// venue layer reads neighboring bays' transmit activity: which player
+// the bay's AP serves when, without re-running the airtime policy.
 func (g *Geometry) SlotAt(win int64, i int) (start, end time.Duration, active bool) {
-	if win < 0 || win >= g.nWins || i < 0 || i >= len(g.players) {
+	if win < 0 || win >= g.nWins || i < 0 || i >= g.players {
 		return 0, 0, false
 	}
-	k := int(win)*len(g.players) + i
+	k := int(win)*g.players + i
 	return g.starts[k], g.ends[k], g.active[k]
 }
 
-// PoseAt returns player i's position at virtual time t, answered from
-// the pose table. The second return is false — and the caller must fall
-// back to the player's trace — when t is off the snapshot's tick grid,
-// beyond its horizon, or i is out of range; the table only answers
-// queries it can answer bit-identically to the trace.
-func (g *Geometry) PoseAt(i int, t time.Duration) (geom.Vec, bool) {
-	if i < 0 || i >= len(g.players) || t < 0 || t%g.step != 0 {
-		return geom.Vec{}, false
-	}
-	k := int(t / g.step)
-	if k >= g.nTicks {
-		return geom.Vec{}, false
-	}
-	return g.poses[k*len(g.players)+i], true
-}
-
 // PosesAtTick returns the full pose row — every player's position — for
-// one tick, without copying: index the row by player number. It answers
-// exactly when PoseAt would (t on the tick grid, within the horizon),
-// so row[i] is bitwise PoseAt(i, t). The bay-batched runner fetches the
-// row once per room-tick instead of querying per (player, peer) pair.
-// The returned slice aliases the snapshot; callers must not modify it.
+// one tick, without copying: index the row by player number. The second
+// return is false when t is off the table's tick grid or beyond its
+// horizon; the table only answers queries it recorded exactly. The
+// returned slice aliases the table; callers must not modify it.
 func (g *Geometry) PosesAtTick(t time.Duration) ([]geom.Vec, bool) {
 	if t < 0 || t%g.step != 0 {
 		return nil, false
@@ -165,57 +145,5 @@ func (g *Geometry) PosesAtTick(t time.Duration) ([]geom.Vec, bool) {
 	if k >= g.nTicks {
 		return nil, false
 	}
-	n := len(g.players)
-	return g.poses[k*n : (k+1)*n], true
-}
-
-// tracesEqual compares two motion traces by content: the same samples
-// in the same order, regardless of backing storage. Sessions substitute
-// their own regenerated copy of their trace at Self, so pointer
-// equality would spuriously reject every session's room.
-func tracesEqual(a, b vr.Trace) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// check verifies the snapshot was built for exactly the configuration
-// scheduler s resolved from its room, so a stale or mismatched snapshot
-// fails at construction instead of silently skewing the schedule. The
-// external-interference input is deliberately not compared: venue
-// snapshots are built before the per-bay penalties exist, and the
-// schedule tables are invariant to the input (see Room.ExtSINRPenaltyDB).
-func (g *Geometry) check(s *Scheduler) error {
-	if len(g.players) != len(s.players) {
-		return fmt.Errorf("coex: geometry built for %d players, room has %d", len(g.players), len(s.players))
-	}
-	if g.ap != s.ap {
-		return fmt.Errorf("coex: geometry built for AP at %v, room's AP is at %v", g.ap, s.ap)
-	}
-	if g.period != s.period || g.uplink != s.uplink || g.frame != s.frame || g.radius != s.radius {
-		return fmt.Errorf("coex: geometry timing/radius configuration does not match the room")
-	}
-	if g.policy != s.policy.Name() {
-		return fmt.Errorf("coex: geometry built for policy %q, room uses %q", g.policy, s.policy.Name())
-	}
-	if (g.weights == nil) != (s.weights == nil) || len(g.weights) != len(s.weights) {
-		return fmt.Errorf("coex: geometry weights do not match the room")
-	}
-	for i := range g.weights {
-		if g.weights[i] != s.weights[i] {
-			return fmt.Errorf("coex: geometry weight %d (%v) does not match the room (%v)", i, g.weights[i], s.weights[i])
-		}
-	}
-	for i := range g.players {
-		if !tracesEqual(g.players[i], s.players[i]) {
-			return fmt.Errorf("coex: geometry trace for player %d does not match the room", i)
-		}
-	}
-	return nil
+	return g.poses[k*g.players : (k+1)*g.players], true
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/vr"
 )
 
@@ -24,13 +23,11 @@ func walkers(t *testing.T, n int, dur time.Duration) []vr.Trace {
 	return traces
 }
 
-// TestGeometryScheduleBitIdentical is the tentpole determinism pin: a
-// scheduler reading the room-owned precomputed schedule must agree with
-// live policy evaluation bit for bit — at every instant, for every
-// player, under every policy, with uplink reservations and weights in
-// play, both inside the snapshot's horizon and beyond it (where the
-// geometry path falls back to the live layout).
-func TestGeometryScheduleBitIdentical(t *testing.T) {
+// TestSchedulerReadsTheTable pins the one schedule source: under every
+// policy, with uplink reservations and weights in play, each player's
+// Share is 1 exactly inside its slot of the room's table, and past the
+// table's horizon no player holds a slot.
+func TestSchedulerReadsTheTable(t *testing.T) {
 	const dur = 2 * time.Second
 	players := walkers(t, 3, dur)
 	for _, policy := range []PolicyName{PolicyRR, PolicyPF, PolicyEDF} {
@@ -45,18 +42,27 @@ func TestGeometryScheduleBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rm.Geometry = geo
 		for self := range players {
 			rm.Self = self
-			rm.Geometry = nil
-			live := mustScheduler(t, rm)
-			rm.Geometry = geo
-			snap := mustScheduler(t, rm)
+			s, err := NewScheduler(rm)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// 313 µs strides sample uplink heads, slot interiors and
-			// boundaries at every phase; the sweep runs half a period
-			// past the horizon to cross into the fallback windows.
-			for at := time.Duration(0); at < dur+25*time.Millisecond; at += 313 * time.Microsecond {
-				if l, s := live.Share(at), snap.Share(at); l != s {
-					t.Fatalf("%s self=%d Share(%v): live %v, snapshot %v", policy, self, at, l, s)
+			// boundaries at every phase; the sweep runs two periods past
+			// the horizon.
+			for at := time.Duration(0); at < dur+100*time.Millisecond; at += 313 * time.Microsecond {
+				start, end, active := geo.SlotAt(int64(at/rm.Period), self)
+				want := 0.0
+				if active && at >= start && at < end {
+					want = 1
+				}
+				if at >= geo.Period()*time.Duration(geo.Windows()) && want != 0 {
+					t.Fatalf("%s self=%d: the table holds a slot at %v, past its horizon", policy, self, at)
+				}
+				if got := s.Share(at); got != want {
+					t.Fatalf("%s self=%d Share(%v) = %v, table says %v", policy, self, at, got, want)
 				}
 			}
 		}
@@ -64,9 +70,8 @@ func TestGeometryScheduleBitIdentical(t *testing.T) {
 }
 
 // TestGeometryPoseGrid pins the pose table's answer-only-what-is-exact
-// contract: on-grid queries within the horizon equal the trace lookup,
-// while off-grid, out-of-horizon, negative-time and out-of-range
-// queries miss and defer to the caller's trace fallback.
+// contract: on-grid rows within the horizon equal the trace lookups,
+// while off-grid, out-of-horizon and negative-time queries miss.
 func TestGeometryPoseGrid(t *testing.T) {
 	const dur = time.Second
 	const step = 10 * time.Millisecond
@@ -75,77 +80,24 @@ func TestGeometryPoseGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tr := range players {
-		for at := time.Duration(0); at <= dur; at += step {
-			p, ok := geo.PoseAt(i, at)
-			if !ok {
-				t.Fatalf("player %d PoseAt(%v) missed on the grid", i, at)
-			}
-			if want := tr.At(at).Pos; p != want {
-				t.Fatalf("player %d PoseAt(%v) = %v, trace says %v", i, at, p, want)
+	for at := time.Duration(0); at <= dur; at += step {
+		row, ok := geo.PosesAtTick(at)
+		if !ok || len(row) != len(players) {
+			t.Fatalf("PosesAtTick(%v) = %v, %v on the grid", at, row, ok)
+		}
+		for i, tr := range players {
+			if want := tr.At(at).Pos; row[i] != want {
+				t.Fatalf("player %d at %v: table %v, trace says %v", i, at, row[i], want)
 			}
 		}
 	}
 	for _, bad := range []time.Duration{3 * time.Millisecond, -step, dur + step} {
-		if _, ok := geo.PoseAt(0, bad); ok {
-			t.Errorf("PoseAt(0, %v) answered off the grid or horizon", bad)
+		if _, ok := geo.PosesAtTick(bad); ok {
+			t.Errorf("PosesAtTick(%v) answered off the grid or horizon", bad)
 		}
 	}
-	if _, ok := geo.PoseAt(2, 0); ok {
-		t.Error("PoseAt answered for an out-of-range player")
-	}
-}
-
-// TestGeometryCheckRejectsMismatches pins the fail-fast contract: a
-// snapshot built for a different configuration must be rejected at
-// scheduler construction, while a room whose Self trace was substituted
-// with a content-equal copy (the session engine always does this) must
-// be accepted.
-func TestGeometryCheckRejectsMismatches(t *testing.T) {
-	const dur = time.Second
-	players := walkers(t, 2, dur)
-	base := Room{Players: players, Period: 50 * time.Millisecond}
-	geo, err := BuildGeometry(base, apPos, 10*time.Millisecond, dur)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reject := func(name string, rm Room, ap geom.Vec) {
-		t.Helper()
-		rm.Geometry = geo
-		if _, err := NewScheduler(rm, ap); err == nil {
-			t.Errorf("%s: mismatched geometry was accepted", name)
-		}
-	}
-	period := base
-	period.Period = 40 * time.Millisecond
-	reject("period", period, apPos)
-
-	policy := base
-	policy.Policy = PolicyPF
-	reject("policy", policy, apPos)
-
-	weights := base
-	weights.Weights = []float64{1, 2}
-	reject("weights", weights, apPos)
-
-	uplink := base
-	uplink.UplinkSlot = 200 * time.Microsecond
-	reject("uplink", uplink, apPos)
-
-	otherTrace := base
-	otherTrace.Players = []vr.Trace{players[0], players[0]}
-	reject("players", otherTrace, apPos)
-
-	reject("ap", base, geom.V(1, 1))
-
-	// The session engine substitutes a regenerated copy of the Self
-	// trace — same content, different backing array. That must pass.
-	subst := base
-	subst.Players = []vr.Trace{append(vr.Trace(nil), players[0]...), players[1]}
-	subst.Geometry = geo
-	if _, err := NewScheduler(subst, apPos); err != nil {
-		t.Errorf("content-equal substituted trace rejected: %v", err)
+	if geo.Horizon() != dur || geo.Step() != step {
+		t.Errorf("table reports horizon %v step %v, built with %v and %v", geo.Horizon(), geo.Step(), dur, step)
 	}
 }
 
@@ -160,7 +112,10 @@ func TestGeometryShareZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rm.Geometry = geo
-	s := mustScheduler(t, rm)
+	s, err := NewScheduler(rm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	at := time.Duration(0)
 	allocs := testing.AllocsPerRun(500, func() {
 		s.Share(at)

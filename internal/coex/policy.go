@@ -65,8 +65,8 @@ func ParsePolicy(s string) (PolicyName, error) {
 
 // Window is the per-window context an AirtimePolicy sizes sub-slots
 // from. Every field and method is a pure function of Index and the
-// room's motion traces, so concurrently simulated sessions of one room
-// hand their policies identical windows. The slices are scheduler-owned
+// room's motion traces, so the room's schedule table does not depend on
+// the order windows are laid out in. The slices are layout-owned
 // scratch, valid only for the duration of the Shares call.
 type Window struct {
 	// Index is the scheduling window number (Start / the room period).
@@ -108,13 +108,13 @@ type Window struct {
 	// ExtPenaltyDB is the bay's external-interference input for this
 	// window: the SINR penalty co-channel neighbors impose (0 when the
 	// room has none — see Room.ExtSINRPenaltyDB). It is advisory
-	// context: a policy consulting it must remain share-invariant when
-	// the penalty applies bay-wide (as the built-ins trivially are, by
-	// ignoring it), or schedules read from a Geometry snapshot — which
-	// is built without the input — would diverge from live layout.
+	// context, taken from the room the Geometry is built from: the venue
+	// layer builds its tables before the penalties exist, so a policy
+	// consulting it must remain share-invariant when the penalty applies
+	// bay-wide (as the built-ins trivially are, by ignoring it).
 	ExtPenaltyDB float64
 
-	sched *Scheduler
+	lay *layout
 }
 
 // Players returns the number of headsets sharing the medium.
@@ -129,11 +129,6 @@ func (w *Window) Weight(i int) float64 {
 	return w.Weights[i]
 }
 
-// Quality returns player i's geometric link quality at this window: an
-// AP-proximity factor discounted hard under body blockage. See
-// Scheduler.qualityOf.
-func (w *Window) Quality(i int) float64 { return w.sched.qualityOf(w.Index, i) }
-
 // qualityLookback is how many windows of geometric link quality the
 // proportional-fair policy averages over — 8 windows of the 50 ms
 // cadence, i.e. the last ~400 ms of motion.
@@ -142,23 +137,6 @@ const qualityLookback = 8
 // blockedQuality discounts the quality of a body-blocked player: the
 // direct path is shadowed, so airtime spent on it mostly misses.
 const blockedQuality = 0.05
-
-// RecentQuality returns the mean of player i's geometric link quality
-// over the trailing qualityLookback windows (ending at this one,
-// truncated at the session start). Recomputed from the traces rather
-// than accumulated, so the value is identical however the schedule is
-// queried.
-func (w *Window) RecentQuality(i int) float64 {
-	lo := w.Index - qualityLookback + 1
-	if lo < 0 {
-		lo = 0
-	}
-	sum := 0.0
-	for k := lo; k <= w.Index; k++ {
-		sum += w.sched.qualityOf(k, i)
-	}
-	return sum / float64(w.Index-lo+1)
-}
 
 // AirtimePolicy sizes the per-player sub-slots of every scheduling
 // window. Implementations must be deterministic pure functions of the
@@ -182,7 +160,7 @@ type AirtimePolicy interface {
 // airtime policy can serve in one bay without starving anyone — the
 // policy-driven capacity the venue admission path asks before letting
 // players onto a bay's medium. Zero period/frame resolve to the same
-// defaults NewScheduler applies. Every policy requires the per-player
+// defaults BuildGeometry applies. Every policy requires the per-player
 // pose-uplink reservation to leave downlink airtime; the deadline-aware
 // policy additionally refuses players beyond the number of whole
 // display-frame intervals a window's downlink span carries, because a
@@ -268,9 +246,8 @@ func (*pfPolicy) Name() PolicyName { return PolicyPF }
 
 func (p *pfPolicy) Shares(w *Window, shares []float64) {
 	// One bulk lookback pass per window: every lookback window's poses
-	// are evaluated once for all players (Window.RecentQuality per
-	// player would redo the pose fills n times over).
-	w.sched.recentQualityInto(w.Index, p.q)
+	// are evaluated once for all players.
+	w.lay.recentQualityInto(w.Index, p.q)
 	for i := range shares {
 		if w.Active[i] {
 			shares[i] = w.Weight(i) * p.q[i]

@@ -30,18 +30,18 @@ func movingRoom(t *testing.T, seed int64, players int, dur time.Duration) []vr.T
 // computeWindow (round-robin even split with idle-reclaim), kept as the
 // byte-identity oracle for the default policy: whatever the policy
 // machinery does, PolicyRR must reproduce these sub-slot boundaries
-// exactly.
-func referenceRRWindow(s *Scheduler, win int64) (active bool, slotStart, slotEnd time.Duration) {
-	start := s.period * time.Duration(win)
-	n := len(s.players)
+// exactly. l supplies the room's traces, period and LOS test.
+func referenceRRWindow(l *layout, self int, win int64) (active bool, slotStart, slotEnd time.Duration) {
+	start := l.period * time.Duration(win)
+	n := len(l.players)
 	poses := make([]geom.Vec, n)
-	for i, tr := range s.players {
+	for i, tr := range l.players {
 		poses[i] = tr.At(start).Pos
 	}
 	act := make([]bool, n)
 	nActive := 0
-	for i := range s.players {
-		act[i] = s.losClear(poses, i)
+	for i := range l.players {
+		act[i] = l.losClear(poses, i)
 		if act[i] {
 			nActive++
 		}
@@ -52,21 +52,21 @@ func referenceRRWindow(s *Scheduler, win int64) (active bool, slotStart, slotEnd
 		}
 		nActive = n
 	}
-	if !act[s.self] {
+	if !act[self] {
 		return false, 0, 0
 	}
 	rank := 0
 	for off := 0; off < n; off++ {
 		i := (int(win%int64(n)) + off) % n
-		if i == s.self {
+		if i == self {
 			break
 		}
 		if act[i] {
 			rank++
 		}
 	}
-	slotStart = start + s.period*time.Duration(rank)/time.Duration(nActive)
-	slotEnd = start + s.period*time.Duration(rank+1)/time.Duration(nActive)
+	slotStart = start + l.period*time.Duration(rank)/time.Duration(nActive)
+	slotEnd = start + l.period*time.Duration(rank+1)/time.Duration(nActive)
 	return true, slotStart, slotEnd
 }
 
@@ -75,11 +75,14 @@ func referenceRRWindow(s *Scheduler, win int64) (active bool, slotStart, slotEnd
 // round-robin scheduler, window by window, over seeded moving rooms.
 func TestRRByteIdenticalToFrozenReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
-		players := movingRoom(t, seed, 4, 3*time.Second)
-		for self := range players {
-			s := mustScheduler(t, Room{Players: players, Self: self})
+		rm := Room{Players: movingRoom(t, seed, 4, 3*time.Second)}
+		l, err := newLayout(rm, apPos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for self, s := range roomSchedulers(t, rm) {
 			for win := int64(0); win < 60; win++ {
-				wantActive, wantStart, wantEnd := referenceRRWindow(s, win)
+				wantActive, wantStart, wantEnd := referenceRRWindow(l, self, win)
 				s.computeWindow(win)
 				if s.selfActive != wantActive {
 					t.Fatalf("seed %d self %d win %d: active = %v, want %v", seed, self, win, s.selfActive, wantActive)
@@ -103,30 +106,19 @@ func TestAirtimeConservation(t *testing.T) {
 		for _, uplink := range []time.Duration{0, 500 * time.Microsecond} {
 			for _, seed := range []int64{1, 7} {
 				players := movingRoom(t, seed, 4, 2*time.Second)
-				weights := []float64{1, 2, 1, 3}
-				scheds := make([]*Scheduler, len(players))
-				for self := range players {
-					scheds[self] = mustScheduler(t, Room{
-						Players:    players,
-						Self:       self,
-						Policy:     policy,
-						Weights:    weights,
-						UplinkSlot: uplink,
-					})
-				}
+				scheds := roomSchedulers(t, Room{
+					Players:    players,
+					Policy:     policy,
+					Weights:    []float64{1, 2, 1, 3},
+					UplinkSlot: uplink,
+				})
 				for win := int64(0); win < 40; win++ {
 					start := DefaultPeriod * time.Duration(win)
 					end := start + DefaultPeriod
 					var slots []slot
-					upEnd := time.Duration(-1)
+					upEnd := scheds[0].geo.upEnds[win]
 					for _, s := range scheds {
 						s.computeWindow(win)
-						if upEnd < 0 {
-							upEnd = s.upEnd
-						} else if s.upEnd != upEnd {
-							t.Fatalf("%s seed %d win %d: sessions disagree on the uplink reservation (%v vs %v)",
-								policy, seed, win, s.upEnd, upEnd)
-						}
 						if !s.selfActive {
 							continue
 						}
@@ -172,22 +164,40 @@ func TestAirtimeConservation(t *testing.T) {
 }
 
 // TestComputeWindowAllocationFree pins the zero-alloc discipline: after
-// construction, advancing the schedule across windows — the per-window
-// policy evaluation included — allocates nothing, for every policy,
-// with weights and the uplink reservation enabled.
+// construction, laying out window after window — the policy evaluation
+// included — allocates nothing, for every policy, with weights and the
+// uplink reservation enabled; nor does a scheduler advancing across the
+// resulting table's windows.
 func TestComputeWindowAllocationFree(t *testing.T) {
 	players := movingRoom(t, 7, 4, 3*time.Second)
 	for _, policy := range Policies() {
-		s := mustScheduler(t, Room{
+		rm := Room{
 			Players:    players,
 			Self:       1,
 			Policy:     policy,
 			Weights:    []float64{1, 2, 1, 3},
 			UplinkSlot: 200 * time.Microsecond,
+		}
+		l, err := newLayout(rm, apPos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		act := make([]bool, len(players))
+		starts := make([]time.Duration, len(players))
+		ends := make([]time.Duration, len(players))
+		win := int64(0)
+		allocs := testing.AllocsPerRun(50, func() {
+			l.layoutWindow(win, act, starts, ends)
+			win++
 		})
+		if allocs != 0 {
+			t.Errorf("policy %s: layoutWindow allocates %v times per window, want 0", policy, allocs)
+		}
+
+		s := mustScheduler(t, rm)
 		s.Share(0) // warm the first window
 		at := time.Duration(0)
-		allocs := testing.AllocsPerRun(50, func() {
+		allocs = testing.AllocsPerRun(50, func() {
 			at += 7 * time.Millisecond // crosses a window boundary most runs
 			s.Share(at)
 		})
@@ -215,11 +225,11 @@ func TestUplinkReservationLowersDownlinkAirtime(t *testing.T) {
 		}
 	}
 	// A reservation that leaves no downlink airtime is a config error.
-	if _, err := NewScheduler(Room{
+	if _, err := BuildGeometry(Room{
 		Players:    []vr.Trace{standing(geom.V(4, 4)), standing(geom.V(2, 6))},
 		UplinkSlot: 25 * time.Millisecond,
-	}, apPos); err == nil {
-		t.Error("NewScheduler accepted an uplink reservation that swallows the whole window")
+	}, apPos, 10*time.Millisecond, time.Second); err == nil {
+		t.Error("BuildGeometry accepted an uplink reservation that swallows the whole window")
 	}
 }
 
@@ -228,8 +238,8 @@ func TestUplinkReservationLowersDownlinkAirtime(t *testing.T) {
 // of a weight-1 peer under round-robin, and weights are validated.
 func TestWeightsSkewAirtime(t *testing.T) {
 	players := []vr.Trace{standing(geom.V(6, 2)), standing(geom.V(2, 6))}
-	heavy := mustScheduler(t, Room{Players: players, Self: 0, Weights: []float64{3, 1}})
-	light := mustScheduler(t, Room{Players: players, Self: 1, Weights: []float64{3, 1}})
+	scheds := roomSchedulers(t, Room{Players: players, Weights: []float64{3, 1}})
+	heavy, light := scheds[0], scheds[1]
 	h, l := shareIntegral(heavy, time.Second), shareIntegral(light, time.Second)
 	if math.Abs(h-0.75) > 0.01 || math.Abs(l-0.25) > 0.01 {
 		t.Errorf("weighted shares = %v/%v, want 0.75/0.25", h, l)
@@ -245,8 +255,8 @@ func TestWeightsSkewAirtime(t *testing.T) {
 		{Players: players, Policy: "fifo"},                // unknown policy
 	}
 	for i, rm := range bad {
-		if _, err := NewScheduler(rm, apPos); err == nil {
-			t.Errorf("case %d: NewScheduler accepted an invalid room", i)
+		if _, err := BuildGeometry(rm, apPos, 10*time.Millisecond, time.Second); err == nil {
+			t.Errorf("case %d: BuildGeometry accepted an invalid room", i)
 		}
 	}
 }
@@ -266,11 +276,10 @@ func TestPolicyRoundTrip(t *testing.T) {
 	if _, err := ParsePolicy("fifo"); err == nil {
 		t.Error("ParsePolicy accepted an unknown policy")
 	}
-	players := movingRoom(t, 1, 2, time.Second)
 	for _, p := range Policies() {
-		s := mustScheduler(t, Room{Players: players, Policy: p})
-		if s.Policy() != p {
-			t.Errorf("Scheduler.Policy() = %q, want %q", s.Policy(), p)
+		pol, err := newPolicy(p, 2)
+		if err != nil || pol.Name() != p {
+			t.Errorf("newPolicy(%q) built %v, %v", p, pol, err)
 		}
 	}
 }
@@ -283,10 +292,7 @@ func TestPolicyRoundTrip(t *testing.T) {
 func TestEDFBoundariesOnDeadlineGrid(t *testing.T) {
 	players := movingRoom(t, 7, 4, 2*time.Second)
 	frame := vr.HTCVive().FrameInterval()
-	scheds := make([]*Scheduler, len(players))
-	for self := range players {
-		scheds[self] = mustScheduler(t, Room{Players: players, Self: self, Policy: PolicyEDF})
-	}
+	scheds := roomSchedulers(t, Room{Players: players, Policy: PolicyEDF})
 	interior := 0
 	for win := int64(0); win < 40; win++ {
 		start := DefaultPeriod * time.Duration(win)
@@ -321,8 +327,8 @@ func TestEDFBoundariesOnDeadlineGrid(t *testing.T) {
 // rolls over).
 func TestEDFWeightsSkewAirtime(t *testing.T) {
 	players := []vr.Trace{standing(geom.V(6, 2)), standing(geom.V(2, 6))}
-	heavy := mustScheduler(t, Room{Players: players, Self: 0, Policy: PolicyEDF, Weights: []float64{3, 1}})
-	light := mustScheduler(t, Room{Players: players, Self: 1, Policy: PolicyEDF, Weights: []float64{3, 1}})
+	scheds := roomSchedulers(t, Room{Players: players, Policy: PolicyEDF, Weights: []float64{3, 1}})
+	heavy, light := scheds[0], scheds[1]
 	h, l := shareIntegral(heavy, 5*time.Second), shareIntegral(light, 5*time.Second)
 	if math.Abs(h-0.75) > 0.05 || math.Abs(l-0.25) > 0.05 {
 		t.Errorf("edf weighted shares = %.3f/%.3f, want ≈0.75/0.25", h, l)

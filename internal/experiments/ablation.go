@@ -236,16 +236,11 @@ func AblationTrackingPeriod(seed int64) []TrackingPeriodRow {
 		500 * time.Millisecond,
 	}
 	return ablate(len(periods), func(i int) TrackingPeriodRow {
-		cfg := SessionConfig{
+		out, err := RunSessionVariant(SessionConfig{
 			Duration:     10 * time.Second,
 			Seed:         seed,
 			ReEvalPeriod: periods[i],
-		}.withDefaults()
-		trace, err := sessionTrace(cfg)
-		if err != nil {
-			panic(err) // config is structurally valid
-		}
-		out, err := runVariant(cfg, trace, VariantMoVRTracking)
+		}, VariantMoVRTracking)
 		if err != nil {
 			panic(err) // config is structurally valid
 		}

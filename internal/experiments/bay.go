@@ -1,25 +1,23 @@
-// Bay-batched lockstep execution: a bay (one shared room of K players)
-// becomes the unit of execution instead of a session. One engine steps
-// the room-tick once — fetch the shared geometry snapshot's pose row
-// once, resolve the venue interference penalty once — then evaluates
-// every player's link/stream state against that stepped world in
-// player-index order.
+// Bay lockstep execution: a bay (one shared room of K players) is the
+// unit of execution, and a session on its own is a bay of one. One
+// engine steps the room-tick once — fetch the pose row from the room's
+// schedule table once — then evaluates every player's link/stream state
+// against that stepped world in player-index order.
 //
-// Determinism contract: results are byte-identical to running each
-// player through the per-session path. Per-player event ordering is
-// preserved exactly (initial apply-then-control, world ticks before
-// nothing, control ticks before coincident world ticks, frames on the
-// display grid), and players share no mutable state — each has a
-// private world, link manager, and scheduler; the shared snapshot and
-// bay-tick values are read-only and stamped with the exact query time —
-// so cross-player interleaving at equal timestamps cannot influence any
-// player's results. The fleet property tests pin this equivalence
+// Determinism contract: a player's result does not depend on which bay
+// it runs in. Per-player event ordering is fixed (initial
+// apply-then-control, control ticks before coincident world ticks,
+// frames on the display grid), and players share no mutable state —
+// each has a private world, link manager, and scheduler; the room's
+// table is read-only — so cross-player interleaving at equal timestamps
+// cannot influence any player's results. The fleet goldens pin this
 // across scenario kinds, policies, and worker counts.
 
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/movr-sim/movr/internal/coex"
@@ -29,7 +27,7 @@ import (
 	"github.com/movr-sim/movr/internal/vr"
 )
 
-// BayPlayer describes one player of a bay-batched run.
+// BayPlayer describes one player of a bay run.
 type BayPlayer struct {
 	Cfg     SessionConfig
 	Variant SessionVariant
@@ -50,105 +48,67 @@ type BayPlayerError struct {
 func (e *BayPlayerError) Error() string { return fmt.Sprintf("bay player %d: %v", e.Player, e.Err) }
 func (e *BayPlayerError) Unwrap() error { return e.Err }
 
-// bayTick holds the per-room-tick values shared by a bay's players:
-// the geometry snapshot's pose row and the venue interference penalty,
-// each computed once per tick instead of once per player. Consumers
-// check the stamped time against their query time, so a stale value is
-// never used (control ticks at window boundaries fall back to their own
-// scheduler lookup, exactly like the per-session path).
-type bayTick struct {
-	geo *coex.Geometry
-
-	row   []geom.Vec
-	rowOK bool
-	rowAt time.Duration
-
-	pen   float64
-	penOK bool
-	penAt time.Duration
-}
-
-// step advances the shared tick state to virtual time now.
-func (bt *bayTick) step(now time.Duration, sched *coex.Scheduler) {
-	bt.row, bt.rowOK = bt.geo.PosesAtTick(now)
-	bt.rowAt = now
-	if sched != nil && sched.HasExtInterference() {
-		// The penalty is a pure per-window table lookup on the bay's
-		// shared ExtSINRPenaltyDB, identical across the bay's players
-		// for the same time.
-		bt.pen = sched.ExtPenaltyDB(now)
-		bt.penOK = true
-		bt.penAt = now
-	}
-}
-
 // RunBayLockstep runs a bay of co-located sessions in lockstep on one
-// shared engine. All players must share the same room-owned geometry
-// snapshot, session duration, and re-evaluation period (the fleet
-// grouper guarantees this; ad-hoc callers get a BayPlayerError).
-// Outcomes are returned in player order and are byte-identical to
-// running each player via RunSessionVariant.
+// shared engine — the only session driver. A single player is a bay of
+// one and may describe any room; two or more players must share one
+// room's Geometry, session duration, and re-evaluation period (the
+// fleet grouper guarantees this; ad-hoc callers get a BayPlayerError).
+// Outcomes are returned in player order, each exactly the outcome the
+// player gets in a bay of its own.
 func RunBayLockstep(players []BayPlayer) ([]VariantOutcome, error) {
 	if len(players) == 0 {
 		return nil, nil
 	}
 	engine := sim.New()
-	states := make([]*playerState, len(players))
-	var bt *bayTick
-	var duration, period time.Duration
+	states := make([]playerState, len(players))
+	var geo *coex.Geometry
 	for i := range players {
 		cfg := players[i].Cfg.withDefaults()
-		if i == 0 {
-			if cfg.Coex == nil || cfg.Coex.Geometry == nil {
-				return nil, &BayPlayerError{0, fmt.Errorf("bay run requires a shared geometry snapshot")}
-			}
-			duration, period = cfg.Duration, cfg.ReEvalPeriod
-			bt = &bayTick{geo: cfg.Coex.Geometry}
-		} else if cfg.Coex == nil || cfg.Coex.Geometry != bt.geo ||
-			cfg.Duration != duration || cfg.ReEvalPeriod != period {
-			return nil, &BayPlayerError{i, fmt.Errorf("bay players disagree on geometry/duration/period")}
-		}
-		// Regenerate the player's own trace exactly as the per-session
-		// path does — never trust Coex.Players[Self] to be it.
 		trace, err := sessionTrace(cfg)
 		if err != nil {
 			return nil, &BayPlayerError{i, err}
 		}
-		ps, err := newPlayerState(cfg, trace, players[i].Variant, engine)
-		if err != nil {
+		if i == 0 {
+			if geo, err = roomGeometry(cfg, trace); err != nil {
+				return nil, &BayPlayerError{0, err}
+			}
+		} else if geo == nil || cfg.Coex == nil || cfg.Coex.Geometry != geo ||
+			cfg.Duration != states[0].cfg.Duration || cfg.ReEvalPeriod != states[0].cfg.ReEvalPeriod {
+			return nil, &BayPlayerError{i, fmt.Errorf("bay players disagree on geometry/duration/period")}
+		}
+		if err := states[i].init(cfg, trace, geo, players[i].Variant, engine); err != nil {
 			return nil, &BayPlayerError{i, err}
 		}
-		ps.bay = bt
-		states[i] = ps
 	}
+	duration, period := states[0].cfg.Duration, states[0].cfg.ReEvalPeriod
 
-	// Initial state, then both cadences — per player, the identical
-	// apply-then-control-then-frames order the per-session path
-	// produces, batched across the bay.
-	bt.step(0, states[0].sched)
-	for _, ps := range states {
-		ps.applyWorld(ps.trace.At(0))
+	// Initial state, then both cadences: per player, apply-then-control
+	// at t=0, then control ticks before coincident world ticks, batched
+	// across the bay.
+	row := poseRow(geo, 0)
+	for i := range states {
+		states[i].applyWorld(states[i].trace.At(0), row)
 	}
-	for _, ps := range states {
-		ps.controlTick(ps.trace.At(0))
+	for i := range states {
+		states[i].controlTick(states[i].trace.At(0))
 	}
 	engine.Every(0, WorldTick, func() {
 		now := engine.Now()
-		bt.step(now, states[0].sched)
-		for _, ps := range states {
-			ps.applyWorld(ps.trace.At(now))
+		row := poseRow(geo, now)
+		for i := range states {
+			states[i].applyWorld(states[i].trace.At(now), row)
 		}
 	})
 	engine.Every(0, period, func() {
 		now := engine.Now()
-		for _, ps := range states {
-			ps.controlTick(ps.trace.At(now))
+		for i := range states {
+			states[i].controlTick(states[i].trace.At(now))
 		}
 	})
 
-	sessions := make([]*stream.Session, len(states))
-	for i, ps := range states {
-		sessions[i] = stream.Begin(engine, stream.Config{
+	for i := range states {
+		ps := &states[i]
+		ps.sess = stream.Begin(engine, stream.Config{
 			Display:        vr.HTCVive(),
 			Duration:       ps.cfg.Duration,
 			Obs:            ps.rec,
@@ -158,11 +118,55 @@ func RunBayLockstep(players []BayPlayer) ([]VariantOutcome, error) {
 	engine.Run(duration)
 
 	outs := make([]VariantOutcome, len(states))
-	for i, ps := range states {
-		rep := sessions[i].Report()
+	for i := range states {
+		ps := &states[i]
+		rep := ps.sess.Report()
 		ps.finish(rep)
-		players[i].LatencyScratch = sessions[i].LatencyBuffer()
+		players[i].LatencyScratch = ps.sess.LatencyBuffer()
 		outs[i] = VariantOutcome{Report: rep, Handoffs: ps.handoffs}
 	}
 	return outs, nil
+}
+
+// poseRow returns the room table's pose row at world tick t; nil for a
+// private room, whose players have no peers to place. roomGeometry
+// guarantees the table answers every tick of the session.
+func poseRow(geo *coex.Geometry, t time.Duration) []geom.Vec {
+	if geo == nil {
+		return nil
+	}
+	row, _ := geo.PosesAtTick(t)
+	return row
+}
+
+// roomGeometry resolves the schedule table a bay reads: nil for a
+// private room; for a shared room without a Geometry, a private table
+// built from the room with the session's own trace at Self; otherwise
+// the room's shared table, after the O(1) guards that it answers every
+// query the session makes — poses on the WorldTick grid, windows and
+// poses out to the session duration.
+func roomGeometry(cfg SessionConfig, trace vr.Trace) (*coex.Geometry, error) {
+	rm := cfg.Coex
+	if rm == nil {
+		return nil, nil
+	}
+	if rm.Geometry == nil {
+		if rm.Self < 0 || rm.Self >= len(rm.Players) {
+			return nil, fmt.Errorf("coex: self index %d out of range [0,%d)", rm.Self, len(rm.Players))
+		}
+		own := *rm
+		own.Players = slices.Clone(rm.Players)
+		own.Players[rm.Self] = trace
+		if own.Period <= 0 {
+			own.Period = cfg.ReEvalPeriod
+		}
+		return BuildCoexGeometry(own, cfg.Duration)
+	}
+	if step := rm.Geometry.Step(); step != WorldTick {
+		return nil, fmt.Errorf("coex: geometry tick %v is not the world tick %v", step, WorldTick)
+	}
+	if h := rm.Geometry.Horizon(); h < cfg.Duration {
+		return nil, fmt.Errorf("coex: geometry horizon %v is shorter than the %v session", h, cfg.Duration)
+	}
+	return rm.Geometry, nil
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"time"
 
 	"github.com/movr-sim/movr/internal/coex"
@@ -17,13 +19,10 @@ import (
 	"github.com/movr-sim/movr/internal/vr"
 )
 
-// playerState is one session's complete simulation state, split out of
-// the monolithic session loop into a step-world half (applyWorld) and an
-// evaluate-player half (controlTick) so a caller can either run one
-// player on its own engine (the classic per-session path) or batch a
-// bay's K players on a shared engine (RunBayLockstep), with identical
-// per-player event ordering — and therefore byte-identical results —
-// either way.
+// playerState is one session's complete simulation state, split into a
+// step-world half (applyWorld) and an evaluate-player half
+// (controlTick) so RunBayLockstep can step a bay's K players on one
+// shared engine with the per-player event ordering of a bay of one.
 type playerState struct {
 	cfg     SessionConfig
 	variant SessionVariant
@@ -34,21 +33,14 @@ type playerState struct {
 	hs  *radio.Headset
 	mgr *linkmgr.Manager
 
-	peerTraces []vr.Trace
-	peerIdx    []int
-	peerPlayer []int
-	sched      *coex.Scheduler
-	geo        *coex.Geometry
-	handIdx    int
+	// bodies holds the obstacle index of every room player's body by
+	// player number, -1 at Self; nil in a private room.
+	bodies  []int
+	sched   *coex.Scheduler
+	handIdx int
 
-	rec *obs.Recorder
-
-	// bay, when non-nil, shares per-tick world state (the geometry
-	// snapshot's pose row, the venue interference penalty) across the
-	// bay's players; values are only consumed when stamped with the
-	// exact query time, so they are bitwise the ones the per-session
-	// path would compute itself.
-	bay *bayTick
+	rec  *obs.Recorder
+	sess *stream.Session // the frame stream, begun by RunBayLockstep
 
 	currentRate float64
 	req         phy.VRRequirement
@@ -69,19 +61,19 @@ type playerState struct {
 	lastRefl   int
 }
 
-// newPlayerState wires a session's world, link manager, shared-medium
-// scheduler, and recorder onto the given engine — everything runVariant
-// historically did before scheduling its cadences.
-func newPlayerState(cfg SessionConfig, trace vr.Trace, variant SessionVariant, engine *sim.Engine) (*playerState, error) {
+// init wires a session's world, link manager, shared-medium scheduler,
+// and recorder onto the given engine. geo is the room's schedule table
+// resolved by roomGeometry (nil for a private room).
+func (ps *playerState) init(cfg SessionConfig, trace vr.Trace, geo *coex.Geometry, variant SessionVariant, engine *sim.Engine) error {
 	w, err := sessionWorld(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	start := trace.At(0)
 	hs := w.NewHeadsetAt(start.Pos, start.YawDeg)
 	mgr := linkmgr.New(w.Tracer, w.AP, hs)
 
-	ps := &playerState{
+	*ps = playerState{
 		cfg:          cfg,
 		variant:      variant,
 		trace:        trace,
@@ -119,42 +111,28 @@ func newPlayerState(cfg SessionConfig, trace vr.Trace, variant SessionVariant, e
 		w.Room.AddObstacle(b)
 	}
 
-	// Shared-medium rooms: every other player is a dynamic obstacle
-	// moving along its own trace, and the stream's rate is gated by this
-	// session's TDMA airtime share of the room's one 60 GHz channel.
-	if cfg.Coex != nil {
-		rm := *cfg.Coex
-		// The scheduler must see the motion actually being streamed as
-		// this player's trace; peers stay as configured.
-		players := append([]vr.Trace(nil), rm.Players...)
-		if rm.Self >= 0 && rm.Self < len(players) {
-			players[rm.Self] = trace
-		}
-		rm.Players = players
-		if rm.Period <= 0 {
-			rm.Period = cfg.ReEvalPeriod
-		}
-		ps.sched, err = coex.NewScheduler(rm, w.AP.Pos)
-		if err != nil && rm.Geometry != nil {
-			// The room snapshot is an optimization hint: a caller whose
-			// Self trace differs from the one the snapshot was built
-			// with (Coex.Players[Self] "should be" this session's
-			// motion, but is substituted regardless) falls back to live
-			// evaluation rather than failing the session.
-			rm.Geometry = nil
-			ps.sched, err = coex.NewScheduler(rm, w.AP.Pos)
-		}
+	// Shared-medium rooms: every other player is a dynamic obstacle at
+	// its pose in the room's table, and the stream's rate is gated by
+	// this session's TDMA airtime share of the room's one 60 GHz channel.
+	if rm := cfg.Coex; rm != nil {
+		sr := *rm
+		sr.Geometry = geo
+		ps.sched, err = coex.NewScheduler(sr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ps.geo = rm.Geometry
-		for i, tr := range players {
-			if i == rm.Self {
-				continue
+		// A shared table was laid out from Players, so it describes this
+		// session only if the motion being streamed is the trace at Self.
+		if rm.Geometry != nil && (rm.Self >= len(rm.Players) || !slices.Equal(trace, rm.Players[rm.Self])) {
+			return fmt.Errorf("coex: session trace differs from the room's player %d", rm.Self)
+		}
+		row, _ := geo.PosesAtTick(0)
+		ps.bodies = make([]int, len(row))
+		for i, pos := range row {
+			ps.bodies[i] = -1
+			if i != rm.Self {
+				ps.bodies[i] = w.Room.AddObstacle(room.Body(pos))
 			}
-			ps.peerTraces = append(ps.peerTraces, tr)
-			ps.peerPlayer = append(ps.peerPlayer, i)
-			ps.peerIdx = append(ps.peerIdx, w.Room.AddObstacle(room.Body(tr.At(0).Pos)))
 		}
 	}
 
@@ -184,23 +162,7 @@ func newPlayerState(cfg SessionConfig, trace vr.Trace, variant SessionVariant, e
 			ps.sched.SetRecorder(rec)
 		}
 	}
-	return ps, nil
-}
-
-// peerPos reads a peer's position from the bay's already-fetched pose
-// row when one covers the query time, from the room-owned snapshot when
-// one covers the query (bit-identical by construction), and from the
-// peer's trace otherwise.
-func (ps *playerState) peerPos(j int, t time.Duration) geom.Vec {
-	if ps.geo != nil {
-		if bt := ps.bay; bt != nil && bt.geo == ps.geo && bt.rowOK && bt.rowAt == t {
-			return bt.row[ps.peerPlayer[j]]
-		}
-		if p, ok := ps.geo.PoseAt(ps.peerPlayer[j], t); ok {
-			return p
-		}
-	}
-	return ps.peerTraces[j].At(t).Pos
+	return nil
 }
 
 // rateOf folds the bay's external-interference penalty (cross-bay
@@ -212,15 +174,10 @@ func (ps *playerState) peerPos(j int, t time.Duration) geom.Vec {
 // pre-venue caller, where the input is nil) are bit-identical to the
 // historical code.
 func (ps *playerState) rateOf(st linkmgr.LinkState) float64 {
-	if ps.sched == nil || !ps.sched.HasExtInterference() || st.RateBps <= 0 {
+	if ps.sched == nil || st.RateBps <= 0 {
 		return st.RateBps
 	}
-	var pen float64
-	if bt := ps.bay; bt != nil && bt.penOK && bt.penAt == ps.engine.Now() {
-		pen = bt.pen
-	} else {
-		pen = ps.sched.ExtPenaltyDB(ps.engine.Now())
-	}
+	pen := ps.sched.ExtPenaltyDB(ps.engine.Now())
 	if pen <= 0 {
 		return st.RateBps
 	}
@@ -243,13 +200,16 @@ func (ps *playerState) notePath(st linkmgr.LinkState) {
 }
 
 // applyWorld is the step-world half of the session tick: the physical
-// geometry (pose, raised hand, peer bodies) evolves at the trace rate
-// regardless of how often the controller acts. The delivered rate is
-// re-read passively — whatever configuration is applied, through
-// whatever the geometry now is.
-func (ps *playerState) applyWorld(p vr.Pose) {
-	for j, idx := range ps.peerIdx {
-		ps.w.Room.MoveObstacle(idx, ps.peerPos(j, ps.engine.Now()))
+// geometry (pose, raised hand, peer bodies at row, the room table's
+// pose row for this tick) evolves at the trace rate regardless of how
+// often the controller acts. The delivered rate is re-read passively —
+// whatever configuration is applied, through whatever the geometry now
+// is.
+func (ps *playerState) applyWorld(p vr.Pose, row []geom.Vec) {
+	for i, idx := range ps.bodies {
+		if idx >= 0 {
+			ps.w.Room.MoveObstacle(idx, row[i])
+		}
 	}
 	if p.HandRaised {
 		ps.w.Room.MoveObstacle(ps.handIdx, p.HandPos())

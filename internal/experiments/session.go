@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/obs"
 	"github.com/movr-sim/movr/internal/room"
-	"github.com/movr-sim/movr/internal/sim"
 	"github.com/movr-sim/movr/internal/stream"
 	"github.com/movr-sim/movr/internal/units"
 	"github.com/movr-sim/movr/internal/vr"
@@ -75,10 +75,11 @@ type SessionConfig struct {
 	// or deadline-aware; idle slots reclaimed), weighted by
 	// Coex.Weights, behind the optional Coex.UplinkSlot pose-report
 	// reservation. Nil keeps the historical behavior — the session has
-	// the medium to itself. Coex.Players[Coex.Self] should be this
-	// session's own motion (the scheduler substitutes the session trace
-	// there regardless, so the schedule always sees the physical motion
-	// being streamed).
+	// the medium to itself. Peer poses and slots are read from the
+	// room's schedule table, Coex.Geometry. With a table attached,
+	// Coex.Players[Coex.Self] must be this session's own motion, or the
+	// session fails; without one, the session builds a private table
+	// from the room with its own motion at Self.
 	Coex *coex.Room
 
 	// Variants selects which system variants Session runs. Nil runs all
@@ -164,17 +165,16 @@ const realignSweepCost = 300 * time.Millisecond
 
 // WorldTick is the cadence the physical geometry (poses, raised hands,
 // peer bodies) advances at during a session, independent of the
-// controller's ReEvalPeriod. Room snapshots (coex.BuildGeometry) must
-// be sampled on this grid to answer the session's pose queries.
+// controller's ReEvalPeriod. A room's schedule table (coex.Geometry)
+// must be sampled on this grid; sessions reject a table on any other.
 const WorldTick = 10 * time.Millisecond
 
-// BuildCoexGeometry precomputes the room-owned geometry snapshot for a
-// shared room exactly as the session engine will query it: poses on the
-// WorldTick grid from the standard AP position, window schedules out to
-// the session duration. A zero rm.Period resolves to the session
-// default tracking cadence, matching runVariant. The returned snapshot
-// is shared read-only by every co-located session (set it as the
-// room's Geometry field).
+// BuildCoexGeometry precomputes a shared room's schedule table exactly
+// as the session engine will query it: poses on the WorldTick grid from
+// the standard AP position, window schedules out to the session
+// duration. A zero rm.Period resolves to the default tracking cadence.
+// The returned table is shared read-only by every co-located session
+// (set it as the room's Geometry field).
 func BuildCoexGeometry(rm coex.Room, duration time.Duration) (*coex.Geometry, error) {
 	if rm.Period <= 0 {
 		rm.Period = DefaultSessionConfig().ReEvalPeriod
@@ -209,13 +209,14 @@ type VariantOutcome struct {
 // (an unstreamable room, a trace that cannot be generated) as errors
 // instead of panicking, which lets the fleet engine propagate them from
 // worker goroutines.
+//
+// The session runs as a bay of one.
 func RunSessionVariant(cfg SessionConfig, variant SessionVariant) (VariantOutcome, error) {
-	cfg = cfg.withDefaults()
-	trace, err := sessionTrace(cfg)
+	outs, err := RunBayLockstep([]BayPlayer{{Cfg: cfg, Variant: variant}})
 	if err != nil {
-		return VariantOutcome{}, err
+		return VariantOutcome{}, errors.Unwrap(err) // the lone player's *BayPlayerError
 	}
-	return runVariant(cfg, trace, variant)
+	return outs[0], nil
 }
 
 // Session runs the same seeded motion trace (walking, head rotation,
@@ -237,6 +238,7 @@ func RunSessionVariant(cfg SessionConfig, variant SessionVariant) (VariantOutcom
 // small for motion); callers wiring user-supplied geometry should use
 // RunSessionVariant, which reports such problems as errors.
 func Session(cfg SessionConfig) SessionResult {
+	run := cfg // RunSessionVariant applies the defaults itself
 	cfg = cfg.withDefaults()
 	trace, err := sessionTrace(cfg)
 	if err != nil {
@@ -254,7 +256,7 @@ func Session(cfg SessionConfig) SessionResult {
 		variants = SessionVariants
 	}
 	for _, variant := range variants {
-		out, err := runVariant(cfg, trace, variant)
+		out, err := RunSessionVariant(run, variant)
 		if err != nil {
 			panic(err) // unstreamable config; see doc comment
 		}
@@ -278,36 +280,6 @@ func sessionWorld(cfg SessionConfig) (*World, error) {
 		return NewWorld(1), nil
 	}
 	return NewSizedWorld(cfg.RoomW, cfg.RoomD, 1)
-}
-
-// runVariant wires a fresh world per variant (via playerState, which
-// holds the step-world and evaluate-player halves of the loop) and
-// streams over it on a private engine.
-func runVariant(cfg SessionConfig, trace vr.Trace, variant SessionVariant) (VariantOutcome, error) {
-	engine := sim.New()
-	ps, err := newPlayerState(cfg, trace, variant, engine)
-	if err != nil {
-		return VariantOutcome{}, err
-	}
-
-	// Initial state, then both cadences.
-	start := trace.At(0)
-	ps.applyWorld(start)
-	ps.controlTick(start)
-	engine.Every(0, WorldTick, func() {
-		ps.applyWorld(trace.At(engine.Now()))
-	})
-	engine.Every(0, cfg.ReEvalPeriod, func() {
-		ps.controlTick(trace.At(engine.Now()))
-	})
-
-	rep := stream.Run(engine, stream.Config{
-		Display:  vr.HTCVive(),
-		Duration: cfg.Duration,
-		Obs:      ps.rec,
-	}, ps.rateFn())
-	ps.finish(rep)
-	return VariantOutcome{Report: rep, Handoffs: ps.handoffs}, nil
 }
 
 // Render prints the session comparison.

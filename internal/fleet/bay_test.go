@@ -60,10 +60,8 @@ func TestBayBatchByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "golden_"+tc.name+".json")
-			// The per-session path must land on the same bytes too.
-			for _, rc := range []Config{{Workers: 1}, {Workers: 2}, {Workers: 8}, {Workers: 2, DisableBayBatch: true}} {
-				workers := rc.Workers
-				res, err := Run(context.Background(), specs, rc)
+			for _, workers := range []int{1, 2, 8} {
+				res, err := Run(context.Background(), specs, Config{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,7 +70,7 @@ func TestBayBatchByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = append(got, '\n')
-				if *updateGoldens && workers == 1 && !rc.DisableBayBatch {
+				if *updateGoldens && workers == 1 {
 					if err := os.WriteFile(path, got, 0o644); err != nil {
 						t.Fatal(err)
 					}
@@ -82,45 +80,47 @@ func TestBayBatchByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {
-					t.Errorf("workers=%d per-session=%v: result differs from %s:\n%s", workers, rc.DisableBayBatch, path, got)
+					t.Errorf("workers=%d: result differs from %s:\n%s", workers, path, got)
 				}
 			}
 		})
 	}
 }
 
-// TestBayGroupsFallBack pins the eligibility edges of bay grouping: a
-// bay truncated by a slice boundary, or specs with mismatched geometry,
-// must fall back to single-session groups rather than batch wrongly.
-func TestBayGroupsFallBack(t *testing.T) {
+// TestBayGroupsPartialBays pins the grouping rule: a maximal run of
+// consecutive specs sharing one room geometry is a bay, so a bay
+// truncated by a slice boundary, or a slice starting mid-bay, runs as a
+// partial bay, while specs without a shared geometry run alone.
+func TestBayGroupsPartialBays(t *testing.T) {
 	specs := Coex(2, 4, coexTestCfg())
 	if n := len(specs); n != 8 {
 		t.Fatalf("Coex(2, 4) generated %d specs, want 8", n)
 	}
-	if groups := bayGroups(specs, false); len(groups) != 2 ||
-		groups[0] != (specGroup{0, 4}) || groups[1] != (specGroup{4, 8}) {
-		t.Fatalf("full bays grouped as %v, want [{0 4} {4 8}]", groups)
-	}
-	// Truncate mid-bay: the second bay's head claims 4 players but only
-	// 2 specs remain, so every remaining spec must run alone.
-	trunc := bayGroups(specs[:6], false)
-	want := []specGroup{{0, 4}, {4, 5}, {5, 6}}
-	if len(trunc) != len(want) {
-		t.Fatalf("truncated bays grouped as %v, want %v", trunc, want)
-	}
-	for i := range want {
-		if trunc[i] != want[i] {
-			t.Fatalf("truncated bays grouped as %v, want %v", trunc, want)
+	for _, tc := range []struct {
+		name string
+		lo   int
+		hi   int
+		want []specGroup
+	}{
+		{"full bays", 0, 8, []specGroup{{0, 4}, {4, 8}}},
+		{"truncated", 0, 6, []specGroup{{0, 4}, {4, 6}}},
+		{"mid-bay start", 1, 5, []specGroup{{0, 3}, {3, 4}}},
+	} {
+		got := bayGroups(specs[tc.lo:tc.hi])
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: grouped as %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	// A slice starting mid-bay (Self != 0 at the head) never batches.
-	for i, g := range bayGroups(specs[1:5], false) {
-		if g.hi-g.lo != 1 {
-			t.Fatalf("mid-bay slice group %d is %v, want singleton", i, g)
-		}
+
+	// A room without a shared geometry is a bay of one.
+	private := Coex(1, 3, coexTestCfg())
+	for i := range private {
+		rm := *private[i].Session.Coex
+		rm.Geometry = nil
+		private[i].Session.Coex = &rm
 	}
-	if groups := bayGroups(specs, true); len(groups) != len(specs) {
-		t.Fatalf("DisableBayBatch grouped %d groups for %d specs", len(groups), len(specs))
+	if got := bayGroups(append(Homes(2, coexTestCfg()), private...)); len(got) != 5 {
+		t.Errorf("homes and geometry-less rooms grouped as %v, want 5 bays of one", got)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestBayGroupsFallBack(t *testing.T) {
 // the spec set exactly — every spec lands in exactly one shard — that no
 // shard boundary falls inside a bay while there are bays enough to go
 // around, and that with more shards than bays it degrades to the
-// unaligned split (every shard keeps work; the split bays just run
-// per-session) instead of handing some shard an empty range.
+// unaligned split (every shard keeps work; the split bays run as
+// partial bays) instead of handing some shard an empty range.
 func TestAlignedRangeTilesBays(t *testing.T) {
 	specs := Coex(3, 4, coexTestCfg())
 	n, bay := len(specs), BayLen(specs) // 12 specs, 3 bays of 4

@@ -471,7 +471,7 @@ func (s Shard) Slice(specs []Spec) []Spec {
 
 // AlignedRange returns the shard's half-open spec-index range with
 // boundaries aligned to bay-size multiples, so no shard splits a bay
-// and every shard keeps the bay-batched fast path. Spec sets built by
+// and every shard runs whole bays. Spec sets built by
 // the scenario generators lay bays out contiguously at offsets that
 // are multiples of the bay size, which is exactly what this alignment
 // preserves. The ranges still tile [0, n) exactly (shards covering the
@@ -480,7 +480,7 @@ func (s Shard) Slice(specs []Spec) []Spec {
 // are per session and shards concatenate in index order either way.
 // With more shards than bays, alignment would leave some shards empty
 // where the unaligned split gave every shard work, so it falls back to
-// Range — the split bays run per-session, byte-identical by the bay
+// Range — the split bays run as partial bays, byte-identical by the bay
 // determinism contract.
 func (s Shard) AlignedRange(n, bay int) (lo, hi int) {
 	if bay <= 1 {

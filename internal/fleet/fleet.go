@@ -68,12 +68,6 @@ type Config struct {
 	// this one) and total is len(specs). The callback never changes
 	// results.
 	OnSession func(done, total int, outcome SessionOutcome)
-
-	// DisableBayBatch forces every session through the per-session
-	// execution path even when consecutive specs form a batchable bay.
-	// Results are byte-identical either way (the property tests pin
-	// this); the switch exists for those tests and for A/B timing.
-	DisableBayBatch bool
 }
 
 // SessionOutcome is one session's result.
@@ -190,16 +184,11 @@ func RunCollect(ctx context.Context, specs []Spec, cfg Config, col Collector) (R
 			cfg.OnSession(int(completed.Add(1)), len(specs), o)
 		}
 	}
-	runOne := func(i int) error {
-		sp := specs[i]
-		out, err := experiments.RunSessionVariant(sp.Session, specVariant(sp))
-		if err != nil {
-			return fmt.Errorf("session %q: %w", sp.ID, err)
-		}
-		emit(i, specVariant(sp), out)
-		return nil
-	}
-	runBay := func(g specGroup) error {
+	// The pool's unit of work is a bay run in lockstep; a session on its
+	// own is a bay of one. Outcomes land per session in spec order.
+	groups := bayGroups(specs)
+	run := func(_ context.Context, gi int) error {
+		g := groups[gi]
 		scr := bayScratchPool.Get().(*bayScratch)
 		defer bayScratchPool.Put(scr)
 		k := g.hi - g.lo
@@ -229,17 +218,6 @@ func RunCollect(ctx context.Context, specs []Spec, cfg Config, col Collector) (R
 		}
 		return nil
 	}
-	// The pool's unit of work is a group: a bay run in lockstep, or a
-	// single session. Grouping only batches; outcomes still land per
-	// session in spec order, so results are unchanged.
-	groups := bayGroups(specs, cfg.DisableBayBatch)
-	run := func(_ context.Context, gi int) error {
-		g := groups[gi]
-		if g.hi-g.lo == 1 {
-			return runOne(g.lo)
-		}
-		return runBay(g)
-	}
 	var err error
 	if cfg.Runner != nil {
 		err = cfg.Runner.ForEach(ctx, len(groups), run)
@@ -261,55 +239,44 @@ func specVariant(sp Spec) experiments.SessionVariant {
 	return sp.Variant
 }
 
-// specGroup is a contiguous run of specs executed together: one bay in
-// lockstep, or a single session.
+// specGroup is a contiguous run of specs executed together as one bay.
 type specGroup struct{ lo, hi int }
 
-// bayRunLen reports how many specs starting at i form one bay-batchable
-// run: K >= 2 consecutive Coex sessions sharing the same room-owned
-// geometry snapshot (pointer-identical, the way the scenario generators
-// build bays), each with Self equal to its offset in the run, a player
-// count equal to the run length, and matching duration and control
-// cadence. Anything else — including a bay truncated by a spec-set or
-// shard boundary — returns 1, falling back to the per-session path,
-// which is byte-identical by the bay determinism contract.
+// bayRunLen reports how many specs starting at i form one bay: the
+// maximal run of consecutive specs whose Coex rooms share one non-nil
+// Geometry pointer, the way the scenario generators build bays — a bay
+// truncated by a spec-set or shard boundary included. Anything else is
+// a bay of one.
 func bayRunLen(specs []Spec, i int) int {
 	c := specs[i].Session.Coex
-	if c == nil || c.Geometry == nil || c.Self != 0 {
+	if c == nil || c.Geometry == nil {
 		return 1
 	}
-	k := len(c.Players)
-	if k < 2 || i+k > len(specs) {
-		return 1
-	}
-	for j := 1; j < k; j++ {
-		cj := specs[i+j].Session.Coex
-		if cj == nil || cj.Geometry != c.Geometry || cj.Self != j || len(cj.Players) != k ||
-			specs[i+j].Session.Duration != specs[i].Session.Duration ||
-			specs[i+j].Session.ReEvalPeriod != specs[i].Session.ReEvalPeriod {
-			return 1
+	k := 1
+	for i+k < len(specs) {
+		ck := specs[i+k].Session.Coex
+		if ck == nil || ck.Geometry != c.Geometry {
+			break
 		}
+		k++
 	}
 	return k
 }
 
-// bayGroups partitions specs into contiguous execution groups.
-func bayGroups(specs []Spec, disable bool) []specGroup {
+// bayGroups partitions specs into contiguous bays.
+func bayGroups(specs []Spec) []specGroup {
 	groups := make([]specGroup, 0, len(specs))
 	for i := 0; i < len(specs); {
-		n := 1
-		if !disable {
-			n = bayRunLen(specs, i)
-		}
+		n := bayRunLen(specs, i)
 		groups = append(groups, specGroup{i, i + n})
 		i += n
 	}
 	return groups
 }
 
-// BayLen reports the bay-batched run length at the head of specs — the
-// granularity shard boundaries should align to so no shard splits a bay
-// (see Shard.AlignedRange). 1 when the first spec runs alone.
+// BayLen reports the bay length at the head of specs — the granularity
+// shard boundaries should align to so no shard splits a bay (see
+// Shard.AlignedRange). 1 when the first spec runs alone.
 func BayLen(specs []Spec) int {
 	if len(specs) == 0 {
 		return 1

@@ -324,7 +324,7 @@ func InterferenceTable(l Layout, chans []int, bay int, geos []*coex.Geometry, p 
 			nWins = ng.Windows()
 		}
 		for w := int64(0); w < nWins; w++ {
-			winStart := period * time.Duration(w)
+			row, onGrid := ng.PosesAtTick(period * time.Duration(w))
 			for i := 0; i < ng.Players(); i++ {
 				s, e, active := ng.SlotAt(w, i)
 				if !active || e <= s {
@@ -334,8 +334,8 @@ func InterferenceTable(l Layout, chans []int, bay int, geos []*coex.Geometry, p 
 				// snapshot pose; off-grid misses (a period that is not
 				// a step multiple) fall back to the bay center.
 				target := origin.Add(geom.V(l.BayW/2, l.BayD/2))
-				if pos, ok := ng.PoseAt(i, winStart); ok {
-					target = origin.Add(pos)
+				if onGrid {
+					target = origin.Add(row[i])
 				}
 				arr.SteerTo(geom.DirectionDeg(apPos, target))
 				iDBm := p.Budget.TXPowerDBm + arr.GainDBi(victimDeg) + p.RXGainDBi - baseLossDB

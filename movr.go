@@ -525,8 +525,8 @@ type (
 	// scheduling knobs (policy, weights, uplink reservation).
 	CoexRoom = coex.Room
 
-	// CoexScheduler computes a session's airtime share over virtual
-	// time under the room's policy.
+	// CoexScheduler serves a session's airtime share over virtual time,
+	// read from the room's schedule table.
 	CoexScheduler = coex.Scheduler
 
 	// CoexAirtimePolicy sizes the per-player sub-slots of every
@@ -538,8 +538,13 @@ type (
 // Airtime-policy helpers shared by the movrsim CLI and the movrd job
 // API.
 var (
-	// NewCoexScheduler validates a shared room and builds one session's
-	// airtime scheduler.
+	// BuildCoexGeometry builds a shared room's schedule table once, on
+	// the session engine's world-tick grid out to the session duration;
+	// set it as CoexRoom.Geometry on every session of the room.
+	BuildCoexGeometry = experiments.BuildCoexGeometry
+
+	// NewCoexScheduler builds one session's airtime scheduler over the
+	// room's schedule table (CoexRoom.Geometry); it errors without one.
 	NewCoexScheduler = coex.NewScheduler
 
 	// ParseCoexPolicy validates an airtime-policy name ("" = rr);
