@@ -73,10 +73,9 @@ func BuildGeometry(rm Room, ap geom.Vec, step, horizon time.Duration) (*Geometry
 		sumW += w
 	}
 	for i := range g.entitled {
+		g.entitled[i] = 1 / float64(n)
 		if l.weights != nil {
 			g.entitled[i] = l.weights[i] / sumW
-		} else {
-			g.entitled[i] = 1 / float64(n)
 		}
 	}
 
