@@ -88,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("movrd: listen %s: %v", *addr, err)
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer(srv)
 
 	// The fixed "listening on" line is load-bearing: the smoke script
 	// (and anyone starting movrd with -addr :0) reads the actual
@@ -144,4 +144,20 @@ func main() {
 		_ = debugSrv.Shutdown(ctx)
 	}
 	srv.Close()
+}
+
+// newHTTPServer wraps the job API in an http.Server whose read-side
+// timeouts bound what one slow or stalled client can hold: a connection
+// that has not sent its whole request header within ReadHeaderTimeout,
+// or its body within ReadTimeout, is closed, and so is a keep-alive
+// connection idle for IdleTimeout. WriteTimeout stays zero because SSE
+// /events streams and ?wait=1 submissions hold a response open for as
+// long as the job runs.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 }

@@ -7,8 +7,9 @@
 // Three behaviours matter to MoVR's algorithms and are modelled here:
 //
 //  1. Gain is set digitally in small steps across a wide range.
-//  2. The output compresses toward a saturated power P_sat (Rapp model);
-//     a saturated amplifier produces "garbage signals".
+//  2. The output compresses toward a saturated power P_sat (Rapp model,
+//     evaluated in linear power by Transfer); a saturated amplifier
+//     produces "garbage signals".
 //  3. Supply current rises gently with output power in normal operation
 //     but spikes as the device enters compression — "amplifiers draw
 //     significantly higher current as they get close to saturation mode"
@@ -78,8 +79,7 @@ type VGA struct {
 	word    int
 	enabled bool
 
-	// satMw caches DBmToMilliwatts(PsatDBm), fixed at construction;
-	// lazily filled for zero-value literals.
+	// satMw caches DBmToMilliwatts(PsatDBm), fixed at construction.
 	satMw float64
 }
 
@@ -147,22 +147,44 @@ func (v *VGA) SetEnabled(on bool) { v.enabled = on }
 // Enabled reports whether the chain is on.
 func (v *VGA) Enabled() bool { return v.enabled }
 
-// OutputPowerDBm returns the output power for a given input power,
-// applying the Rapp saturation model:
+// Transfer is the amplifier's Rapp saturation model at one gain setting,
+// in linear power. The voltage form
 //
 //	v_out = g·v_in / (1 + (g·v_in/v_sat)^(2p))^(1/(2p))
 //
-// A disabled amplifier outputs nothing (−Inf dBm).
+// squared is
+//
+//	P_out = G·P / (1 + (G·P/P_sat)^p)^(1/p)
+//
+// with G = g² the linear power gain. Every power the package reports
+// derives from OutputMw, and the reflector's feedback solve iterates it
+// directly, with no dB conversions inside the loop.
+type Transfer struct {
+	gainLin, satMw, p float64
+}
+
+// Transfer returns the Rapp transfer at the current gain word. It
+// ignores the on/off state: a disabled chain outputs nothing, which
+// callers check with Enabled.
+func (v *VGA) Transfer() Transfer {
+	return Transfer{gainLin: units.DBToLinear(v.GainDB()), satMw: v.satMw, p: v.cfg.RappP}
+}
+
+// OutputMw returns the output power in milliwatts for an input of inMw
+// milliwatts.
+func (t Transfer) OutputMw(inMw float64) float64 {
+	gp := t.gainLin * inMw
+	return gp / math.Pow(1+math.Pow(gp/t.satMw, t.p), 1/t.p)
+}
+
+// OutputPowerDBm returns the output power for a given input power,
+// applying the Rapp saturation model (see Transfer). A disabled
+// amplifier outputs nothing (−Inf dBm).
 func (v *VGA) OutputPowerDBm(inDBm float64) float64 {
 	if !v.enabled {
 		return math.Inf(-1)
 	}
-	ideal := inDBm + v.GainDB()
-	// Work in normalized voltage: x = v_ideal/v_sat in linear amplitude.
-	x := math.Pow(10, (ideal-v.cfg.PsatDBm)/20)
-	p2 := 2 * v.cfg.RappP
-	out := x / math.Pow(1+math.Pow(x, p2), 1/p2)
-	return v.cfg.PsatDBm + 20*math.Log10(out)
+	return units.MilliwattsToDBm(v.Transfer().OutputMw(units.DBmToMilliwatts(inDBm)))
 }
 
 // CompressionDB returns how far the output is compressed below the ideal
@@ -188,16 +210,11 @@ func (v *VGA) SupplyCurrentA(inDBm float64) float64 {
 		return 0.02 // standby draw
 	}
 	// The envelope term and the compression term both need the output
-	// power; evaluate the (pure) Rapp model once and derive the
-	// compression depth from it, exactly as CompressionDB does.
-	out := v.OutputPowerDBm(inDBm)
-	outLin := units.DBmToMilliwatts(out)
-	satLin := v.satMw
-	if satLin == 0 { // zero-value literal VGA; New precomputes this
-		satLin = units.DBmToMilliwatts(v.cfg.PsatDBm)
-		v.satMw = satLin
-	}
-	frac := outLin / satLin
+	// power; evaluate the Rapp transfer once and derive the compression
+	// depth from it, exactly as CompressionDB does.
+	outLin := v.Transfer().OutputMw(units.DBmToMilliwatts(inDBm))
+	out := units.MilliwattsToDBm(outLin)
+	frac := outLin / v.satMw
 	if frac > 1 {
 		frac = 1
 	}

@@ -271,7 +271,7 @@ func TestCompareSchemaMismatchFails(t *testing.T) {
 // committed baseline keys on.
 func TestSuiteShape(t *testing.T) {
 	want := []string{
-		"tracer/office2b", "linkmgr/step", "coex/snapshot", "fig9/trial",
+		"tracer/office2b", "linkmgr/step", "gainctl/optimize", "coex/snapshot", "fig9/trial",
 		"obs/record", "obs/off",
 		"fleet/mixed", "fleet/arcade", "fleet/home", "fleet/dense",
 		"fleet/coex", "fleet/coexpf", "fleet/coexedf", "fleet/venue",

@@ -14,6 +14,7 @@ import (
 	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/experiments"
 	"github.com/movr-sim/movr/internal/fleet"
+	"github.com/movr-sim/movr/internal/gainctl"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/linkmgr"
 	"github.com/movr-sim/movr/internal/obs"
@@ -37,7 +38,7 @@ const suiteWorkers = 2
 // starts allocating per window or regressing the scheduler hot path
 // trips the bench gate.
 func Suite() []Spec {
-	specs := []Spec{tracerSpec(), linkmgrSpec(), coexSnapshotSpec(), fig9Spec(), obsRecordSpec(), obsOffSpec()}
+	specs := []Spec{tracerSpec(), linkmgrSpec(), gainctlSpec(), coexSnapshotSpec(), fig9Spec(), obsRecordSpec(), obsOffSpec()}
 	for _, kind := range fleet.Kinds {
 		specs = append(specs, fleetSpec(kind))
 	}
@@ -105,6 +106,37 @@ func linkmgrSpec() Spec {
 				st := mgr.Step(geom.V(3.4, 2.4), float64(40+step%40))
 				if st.SNRdB == 0 {
 					return fmt.Errorf("no link state")
+				}
+			}
+			return nil
+		},
+	}
+}
+
+// gainctlSpec measures one §4.2 gain-control run — the galloping knee
+// search and every leakage-loop fixed-point solve it probes — on its
+// own, below the link manager. Each op drives the reflector at a fresh
+// (external input, leakage) pair, stepping the TX beam and the drive
+// level, so neither the device's fixed-point memo nor a previous run's
+// probes short-circuit the work.
+func gainctlSpec() Spec {
+	dev := reflector.Default(geom.V(4.6, 4.6), 225)
+	dev.SetRXBeam(225)
+	var opt gainctl.Optimizer
+	cfg := gainctl.DefaultConfig()
+	step := 0
+	return Spec{
+		Name:      "gainctl/optimize",
+		Warmup:    3,
+		Reps:      20,
+		OpsPerRep: 200,
+		Op: func() error {
+			for i := 0; i < 200; i++ {
+				step++
+				dev.SetTXBeam(float64(165 + step%121))
+				res := opt.Optimize(dev, -75+float64(step%451)*0.1, cfg)
+				if res.Word < 0 {
+					return fmt.Errorf("no gain word programmed")
 				}
 			}
 			return nil

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -44,7 +47,8 @@ import (
 
 // sketchBins is the fixed resolution of every percentile sketch. The
 // serialized state is ~4·sketchBins int64 counters per aggregate —
-// constant in the session count.
+// constant in the session count. In memory only the bins in use are
+// held (see Histogram), never more than sketchBins per sketch.
 const sketchBins = 4096
 
 // fpScale is the fixed-point quantum of streaming sums: samples are
@@ -92,26 +96,106 @@ func (c *ExactCollector) Result() Result {
 	return Result{Sessions: c.outcomes, Agg: aggregate(c.outcomes)}
 }
 
-// MetricSketch is a mergeable constant-size summary of one per-session
+// MetricSketch is a mergeable bounded-size summary of one per-session
 // metric: exact count, min, max and fixed-point sum, plus a fixed-bin
 // histogram over [Lo, Hi) for percentile estimates. All accumulators
 // are integers or order-invariant extrema, so any fold or merge order
 // produces the identical state.
 type MetricSketch struct {
-	Count int64   `json:"count"`
-	SumFP int64   `json:"sum_fp"` // Σ round(x·1e9), exactly order-invariant
-	Min   float64 `json:"min"`    // exact; 0 until Count > 0
-	Max   float64 `json:"max"`    // exact; 0 until Count > 0
-	Lo    float64 `json:"lo"`     // sketch range, fixed at construction
-	Hi    float64 `json:"hi"`
-	Bins  []int64 `json:"bins"`
+	Count int64     `json:"count"`
+	SumFP int64     `json:"sum_fp"` // Σ round(x·1e9), exactly order-invariant
+	Min   float64   `json:"min"`    // exact; 0 until Count > 0
+	Max   float64   `json:"max"`    // exact; 0 until Count > 0
+	Lo    float64   `json:"lo"`     // sketch range, fixed at construction
+	Hi    float64   `json:"hi"`
+	Bins  Histogram `json:"bins"`
+}
+
+// Histogram is a fixed-length array of bin counts held sparsely: the
+// nonzero bins in increasing index order. A fleet job folds tens of
+// sessions into thousands of bins, so a Result kept in memory carries
+// only the bins in use. It serializes as the dense count array, so the
+// JSON form is the plain histogram.
+type Histogram struct {
+	n    int
+	bins []binCount
+}
+
+// binCount is one nonzero bin of a Histogram.
+type binCount struct {
+	i int32
+	c int64
+}
+
+// histogramCap presizes a Histogram for the distinct bins a typical
+// job's sessions fill, so folding them never regrows it.
+const histogramCap = 64
+
+// addAt adds c to bin i.
+func (h *Histogram) addAt(i int, c int64) {
+	lo, hi := 0, len(h.bins)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(h.bins[m].i) < i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(h.bins) && int(h.bins[lo].i) == i {
+		h.bins[lo].c += c
+		return
+	}
+	h.bins = slices.Insert(h.bins, lo, binCount{int32(i), c})
+}
+
+func (h Histogram) clone() Histogram {
+	return Histogram{n: h.n, bins: slices.Clone(h.bins)}
+}
+
+// MarshalJSON writes the dense count array (null for a zero Histogram,
+// as for a nil slice).
+func (h Histogram) MarshalJSON() ([]byte, error) {
+	if h.n == 0 {
+		return []byte("null"), nil
+	}
+	out := make([]byte, 0, 2*h.n+16*len(h.bins))
+	out = append(out, '[')
+	k := 0
+	for i := 0; i < h.n; i++ {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		var c int64
+		if k < len(h.bins) && int(h.bins[k].i) == i {
+			c = h.bins[k].c
+			k++
+		}
+		out = strconv.AppendInt(out, c, 10)
+	}
+	return append(out, ']'), nil
+}
+
+// UnmarshalJSON reads the dense count array.
+func (h *Histogram) UnmarshalJSON(b []byte) error {
+	var dense []int64
+	if err := json.Unmarshal(b, &dense); err != nil {
+		return err
+	}
+	*h = Histogram{n: len(dense)}
+	for i, c := range dense {
+		if c != 0 {
+			h.bins = append(h.bins, binCount{int32(i), c})
+		}
+	}
+	return nil
 }
 
 func newMetricSketch(lo, hi float64) MetricSketch {
 	if hi <= lo {
 		hi = lo + 1
 	}
-	return MetricSketch{Lo: lo, Hi: hi, Bins: make([]int64, sketchBins)}
+	return MetricSketch{Lo: lo, Hi: hi, Bins: Histogram{n: sketchBins, bins: make([]binCount, 0, histogramCap)}}
 }
 
 // ErrorBound is the guaranteed worst-case absolute error of Quantile
@@ -120,19 +204,19 @@ func newMetricSketch(lo, hi float64) MetricSketch {
 // beyond the declared range can exceed the bound — the fleet
 // constructors size ranges so that cannot happen.)
 func (m MetricSketch) ErrorBound() float64 {
-	if len(m.Bins) == 0 {
+	if m.Bins.n == 0 {
 		return math.Inf(1)
 	}
-	return (m.Hi - m.Lo) / float64(len(m.Bins))
+	return (m.Hi - m.Lo) / float64(m.Bins.n)
 }
 
 func (m *MetricSketch) binOf(x float64) int {
-	i := int((x - m.Lo) / (m.Hi - m.Lo) * float64(len(m.Bins)))
+	i := int((x - m.Lo) / (m.Hi - m.Lo) * float64(m.Bins.n))
 	if i < 0 {
 		i = 0
 	}
-	if i >= len(m.Bins) {
-		i = len(m.Bins) - 1
+	if i >= m.Bins.n {
+		i = m.Bins.n - 1
 	}
 	return i
 }
@@ -146,16 +230,16 @@ func (m *MetricSketch) add(x float64) {
 	}
 	m.Count++
 	m.SumFP += int64(math.Round(x * fpScale))
-	m.Bins[m.binOf(x)]++
+	m.Bins.addAt(m.binOf(x), 1)
 }
 
 // merge folds o into m. Both sketches must share a range and
 // resolution; integer adds and extrema keep the merge exactly
 // commutative and associative.
 func (m *MetricSketch) merge(o MetricSketch) error {
-	if m.Lo != o.Lo || m.Hi != o.Hi || len(m.Bins) != len(o.Bins) {
+	if m.Lo != o.Lo || m.Hi != o.Hi || m.Bins.n != o.Bins.n {
 		return fmt.Errorf("fleet: sketch shapes differ ([%g,%g)×%d vs [%g,%g)×%d)",
-			m.Lo, m.Hi, len(m.Bins), o.Lo, o.Hi, len(o.Bins))
+			m.Lo, m.Hi, m.Bins.n, o.Lo, o.Hi, o.Bins.n)
 	}
 	if o.Count == 0 {
 		return nil
@@ -168,8 +252,8 @@ func (m *MetricSketch) merge(o MetricSketch) error {
 	}
 	m.Count += o.Count
 	m.SumFP += o.SumFP
-	for i := range m.Bins {
-		m.Bins[i] += o.Bins[i]
+	for _, b := range o.Bins.bins {
+		m.Bins.addAt(int(b.i), b.c)
 	}
 	return nil
 }
@@ -188,15 +272,13 @@ func (m MetricSketch) Mean() float64 {
 // order statistic lies in the same bin (counting is exact), so the
 // estimate is within one bin width of it.
 func (m MetricSketch) orderStat(k int64) float64 {
-	binW := (m.Hi - m.Lo) / float64(len(m.Bins))
+	binW := (m.Hi - m.Lo) / float64(m.Bins.n)
 	var cum int64
-	for b, c := range m.Bins {
-		if c == 0 {
-			continue
-		}
+	for _, b := range m.Bins.bins {
+		c := b.c
 		if k < cum+c {
 			frac := (float64(k-cum) + 0.5) / float64(c)
-			v := m.Lo + binW*(float64(b)+frac)
+			v := m.Lo + binW*(float64(b.i)+frac)
 			// Clamp into the observed range: both the estimate and the
 			// true value live in bin ∩ [Min, Max], an interval no wider
 			// than the bin.
@@ -264,7 +346,7 @@ func maxOrNaN(m MetricSketch) float64 {
 }
 
 // StreamState is the complete, serializable state of a streaming
-// aggregation: constant-size whatever the session count, mergeable
+// aggregation: bounded in size whatever the session count, mergeable
 // across shards, and exactly order-invariant. It is what a sharded
 // movrd job embeds in its result so an external merger can reconstruct
 // the fleet-wide aggregate.
@@ -333,10 +415,10 @@ func (st StreamState) Aggregate() Aggregate {
 // clone deep-copies the state (the bin slices are owned).
 func (st StreamState) clone() StreamState {
 	out := st
-	out.DeliveredFrac.Bins = append([]int64(nil), st.DeliveredFrac.Bins...)
-	out.GlitchFrac.Bins = append([]int64(nil), st.GlitchFrac.Bins...)
-	out.OutageSeconds.Bins = append([]int64(nil), st.OutageSeconds.Bins...)
-	out.Handoffs.Bins = append([]int64(nil), st.Handoffs.Bins...)
+	out.DeliveredFrac.Bins = st.DeliveredFrac.Bins.clone()
+	out.GlitchFrac.Bins = st.GlitchFrac.Bins.clone()
+	out.OutageSeconds.Bins = st.OutageSeconds.Bins.clone()
+	out.Handoffs.Bins = st.Handoffs.Bins.clone()
 	return out
 }
 

@@ -315,9 +315,10 @@ func TestRunCollectExactMatchesRun(t *testing.T) {
 }
 
 // TestStreamCollectorConstantMemory is the constant-RSS acceptance
-// check at the collector level: folding an outcome allocates nothing,
-// and the state size is fixed at construction — so a 100k-session job
-// holds the same collector memory as an 8-session one.
+// check at the collector level: folding an outcome allocates nothing in
+// steady state, and the state never outgrows the sketch resolution — so
+// a 100k-session job holds no more collector memory than sketchBins
+// nonzero bins per metric.
 func TestStreamCollectorConstantMemory(t *testing.T) {
 	c := NewStreamCollector(2)
 	outcomes := syntheticOutcomes(1024, 5)
@@ -416,5 +417,54 @@ func TestMergeRejectsMismatches(t *testing.T) {
 	}
 	if _, err := MergeShardResults(); err == nil {
 		t.Fatal("merging zero shard results succeeded")
+	}
+}
+
+// TestHistogramJSONIsDense pins the wire form of the sparse histogram:
+// it marshals to exactly the bytes of the dense []int64 count array, and
+// unmarshals back to the same sketch.
+func TestHistogramJSONIsDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 64, 1000} {
+		m := newMetricSketch(0, 1)
+		dense := make([]int64, sketchBins)
+		for i := 0; i < n; i++ {
+			x := rng.Float64()
+			if i%7 == 0 {
+				x = 0.999 // repeat one bin
+			}
+			m.add(x)
+			dense[m.binOf(x)]++
+		}
+		got, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(struct {
+			Count int64   `json:"count"`
+			SumFP int64   `json:"sum_fp"`
+			Min   float64 `json:"min"`
+			Max   float64 `json:"max"`
+			Lo    float64 `json:"lo"`
+			Hi    float64 `json:"hi"`
+			Bins  []int64 `json:"bins"`
+		}{m.Count, m.SumFP, m.Min, m.Max, m.Lo, m.Hi, dense})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("n=%d: sparse JSON differs from the dense array's", n)
+		}
+		var back MetricSketch
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		again, _ := json.Marshal(back)
+		if string(again) != string(got) || back.Quantile(50) != m.Quantile(50) && n > 0 {
+			t.Fatalf("n=%d: JSON round trip changed the sketch", n)
+		}
+	}
+	if got, _ := json.Marshal(MetricSketch{}.Bins); string(got) != "null" {
+		t.Fatalf("zero Histogram marshals to %s, want null like a nil slice", got)
 	}
 }

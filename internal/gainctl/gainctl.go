@@ -157,7 +157,11 @@ func (o *Optimizer) Optimize(dev *reflector.Reflector, extInDBm float64, cfg Con
 	return res
 }
 
-// current probes (or recalls) the supply current at gain word w.
+// current probes (or recalls) the supply current at gain word w. A probe
+// is the device's sensor reading at the leakage loop's fixed point,
+// which the reflector solves in linear power and memoizes per
+// (drive, leakage, word); the probe count, not the solve, is what the
+// gallop minimizes.
 func (o *Optimizer) current(w int) float64 {
 	if o.seen[w] == o.epoch {
 		return o.cur[w]

@@ -168,3 +168,22 @@ func TestQuickGainTracksIsolation(t *testing.T) {
 		prev = res.GainDB
 	}
 }
+
+// TestOptimizeZeroAllocs guards a steady-state gain-control run: once the
+// Optimizer's probe scratch and the device's fixed-point memo exist, a
+// run at a fresh drive level allocates nothing.
+func TestOptimizeZeroAllocs(t *testing.T) {
+	dev := lowIso(1)
+	dev.SetBothBeams(270)
+	var opt Optimizer
+	cfg := DefaultConfig()
+	opt.Optimize(dev, -60, cfg)
+	ext := -60.0
+	allocs := testing.AllocsPerRun(100, func() {
+		ext += 0.1
+		opt.Optimize(dev, ext, cfg)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Optimize allocates %.1f objects/op, want 0", allocs)
+	}
+}

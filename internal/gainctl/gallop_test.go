@@ -7,6 +7,7 @@ import (
 
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/reflector"
+	"github.com/movr-sim/movr/internal/units"
 )
 
 // sweepReference is the original minimum-to-maximum linear sweep, frozen
@@ -81,6 +82,80 @@ func TestGallopMatchesLinearSweep(t *testing.T) {
 		}
 		if want.KneeDetected && got.Steps > want.Steps {
 			t.Logf("gallop probed %d words, sweep only %d", got.Steps, want.Steps)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// dbReferenceCurrentA is the supply current at the device's current gain
+// word as the dB-domain arithmetic computed it before the feedback solve
+// moved to linear power, frozen here and built only from exported
+// accessors: the Rapp model in normalized voltage, iterated to the
+// leakage loop's fixed point with dBm↔mW conversions on every step.
+func dbReferenceCurrentA(dev *reflector.Reflector, extDBm float64) float64 {
+	amp := dev.Amp()
+	cfg, g, l := amp.Config(), amp.GainDB(), dev.LeakageDB()
+	out := func(in float64) float64 {
+		x := math.Pow(10, (in+g-cfg.PsatDBm)/20)
+		p2 := 2 * cfg.RappP
+		return cfg.PsatDBm + 20*math.Log10(x/math.Pow(1+math.Pow(x, p2), 1/p2))
+	}
+	extMw := units.DBmToMilliwatts(extDBm)
+	x := extMw
+	for i := 0; i < 400; i++ {
+		next := extMw + units.DBmToMilliwatts(out(units.MilliwattsToDBm(x))-l)
+		if math.Abs(next-x) <= 1e-12*math.Max(x, 1e-30) {
+			x = next
+			break
+		}
+		x = next
+	}
+	in := units.MilliwattsToDBm(x)
+	o := out(in)
+	frac := math.Min(units.DBmToMilliwatts(o)/units.DBmToMilliwatts(cfg.PsatDBm), 1)
+	c := in + g - o
+	return cfg.QuiescentA + cfg.SlopeA*math.Sqrt(frac) + cfg.SpikeA/(1+math.Exp(-(c-1)/0.15))
+}
+
+// TestOptimizeMatchesDBReferenceSweep holds Optimize, running on the
+// linear-power feedback solve, to the word a minimum-to-maximum sweep
+// over the frozen dB-domain current picks, across the input space of
+// TestGallopMatchesLinearSweep.
+func TestOptimizeMatchesDBReferenceSweep(t *testing.T) {
+	var opt Optimizer
+	f := func(seed int64, isoQ, beamQ, extQ, thrQ, backQ uint16) bool {
+		iso := 25 + float64(isoQ%9)*5
+		minLeak := 15 + float64(isoQ%3)*10
+		beam := 240 + float64(beamQ%13)*5
+		ext := -80 + float64(extQ%12)*5
+		cfg := Config{
+			JumpThresholdA: 0.005 * float64(1+thrQ%30),
+			BackoffSteps:   int(backQ % 9),
+		}
+		dev := mkDevice(seed%64+1, iso, minLeak)
+		dev.SetBothBeams(beam)
+
+		amp := dev.Amp()
+		maxWord := amp.Words() - 1
+		want := maxWord
+		prev := dbReferenceCurrentA(dev, ext)
+		for w := 1; w <= maxWord; w++ {
+			amp.SetGainWord(w)
+			cur := dbReferenceCurrentA(dev, ext)
+			if cur-prev > cfg.JumpThresholdA {
+				want = amp.SetGainWord(w - max(cfg.BackoffSteps, 1))
+				break
+			}
+			prev = cur
+		}
+
+		if got := opt.Optimize(dev, ext, cfg); got.Word != want {
+			t.Logf("seed=%d iso=%v leak=%v beam=%v ext=%v cfg=%+v: Optimize word %d, dB reference sweep %d",
+				seed%64+1, iso, minLeak, beam, ext, cfg, got.Word, want)
 			return false
 		}
 		return true

@@ -107,8 +107,11 @@ type Entry struct {
 	// Aligned reports whether alignment has been performed.
 	Aligned bool
 
+	// Gain-control memo: the word Optimize chose, keyed on everything
+	// it depends on — drive level, leakage, and the manager's GainCfg.
 	gainKeyOK         bool
 	gainExt, gainLeak float64
+	gainCfg           gainctl.Config
 	gainWord          int
 }
 
@@ -267,11 +270,11 @@ func (m *Manager) EvaluateReflector(i int) (float64, bool) {
 		leg1.PropagationLossDB(m.AP.Budget.FreqHz) + dev.RXGainDBi(leg1.AoADeg)
 
 	// Adaptive gain control at the current beams and drive level.
-	if leak := dev.LeakageDB(); e.gainKeyOK && e.gainExt == inbound && e.gainLeak == leak {
+	if leak := dev.LeakageDB(); e.gainKeyOK && e.gainExt == inbound && e.gainLeak == leak && e.gainCfg == m.GainCfg {
 		dev.Amp().SetGainWord(e.gainWord)
 	} else {
 		m.opt.Optimize(dev, inbound, m.GainCfg)
-		e.gainKeyOK, e.gainExt, e.gainLeak, e.gainWord = true, inbound, leak, dev.Amp().GainWord()
+		e.gainKeyOK, e.gainExt, e.gainLeak, e.gainCfg, e.gainWord = true, inbound, leak, m.GainCfg, dev.Amp().GainWord()
 	}
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1), false

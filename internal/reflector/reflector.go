@@ -20,6 +20,12 @@
 // amplifier input is the fixed point of the feedback iteration — so
 // saturation, current spikes, and garbage output all emerge from the
 // model.
+//
+// The iteration runs in linear power: x ← ext + ℓ·P_out(x) in milliwatts,
+// with the drive and the linear leakage ℓ = 10^(−L/10) converted from dB
+// once per (drive, leakage) pair and the amplifier's Rapp transfer P_out
+// once per solve, so each step costs one transfer evaluation and a
+// multiply-add. Only the fixed point is reported in dBm.
 package reflector
 
 import (
@@ -125,11 +131,13 @@ type Reflector struct {
 	// moves the drive level or a beam moves the leakage — re-ask for
 	// words already solved. fpX caches the solved input per gain word;
 	// fpValid is its per-word validity bitmap, cleared whenever the
-	// (ext, leakage) key changes.
-	fpKeyOK       bool
-	fpExt, fpLeak float64
-	fpValid       []uint64
-	fpX           []float64
+	// (ext, leakage) key changes. fpExtMw and fpLeakLin hold the key in
+	// linear power, converted once for every word solved under it.
+	fpKeyOK            bool
+	fpExt, fpLeak      float64
+	fpExtMw, fpLeakLin float64
+	fpValid            []uint64
+	fpX                []float64
 }
 
 // New validates cfg and builds the device with both beams at boresight
@@ -273,10 +281,12 @@ const feedbackIterations = 400
 // leakage feedback settles, for an external (off-air) input power at the
 // amplifier port. It is the fixed point of
 //
-//	x = ext + feedback(x),  feedback(x) = ampOut(x) − L
+//	x = ext + ℓ·P_out(x)
 //
-// computed in the linear power domain. Because the amplifier output is
-// bounded by P_sat the iteration always converges; an unstable loop
+// iterated from x = ext in milliwatts, where ℓ = 10^(−L/10) is the linear
+// leakage and P_out the amplifier's Rapp transfer (amplifier.Transfer).
+// Only the result is converted back to dBm. Because the amplifier output
+// is bounded by P_sat the iteration always converges; an unstable loop
 // converges to a point deep in compression, which is exactly the physical
 // "saturated, generating garbage" state.
 func (r *Reflector) EffectiveAmpInputDBm(extDBm float64) float64 {
@@ -299,23 +309,22 @@ func (r *Reflector) EffectiveAmpInputDBm(extDBm float64) float64 {
 			r.fpValid[i] = 0
 		}
 		r.fpKeyOK, r.fpExt, r.fpLeak = true, extDBm, l
+		r.fpExtMw, r.fpLeakLin = units.DBmToMilliwatts(extDBm), units.DBToLinear(-l)
 	}
-	v := r.solveFeedback(extDBm, l)
+	v := r.solveFeedback(r.fpExtMw, r.fpLeakLin)
 	r.fpX[w] = v
 	r.fpValid[w>>6] |= 1 << (uint(w) & 63)
 	return v
 }
 
 // solveFeedback runs the fixed-point iteration for the current gain word
-// at the given external input and leakage — the uncached body of
-// EffectiveAmpInputDBm.
-func (r *Reflector) solveFeedback(extDBm, l float64) float64 {
-	extMw := units.DBmToMilliwatts(extDBm)
+// at external input extMw (milliwatts) and linear leakage leak — the
+// uncached body of EffectiveAmpInputDBm — and returns the input in dBm.
+func (r *Reflector) solveFeedback(extMw, leak float64) float64 {
+	tf := r.amp.Transfer()
 	x := extMw
 	for i := 0; i < feedbackIterations; i++ {
-		out := r.amp.OutputPowerDBm(units.MilliwattsToDBm(x))
-		fb := units.DBmToMilliwatts(out - l)
-		next := extMw + fb
+		next := extMw + leak*tf.OutputMw(x)
 		if math.Abs(next-x) <= 1e-12*math.Max(x, 1e-30) {
 			x = next
 			break

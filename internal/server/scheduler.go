@@ -758,18 +758,23 @@ func (s *Scheduler) run(j *Job) {
 		j.errMsg = err.Error()
 		j.appendEventLocked(Event{Type: "failed", Error: j.errMsg})
 	}
+	state := j.state
 	j.mu.Unlock()
+	// Traced jobs stay out of the result cache: a later identical
+	// submission must re-run to produce its own trace (Submit bypasses
+	// Get for them symmetrically). Everything else is cached — and
+	// appended to the durable store — before done is signaled, so a
+	// waiter that sees the job finish can rely on its result surviving
+	// a crash.
+	if state == StateDone && trace == nil {
+		s.cachePut(j.Hash, result)
+	}
 	j.cancel()
 	close(j.done)
 
-	switch j.State() {
+	switch state {
 	case StateDone:
-		// Traced jobs stay out of the result cache: a later identical
-		// submission must re-run to produce its own trace (Submit
-		// bypasses Get for them symmetrically).
-		if trace == nil {
-			s.cachePut(j.Hash, result)
-		} else {
+		if trace != nil {
 			s.met.tracedJobs.Inc()
 			s.met.traceEvents.Add(int64(trace.Events))
 			s.met.traceDropped.Add(int64(trace.Dropped))
