@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build build-cmds vet fmt-check test race bench bench-suite bench-gate bench-baseline bench-profile serve load-smoke ci
+.PHONY: build build-cmds vet fmt-check test race bench-module-test bench bench-suite bench-gate bench-baseline bench-profile serve load-smoke ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# movrbench is its own module, outside the root ./... pattern: its tests
+# hold the workload golden digests and wire bytes.
+bench-module-test:
+	cd cmd/movrbench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -70,4 +75,4 @@ serve:
 load-smoke:
 	sh scripts/movrd_load_smoke.sh
 
-ci: build build-cmds vet fmt-check test race bench serve load-smoke bench-gate
+ci: build build-cmds vet fmt-check test race bench-module-test bench serve load-smoke bench-gate

@@ -81,6 +81,9 @@ type Sweeper struct {
 
 	cfg Config
 	rng *rand.Rand
+
+	// pathBuf is the tracer scratch reused by every measurement.
+	pathBuf []channel.Path
 }
 
 // NewSweeper validates the configuration and builds a Sweeper.
@@ -105,17 +108,11 @@ func (s *Sweeper) Config() Config { return s.cfg }
 
 // reflectedPowerDBm computes the power of the reflector-returned tone at
 // the AP's measurement receiver for the current beam settings, tracing
-// the direct AP↔reflector leg both ways (blockage included) at the
-// devices' mounting heights.
+// the direct AP↔reflector leg (blockage included) at the devices'
+// mounting heights and charging it both ways.
 func (s *Sweeper) reflectedPowerDBm() float64 {
-	paths := s.Tracer.TraceH(s.AP.Pos, s.Dev.Pos(), s.AP.HeightM, s.Dev.HeightM())
-	p := paths[0] // direct leg (Trace always returns it first or sorted; take direct explicitly)
-	for _, cand := range paths {
-		if cand.Kind == channel.Direct {
-			p = cand
-			break
-		}
-	}
+	s.pathBuf = s.Tracer.DirectHInto(s.pathBuf[:0], s.AP.Pos, s.Dev.Pos(), s.AP.HeightM, s.Dev.HeightM())
+	p := s.pathBuf[0]
 	loss := p.PropagationLossDB(s.AP.Budget.FreqHz)
 	inbound := s.AP.Budget.TXPowerDBm + s.AP.GainDBi(p.AoDDeg) - loss + s.Dev.RXGainDBi(p.AoADeg)
 	out := s.Dev.OutputPowerDBm(inbound)

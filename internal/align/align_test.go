@@ -248,3 +248,24 @@ func TestErrorDeg(t *testing.T) {
 		t.Errorf("zero error = %v", got)
 	}
 }
+
+// TestReflectedPowerZeroAllocs guards the per-measurement trace: once the
+// sweeper's path scratch has warmed up, computing the reflected tone's
+// power — direct AP↔reflector leg, blockage included — allocates
+// nothing, however many (θ1, θ2) pairs a sweep probes.
+func TestReflectedPowerZeroAllocs(t *testing.T) {
+	s, ap, dev := rig(geom.V(2.5, 5), 1)
+	s.Tracer.Room.AddObstacle(room.Hand(geom.V(1.4, 2.6)))
+	ap.SteerToward(dev.Pos())
+	dev.SetRXBeam(GroundTruthDeg(dev, ap))
+	dev.SetTXBeam(GroundTruthDeg(dev, ap))
+	if p := s.reflectedPowerDBm(); math.IsInf(p, -1) {
+		t.Fatalf("aligned reflected power is %v; rig geometry is wrong", p)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		s.reflectedPowerDBm()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state reflectedPowerDBm allocates %.1f objects/op, want 0", allocs)
+	}
+}

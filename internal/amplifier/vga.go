@@ -172,8 +172,20 @@ func (v *VGA) Transfer() Transfer {
 
 // OutputMw returns the output power in milliwatts for an input of inMw
 // milliwatts.
+//
+// The stock smoothness p = 2 takes a fast path that is bit-identical to
+// the general formula for every float64 input: math.Pow(x, 0.5) returns
+// math.Sqrt(x), and math.Pow(u, 2) squares u's Frexp mantissa and
+// rescales with Ldexp, which rounds exactly as u*u does except when u²
+// is subnormal — where 1+u² rounds to 1 either way. Zero, ±Inf and NaN
+// meet matching special cases. The float64 conversion keeps u*u rounded
+// on its own, so no platform fuses it into the addition.
 func (t Transfer) OutputMw(inMw float64) float64 {
 	gp := t.gainLin * inMw
+	if t.p == 2 {
+		u := gp / t.satMw
+		return gp / math.Sqrt(1+float64(u*u))
+	}
 	return gp / math.Pow(1+math.Pow(gp/t.satMw, t.p), 1/t.p)
 }
 

@@ -2,8 +2,11 @@ package amplifier
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/movr-sim/movr/internal/units"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -214,5 +217,65 @@ func TestQuickCompressionMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// rappPowReference is a frozen copy of the general Rapp transfer, the
+// formula OutputMw evaluates for every p other than 2.
+func rappPowReference(t Transfer, inMw float64) float64 {
+	gp := t.gainLin * inMw
+	return gp / math.Pow(1+math.Pow(gp/t.satMw, t.p), 1/t.p)
+}
+
+// TestTransferP2MatchesPow pins the p = 2 fast path of OutputMw to the
+// general math.Pow formula bit for bit: a seeded sweep of inputs and
+// gains across the whole float64 exponent range, the stock gain words,
+// and the edge cases — zero, a subnormal u², squares that overflow,
+// MaxFloat64, +Inf and NaN.
+func TestTransferP2MatchesPow(t *testing.T) {
+	v := Default()
+	if v.Config().RappP != 2 {
+		t.Fatalf("stock RappP = %v; the fast path no longer covers the default", v.Config().RappP)
+	}
+	check := func(tr Transfer, in float64) {
+		t.Helper()
+		got, want := tr.OutputMw(in), rappPowReference(tr, in)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("OutputMw(%v) at gain %v sat %v = %v (bits %x), Pow formula %v (bits %x)",
+				in, tr.gainLin, tr.satMw, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+
+	edges := []float64{0, math.Copysign(0, -1), 1e-160, 1e-155, 1e154, 1.3e154, 1.35e154, 1e155, 1e200,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.NaN()}
+	sats := []float64{1, v.satMw, 1e-3, 1e3}
+	for _, sat := range sats {
+		for _, g := range []float64{1, 0.5, 2, 1e6} {
+			tr := Transfer{gainLin: g, satMw: sat, p: 2}
+			for _, in := range edges {
+				check(tr, in)
+			}
+		}
+	}
+
+	// Every stock gain word over a dense sweep of drive levels.
+	for w := 0; w < v.Words(); w++ {
+		v.SetGainWord(w)
+		tr := v.Transfer()
+		for dBm := -120.0; dBm <= 40; dBm += 0.25 {
+			check(tr, units.DBmToMilliwatts(dBm))
+		}
+	}
+
+	// Seeded log-uniform sweep over the float64 exponent range.
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 200000; i++ {
+		in := math.Ldexp(1+rng.Float64(), rng.Intn(2000)-1000)
+		tr := Transfer{
+			gainLin: math.Ldexp(1+rng.Float64(), rng.Intn(200)-100),
+			satMw:   math.Ldexp(1+rng.Float64(), rng.Intn(200)-100),
+			p:       2,
+		}
+		check(tr, in)
 	}
 }

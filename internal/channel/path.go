@@ -22,6 +22,12 @@
 // values (the golden tests in golden_test.go enforce this against a
 // frozen reference implementation).
 //
+// Callers that read only the line-of-sight path — each hop of a
+// reflector relay, the alignment sweep's AP↔reflector leg — use
+// DirectHInto instead: it runs the direct builder alone, skipping every
+// wall bounce, the bounce legs' blockage, and the loss sort, and returns
+// the same Path bit for bit as the Kind == Direct entry of a full trace.
+//
 // # Temporal coherence
 //
 // Simulation steps move endpoints and obstacles millimetres at a time,
@@ -354,23 +360,34 @@ func (t *Tracer) TraceInto(dst []Path, tx, rx geom.Vec) []Path {
 // sorted ascending by total propagation loss among themselves.
 func (t *Tracer) TraceHInto(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
 	base := len(dst)
-	dst = t.traceHGen(dst, tx, rx, hTx, hRx)
+	dst = t.traceGen(dst, tx, rx, hTx, hRx, t.MaxBounces)
 	t.sortByLoss(dst[base:])
 	return dst
 }
 
-// traceHGen appends the traced paths in generation order (direct, then
-// single bounces in wall order, then double bounces in wall-pair order)
-// without the final loss sort. PathCache records paths in this order so
-// that its revalidated emissions re-run the identical stable sort the
-// public entry points apply — ties (e.g. the mirror-image double-bounce
-// pair off the same two walls) resolve exactly as a fresh trace would.
-func (t *Tracer) traceHGen(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
+// DirectHInto appends only the direct path from tx (at height hTx) to rx
+// (at height hRx), blockage included, with the buffer semantics of
+// TraceHInto. It runs the same builder TraceHInto does on the same
+// inputs, so the result is bit-identical to the Kind == Direct path of a
+// full trace at any MaxBounces — for callers such as a relay hop that
+// read nothing else, at a fraction of the cost.
+func (t *Tracer) DirectHInto(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
+	return t.direct(dst, tx, rx, hTx, hRx)
+}
+
+// traceGen appends the paths up to the given reflection order in
+// generation order (direct, then single bounces in wall order, then
+// double bounces in wall-pair order) without the final loss sort.
+// PathCache records paths in this order so that its revalidated
+// emissions re-run the identical stable sort the public entry points
+// apply — ties (e.g. the mirror-image double-bounce pair off the same
+// two walls) resolve exactly as a fresh trace would.
+func (t *Tracer) traceGen(dst []Path, tx, rx geom.Vec, hTx, hRx float64, order int) []Path {
 	dst = t.direct(dst, tx, rx, hTx, hRx)
-	if t.MaxBounces >= 1 {
+	if order >= 1 {
 		dst = t.singleBounce(dst, tx, rx, hTx, hRx)
 	}
-	if t.MaxBounces >= 2 {
+	if order >= 2 {
 		dst = t.doubleBounce(dst, tx, rx, hTx, hRx)
 	}
 	return dst

@@ -13,8 +13,11 @@ import (
 // from scratch.
 //
 // A slot is one logical leg the caller traces repeatedly (the AP→headset
-// direct path, an AP→reflector feed, a reflector→headset hop). Each
-// query is answered in one of three tiers:
+// path set, an AP→reflector feed, a reflector→headset hop). TraceHInto
+// traces a slot to the tracer's MaxBounces; DirectHInto traces it to
+// order 0, the direct path alone, for legs whose callers read nothing
+// else. The order is part of the slot key, so a slot queried at a new
+// order is re-traced. Each query is answered in one of three tiers:
 //
 //   - full hit: endpoints, heights, carrier, wall set, and every obstacle
 //     are unchanged (detected via the room's obstacle-mutation epoch: one
@@ -25,18 +28,19 @@ import (
 //     (bounce points, lengths, angles, reflection losses) is still exact,
 //     so only the moved obstacles' per-leg knife-edge contributions are
 //     recomputed and the blockage sums rebuilt;
-//   - full re-trace: an endpoint, height, the carrier, the wall set, or
-//     the obstacle count changed — the cached set is discarded and the
-//     tracer runs from scratch.
+//   - full re-trace: an endpoint, height, the carrier, the trace order,
+//     the wall set, or the obstacle count changed — the cached set is
+//     discarded and the tracer runs from scratch.
 //
-// Emissions are bit-identical to Tracer.TraceHInto. The cache stores
-// paths in generation order and re-runs the tracer's stable loss sort on
-// every emission, composing each path's total loss from cached spreading
-// and absorption terms in the exact operation order of
-// Path.PropagationLossDB; revalidated blockage sums are rebuilt
-// left-associatively in room-obstacle order, exactly as legBlockageDB
-// accumulates them. The golden tests in pathcache_test.go enforce
-// equality against fresh traces across moving geometry.
+// Emissions are bit-identical to Tracer.TraceHInto (Tracer.DirectHInto
+// for direct-only queries). The cache stores paths in generation order
+// and re-runs the tracer's stable loss sort on every emission, composing
+// each path's total loss from cached spreading and absorption terms in
+// the exact operation order of Path.PropagationLossDB; revalidated
+// blockage sums are rebuilt left-associatively in room-obstacle order,
+// exactly as legBlockageDB accumulates them. The golden tests in
+// pathcache_test.go enforce equality against fresh traces across moving
+// geometry.
 //
 // Like the Tracer scratch buffers it wraps, a PathCache is single-owner
 // scratch: it must not be shared between goroutines. Steady-state
@@ -93,13 +97,14 @@ type cachedPath struct {
 type pathSlot struct {
 	valid bool
 
-	// Key: everything besides obstacles that the trace depends on.
-	tx, rx     geom.Vec
-	hTx, hRx   float64
-	freq       float64
-	maxBounces int
-	wallsLen   int
-	wallsHead  *room.Wall
+	// Key: everything besides obstacles that the trace depends on;
+	// order is the reflection order traced (0 for direct-only).
+	tx, rx    geom.Vec
+	hTx, hRx  float64
+	freq      float64
+	order     int
+	wallsLen  int
+	wallsHead *room.Wall
 
 	// Obstacle snapshot the cached contributions were computed against,
 	// and the room mutation epoch it was taken at. Change detection is
@@ -146,6 +151,19 @@ func (c *PathCache) Invalidate() {
 // paths are appended to dst reusing its capacity, sorted ascending by
 // total propagation loss, and alias dst until the next trace into it.
 func (c *PathCache) TraceHInto(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
+	return c.query(slot, dst, tx, rx, hTx, hRx, c.t.MaxBounces)
+}
+
+// DirectHInto answers a direct-only query through the cache, with the
+// semantics (and bit-identical result) of Tracer.DirectHInto: the one
+// direct path is appended to dst and aliases it until the next trace.
+func (c *PathCache) DirectHInto(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
+	return c.query(slot, dst, tx, rx, hTx, hRx, 0)
+}
+
+// query serves one slot at the given reflection order through the hit,
+// revalidation, and re-trace tiers.
+func (c *PathCache) query(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx float64, order int) []Path {
 	for slot >= len(c.slots) {
 		c.slots = append(c.slots, pathSlot{})
 	}
@@ -154,12 +172,12 @@ func (c *PathCache) TraceHInto(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx f
 	ws := t.Room.Walls()
 	obs := t.Room.Obstacles()
 	keyOK := s.valid && s.tx == tx && s.rx == rx && s.hTx == hTx && s.hRx == hRx &&
-		s.freq == t.FreqHz && s.maxBounces == t.MaxBounces &&
+		s.freq == t.FreqHz && s.order == order &&
 		s.wallsLen == len(ws) && (len(ws) == 0 || s.wallsHead == &ws[0]) &&
 		len(s.obs) == len(obs)
 	if !keyOK {
 		c.stats.Misses++
-		return c.fullTrace(s, dst, tx, rx, hTx, hRx, false)
+		return c.fullTrace(s, dst, tx, rx, hTx, hRx, order, false)
 	}
 	roomEpoch := t.Room.Epoch()
 	if roomEpoch == s.epoch {
@@ -190,7 +208,7 @@ func (c *PathCache) TraceHInto(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx f
 		// per-obstacle contribution table that lets the next moved-
 		// obstacle query revalidate instead.
 		c.stats.Misses++
-		return c.fullTrace(s, dst, tx, rx, hTx, hRx, true)
+		return c.fullTrace(s, dst, tx, rx, hTx, hRx, order, true)
 	}
 	c.stats.Revalidations++
 	c.revalidate(s, obs)
@@ -198,19 +216,19 @@ func (c *PathCache) TraceHInto(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx f
 	return c.emit(s, dst)
 }
 
-// fullTrace runs the tracer from scratch, refreshes the slot's key,
-// snapshot, and path records (optionally with the blockage contribution
-// table), and emits the result.
-func (c *PathCache) fullTrace(s *pathSlot, dst []Path, tx, rx geom.Vec, hTx, hRx float64, record bool) []Path {
+// fullTrace runs the tracer from scratch to the given order, refreshes
+// the slot's key, snapshot, and path records (optionally with the
+// blockage contribution table), and emits the result.
+func (c *PathCache) fullTrace(s *pathSlot, dst []Path, tx, rx geom.Vec, hTx, hRx float64, order int, record bool) []Path {
 	t := c.t
-	c.genBuf = t.traceHGen(c.genBuf[:0], tx, rx, hTx, hRx)
+	c.genBuf = t.traceGen(c.genBuf[:0], tx, rx, hTx, hRx, order)
 	gen := c.genBuf
 
 	ws := t.Room.Walls()
 	obs := t.Room.Obstacles()
 	s.valid = true
 	s.tx, s.rx, s.hTx, s.hRx = tx, rx, hTx, hRx
-	s.freq, s.maxBounces = t.FreqHz, t.MaxBounces
+	s.freq, s.order = t.FreqHz, order
 	s.wallsLen = len(ws)
 	if len(ws) > 0 {
 		s.wallsHead = &ws[0]

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -34,6 +35,8 @@ func comparePaths(t *testing.T, tag string, got, want []Path) {
 // TestPathCacheBitIdenticalUnderMotion drives a cached leg through the
 // full mix of steady, obstacle-moving, and endpoint-moving queries and
 // requires every emission to match a fresh uncached trace bit for bit.
+// A second, direct-only slot rides the same motion and must match
+// Tracer.DirectHInto at every step.
 func TestPathCacheBitIdenticalUnderMotion(t *testing.T) {
 	rm := room.NewOffice5x5()
 	body := rm.AddObstacle(room.Body(geom.V(2.5, 2.5)))
@@ -44,7 +47,8 @@ func TestPathCacheBitIdenticalUnderMotion(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(9))
 	a, b := geom.V(0.4, 0.4), geom.V(3.4, 2.4)
-	var buf, refBuf []Path
+	var buf, refBuf, dBuf, dRefBuf []Path
+	var dHits, dRevals, dMisses int
 	for step := 0; step < 400; step++ {
 		switch rng.Intn(6) {
 		case 0:
@@ -66,10 +70,53 @@ func TestPathCacheBitIdenticalUnderMotion(t *testing.T) {
 		buf = c.TraceHInto(0, buf[:0], a, b, HeightAPM, HeightHeadsetM)
 		refBuf = ref.TraceHInto(refBuf[:0], a, b, HeightAPM, HeightHeadsetM)
 		comparePaths(t, "motion", buf, refBuf)
+		before := c.Stats()
+		dBuf = c.DirectHInto(1, dBuf[:0], b, a, HeightHeadsetM, HeightReflectorM)
+		dRefBuf = ref.DirectHInto(dRefBuf[:0], b, a, HeightHeadsetM, HeightReflectorM)
+		comparePaths(t, "motion direct-only", dBuf, dRefBuf)
+		after := c.Stats()
+		dHits += after.Hits - before.Hits
+		dRevals += after.Revalidations - before.Revalidations
+		dMisses += after.Misses - before.Misses
 	}
 	st := c.Stats()
-	if st.Hits == 0 || st.Revalidations == 0 || st.Misses == 0 {
-		t.Fatalf("fuzz did not exercise all tiers: %+v", st)
+	if st.Hits-dHits == 0 || st.Revalidations-dRevals == 0 || st.Misses-dMisses == 0 {
+		t.Fatalf("fuzz did not exercise all tiers on the full slot: %+v, direct-only %d/%d/%d", st, dHits, dRevals, dMisses)
+	}
+	if dHits == 0 || dRevals == 0 || dMisses == 0 {
+		t.Fatalf("fuzz did not exercise all tiers on the direct-only slot: %d/%d/%d", dHits, dRevals, dMisses)
+	}
+}
+
+// TestPathCacheOrderInSlotKey pins the trace order as part of the slot
+// key: one slot queried full, direct-only, full, direct-only at fixed
+// geometry must answer each query at its own order — a fresh trace of
+// that order — never the other order's cached set.
+func TestPathCacheOrderInSlotKey(t *testing.T) {
+	rm := room.NewOffice5x5()
+	rm.AddObstacle(room.Body(geom.V(2.0, 1.6)))
+	tr := NewTracer(rm, DefaultBudget().FreqHz, 2)
+	ref := NewTracer(rm, DefaultBudget().FreqHz, 2)
+	c := NewPathCache(tr)
+
+	a, b := geom.V(0.4, 0.4), geom.V(3.4, 2.4)
+	var buf, refBuf []Path
+	for i, direct := range []bool{false, true, false, true} {
+		misses := c.Stats().Misses
+		if direct {
+			buf = c.DirectHInto(0, buf[:0], a, b, HeightAPM, HeightHeadsetM)
+			refBuf = ref.DirectHInto(refBuf[:0], a, b, HeightAPM, HeightHeadsetM)
+		} else {
+			buf = c.TraceHInto(0, buf[:0], a, b, HeightAPM, HeightHeadsetM)
+			refBuf = ref.TraceHInto(refBuf[:0], a, b, HeightAPM, HeightHeadsetM)
+		}
+		comparePaths(t, fmt.Sprintf("query %d direct=%v", i, direct), buf, refBuf)
+		if c.Stats().Misses != misses+1 {
+			t.Fatalf("query %d: an order change must re-trace, stats %+v", i, c.Stats())
+		}
+	}
+	if len(refBuf) != 1 {
+		t.Fatalf("direct-only trace returned %d paths, want 1", len(refBuf))
 	}
 }
 

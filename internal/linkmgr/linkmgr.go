@@ -8,13 +8,17 @@
 //
 // The manager's tracking step is allocation-free and temporally
 // coherent: every recurring ray trace goes through a channel.PathCache
-// with a stable per-leg slot — slot 0 for the direct AP→headset leg,
-// slots 1+2i and 2+2i for reflector i's AP→reflector and
-// reflector→headset legs — so tick-over-tick queries revalidate
+// with a stable per-leg slot, so tick-over-tick queries revalidate
 // against their own history (only blockage legs that moved geometry
 // could have changed are recomputed) instead of re-tracing the room.
-// Cache state never changes results, only speed: cached and fresh
-// traces are bit-identical by the PathCache contract.
+// Slot 0 is the AP→headset leg, traced in full because the direct SNR
+// combines every path. Slots 1+2i and 2+2i are reflector i's
+// AP→reflector and reflector→headset hops; the relay budget reads only
+// the line-of-sight path of each hop, so those slots are direct-only
+// (PathCache.DirectHInto) and never trace a wall bounce. Cache state
+// never changes results, only speed: cached and fresh traces are
+// bit-identical by the PathCache contract, and a direct-only trace
+// returns exactly the direct path of a full one.
 package linkmgr
 
 import (
@@ -152,19 +156,21 @@ type Manager struct {
 	// evaluation this manager performs.
 	opt gainctl.Optimizer
 
-	// cache memoizes traced path sets per leg with temporal coherence:
-	// when only obstacles moved since the last evaluation of a leg, the
-	// cached paths are revalidated (blockage recomputed for the moved
-	// obstacles only) instead of re-traced, and when nothing moved the
-	// cached paths are emitted as-is. Emissions are bit-identical to a
-	// fresh trace. Rebuilt lazily if Tracer is swapped.
+	// cache memoizes traced paths per leg with temporal coherence: the
+	// AP→headset slot holds the full path set, each reflector hop's slot
+	// holds only its direct path. When only obstacles moved since the
+	// last evaluation of a leg, the cached paths are revalidated
+	// (blockage recomputed for the moved obstacles only) instead of
+	// re-traced, and when nothing moved they are emitted as-is.
+	// Emissions are bit-identical to a fresh trace. Rebuilt lazily if
+	// Tracer is swapped.
 	cache *channel.PathCache
 }
 
-// Leg slot scheme for the path cache: the AP→headset leg uses slot 0,
-// and each reflector entry i owns slots 1+2i (AP→reflector) and 2+2i
-// (reflector→headset), so every recurring leg revalidates against its
-// own history.
+// Leg slot scheme for the path cache: the AP→headset leg uses slot 0
+// (full trace), and each reflector entry i owns the direct-only slots
+// 1+2i (AP→reflector) and 2+2i (reflector→headset), so every recurring
+// leg revalidates against its own history.
 const slotDirect = 0
 
 func slotLeg1(i int) int { return 1 + 2*i }
@@ -363,17 +369,12 @@ func (m *Manager) PrimeReflector(i int) {
 }
 
 // directLeg returns the direct path between two points at the given
-// mounting heights, traced through the path cache under the given leg
-// slot. The returned Path's Points alias the manager's scratch buffer
-// and are overwritten by the next trace; callers use only the scalar
-// fields (angles, length, losses), which are value copies.
+// mounting heights, traced direct-only through the path cache under the
+// given leg slot. The returned Path's Points alias the manager's scratch
+// buffer and are overwritten by the next trace; callers use only the
+// scalar fields (angles, length, losses), which are value copies.
 func (m *Manager) directLeg(slot int, a, b geom.Vec, hA, hB float64) channel.Path {
-	m.pathBuf = m.pc().TraceHInto(slot, m.pathBuf[:0], a, b, hA, hB)
-	for _, p := range m.pathBuf {
-		if p.Kind == channel.Direct {
-			return p
-		}
-	}
+	m.pathBuf = m.pc().DirectHInto(slot, m.pathBuf[:0], a, b, hA, hB)
 	return m.pathBuf[0]
 }
 
