@@ -90,12 +90,26 @@ func DefaultConfig(orientationDeg float64) Config {
 type Array struct {
 	cfg         Config
 	steeringRel float64 // steering angle relative to boresight, degrees
+	peakDBi     float64 // PeakGainDBi, fixed by the config at New
 }
 
 // New validates cfg and returns a new Array steered to boresight.
 func New(cfg Config) (*Array, error) {
 	if cfg.Elements < 1 {
 		return nil, fmt.Errorf("antenna: Elements = %d, need ≥ 1", cfg.Elements)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SpacingWavelengths", cfg.SpacingWavelengths},
+		{"ElementGainDBi", cfg.ElementGainDBi},
+		{"BacklobeDB", cfg.BacklobeDB},
+		{"OrientationDeg", cfg.OrientationDeg},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, &NonFiniteError{Field: f.name, Value: f.v}
+		}
 	}
 	if cfg.SpacingWavelengths <= 0 {
 		return nil, fmt.Errorf("antenna: SpacingWavelengths = %v, need > 0", cfg.SpacingWavelengths)
@@ -106,7 +120,21 @@ func New(cfg Config) (*Array, error) {
 	if cfg.BacklobeDB <= 0 {
 		cfg.BacklobeDB = DefaultBacklobeDB
 	}
-	return &Array{cfg: cfg}, nil
+	return &Array{
+		cfg:     cfg,
+		peakDBi: cfg.ElementGainDBi + 10*math.Log10(float64(cfg.Elements)),
+	}, nil
+}
+
+// NonFiniteError reports a Config field that is NaN or ±Inf, which
+// would make every gain the array reports non-finite.
+type NonFiniteError struct {
+	Field string
+	Value float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("antenna: %s = %v, need a finite value", e.Field, e.Value)
 }
 
 // Default returns an Array with DefaultConfig(orientationDeg). It panics
@@ -148,9 +176,7 @@ func (a *Array) SteeringDeg() float64 {
 
 // PeakGainDBi returns the array's broadside peak gain: element gain plus
 // the 10·log10(N) array factor gain.
-func (a *Array) PeakGainDBi() float64 {
-	return a.cfg.ElementGainDBi + 10*math.Log10(float64(a.cfg.Elements))
-}
+func (a *Array) PeakGainDBi() float64 { return a.peakDBi }
 
 // GainDBi returns the realized gain toward the given world-frame angle
 // with the current steering, including element pattern, quantized array
@@ -194,8 +220,9 @@ func (a *Array) arrayFactor(relDeg float64) float64 {
 		phi := -2 * math.Pi * d * float64(i) * us
 		phi = math.Round(phi/quant) * quant
 		ph := 2*math.Pi*d*float64(i)*u + phi
-		re += math.Cos(ph)
-		im += math.Sin(ph)
+		sin, cos := math.Sincos(ph)
+		re += cos
+		im += sin
 	}
 	return math.Hypot(re, im) / float64(n)
 }

@@ -1,6 +1,7 @@
 package antenna
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,29 @@ func TestNewValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+	// Non-finite floats, each of which would make GainDBi NaN or ±Inf,
+	// are rejected with a NonFiniteError naming the field.
+	nonFinite := []struct {
+		field string
+		cfg   Config
+	}{
+		{"SpacingWavelengths", Config{Elements: 8, SpacingWavelengths: math.NaN(), PhaseShifterBits: 8}},
+		{"SpacingWavelengths", Config{Elements: 8, SpacingWavelengths: math.Inf(1), PhaseShifterBits: 8}},
+		{"SpacingWavelengths", Config{Elements: 8, SpacingWavelengths: math.Inf(-1), PhaseShifterBits: 8}},
+		{"ElementGainDBi", Config{Elements: 8, SpacingWavelengths: 0.5, PhaseShifterBits: 8, ElementGainDBi: math.Inf(1)}},
+		{"ElementGainDBi", Config{Elements: 8, SpacingWavelengths: 0.5, PhaseShifterBits: 8, ElementGainDBi: math.NaN()}},
+		{"BacklobeDB", Config{Elements: 8, SpacingWavelengths: 0.5, PhaseShifterBits: 8, BacklobeDB: math.NaN()}},
+		{"BacklobeDB", Config{Elements: 8, SpacingWavelengths: 0.5, PhaseShifterBits: 8, BacklobeDB: math.Inf(1)}},
+		{"OrientationDeg", Config{Elements: 8, SpacingWavelengths: 0.5, PhaseShifterBits: 8, OrientationDeg: math.NaN()}},
+		{"OrientationDeg", Config{Elements: 8, SpacingWavelengths: 0.5, PhaseShifterBits: 8, OrientationDeg: math.Inf(-1)}},
+	}
+	for i, c := range nonFinite {
+		_, err := New(c.cfg)
+		var nf *NonFiniteError
+		if !errors.As(err, &nf) || nf.Field != c.field {
+			t.Errorf("non-finite case %d: err %v, want a NonFiniteError on %s", i, err, c.field)
 		}
 	}
 	if _, err := New(DefaultConfig(0)); err != nil {

@@ -97,13 +97,21 @@ type Optimizer struct {
 // fixed point, which only pushes the amplifier deeper into compression),
 // so consecutive-step increases are nonnegative and telescope: a bracket
 // [lo, hi] whose total rise is at most the jump threshold cannot contain
-// a single step above it and is skipped wholesale. The search gallops
-// with doubling strides and bisects the first bracket whose total rise
-// exceeds the threshold down to the first offending step. Leaf
-// comparisons use exactly the sweep's I(w) − I(w−1) > threshold test on
-// identical probe values (the current at a word does not depend on probe
-// order), so the detected knee — and the final programmed word — match
-// the naive sweep bit for bit.
+// a single step above it and is skipped wholesale.
+//
+// The search first applies that argument to the whole range as a no-knee
+// certificate: if I(maxWord) − I(0) is at most the threshold, every
+// one-step rise I(w) − I(w−1) is too (I(w) ≤ I(maxWord) and I(w−1) ≥
+// I(0), and float64 subtraction is monotone in each operand, so the
+// bound holds for the rounded differences the sweep compares), and the
+// run ends at maximum gain after two probes. Otherwise the search
+// gallops from word 0 with doubling strides and bisects the first
+// bracket whose total rise exceeds the threshold down to the first
+// offending step; I(maxWord) stays in the per-run memo, so the gallop
+// never probes it twice. Leaf comparisons use exactly the sweep's
+// I(w) − I(w−1) > threshold test on identical probe values (the current
+// at a word does not depend on probe order), so the detected knee — and
+// the final programmed word — match the naive sweep bit for bit.
 func (o *Optimizer) Optimize(dev *reflector.Reflector, extInDBm float64, cfg Config) Result {
 	amp := dev.Amp()
 	if cfg.BackoffSteps < 1 {
@@ -121,9 +129,13 @@ func (o *Optimizer) Optimize(dev *reflector.Reflector, extInDBm float64, cfg Con
 	o.dev, o.amp, o.ext, o.thr = dev, amp, extInDBm, cfg.JumpThresholdA
 	o.steps = 0
 
-	o.current(0)
 	knee := 0
 	lo, stride := 0, 1
+	if o.current(maxWord)-o.current(0) <= o.thr {
+		// No-knee certificate: the whole range rises no more than one
+		// step may, so the gallop has nothing to search.
+		lo = maxWord
+	}
 	for lo < maxWord {
 		hi := lo + stride
 		if hi > maxWord {

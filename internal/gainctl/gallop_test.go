@@ -166,14 +166,18 @@ func TestOptimizeMatchesDBReferenceSweep(t *testing.T) {
 }
 
 // TestGallopProbeCount pins the headline saving: on a representative
-// no-knee device the gallop probes O(log n) words instead of all of them.
+// no-knee device the whole-range certificate resolves the run with one
+// probe beyond the word-0 reference (the maximum word), where the linear
+// sweep probes every word.
 func TestGallopProbeCount(t *testing.T) {
 	dev := reflector.Default(geom.V(2.5, 5), 270)
 	dev.SetBothBeams(270)
 	res := Optimize(dev, -70, DefaultConfig())
-	maxWord := dev.Amp().Words() - 1
-	if res.Steps >= maxWord {
-		t.Fatalf("gallop probed %d of %d words — no better than the linear sweep", res.Steps, maxWord)
+	if res.KneeDetected {
+		t.Fatalf("setup: want a no-knee device, got a knee at word %d", res.Word)
+	}
+	if res.Steps != 1 {
+		t.Fatalf("no-knee run probed %d words, want 1 (the maximum word)", res.Steps)
 	}
 }
 

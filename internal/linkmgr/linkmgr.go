@@ -243,8 +243,7 @@ func (m *Manager) AlignFromGeometry(i int) error {
 // EvaluateDirect steers AP and headset at each other and returns the
 // direct-path SNR.
 func (m *Manager) EvaluateDirect() float64 {
-	m.AP.SteerToward(m.Headset.Pos)
-	m.Headset.SteerToward(m.AP.Pos)
+	m.aim(PathDirect, -1)
 	return m.directSNR()
 }
 
@@ -264,10 +263,9 @@ func (m *Manager) EvaluateReflector(i int) (float64, bool) {
 	dev := e.Dev
 
 	// Beam configuration.
-	m.AP.SteerTo(e.APBeamDeg)
+	m.aim(PathReflector, i)
 	dev.SetRXBeam(e.IncidenceDeg)
 	dev.SetTXBeam(geom.DirectionDeg(dev.Pos(), m.Headset.Pos))
-	m.Headset.SteerToward(dev.Pos())
 
 	// First hop: AP → reflector amplifier input, over the direct leg
 	// with whatever blockage it suffers.
@@ -316,8 +314,7 @@ func (m *Manager) EvaluateReflectorFrozen(i int) (float64, bool) {
 		return math.Inf(-1), false
 	}
 	dev := e.Dev
-	m.AP.SteerTo(e.APBeamDeg)
-	m.Headset.SteerToward(dev.Pos())
+	m.aim(PathReflector, i)
 
 	leg1 := m.directLeg(slotLeg1(i), m.AP.Pos, dev.Pos(), m.AP.HeightM, dev.HeightM())
 	inbound := m.AP.Budget.TXPowerDBm + m.AP.GainDBi(leg1.AoDDeg) -
@@ -338,7 +335,8 @@ func (m *Manager) EvaluateReflectorFrozen(i int) (float64, bool) {
 
 // BestFrozen is Best without pose-driven reflector tracking: the direct
 // path re-aims (electronic, local), but reflector beams and gains stay
-// frozen at their last-applied values.
+// frozen at their last-applied values. Like Best, it re-aims the AP and
+// headset at the winner and keeps the SNR its evaluation returned.
 func (m *Manager) BestFrozen() LinkState {
 	bestSNR := m.EvaluateDirect()
 	choice := PathDirect
@@ -350,14 +348,7 @@ func (m *Manager) BestFrozen() LinkState {
 			reflIdx = i
 		}
 	}
-	switch choice {
-	case PathDirect:
-		bestSNR = m.EvaluateDirect()
-	case PathReflector:
-		if snr, ok := m.EvaluateReflectorFrozen(reflIdx); ok {
-			bestSNR = snr
-		}
-	}
+	m.aim(choice, reflIdx)
 	return m.stateFor(choice, reflIdx, bestSNR)
 }
 
@@ -379,7 +370,7 @@ func (m *Manager) directLeg(slot int, a, b geom.Vec, hA, hB float64) channel.Pat
 }
 
 // Best evaluates every available path, selects the highest-SNR one,
-// re-applies its configuration, and returns the resulting state.
+// re-aims the AP and headset at it, and returns the resulting state.
 func (m *Manager) Best() LinkState {
 	bestSNR := m.EvaluateDirect()
 	choice := PathDirect
@@ -391,16 +382,28 @@ func (m *Manager) Best() LinkState {
 			reflIdx = i
 		}
 	}
-	// Re-apply the winner (evaluation of later candidates moved beams).
+	// Re-aim at the winner instead of re-evaluating it. Later candidates
+	// moved only the AP and headset beams and their own reflector, so the
+	// winner's reflector still holds the beams and gain word its
+	// evaluation set, and bestSNR — a pure function of that state, every
+	// cache under it bit-identical to a fresh computation — is its SNR.
+	m.aim(choice, reflIdx)
+	return m.stateFor(choice, reflIdx, bestSNR)
+}
+
+// aim steers the AP and headset for a path: at each other for the direct
+// path, or along reflector i's aligned AP beam and toward its position.
+// It touches no reflector.
+func (m *Manager) aim(choice PathChoice, i int) {
 	switch choice {
 	case PathDirect:
-		bestSNR = m.EvaluateDirect()
+		m.AP.SteerToward(m.Headset.Pos)
+		m.Headset.SteerToward(m.AP.Pos)
 	case PathReflector:
-		if snr, ok := m.EvaluateReflector(reflIdx); ok {
-			bestSNR = snr
-		}
+		e := m.entries[i]
+		m.AP.SteerTo(e.APBeamDeg)
+		m.Headset.SteerToward(e.Dev.Pos())
 	}
-	return m.stateFor(choice, reflIdx, bestSNR)
 }
 
 // stateFor converts a path and SNR into a full LinkState and records the

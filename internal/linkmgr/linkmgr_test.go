@@ -140,24 +140,32 @@ func TestUnalignedReflectorUnusable(t *testing.T) {
 	}
 }
 
-func TestTwoReflectorsPickBetter(t *testing.T) {
+// twoReflectorWorld is the office testbed with two aligned reflectors:
+// near (index 0) in the opposite corner with clear legs, and far
+// (index 1) on the north wall, its AP leg blocked by a bystander.
+func twoReflectorWorld(t *testing.T) (m *Manager, near, far *reflector.Reflector) {
+	t.Helper()
 	rm := room.NewOffice5x5()
 	b := channel.DefaultBudget()
 	tr := channel.NewTracer(rm, b.FreqHz, 1)
 	ap := radio.NewAP(geom.V(0.4, 0.4), antenna.Default(45), b)
 	hs := radio.NewHeadset(geom.V(3.4, 2.4), antenna.Default(60), b)
-	m := New(tr, ap, hs)
+	m = New(tr, ap, hs)
 
-	near := reflector.Default(geom.V(4.6, 4.6), 225) // opposite corner, clear legs
-	far := reflector.Default(geom.V(2.5, 5), 270)    // north wall; its AP leg gets blocked
+	near = reflector.Default(geom.V(4.6, 4.6), 225)
+	far = reflector.Default(geom.V(2.5, 5), 270)
 	for _, dev := range []*reflector.Reflector{near, far} {
 		i := m.AddReflector(dev, control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1))
 		if err := m.AlignFromGeometry(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A bystander blocks the AP leg of the north-wall reflector.
 	rm.AddObstacle(room.Body(ap.Pos.Lerp(far.Pos(), 0.5)))
+	return m, near, far
+}
+
+func TestTwoReflectorsPickBetter(t *testing.T) {
+	m, _, _ := twoReflectorWorld(t)
 	st := m.Best()
 	if st.Choice != PathReflector {
 		t.Fatalf("choice = %v (snr %v)", st.Choice, st.SNRdB)
@@ -178,6 +186,32 @@ func TestBestReappliesWinner(t *testing.T) {
 	wantAP := geom.DirectionDeg(m.AP.Pos, m.Headset.Pos)
 	if math.Abs(m.AP.Array.SteeringDeg()-wantAP) > 1 {
 		t.Errorf("AP beam %v, want %v (re-applied)", m.AP.Array.SteeringDeg(), wantAP)
+	}
+
+	// A reflector winner evaluated before another candidate: the later
+	// candidate moves the AP and headset beams, so Best must re-aim them
+	// at the winner while the winner's own beams and gain word stay as
+	// its evaluation set them.
+	m, near, _ := twoReflectorWorld(t)
+	st = m.Best()
+	if st.Choice != PathReflector || st.ReflectorIdx != 0 {
+		t.Fatalf("setup: want reflector 0, got %v (idx %d)", st.Choice, st.ReflectorIdx)
+	}
+	e := m.Reflectors()[0]
+	if got, want := m.AP.Array.SteeringDeg(), m.AP.SteerTo(e.APBeamDeg); got != want {
+		t.Errorf("AP beam %v, want %v (the winner's AP beam)", got, want)
+	}
+	if got, want := m.Headset.Array.SteeringDeg(), m.Headset.SteerToward(near.Pos()); got != want {
+		t.Errorf("headset beam %v, want %v (toward the winner)", got, want)
+	}
+	rx, tx, word := near.RXBeamDeg(), near.TXBeamDeg(), near.Amp().GainWord()
+	snr, ok := m.EvaluateReflector(0)
+	if !ok || snr != st.SNRdB {
+		t.Errorf("re-evaluated winner SNR %v (ok=%v), Best reported %v", snr, ok, st.SNRdB)
+	}
+	if near.RXBeamDeg() != rx || near.TXBeamDeg() != tx || near.Amp().GainWord() != word {
+		t.Errorf("winner beams/word rx %v tx %v word %d, re-evaluation sets rx %v tx %v word %d",
+			rx, tx, word, near.RXBeamDeg(), near.TXBeamDeg(), near.Amp().GainWord())
 	}
 }
 

@@ -1,6 +1,7 @@
 package movr_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -87,5 +88,22 @@ func TestPublicAPIPrimitives(t *testing.T) {
 	b := movr.DefaultBudget()
 	if b.FreqHz != 24e9 {
 		t.Errorf("default carrier = %v", b.FreqHz)
+	}
+}
+
+// TestNewReflectorRejectsNonFiniteArray checks that a non-finite array
+// config reaches the caller as an error instead of NaN or ±Inf gains.
+func TestNewReflectorRejectsNonFiniteArray(t *testing.T) {
+	for name, mutate := range map[string]func(*movr.ReflectorConfig){
+		"rx spacing NaN":  func(c *movr.ReflectorConfig) { c.RXArray.SpacingWavelengths = math.NaN() },
+		"tx element +Inf": func(c *movr.ReflectorConfig) { c.TXArray.ElementGainDBi = math.Inf(1) },
+		"rx backlobe NaN": func(c *movr.ReflectorConfig) { c.RXArray.BacklobeDB = math.NaN() },
+		"mount NaN":       func(c *movr.ReflectorConfig) { c.MountDeg = math.NaN() },
+	} {
+		cfg := movr.DefaultReflectorConfig(movr.V(4.6, 4.6), 225)
+		mutate(&cfg)
+		if _, err := movr.NewReflector(cfg); err == nil {
+			t.Errorf("%s: NewReflector accepted the config", name)
+		}
 	}
 }
