@@ -81,6 +81,12 @@ type VGA struct {
 
 	// satMw caches DBmToMilliwatts(PsatDBm), fixed at construction.
 	satMw float64
+
+	// Transfer memo: the linear gain of the last word Transfer saw, so
+	// repeat solves at one word skip its Pow.
+	tfOK     bool
+	tfWord   int
+	tfGainLn float64
 }
 
 // New validates cfg and returns a VGA set to minimum gain, enabled.
@@ -165,9 +171,14 @@ type Transfer struct {
 
 // Transfer returns the Rapp transfer at the current gain word. It
 // ignores the on/off state: a disabled chain outputs nothing, which
-// callers check with Enabled.
+// callers check with Enabled. The linear gain is a pure function of the
+// word (the config is fixed at New), so it is converted once per word
+// change.
 func (v *VGA) Transfer() Transfer {
-	return Transfer{gainLin: units.DBToLinear(v.GainDB()), satMw: v.satMw, p: v.cfg.RappP}
+	if !v.tfOK || v.tfWord != v.word {
+		v.tfOK, v.tfWord, v.tfGainLn = true, v.word, units.DBToLinear(v.GainDB())
+	}
+	return Transfer{gainLin: v.tfGainLn, satMw: v.satMw, p: v.cfg.RappP}
 }
 
 // OutputMw returns the output power in milliwatts for an input of inMw

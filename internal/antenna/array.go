@@ -174,6 +174,14 @@ func (a *Array) SteeringDeg() float64 {
 	return units.NormalizeDeg(a.cfg.OrientationDeg + a.steeringRel)
 }
 
+// Pointing returns the two values the array's gain pattern moves with:
+// the boresight orientation and the steering angle relative to it, both
+// in degrees. Everything else about an Array is fixed at New, so one
+// Array reporting the same pair gives the same GainDBi at every angle.
+func (a *Array) Pointing() (orientationDeg, steeringRelDeg float64) {
+	return a.cfg.OrientationDeg, a.steeringRel
+}
+
 // PeakGainDBi returns the array's broadside peak gain: element gain plus
 // the 10·log10(N) array factor gain.
 func (a *Array) PeakGainDBi() float64 { return a.peakDBi }

@@ -542,7 +542,13 @@ func (t *Tracer) legBlockageDB(a, b geom.Vec, hA, hB float64) float64 {
 // diffract over the obstacle's top when the ray runs above it. The beam
 // takes the easiest escape, so the contribution is the minimum of the
 // two, capped at the obstacle's material-dependent maximum.
+//
+// Most obstacles sit far from most legs; farFieldClear proves those
+// contribute exactly +0 before any closest-point geometry is computed.
 func obstacleLossDB(seg geom.Segment, o room.Obstacle, lambda float64, hA, hB float64) float64 {
+	if farFieldClear(seg, o, lambda, hA, hB) {
+		return 0
+	}
 	closest := seg.ClosestPoint(o.Shape.C)
 	dc := closest.Dist(o.Shape.C)
 	d1 := seg.A.Dist(closest)
@@ -573,8 +579,49 @@ func obstacleLossDB(seg geom.Segment, o room.Obstacle, lambda float64, hA, hB fl
 	rayH := hA + (hB-hA)*d1/(d1+d2)
 	vert := knifeEdgeJ((o.HeightM - rayH) * f)
 
-	return math.Min(math.Min(horiz, vert), o.MaxLossDB)
+	return min(horiz, vert, o.MaxLossDB)
 }
+
+// farFieldClear reports whether obstacle o lies so far from the leg that
+// obstacleLossDB returns exactly +0. It costs one cross product and one
+// square root.
+//
+// Wherever the closest point falls inside a leg of length L, d1+d2 = L
+// and d1·d2 ≤ L²/4, so the Fresnel factor is at least f_min = √(8/(λL)).
+// The centre's distance dc to the closest point is at least its distance
+// g to the leg's line. So when g − R ≥ 0.78/f_min, the clearance
+// (R − dc)·f is at most −0.78 and knifeEdgeJ returns its literal 0. The
+// vertical term is ≥ 0 and not NaN, so the minimum is +0 because
+// MaxLossDB > 0. When the closest point is an endpoint, dc ≥ g > R
+// takes the clear return, also +0.
+//
+// The argument survives rounding. The input bounds keep every
+// intermediate of both computations finite and normal, so the vertical
+// term can never be NaN. They also keep each computed distance within a
+// few ulps of scale, the coordinate sum, of its true value. The gap must
+// clear the margin by 1e-9·scale on top of a 1e-6 relative slack, far
+// more than those errors. Inputs outside the bounds take the full
+// computation.
+func farFieldClear(seg geom.Segment, o room.Obstacle, lambda, hA, hB float64) bool {
+	a, b, c := seg.A, seg.B, o.Shape.C
+	scale := math.Abs(a.X) + math.Abs(a.Y) + math.Abs(b.X) + math.Abs(b.Y) + math.Abs(c.X) + math.Abs(c.Y)
+	if !(scale <= 1e9 && lambda >= 1e-200 && lambda <= 1e6 && o.MaxLossDB > 0 &&
+		finite(hA) && finite(hB) && finite(o.HeightM)) {
+		return false
+	}
+	d := b.Sub(a)
+	l2 := d.Dot(d)
+	if !(l2 > 1e-12) {
+		return false
+	}
+	l := math.Sqrt(l2)
+	gap := math.Abs(c.Sub(a).Cross(d))/l - o.Shape.R - 1e-9*scale
+	// gap ≥ 0.78·√(λL/8), squared, with the relative slack.
+	return gap > 0 && 8*gap*gap > 0.78*0.78*(1+1e-6)*lambda*l
+}
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return math.Abs(x) <= math.MaxFloat64 }
 
 // knifeEdgeJ is the ITU-R P.526 single knife-edge diffraction loss
 // approximation, valid for v > −0.78; smaller v means full clearance and

@@ -35,7 +35,8 @@ type Link struct {
 	MaxRetries int
 
 	handler Handler
-	rng     *rand.Rand
+	seed    int64
+	rng     *rand.Rand // seeded from seed on the first Call
 
 	elapsed   time.Duration
 	exchanges int
@@ -47,7 +48,9 @@ type Link struct {
 const DefaultRTT = 5 * time.Millisecond
 
 // NewLink connects a simulated control link to the device handler with a
-// seeded loss process.
+// seeded loss process. The loss process's source is built on the first
+// Call, its only reader, so a link that never carries a command never
+// pays for seeding one.
 func NewLink(h Handler, rtt time.Duration, lossProb float64, seed int64) *Link {
 	if rtt <= 0 {
 		rtt = DefaultRTT
@@ -57,7 +60,7 @@ func NewLink(h Handler, rtt time.Duration, lossProb float64, seed int64) *Link {
 		LossProb:   lossProb,
 		MaxRetries: 8,
 		handler:    h,
-		rng:        rand.New(rand.NewSource(seed)),
+		seed:       seed,
 	}
 }
 
@@ -65,6 +68,9 @@ func NewLink(h Handler, rtt time.Duration, lossProb float64, seed int64) *Link {
 // device's reply. The wire encode/decode path is exercised on every
 // exchange so codec bugs cannot hide.
 func (l *Link) Call(m Message) (Message, error) {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
 	for attempt := 0; attempt <= l.MaxRetries; attempt++ {
 		l.seq++
 		m.Seq = l.seq

@@ -59,7 +59,7 @@ func (s Segment) ClosestPoint(p Vec) Vec {
 		return s.A
 	}
 	t := p.Sub(s.A).Dot(d) / len2
-	t = math.Max(0, math.Min(1, t))
+	t = max(0, min(1, t))
 	return s.A.Add(d.Scale(t))
 }
 

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/channel"
 	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/gainctl"
@@ -117,6 +118,26 @@ type Entry struct {
 	gainExt, gainLeak float64
 	gainCfg           gainctl.Config
 	gainWord          int
+
+	// Drive-level memo: the last driveLevel result, keyed on every value
+	// it is computed from.
+	driveKeyOK bool
+	driveKey   driveKey
+	drive      float64
+}
+
+// driveKey holds every input of a reflector's drive level: leg 1's
+// scalar fields, the AP budget's TX power and carrier, and the pointing
+// state of the AP array and the reflector's RX array. Floats are kept
+// as their bits, so equal keys mean bit-identical inputs. The reflector
+// stands for its RX array, which it never replaces.
+type driveKey struct {
+	aod, aoa, length, refl, block uint64
+	txPower, freq                 uint64
+	apArr                         *antenna.Array
+	apOrient, apSteer             uint64
+	dev                           *reflector.Reflector
+	rxOrient, rxSteer             uint64
 }
 
 // Manager owns path selection for one AP/headset pair.
@@ -269,9 +290,7 @@ func (m *Manager) EvaluateReflector(i int) (float64, bool) {
 
 	// First hop: AP → reflector amplifier input, over the direct leg
 	// with whatever blockage it suffers.
-	leg1 := m.directLeg(slotLeg1(i), m.AP.Pos, dev.Pos(), m.AP.HeightM, dev.HeightM())
-	inbound := m.AP.Budget.TXPowerDBm + m.AP.GainDBi(leg1.AoDDeg) -
-		leg1.PropagationLossDB(m.AP.Budget.FreqHz) + dev.RXGainDBi(leg1.AoADeg)
+	inbound := m.driveLevel(i)
 
 	// Adaptive gain control at the current beams and drive level.
 	if leak := dev.LeakageDB(); e.gainKeyOK && e.gainExt == inbound && e.gainLeak == leak && e.gainCfg == m.GainCfg {
@@ -316,9 +335,7 @@ func (m *Manager) EvaluateReflectorFrozen(i int) (float64, bool) {
 	dev := e.Dev
 	m.aim(PathReflector, i)
 
-	leg1 := m.directLeg(slotLeg1(i), m.AP.Pos, dev.Pos(), m.AP.HeightM, dev.HeightM())
-	inbound := m.AP.Budget.TXPowerDBm + m.AP.GainDBi(leg1.AoDDeg) -
-		leg1.PropagationLossDB(m.AP.Budget.FreqHz) + dev.RXGainDBi(leg1.AoADeg)
+	inbound := m.driveLevel(i)
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1), false
 	}
@@ -357,6 +374,35 @@ func (m *Manager) BestFrozen() LinkState {
 // variant before a session starts.
 func (m *Manager) PrimeReflector(i int) {
 	m.EvaluateReflector(i)
+}
+
+// driveLevel returns reflector i's drive level: the power its amplifier
+// input receives from the AP over leg 1, at the AP's and the reflector's
+// current beams. Leg 1 is traced every time; the two array gains and the
+// propagation loss are recomputed only when an input of driveKey changed.
+// The value is a pure function of the key, so a memo hit returns exactly
+// what the computation would.
+func (m *Manager) driveLevel(i int) float64 {
+	e := m.entries[i]
+	dev := e.Dev
+	leg1 := m.directLeg(slotLeg1(i), m.AP.Pos, dev.Pos(), m.AP.HeightM, dev.HeightM())
+	b := math.Float64bits
+	apOrient, apSteer := m.AP.Array.Pointing()
+	rxOrient, rxSteer := dev.RXPointing()
+	k := driveKey{
+		aod: b(leg1.AoDDeg), aoa: b(leg1.AoADeg), length: b(leg1.LengthM),
+		refl: b(leg1.ReflLossDB), block: b(leg1.BlockLossDB),
+		txPower: b(m.AP.Budget.TXPowerDBm), freq: b(m.AP.Budget.FreqHz),
+		apArr: m.AP.Array, apOrient: b(apOrient), apSteer: b(apSteer),
+		dev: dev, rxOrient: b(rxOrient), rxSteer: b(rxSteer),
+	}
+	if e.driveKeyOK && e.driveKey == k {
+		return e.drive
+	}
+	v := m.AP.Budget.TXPowerDBm + m.AP.GainDBi(leg1.AoDDeg) -
+		leg1.PropagationLossDB(m.AP.Budget.FreqHz) + dev.RXGainDBi(leg1.AoADeg)
+	e.driveKeyOK, e.driveKey, e.drive = true, k, v
+	return v
 }
 
 // directLeg returns the direct path between two points at the given
@@ -497,9 +543,7 @@ func (m *Manager) reflectorSNRAsIs(i int) float64 {
 	if !dev.Amp().Enabled() {
 		return math.Inf(-1)
 	}
-	leg1 := m.directLeg(slotLeg1(i), m.AP.Pos, dev.Pos(), m.AP.HeightM, dev.HeightM())
-	inbound := m.AP.Budget.TXPowerDBm + m.AP.GainDBi(leg1.AoDDeg) -
-		leg1.PropagationLossDB(m.AP.Budget.FreqHz) + dev.RXGainDBi(leg1.AoADeg)
+	inbound := m.driveLevel(i)
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1)
 	}

@@ -219,6 +219,10 @@ func (r *Reflector) RXBeamDeg() float64 { return r.rx.SteeringDeg() }
 // TXBeamDeg returns the current transmit-beam world angle.
 func (r *Reflector) TXBeamDeg() float64 { return r.tx.SteeringDeg() }
 
+// RXPointing returns the receive array's pointing state (see
+// antenna.Array.Pointing).
+func (r *Reflector) RXPointing() (orientationDeg, steeringRelDeg float64) { return r.rx.Pointing() }
+
 // RXGainDBi returns the receive array's realized gain toward a world
 // angle.
 func (r *Reflector) RXGainDBi(worldDeg float64) float64 { return r.rx.GainDBi(worldDeg) }
@@ -325,7 +329,7 @@ func (r *Reflector) solveFeedback(extMw, leak float64) float64 {
 	x := extMw
 	for i := 0; i < feedbackIterations; i++ {
 		next := extMw + leak*tf.OutputMw(x)
-		if math.Abs(next-x) <= 1e-12*math.Max(x, 1e-30) {
+		if math.Abs(next-x) <= 1e-12*max(x, 1e-30) {
 			x = next
 			break
 		}

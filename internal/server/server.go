@@ -258,8 +258,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, view(job, true))
 		return
 	}
+	// Only a cache hit answers 200. A miss whose job already finished
+	// is still 202, so the status never depends on how fast the pool
+	// ran it.
 	status := http.StatusAccepted
-	if job.State().Terminal() {
+	if cached {
 		status = http.StatusOK
 	}
 	writeJSON(w, status, view(job, true))
