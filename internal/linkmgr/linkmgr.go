@@ -303,18 +303,7 @@ func (m *Manager) EvaluateReflector(i int) (float64, bool) {
 		return math.Inf(-1), false
 	}
 
-	// Second hop: reflector → headset.
-	leg2 := m.directLeg(slotLeg2(i), dev.Pos(), m.Headset.Pos, dev.HeightM(), m.Headset.HeightM)
-	hop2Gain := dev.Amp().GainDB() + dev.TXGainDBi(leg2.AoDDeg) -
-		leg2.PropagationLossDB(m.AP.Budget.FreqHz) +
-		m.Headset.GainDBi(leg2.AoADeg) - m.AP.Budget.ImplLossDB
-
-	hop1 := relay.HopBudget{
-		SignalDBm: inbound,
-		NoiseDBm:  units.ThermalNoiseDBm(m.AP.Budget.BandwidthHz, dev.NoiseFigureDB()),
-	}
-	headsetNoise := m.Headset.Budget.NoiseFloorDBm()
-	return relay.EndToEnd(hop1, hop2Gain, headsetNoise), true
+	return m.relaySNR(i, inbound), true
 }
 
 // EvaluateReflectorFrozen computes the SNR through reflector i with its
@@ -339,15 +328,7 @@ func (m *Manager) EvaluateReflectorFrozen(i int) (float64, bool) {
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1), false
 	}
-	leg2 := m.directLeg(slotLeg2(i), dev.Pos(), m.Headset.Pos, dev.HeightM(), m.Headset.HeightM)
-	hop2Gain := dev.Amp().GainDB() + dev.TXGainDBi(leg2.AoDDeg) -
-		leg2.PropagationLossDB(m.AP.Budget.FreqHz) +
-		m.Headset.GainDBi(leg2.AoADeg) - m.AP.Budget.ImplLossDB
-	hop1 := relay.HopBudget{
-		SignalDBm: inbound,
-		NoiseDBm:  units.ThermalNoiseDBm(m.AP.Budget.BandwidthHz, dev.NoiseFigureDB()),
-	}
-	return relay.EndToEnd(hop1, hop2Gain, m.Headset.Budget.NoiseFloorDBm()), true
+	return m.relaySNR(i, inbound), true
 }
 
 // BestFrozen is Best without pose-driven reflector tracking: the direct
@@ -403,6 +384,22 @@ func (m *Manager) driveLevel(i int) float64 {
 		leg1.PropagationLossDB(m.AP.Budget.FreqHz) + dev.RXGainDBi(leg1.AoADeg)
 	e.driveKeyOK, e.driveKey, e.drive = true, k, v
 	return v
+}
+
+// relaySNR finishes a relay evaluation at drive level inbound: it
+// traces reflector i's second hop at the current beams and gain and
+// returns the end-to-end amplify-and-forward SNR at the headset.
+func (m *Manager) relaySNR(i int, inbound float64) float64 {
+	dev := m.entries[i].Dev
+	leg2 := m.directLeg(slotLeg2(i), dev.Pos(), m.Headset.Pos, dev.HeightM(), m.Headset.HeightM)
+	hop2Gain := dev.Amp().GainDB() + dev.TXGainDBi(leg2.AoDDeg) -
+		leg2.PropagationLossDB(m.AP.Budget.FreqHz) +
+		m.Headset.GainDBi(leg2.AoADeg) - m.AP.Budget.ImplLossDB
+	hop1 := relay.HopBudget{
+		SignalDBm: inbound,
+		NoiseDBm:  units.ThermalNoiseDBm(m.AP.Budget.BandwidthHz, dev.NoiseFigureDB()),
+	}
+	return relay.EndToEnd(hop1, hop2Gain, m.Headset.Budget.NoiseFloorDBm())
 }
 
 // directLeg returns the direct path between two points at the given
@@ -547,15 +544,7 @@ func (m *Manager) reflectorSNRAsIs(i int) float64 {
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1)
 	}
-	leg2 := m.directLeg(slotLeg2(i), dev.Pos(), m.Headset.Pos, dev.HeightM(), m.Headset.HeightM)
-	hop2Gain := dev.Amp().GainDB() + dev.TXGainDBi(leg2.AoDDeg) -
-		leg2.PropagationLossDB(m.AP.Budget.FreqHz) +
-		m.Headset.GainDBi(leg2.AoADeg) - m.AP.Budget.ImplLossDB
-	hop1 := relay.HopBudget{
-		SignalDBm: inbound,
-		NoiseDBm:  units.ThermalNoiseDBm(m.AP.Budget.BandwidthHz, dev.NoiseFigureDB()),
-	}
-	return relay.EndToEnd(hop1, hop2Gain, m.Headset.Budget.NoiseFloorDBm())
+	return m.relaySNR(i, inbound)
 }
 
 // Step updates the headset pose from the VR tracking system and returns
