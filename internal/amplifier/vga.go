@@ -139,6 +139,11 @@ func (v *VGA) GainWord() int { return v.word }
 // GainDB returns the current small-signal gain.
 func (v *VGA) GainDB() float64 { return v.cfg.MinGainDB + float64(v.word)*v.cfg.StepDB }
 
+// TopGainDB returns the gain at the top word, Words()−1, by the same
+// expression as GainDB. SetGainWord never sets a word above it and
+// StepDB is positive, so no gain word reports more.
+func (v *VGA) TopGainDB() float64 { return v.cfg.MinGainDB + float64(v.Words()-1)*v.cfg.StepDB }
+
 // SetGainDB programs the nearest representable gain and returns it.
 func (v *VGA) SetGainDB(g float64) float64 {
 	w := int(math.Round((g - v.cfg.MinGainDB) / v.cfg.StepDB))

@@ -199,12 +199,3 @@ func VenueCapacity(headsetsPerRoom int, cfg ScenarioConfig) int {
 	}
 	return admitted
 }
-
-// venueSessions reports how many sessions VenueN would generate before
-// truncation — bays × admitted players.
-func venueSessions(bays, headsetsPerRoom int, cfg ScenarioConfig) int {
-	if bays <= 0 {
-		bays = DefaultVenueBays
-	}
-	return bays * VenueCapacity(headsetsPerRoom, cfg)
-}

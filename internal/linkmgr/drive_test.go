@@ -136,16 +136,21 @@ func reassessReference(m *Manager) LinkState {
 // over seeded worlds: 0–3 reflectors, head yaw, a body moved across each
 // reflector's AP leg, reflectors re-aligned, the AP's TX power and
 // carrier changed mid-run, and the AP's Array swapped mid-run for one of
-// a different shape at the same orientation and steering. After every
-// call the LinkState, every beam and every gain word must be identical.
+// a different shape at the same orientation and steering. The reference
+// never skips a gain control, so it also pins Best's deferred ones: some
+// Best calls are followed directly by BestFrozen, after a GainCfg or TX
+// power retune. After every call the LinkState, every beam and every
+// gain word must be identical.
 func TestDriveLevelMemoMatchesReference(t *testing.T) {
 	seen := map[PathChoice]int{}
 	swaps, retunes, realigns, crossings := 0, 0, 0, 0
+	deferred, stale, cfgRetunes := 0, 0, 0
 	for seed := int64(1); seed <= 40; seed++ {
 		rmA, a := twinWorld(rand.New(rand.NewSource(seed)))
 		rmB, b := twinWorld(rand.New(rand.NewSource(seed)))
 		rng := rand.New(rand.NewSource(seed + 2000))
 		pos := randomPoint(rng)
+		txBase := a.AP.Budget.TXPowerDBm
 		for step := 0; step < 40; step++ {
 			pos = geom.V(
 				math.Max(0.5, math.Min(4.5, pos.X+0.3*rng.NormFloat64())),
@@ -217,6 +222,49 @@ func TestDriveLevelMemoMatchesReference(t *testing.T) {
 				stA, stB = a.BestFrozen(), bestReference(b, true)
 			default:
 				stA, stB = a.Best(), bestReference(b, false)
+				if rng.Intn(2) == 0 {
+					// BestFrozen straight after Best, with no Reflectors
+					// read between them and GainCfg or TX power retuned: it
+					// must run any gain control Best deferred itself, from
+					// the drive level and config recorded at the skip.
+					if stA != stB {
+						t.Fatalf("seed %d step %d: Best %v, reference %v", seed, step, stA, stB)
+					}
+					for k, e := range a.entries {
+						if e.pending {
+							deferred++
+							if e.Dev.Amp().GainWord() != b.entries[k].Dev.Amp().GainWord() {
+								stale++
+							}
+						}
+					}
+					if rng.Intn(2) == 0 {
+						cfg := a.GainCfg
+						cfg.BackoffSteps = 1 + rng.Intn(8)
+						cfg.JumpThresholdA = 0.03 + 0.04*rng.Float64()
+						a.GainCfg, b.GainCfg = cfg, cfg
+						cfgRetunes++
+					}
+					if rng.Intn(2) == 0 {
+						p := txBase + 12*(rng.Float64()-0.5)
+						a.AP.Budget.TXPowerDBm, b.AP.Budget.TXPowerDBm = p, p
+						retunes++
+					}
+					stA, stB = a.BestFrozen(), bestReference(b, true)
+					// Every reflector's frozen SNR, not only the winner's,
+					// must read the deferred word; then restore the aim
+					// BestFrozen left.
+					for i := range a.entries {
+						sa, okA := a.EvaluateReflectorFrozen(i)
+						sb, okB := evaluateReflectorFrozenReference(b, i)
+						if math.Float64bits(sa) != math.Float64bits(sb) || okA != okB {
+							t.Fatalf("seed %d step %d: reflector %d frozen after Best %v/%v, reference %v/%v",
+								seed, step, i, sa, okA, sb, okB)
+						}
+					}
+					a.aim(stA.Choice, stA.ReflectorIdx)
+					b.aim(stB.Choice, stB.ReflectorIdx)
+				}
 			}
 			seen[stA.Choice]++
 			if sa, sb := linkSnapshot(a, stA), linkSnapshot(b, stB); !slices.Equal(sa, sb) {
@@ -236,8 +284,10 @@ func TestDriveLevelMemoMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if seen[PathDirect] == 0 || seen[PathReflector] == 0 || swaps == 0 || retunes == 0 || realigns == 0 || crossings < 100 {
-		t.Fatalf("coverage: choices %v, %d array swaps, %d TX power changes, %d re-alignments, %d leg crossings",
-			seen, swaps, retunes, realigns, crossings)
+	if seen[PathDirect] == 0 || seen[PathReflector] == 0 || swaps == 0 || retunes == 0 || realigns == 0 || crossings < 100 ||
+		deferred < 20 || stale < 5 || cfgRetunes == 0 {
+		t.Fatalf("coverage: choices %v, %d array swaps, %d TX power changes, %d re-alignments, %d leg crossings, "+
+			"%d deferred gain controls read by BestFrozen (%d over a different stale word), %d GainCfg changes",
+			seen, swaps, retunes, realigns, crossings, deferred, stale, cfgRetunes)
 	}
 }

@@ -19,6 +19,15 @@
 // never changes results, only speed: cached and fresh traces are
 // bit-identical by the PathCache contract, and a direct-only trace
 // returns exactly the direct path of a full one.
+//
+// Best skips the gain control of a reflector that provably cannot beat
+// the best SNR found so far: an exact ceiling on its relay SNR (see
+// snrCeiling) is already at or below it, so no gain word could make it
+// win. The skipped reflector's beams are still steered, and its gain
+// control runs later from the recorded inputs, only when a read through
+// the Manager needs the gain word. A device added to a Manager is
+// therefore steered and gain-programmed only through the Manager, and
+// read through Reflectors.
 package linkmgr
 
 import (
@@ -118,6 +127,12 @@ type Entry struct {
 	gainExt, gainLeak float64
 	gainCfg           gainctl.Config
 	gainWord          int
+
+	// Deferred gain control: the inputs of a gain-control run Best
+	// skipped, which settle runs before anything reads the gain word.
+	pending           bool
+	pendExt, pendLeak float64
+	pendCfg           gainctl.Config
 
 	// Drive-level memo: the last driveLevel result, keyed on every value
 	// it is computed from.
@@ -226,14 +241,28 @@ func New(tr *channel.Tracer, ap *radio.AP, hs *radio.Headset) *Manager {
 	}
 }
 
-// AddReflector registers a reflector and returns its index.
+// AddReflector registers a reflector and returns its index. From then on
+// the device is steered and gain-programmed only through the Manager:
+// Best may leave a reflector that cannot win with its beams steered and
+// its gain control pending, which the Manager runs before any read
+// through it. Programming the device some other way, through its
+// control link or a pointer kept from here, bypasses that run.
 func (m *Manager) AddReflector(dev *reflector.Reflector, link *control.Link) int {
 	m.entries = append(m.entries, &Entry{Dev: dev, Link: link})
 	return len(m.entries) - 1
 }
 
 // Reflectors returns the managed entries (shared slice; do not modify).
-func (m *Manager) Reflectors() []*Entry { return m.entries }
+// It first runs any gain control Best deferred, so every device holds
+// exactly the beams and gain word an eager evaluation would have left.
+// Read devices through it: a pointer kept from an earlier call sees the
+// beams but may see a stale gain word.
+func (m *Manager) Reflectors() []*Entry {
+	for _, e := range m.entries {
+		m.settle(e)
+	}
+	return m.entries
+}
 
 // SetAlignment records the alignment result for reflector i (normally
 // produced by the align package's sweep).
@@ -274,6 +303,15 @@ func (m *Manager) EvaluateDirect() float64 {
 // delivered amplify-and-forward SNR. The second return is false when the
 // path is unusable (unaligned, unstable, or saturated).
 func (m *Manager) EvaluateReflector(i int) (float64, bool) {
+	return m.evaluateReflector(i, math.Inf(-1))
+}
+
+// evaluateReflector is EvaluateReflector for a candidate that must beat
+// floor. When snrCeiling certifies that it cannot, the gain control and
+// the second-hop gains are skipped, the gain-control inputs are recorded
+// for settle, and the path is reported unusable. A floor outside
+// ±ceilingRangeDB, such as EvaluateReflector's −Inf, never skips.
+func (m *Manager) evaluateReflector(i int, floor float64) (float64, bool) {
 	if i < 0 || i >= len(m.entries) {
 		return math.Inf(-1), false
 	}
@@ -283,41 +321,75 @@ func (m *Manager) EvaluateReflector(i int) (float64, bool) {
 	}
 	dev := e.Dev
 
-	// Beam configuration.
+	// Beam configuration. A new steering of the device supersedes any
+	// gain control still pending on it.
 	m.aim(PathReflector, i)
 	dev.SetRXBeam(e.IncidenceDeg)
 	dev.SetTXBeam(geom.DirectionDeg(dev.Pos(), m.Headset.Pos))
+	for _, o := range m.entries {
+		if o.Dev == dev {
+			o.pending = false
+		}
+	}
 
 	// First hop: AP → reflector amplifier input, over the direct leg
-	// with whatever blockage it suffers.
+	// with whatever blockage it suffers; the second-hop leg and the
+	// noise floors do not depend on the gain.
 	inbound := m.driveLevel(i)
+	leak := dev.LeakageDB()
+	h := m.traceHops(i, inbound)
+	if inCeilingRange(floor) {
+		if c, ok := m.snrCeiling(dev, h, leak); ok && c+ceilingSlackDB <= floor {
+			e.pending, e.pendExt, e.pendLeak, e.pendCfg = true, inbound, leak, m.GainCfg
+			return math.Inf(-1), false
+		}
+	}
 
 	// Adaptive gain control at the current beams and drive level.
-	if leak := dev.LeakageDB(); e.gainKeyOK && e.gainExt == inbound && e.gainLeak == leak && e.gainCfg == m.GainCfg {
-		dev.Amp().SetGainWord(e.gainWord)
-	} else {
-		m.opt.Optimize(dev, inbound, m.GainCfg)
-		e.gainKeyOK, e.gainExt, e.gainLeak, e.gainCfg, e.gainWord = true, inbound, leak, m.GainCfg, dev.Amp().GainWord()
-	}
+	m.gainControl(e, inbound, leak, m.GainCfg)
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1), false
 	}
+	return m.relaySNR(dev, h), true
+}
 
-	return m.relaySNR(i, inbound), true
+// gainControl programs entry e's amplifier for drive level ext and
+// leakage leak under cfg: the memoized word when all three match the
+// last run, a fresh Optimize otherwise. The word Optimize picks is a pure
+// function of the three, so a memo hit sets exactly what it would.
+func (m *Manager) gainControl(e *Entry, ext, leak float64, cfg gainctl.Config) {
+	if e.gainKeyOK && e.gainExt == ext && e.gainLeak == leak && e.gainCfg == cfg {
+		e.Dev.Amp().SetGainWord(e.gainWord)
+		return
+	}
+	m.opt.Optimize(e.Dev, ext, cfg)
+	e.gainKeyOK, e.gainExt, e.gainLeak, e.gainCfg, e.gainWord = true, ext, leak, cfg, e.Dev.Amp().GainWord()
+}
+
+// settle runs entry e's deferred gain control, if any, from the inputs
+// Best recorded. Nothing has steered the device since (a new steering
+// clears the record), so its leakage is still the recorded one and the
+// run sets the word the eager evaluation would have.
+func (m *Manager) settle(e *Entry) {
+	if e.pending {
+		e.pending = false
+		m.gainControl(e, e.pendExt, e.pendLeak, e.pendCfg)
+	}
 }
 
 // EvaluateReflectorFrozen computes the SNR through reflector i with its
 // beams and amplifier gain exactly as they are — no re-steering and no
-// gain re-optimization. This models a system without pose-driven
-// tracking: the reflector keeps whatever configuration its last
-// alignment produced, however stale. The AP and headset still aim at
-// their configured endpoints (the AP at the reflector, the headset at
-// the reflector's position).
+// gain re-optimization beyond running any gain control Best deferred.
+// This models a system without pose-driven tracking: the reflector keeps
+// whatever configuration its last alignment produced, however stale.
+// The AP and headset still aim at their configured endpoints (the AP at
+// the reflector, the headset at the reflector's position).
 func (m *Manager) EvaluateReflectorFrozen(i int) (float64, bool) {
 	if i < 0 || i >= len(m.entries) {
 		return math.Inf(-1), false
 	}
 	e := m.entries[i]
+	m.settle(e)
 	if !e.Aligned || !e.Dev.Amp().Enabled() {
 		return math.Inf(-1), false
 	}
@@ -328,7 +400,7 @@ func (m *Manager) EvaluateReflectorFrozen(i int) (float64, bool) {
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1), false
 	}
-	return m.relaySNR(i, inbound), true
+	return m.relaySNR(dev, m.traceHops(i, inbound)), true
 }
 
 // BestFrozen is Best without pose-driven reflector tracking: the direct
@@ -386,20 +458,105 @@ func (m *Manager) driveLevel(i int) float64 {
 	return v
 }
 
-// relaySNR finishes a relay evaluation at drive level inbound: it
-// traces reflector i's second hop at the current beams and gain and
-// returns the end-to-end amplify-and-forward SNR at the headset.
-func (m *Manager) relaySNR(i int, inbound float64) float64 {
+// relayHops is what a relay evaluation reads besides the reflector's
+// gain and beam pattern: the first hop at the amplifier input, the
+// second-hop leg, and the headset's noise floor.
+type relayHops struct {
+	hop1    relay.HopBudget
+	leg2    channel.Path
+	noiseHS float64
+}
+
+// traceHops traces reflector i's second hop and collects the relay
+// inputs at drive level inbound.
+func (m *Manager) traceHops(i int, inbound float64) relayHops {
 	dev := m.entries[i].Dev
-	leg2 := m.directLeg(slotLeg2(i), dev.Pos(), m.Headset.Pos, dev.HeightM(), m.Headset.HeightM)
-	hop2Gain := dev.Amp().GainDB() + dev.TXGainDBi(leg2.AoDDeg) -
-		leg2.PropagationLossDB(m.AP.Budget.FreqHz) +
-		m.Headset.GainDBi(leg2.AoADeg) - m.AP.Budget.ImplLossDB
-	hop1 := relay.HopBudget{
-		SignalDBm: inbound,
-		NoiseDBm:  units.ThermalNoiseDBm(m.AP.Budget.BandwidthHz, dev.NoiseFigureDB()),
+	return relayHops{
+		hop1: relay.HopBudget{
+			SignalDBm: inbound,
+			NoiseDBm:  units.ThermalNoiseDBm(m.AP.Budget.BandwidthHz, dev.NoiseFigureDB()),
+		},
+		leg2:    m.directLeg(slotLeg2(i), dev.Pos(), m.Headset.Pos, dev.HeightM(), m.Headset.HeightM),
+		noiseHS: m.Headset.Budget.NoiseFloorDBm(),
 	}
-	return relay.EndToEnd(hop1, hop2Gain, m.Headset.Budget.NoiseFloorDBm())
+}
+
+// hop2GainDB is the second-hop gain from the amplifier input to the
+// headset receiver over leg2, given the amplifier gain and the
+// reflector TX and headset array gains.
+func (m *Manager) hop2GainDB(leg2 channel.Path, ampDB, txDBi, hsDBi float64) float64 {
+	return ampDB + txDBi - leg2.PropagationLossDB(m.AP.Budget.FreqHz) + hsDBi - m.AP.Budget.ImplLossDB
+}
+
+// relaySNR finishes a relay evaluation: the end-to-end
+// amplify-and-forward SNR at the headset over h, at dev's current beams
+// and gain.
+func (m *Manager) relaySNR(dev *reflector.Reflector, h relayHops) float64 {
+	g := m.hop2GainDB(h.leg2, dev.Amp().GainDB(), dev.TXGainDBi(h.leg2.AoDDeg), m.Headset.GainDBi(h.leg2.AoADeg))
+	return relay.EndToEnd(h.hop1, g, h.noiseHS)
+}
+
+// Ceiling certification bounds, see snrCeiling.
+const (
+	// ceilingSlackDB is the margin by which the ceiling must clear the
+	// SNR to beat.
+	ceilingSlackDB = 1e-6
+	// ceilingRangeDB bounds every input of a certified ceiling.
+	ceilingRangeDB = 1e3
+	// ceilingMaxElements bounds the element count of both arrays.
+	ceilingMaxElements = 1 << 20
+)
+
+// inCeilingRange reports whether x lies within ±ceilingRangeDB (NaN
+// does not).
+func inCeilingRange(x float64) bool { return -ceilingRangeDB <= x && x <= ceilingRangeDB }
+
+// snrCeiling returns an upper bound on the SNR reflector dev can
+// deliver over h with its beams where they stand (leakage leak),
+// whatever word gain control then sets, and whether the bound is
+// certified. It is relaySNR with each gain replaced by its ceiling,
+//
+//	min(TopGainDB, leak) + TX peak − leg-2 loss + headset peak − ImplLossDB,
+//
+// fed to the same relay.EndToEnd. Each step holds in float64:
+//
+//   - An evaluation that returns ok has a Stable device: GainDB − leak
+//     < 0. A rounded difference of two floats is zero only when they are
+//     equal and otherwise has the sign of the exact one, so GainDB <
+//     leak. GainDB rises with the word (StepDB > 0, and float × and +
+//     are monotone), so GainDB ≤ TopGainDB. Hence GainDB is at most
+//     their minimum.
+//   - GainDBi is the peak plus the array-factor term plus an element
+//     term ≤ 0, or the peak minus a positive backlobe or null floor. The
+//     array-factor term is positive only through rounding of the
+//     computed |AF| above 1, of order n·2⁻⁵² relative for n elements:
+//     under 2e-9 dB per array for n ≤ ceilingMaxElements. Larger arrays
+//     are not certified.
+//   - Float + and − are monotone in each operand, so the real hop-2 gain
+//     exceeds the bound's by at most those two excesses.
+//   - EndToEnd is signal minus total noise, which rises with the hop-2
+//     gain g at a slope in (0, 1). With the drive level, the hop-1 noise,
+//     the hop-2 bound and the headset noise all within ±ceilingRangeDB,
+//     no Pow in AddPowersDBm overflows or underflows, and its rounding
+//     stays below 1e-9 dB for any g up to the bound (FuzzRelayCeiling
+//     checks this). Inputs outside that range, or non-finite, are not
+//     certified.
+//
+// The real SNR is therefore below the ceiling plus 1e-8 dB. Best skips a
+// reflector only when the ceiling plus ceilingSlackDB is at or below an
+// SNR it already has, and keeps a candidate only on a strictly higher
+// SNR, so a skipped reflector could never have been chosen.
+func (m *Manager) snrCeiling(dev *reflector.Reflector, h relayHops, leak float64) (float64, bool) {
+	txPeak, txN := dev.TXPeak()
+	if txN > ceilingMaxElements || m.Headset.Array.Config().Elements > ceilingMaxElements {
+		return 0, false
+	}
+	g := m.hop2GainDB(h.leg2, min(dev.Amp().TopGainDB(), leak), txPeak, m.Headset.Array.PeakGainDBi())
+	if !(inCeilingRange(h.hop1.SignalDBm) && inCeilingRange(h.hop1.NoiseDBm) &&
+		inCeilingRange(g) && inCeilingRange(h.noiseHS)) {
+		return 0, false
+	}
+	return relay.EndToEnd(h.hop1, g, h.noiseHS), true
 }
 
 // directLeg returns the direct path between two points at the given
@@ -414,12 +571,23 @@ func (m *Manager) directLeg(slot int, a, b geom.Vec, hA, hB float64) channel.Pat
 
 // Best evaluates every available path, selects the highest-SNR one,
 // re-aims the AP and headset at it, and returns the resulting state.
+//
+// A reflector whose SNR ceiling (snrCeiling) is certified and at least
+// ceilingSlackDB below the best SNR found so far cannot win: Best steers
+// its beams but skips its gain control and second-hop gains, recording
+// the drive level, leakage and GainCfg that gain control would have run
+// with. Reflectors, EvaluateReflectorFrozen (and so BestFrozen) and
+// Reassess run the deferred gain control from those inputs before they
+// read the device, so every read through the Manager sees exactly the
+// gain word the eager evaluation would have set. Reassess reads only the
+// last winner, which is never skipped, so a tracking session never runs
+// a deferred gain control at all.
 func (m *Manager) Best() LinkState {
 	bestSNR := m.EvaluateDirect()
 	choice := PathDirect
 	reflIdx := -1
 	for i := range m.entries {
-		if snr, ok := m.EvaluateReflector(i); ok && snr > bestSNR {
+		if snr, ok := m.evaluateReflector(i, bestSNR); ok && snr > bestSNR {
 			bestSNR = snr
 			choice = PathReflector
 			reflIdx = i
@@ -533,9 +701,11 @@ func (m *Manager) Reassess() LinkState {
 }
 
 // reflectorSNRAsIs computes the amplify-and-forward SNR through entry i
-// without touching any beam or gain.
+// without touching any beam, after running any gain control Best
+// deferred on it.
 func (m *Manager) reflectorSNRAsIs(i int) float64 {
 	e := m.entries[i]
+	m.settle(e)
 	dev := e.Dev
 	if !dev.Amp().Enabled() {
 		return math.Inf(-1)
@@ -544,7 +714,7 @@ func (m *Manager) reflectorSNRAsIs(i int) float64 {
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1)
 	}
-	return m.relaySNR(i, inbound)
+	return m.relaySNR(dev, m.traceHops(i, inbound))
 }
 
 // Step updates the headset pose from the VR tracking system and returns

@@ -121,7 +121,7 @@ func linkSnapshot(m *Manager, st LinkState) []uint64 {
 		uint64(st.MCSIndex), meets,
 		b(m.AP.Array.SteeringDeg()), b(m.Headset.Array.SteeringDeg()),
 	}
-	for _, e := range m.entries {
+	for _, e := range m.Reflectors() {
 		s = append(s, b(e.Dev.RXBeamDeg()), b(e.Dev.TXBeamDeg()), uint64(e.Dev.Amp().GainWord()))
 	}
 	return s

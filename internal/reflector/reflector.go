@@ -231,6 +231,13 @@ func (r *Reflector) RXGainDBi(worldDeg float64) float64 { return r.rx.GainDBi(wo
 // angle.
 func (r *Reflector) TXGainDBi(worldDeg float64) float64 { return r.tx.GainDBi(worldDeg) }
 
+// TXPeak returns the transmit array's peak gain and its element count.
+// TXGainDBi never exceeds the peak by more than the array factor's
+// rounding, which grows with the count (see antenna.Array.PeakGainDBi).
+func (r *Reflector) TXPeak() (gainDBi float64, elements int) {
+	return r.tx.PeakGainDBi(), r.cfg.TXArray.Elements
+}
+
 // RXBeamwidthDeg returns the receive array's half-power beamwidth.
 func (r *Reflector) RXBeamwidthDeg() float64 { return r.rx.BeamwidthDeg() }
 

@@ -121,3 +121,30 @@ func TestQuickEndToEndNoiseMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzRelayCeiling checks the two properties of EndToEnd that make the
+// link manager's SNR ceiling an upper bound: with the drive level, the
+// hop-1 noise, the hop-2 gain ceiling gCeil and the headset noise all
+// within ±1e3 dB, any hop-2 gain g ≤ gCeil yields no more SNR than gCeil
+// (up to rounding far below a nanodecibel), and the SNR rises no faster
+// than the gain.
+func FuzzRelayCeiling(f *testing.F) {
+	f.Fuzz(func(t *testing.T, signal, noise1, noiseHS, gCeil, g float64) {
+		for _, x := range []float64{signal, noise1, noiseHS, gCeil} {
+			if !(-1e3 <= x && x <= 1e3) {
+				t.Skip()
+			}
+		}
+		if !(g <= gCeil) {
+			t.Skip()
+		}
+		hop1 := HopBudget{SignalDBm: signal, NoiseDBm: noise1}
+		at, ceil := EndToEnd(hop1, g, noiseHS), EndToEnd(hop1, gCeil, noiseHS)
+		if !(at <= ceil+1e-9) {
+			t.Fatalf("EndToEnd(%v, g=%v, %v) = %v above the ceiling's %v", hop1, g, noiseHS, at, ceil)
+		}
+		if !math.IsInf(g, -1) && !(ceil-at <= gCeil-g+1e-9) {
+			t.Fatalf("EndToEnd(%v, ·, %v) rose %v from g=%v to %v, more than the gain", hop1, noiseHS, ceil-at, g, gCeil)
+		}
+	})
+}

@@ -140,7 +140,7 @@ func RadToDeg(rad float64) float64 { return rad * 180 / math.Pi }
 
 // NormalizeDeg wraps an angle in degrees onto the interval [0, 360).
 func NormalizeDeg(deg float64) float64 {
-	d := math.Mod(deg, 360)
+	d := mod360(deg)
 	if d < 0 {
 		d += 360
 	}
@@ -150,7 +150,7 @@ func NormalizeDeg(deg float64) float64 {
 // AngleDiffDeg returns the smallest signed difference a−b between two
 // angles in degrees, in the interval (−180, 180].
 func AngleDiffDeg(a, b float64) float64 {
-	d := math.Mod(a-b, 360)
+	d := mod360(a - b)
 	switch {
 	case d > 180:
 		d -= 360
@@ -158,4 +158,14 @@ func AngleDiffDeg(a, b float64) float64 {
 		d += 360
 	}
 	return d
+}
+
+// mod360 is math.Mod(x, 360) without the call for angles already in
+// range: math.Mod returns x bit for bit when |x| < 360, −0 included.
+// NaN and ±Inf fail the range test and still reach math.Mod.
+func mod360(x float64) float64 {
+	if -360 < x && x < 360 {
+		return x
+	}
+	return math.Mod(x, 360)
 }

@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -147,6 +148,64 @@ func TestAngleDiffDeg(t *testing.T) {
 	for _, c := range cases {
 		if got := AngleDiffDeg(c.a, c.b); !almostEqual(got, c.want, 1e-9) {
 			t.Errorf("AngleDiffDeg(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// normalizeDegMod and angleDiffDegMod are NormalizeDeg and AngleDiffDeg
+// as they were before in-range angles skipped math.Mod.
+func normalizeDegMod(deg float64) float64 {
+	d := math.Mod(deg, 360)
+	if d < 0 {
+		d += 360
+	}
+	return d
+}
+
+func angleDiffDegMod(a, b float64) float64 {
+	d := math.Mod(a-b, 360)
+	switch {
+	case d > 180:
+		d -= 360
+	case d <= -180:
+		d += 360
+	}
+	return d
+}
+
+// TestAngleWrapMatchesMod holds NormalizeDeg and AngleDiffDeg bit for bit
+// to their math.Mod forms: at ±0, just inside and at ±360, ±720,
+// subnormals, ±1e300, NaN, ±Inf, and over a seeded sweep of angles and
+// angle pairs.
+func TestAngleWrapMatchesMod(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), 359.99999999999994, -359.99999999999994,
+		360, -360, 720, -720, 180, -180, 5e-324, -5e-324, 2.2250738585072014e-308,
+		-1e-310, 1e300, -1e300, math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	rng := rand.New(rand.NewSource(1))
+	xs := append([]float64(nil), edges...)
+	for i := 0; i < 40000; i++ {
+		switch i % 4 {
+		case 0:
+			xs = append(xs, 720*rng.Float64()-360)
+		case 1:
+			xs = append(xs, 2000*rng.NormFloat64())
+		case 2:
+			xs = append(xs, math.Ldexp(rng.Float64(), rng.Intn(2100)-1074)*float64(1-2*rng.Intn(2)))
+		default:
+			xs = append(xs, math.Nextafter(360*float64(rng.Intn(5)-2), math.Inf(2*rng.Intn(2)-1)))
+		}
+	}
+	b := math.Float64bits
+	for i, x := range xs {
+		if got, want := NormalizeDeg(x), normalizeDegMod(x); b(got) != b(want) {
+			t.Fatalf("NormalizeDeg(%v) = %v (%#x), math.Mod form %v (%#x)", x, got, b(got), want, b(want))
+		}
+		for _, y := range []float64{0, math.Copysign(0, -1), xs[(i*7919+1)%len(xs)], 360 * rng.Float64()} {
+			if got, want := AngleDiffDeg(x, y), angleDiffDegMod(x, y); b(got) != b(want) {
+				t.Fatalf("AngleDiffDeg(%v, %v) = %v (%#x), math.Mod form %v (%#x)", x, y, got, b(got), want, b(want))
+			}
 		}
 	}
 }
