@@ -100,8 +100,9 @@ func main() {
 	shardSpec := flag.String("shard", "", "run only fleet shard I/N (e.g. 1/4) — fleet only")
 	benchOut := flag.String("bench-out", "", "bench report path (default BENCH_<git-sha>.json)")
 	benchCompare := flag.String("bench-compare", "", "baseline BENCH_*.json to gate against")
-	benchTolPct := flag.Float64("bench-tol-pct", 50, "allowed ns/op regression in percent")
-	benchAllocTol := flag.Float64("bench-alloc-tol", 0, "allowed allocs/op regression")
+	tol := bench.DefaultTolerance()
+	benchTolPct := flag.Float64("bench-tol-pct", tol.TimePct, "allowed ns/op regression in percent")
+	benchAllocTol := flag.Float64("bench-alloc-tol", tol.Allocs, "allowed allocs/op regression")
 	benchCPUProf := flag.String("bench-cpuprofile", "", "directory for per-benchmark CPU profiles (<name>.cpu.pprof)")
 	benchMemProf := flag.String("bench-memprofile", "", "directory for per-benchmark heap profiles (<name>.mem.pprof)")
 	flag.Usage = usage

@@ -103,9 +103,6 @@ func NewSweeper(ap *radio.AP, dev *reflector.Reflector, link *control.Link, tr *
 	return &Sweeper{AP: ap, Dev: dev, Link: link, Tracer: tr, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
-// Config returns the sweeper configuration.
-func (s *Sweeper) Config() Config { return s.cfg }
-
 // reflectedPowerDBm computes the power of the reflector-returned tone at
 // the AP's measurement receiver for the current beam settings, tracing
 // the direct AP↔reflector leg (blockage included) at the devices'
@@ -224,22 +221,6 @@ func (s *Sweeper) Hierarchical() (Result, error) {
 	fine.ControlTime += coarse.ControlTime
 	fine.AirTime += coarse.AirTime
 	return fine, nil
-}
-
-// Refine runs a narrow sweep around externally predicted angles — the
-// §4.1 shortcut: "MoVR does not need to repeat the full angle
-// measurement process. Because the VR system constantly tracks the
-// headset's position, we can simply leverage this information to
-// determine the best angle." The prediction (e.g. from pose geometry)
-// seeds a ±spanDeg window swept at the fine step.
-func (s *Sweeper) Refine(predAPDeg, predReflDeg, spanDeg float64) (Result, error) {
-	if spanDeg <= 0 {
-		spanDeg = 5
-	}
-	return s.sweep(
-		angleRange(predAPDeg-spanDeg, predAPDeg+spanDeg, s.cfg.APStepDeg),
-		angleRange(predReflDeg-spanDeg, predReflDeg+spanDeg, s.cfg.ReflStepDeg),
-	)
 }
 
 // sweep measures every (θ1, θ2) pair, with the reflector beam in the

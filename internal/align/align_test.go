@@ -202,44 +202,6 @@ func TestLossyControlLinkStillAligns(t *testing.T) {
 	}
 }
 
-func TestRefineMatchesFullSweepCheaply(t *testing.T) {
-	// §4.1's tracking shortcut: seeding the sweep with pose-predicted
-	// angles must find the same alignment at a fraction of the cost.
-	s, ap, dev := rig(geom.V(2.5, 5), 8)
-	predRefl := align0GroundTruth(dev, ap) + 3 // pose prediction, 3° stale
-	predAP := geom.DirectionDeg(ap.Pos, dev.Pos()) - 3
-	ref, err := s.Refine(predAP, predRefl, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := GroundTruthDeg(dev, ap)
-	if e := ErrorDeg(ref.ReflBeamDeg, truth); e > 2 {
-		t.Errorf("refined angle error = %v°", e)
-	}
-	// Cost comparison against the hierarchical sweep.
-	s2, _, _ := rig(geom.V(2.5, 5), 8)
-	full, err := s2.Hierarchical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Measurements*3 > full.Measurements {
-		t.Errorf("refine used %d measurements vs full %d — not cheap enough",
-			ref.Measurements, full.Measurements)
-	}
-	if ref.TotalTime() >= full.TotalTime() {
-		t.Error("refine should be faster than the full sweep")
-	}
-	// Degenerate span defaults sanely.
-	if _, err := s.Refine(predAP, predRefl, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// align0GroundTruth is a tiny indirection so the test reads naturally.
-func align0GroundTruth(dev *reflector.Reflector, ap *radio.AP) float64 {
-	return GroundTruthDeg(dev, ap)
-}
-
 func TestErrorDeg(t *testing.T) {
 	if got := ErrorDeg(359, 1); math.Abs(got-2) > 1e-9 {
 		t.Errorf("wrap-around error = %v", got)

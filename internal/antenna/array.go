@@ -278,18 +278,3 @@ func (a *Array) Codebook(stepDeg float64) []float64 {
 	}
 	return angles
 }
-
-// Pattern samples GainDBi over relative angles [−180, 180) at the given
-// step and returns parallel slices of world angles and gains. It is a
-// convenience for plotting and tests.
-func (a *Array) Pattern(stepDeg float64) (worldDeg, gainDBi []float64) {
-	if stepDeg <= 0 {
-		stepDeg = 1
-	}
-	for rel := -180.0; rel < 180; rel += stepDeg {
-		w := units.NormalizeDeg(a.cfg.OrientationDeg + rel)
-		worldDeg = append(worldDeg, w)
-		gainDBi = append(gainDBi, a.GainDBi(w))
-	}
-	return worldDeg, gainDBi
-}

@@ -177,19 +177,6 @@ func TestCodebook(t *testing.T) {
 	}
 }
 
-func TestPattern(t *testing.T) {
-	a := Default(0)
-	ang, gain := a.Pattern(1)
-	if len(ang) != 360 || len(gain) != 360 {
-		t.Fatalf("pattern size = %d/%d", len(ang), len(gain))
-	}
-	// Defaulted step.
-	ang, _ = a.Pattern(0)
-	if len(ang) != 360 {
-		t.Errorf("defaulted pattern size = %d", len(ang))
-	}
-}
-
 func TestSetOrientation(t *testing.T) {
 	a := Default(0)
 	a.SteerTo(10)

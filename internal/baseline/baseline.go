@@ -6,8 +6,6 @@
 //   - Static WHDI: wireless-HDMI products "assume static links and
 //     require line-of-sight... they cannot adapt their direction and will
 //     be disconnected if the player moves" (§2).
-//   - WiFi: conventional bands "cannot support the required data rates"
-//     (§1).
 //   - Multi-AP: several full mmWave APs for LOS diversity, "defeats the
 //     purpose... requires enormous cabling complexity" (§1).
 package baseline
@@ -18,7 +16,6 @@ import (
 	"github.com/movr-sim/movr/internal/channel"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/radio"
-	"github.com/movr-sim/movr/internal/units"
 )
 
 // OptNLOSResult is the outcome of the exhaustive two-sided beam sweep.
@@ -122,27 +119,6 @@ func (s *StaticWHDI) Evaluate(tr *channel.Tracer, tx, rx *radio.Radio) float64 {
 	return radio.LinkSNRdB(tr, tx, rx)
 }
 
-// WiFiBestRateBps is the best-case throughput of the 802.11ac-class link
-// the paper dismisses (3×3 MIMO, 80 MHz): ~1.3 Gb/s.
-const WiFiBestRateBps = 1.3e9
-
-// WiFiRateBps models the conventional-band fallback: full rate up to a
-// comfortable indoor range, degrading gently with distance, and immune
-// to mmWave-style hand blockage (lower bands diffract around small
-// obstacles). It never reaches VR's multi-Gbps requirement.
-func WiFiRateBps(distanceM float64) float64 {
-	switch {
-	case distanceM <= 5:
-		return WiFiBestRateBps
-	case distanceM <= 15:
-		// Linear roll-off to ~600 Mb/s at 15 m.
-		f := (distanceM - 5) / 10
-		return WiFiBestRateBps * (1 - 0.55*f)
-	default:
-		return 0.45 * WiFiBestRateBps
-	}
-}
-
 // MultiAP is the brute-force alternative: several full mmWave APs spread
 // around the room, each needing its own HDMI cable run to the PC.
 type MultiAP struct {
@@ -175,11 +151,3 @@ func (m MultiAP) CablingM(pcPos geom.Vec) float64 {
 	}
 	return total
 }
-
-// RequiredSNRGap returns how far an SNR falls short of (negative) or
-// clears (positive) a requirement, a convenience for reports.
-func RequiredSNRGap(snrDB, requiredDB float64) float64 { return snrDB - requiredDB }
-
-// GbpsOrZero converts an SNR to the achievable 802.11ad rate in Gb/s
-// units for report tables (0 when the link is down).
-func GbpsOrZero(rateBps float64) float64 { return rateBps / units.Gbps }

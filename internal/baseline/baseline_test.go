@@ -97,24 +97,6 @@ func TestStaticWHDIBreaksOnMotion(t *testing.T) {
 	}
 }
 
-func TestWiFiNeverMeetsVR(t *testing.T) {
-	req := phy.HTCViveRequirement()
-	for _, d := range []float64{1, 5, 10, 20} {
-		if rate := WiFiRateBps(d); req.MetByRate(rate) {
-			t.Errorf("WiFi at %v m (%v bps) should not meet VR", d, rate)
-		}
-	}
-	// Monotone nonincreasing with distance.
-	prev := math.Inf(1)
-	for d := 1.0; d < 25; d += 0.5 {
-		r := WiFiRateBps(d)
-		if r > prev+1e-9 {
-			t.Fatalf("WiFi rate increased at %v m", d)
-		}
-		prev = r
-	}
-}
-
 func TestMultiAP(t *testing.T) {
 	rm := room.NewOffice5x5()
 	b := channel.DefaultBudget()
@@ -138,14 +120,5 @@ func TestMultiAP(t *testing.T) {
 	pc := geom.V(0.3, 0.3)
 	if deploy.CablingM(pc) <= 8 {
 		t.Errorf("cabling = %v m, want substantial", deploy.CablingM(pc))
-	}
-}
-
-func TestHelpers(t *testing.T) {
-	if RequiredSNRGap(20, 13) != 7 {
-		t.Error("gap wrong")
-	}
-	if GbpsOrZero(5e9) != 5 {
-		t.Error("GbpsOrZero wrong")
 	}
 }

@@ -96,17 +96,6 @@ type Options struct {
 	// and full reports remain comparable per op.
 	Fast bool
 
-	// GitSHA overrides revision detection (normally from the build info
-	// or the MOVR_GIT_SHA environment variable).
-	GitSHA string
-
-	// Workers stamps the suite's pinned worker-pool width into the
-	// report (<= 0 means the suite default). It is a recording knob, not
-	// an override: the suite's parallel entries pin their own widths so
-	// any two reports compare like for like, and Compare refuses reports
-	// whose stamps disagree.
-	Workers int
-
 	// CPUProfileDir and MemProfileDir, when non-empty, write one pprof
 	// profile per benchmark into the directory (created if absent):
 	// <name>.cpu.pprof covering exactly the measured repetitions, and
@@ -120,13 +109,9 @@ type Options struct {
 	Log func(format string, args ...any)
 }
 
-// GitSHA resolves the revision stamped into reports: explicit option,
-// then $MOVR_GIT_SHA, then the VCS revision embedded by the Go
-// toolchain, then "unknown".
-func (o Options) gitSHA() string {
-	if o.GitSHA != "" {
-		return shortSHA(o.GitSHA)
-	}
+// gitSHA resolves the revision stamped into reports: $MOVR_GIT_SHA,
+// then the VCS revision embedded by the Go toolchain, then "unknown".
+func gitSHA() string {
 	if env := os.Getenv("MOVR_GIT_SHA"); env != "" {
 		return shortSHA(env)
 	}
@@ -147,15 +132,6 @@ func shortSHA(sha string) string {
 	return sha
 }
 
-// workers resolves the parallelism stamp: explicit option, else the
-// suite's pinned width.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return suiteWorkers
-}
-
 func (o Options) logf(format string, args ...any) {
 	if o.Log != nil {
 		o.Log(format, args...)
@@ -166,13 +142,13 @@ func (o Options) logf(format string, args ...any) {
 func Run(specs []Spec, opts Options) (Report, error) {
 	rep := Report{
 		SchemaVersion: SchemaVersion,
-		GitSHA:        opts.gitSHA(),
+		GitSHA:        gitSHA(),
 		GoVersion:     runtime.Version(),
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
 		CPUs:          runtime.NumCPU(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Workers:       opts.workers(),
+		Workers:       suiteWorkers,
 		CreatedUTC:    time.Now().UTC().Format(time.RFC3339),
 	}
 	for _, sp := range specs {

@@ -27,7 +27,8 @@ func tinySpec(name string) Spec {
 }
 
 func TestRunAndRoundTrip(t *testing.T) {
-	rep, err := Run([]Spec{tinySpec("micro/sqrt")}, Options{GitSHA: "deadbeefcafe0123"})
+	t.Setenv("MOVR_GIT_SHA", "deadbeefcafe0123")
+	rep, err := Run([]Spec{tinySpec("micro/sqrt")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestRunAndRoundTrip(t *testing.T) {
 
 func TestGitSHAFromEnv(t *testing.T) {
 	t.Setenv("MOVR_GIT_SHA", "0123456789abcdef")
-	if got := (Options{}).gitSHA(); got != "0123456789ab" {
+	if got := gitSHA(); got != "0123456789ab" {
 		t.Errorf("env sha = %q", got)
 	}
 }
@@ -210,11 +211,11 @@ func TestAllocBoundEnforcedAtRunTime(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := Run([]Spec{sp}, Options{GitSHA: "test"}); err == nil {
+	if _, err := Run([]Spec{sp}, Options{}); err == nil {
 		t.Fatal("allocating op passed a 0.5 allocs/op hard bound")
 	}
 	sp.AllocBound = 1000
-	if _, err := Run([]Spec{sp}, Options{GitSHA: "test"}); err != nil {
+	if _, err := Run([]Spec{sp}, Options{}); err != nil {
 		t.Fatalf("op within its alloc bound failed: %v", err)
 	}
 }
@@ -222,7 +223,7 @@ func TestAllocBoundEnforcedAtRunTime(t *testing.T) {
 func TestProfileDirsWritten(t *testing.T) {
 	dir := t.TempDir()
 	rep, err := Run([]Spec{tinySpec("micro/prof")},
-		Options{GitSHA: "test", CPUProfileDir: dir, MemProfileDir: dir})
+		Options{CPUProfileDir: dir, MemProfileDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestProfileDirsWritten(t *testing.T) {
 }
 
 func TestReportStampsParallelism(t *testing.T) {
-	rep, err := Run([]Spec{tinySpec("micro/stamp")}, Options{GitSHA: "test"})
+	rep, err := Run([]Spec{tinySpec("micro/stamp")}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +251,6 @@ func TestReportStampsParallelism(t *testing.T) {
 	}
 	if rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
 		t.Errorf("gomaxprocs = %d, want %d", rep.GOMAXPROCS, runtime.GOMAXPROCS(0))
-	}
-	if rep, err = Run(nil, Options{GitSHA: "test", Workers: 7}); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Workers != 7 {
-		t.Errorf("explicit workers stamp = %d, want 7", rep.Workers)
 	}
 }
 
@@ -305,7 +300,7 @@ func TestSuiteTracerRuns(t *testing.T) {
 			specs = append(specs, sp)
 		}
 	}
-	rep, err := Run(specs, Options{Fast: true, GitSHA: "test"})
+	rep, err := Run(specs, Options{Fast: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,11 +67,6 @@ func (b Budget) SNRdB(rxPowerDBm float64) float64 {
 	return rxPowerDBm - b.NoiseFloorDBm()
 }
 
-// PathSNRdB returns the SNR of a single path with the given antenna gains.
-func (b Budget) PathSNRdB(p Path, txGainDBi, rxGainDBi float64) float64 {
-	return b.SNRdB(b.RXPowerDBm(p, txGainDBi, rxGainDBi))
-}
-
 // Gainer exposes a directional gain lookup; both *antenna.Array and test
 // doubles satisfy it.
 type Gainer interface {
@@ -117,31 +112,4 @@ func (b Budget) CombinedRXPowerDBmOfKind(paths []Path, kind PathKind, tx, rx Gai
 // CombinedSNRdBOfKind is CombinedRXPowerDBmOfKind converted to SNR.
 func (b Budget) CombinedSNRdBOfKind(paths []Path, kind PathKind, tx, rx Gainer) float64 {
 	return b.SNRdB(b.CombinedRXPowerDBmOfKind(paths, kind, tx, rx))
-}
-
-// BestPath returns the index of the lowest-loss path in paths, or −1 for
-// an empty slice.
-func BestPath(paths []Path, freqHz float64) int {
-	best, bestIdx := math.Inf(1), -1
-	for i, p := range paths {
-		if l := p.PropagationLossDB(freqHz); l < best {
-			best, bestIdx = l, i
-		}
-	}
-	return bestIdx
-}
-
-// BestReflectedPath returns the index of the lowest-loss reflected
-// (non-direct) path, or −1 when there is none.
-func BestReflectedPath(paths []Path, freqHz float64) int {
-	best, bestIdx := math.Inf(1), -1
-	for i, p := range paths {
-		if p.Kind != Reflected {
-			continue
-		}
-		if l := p.PropagationLossDB(freqHz); l < best {
-			best, bestIdx = l, i
-		}
-	}
-	return bestIdx
 }

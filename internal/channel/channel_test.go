@@ -184,12 +184,19 @@ func TestNLOSBudgetMatchesPaper(t *testing.T) {
 	tr := NewTracer(office(), units.ISM24GHz, 1)
 	tx, rx := geom.V(0.7, 0.7), geom.V(4.2, 3.8)
 	paths := tr.Trace(tx, rx)
-	di := BestPath(paths, units.ISM24GHz)
-	ri := BestReflectedPath(paths, units.ISM24GHz)
-	if di < 0 || ri < 0 {
-		t.Fatal("missing paths")
+	// Paths sort by ascending loss: the first is the best, the first
+	// reflected one the best reflection.
+	ri := -1
+	for i, p := range paths {
+		if p.Kind == Reflected {
+			ri = i
+			break
+		}
 	}
-	gap := paths[ri].PropagationLossDB(units.ISM24GHz) - paths[di].PropagationLossDB(units.ISM24GHz)
+	if ri < 0 {
+		t.Fatal("missing reflected path")
+	}
+	gap := paths[ri].PropagationLossDB(units.ISM24GHz) - paths[0].PropagationLossDB(units.ISM24GHz)
 	if gap < 6 || gap > 25 {
 		t.Errorf("NLOS-vs-LOS gap = %v dB, want ~8-25 (paper mean 16-17)", gap)
 	}
@@ -205,13 +212,13 @@ func TestBudgetSNR(t *testing.T) {
 	p := tr.Trace(geom.V(1, 1), geom.V(4, 4))[0]
 	// With 15 dBi arrays on both ends, a mid-room link should land in
 	// the paper's LOS regime (Fig 3: mean SNR ≈ 25 dB).
-	snr := b.PathSNRdB(p, 15, 15)
+	snr := b.SNRdB(b.RXPowerDBm(p, 15, 15))
 	if snr < 20 || snr > 30 {
 		t.Errorf("LOS SNR = %v dB, want paper-like ~25", snr)
 	}
 	// Headset very close to the AP: "very high SNR (30-35 dB)" (§5.2).
 	pc := tr.Trace(geom.V(1, 1), geom.V(1.8, 1.6))[0]
-	if snr := b.PathSNRdB(pc, 15, 15); snr < 30 || snr > 40 {
+	if snr := b.SNRdB(b.RXPowerDBm(pc, 15, 15)); snr < 30 || snr > 40 {
 		t.Errorf("close-range SNR = %v dB, want 30-35+", snr)
 	}
 }
@@ -227,7 +234,7 @@ func TestCombinedPower(t *testing.T) {
 	// With isotropic antennas, combined power must exceed any single
 	// path's power (energy adds) and be within a few dB of the direct.
 	combined := b.CombinedRXPowerDBm(paths, fixedGain(0), fixedGain(0))
-	direct := b.RXPowerDBm(paths[BestPath(paths, b.FreqHz)], 0, 0)
+	direct := b.RXPowerDBm(paths[0], 0, 0) // paths sort by ascending loss
 	if combined < direct {
 		t.Errorf("combined %v < strongest path %v", combined, direct)
 	}
@@ -237,20 +244,6 @@ func TestCombinedPower(t *testing.T) {
 	snr := b.CombinedSNRdB(paths, fixedGain(0), fixedGain(0))
 	if snr != b.SNRdB(combined) {
 		t.Error("CombinedSNRdB inconsistent with CombinedRXPowerDBm")
-	}
-}
-
-func TestBestPathHelpers(t *testing.T) {
-	if BestPath(nil, units.ISM24GHz) != -1 {
-		t.Error("empty BestPath should be -1")
-	}
-	if BestReflectedPath(nil, units.ISM24GHz) != -1 {
-		t.Error("empty BestReflectedPath should be -1")
-	}
-	tr := NewTracer(office(), units.ISM24GHz, 0)
-	paths := tr.Trace(geom.V(1, 1), geom.V(2, 2))
-	if BestReflectedPath(paths, units.ISM24GHz) != -1 {
-		t.Error("direct-only trace has no reflected path")
 	}
 }
 

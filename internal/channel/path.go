@@ -160,10 +160,6 @@ func TransmissionLossDB(mat room.Material) float64 {
 	return 2 + 2*(16-mat.ReflLossDB)
 }
 
-// Blocked reports whether the path suffers any obstacle loss beyond
-// the given threshold (default sense: any loss at all).
-func (p Path) Blocked(thresholdDB float64) bool { return p.BlockLossDB > thresholdDB }
-
 // Standard mounting heights in the testbed. The floor plan is 2-D, but
 // blockage is computed in 2.5-D: a ray between elevated endpoints can
 // pass over a person's head, which is what lets the wall-mounted

@@ -137,15 +137,6 @@ func (c *PathCache) Tracer() *Tracer { return c.t }
 // Stats returns the query-tier counters.
 func (c *PathCache) Stats() PathCacheStats { return c.stats }
 
-// Invalidate discards every cached slot; the next query of each slot is
-// a full re-trace.
-func (c *PathCache) Invalidate() {
-	for i := range c.slots {
-		c.slots[i].valid = false
-		c.slots[i].hasContrib = false
-	}
-}
-
 // TraceHInto answers a trace query through the cache, with the exact
 // semantics (and bit-identical results) of Tracer.TraceHInto: traced
 // paths are appended to dst reusing its capacity, sorted ascending by

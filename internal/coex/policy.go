@@ -117,9 +117,6 @@ type Window struct {
 	lay *layout
 }
 
-// Players returns the number of headsets sharing the medium.
-func (w *Window) Players() int { return len(w.Poses) }
-
 // Weight returns player i's airtime weight (1 when the room carries no
 // explicit weights).
 func (w *Window) Weight(i int) float64 {
@@ -149,7 +146,7 @@ type AirtimePolicy interface {
 	Name() PolicyName
 
 	// Shares fills shares[i] with player i's relative share of the
-	// window's downlink airtime (shares is zeroed, len = Players()).
+	// window's downlink airtime (shares is zeroed, len = len(w.Poses)).
 	// The scheduler normalizes, so only ratios matter; inactive
 	// players are forced to zero regardless. Returning all zeros
 	// degrades to an even split over the active players.

@@ -147,10 +147,6 @@ func TestLinkDefaultsAndReset(t *testing.T) {
 	if _, err := l.Call(Message{Type: MsgAck}); err != nil {
 		t.Fatal(err)
 	}
-	l.ResetClock()
-	if l.Elapsed() != 0 {
-		t.Error("ResetClock failed")
-	}
 }
 
 // Property: every message round-trips through the codec.

@@ -101,6 +101,3 @@ func (l *Link) Elapsed() time.Duration { return l.elapsed }
 
 // Stats returns the exchange and drop counters.
 func (l *Link) Stats() (exchanges, drops int) { return l.exchanges, l.drops }
-
-// ResetClock zeroes the elapsed-time accumulator (counters are kept).
-func (l *Link) ResetClock() { l.elapsed = 0 }

@@ -1,7 +1,7 @@
 // Package dsp provides the signal-processing primitives the simulator
 // needs to run the MoVR backscatter measurement and the OFDM modem on
 // actual synthesized samples: complex tone generation, a radix-2 FFT,
-// windowing, power spectra, and sideband power integration.
+// power spectra, and sideband power integration.
 package dsp
 
 import (
@@ -10,15 +10,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 )
-
-// NextPow2 returns the smallest power of two ≥ n (and ≥ 1).
-func NextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -124,27 +115,6 @@ func AddNoise(x []complex128, noisePower float64, rng *rand.Rand) {
 	}
 }
 
-// Hann returns an n-point Hann window.
-func Hann(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return w
-}
-
-// ApplyWindow multiplies x by the window w element-wise, in place. The
-// slices must have equal length.
-func ApplyWindow(x []complex128, w []float64) {
-	for i := range x {
-		x[i] *= complex(w[i], 0)
-	}
-}
-
 // PowerSpectrum returns the per-bin power |X[k]|²/N² of the FFT of x, so
 // that a unit-amplitude complex tone centred on a bin contributes power
 // 1.0 to that bin. The input length must be a power of two.
@@ -186,32 +156,6 @@ func BandPower(spectrum []float64, centre, halfWidth int) float64 {
 		total += spectrum[i]
 	}
 	return total
-}
-
-// PeakBin returns the index of the largest spectrum bin, excluding any
-// bins within excludeHalfWidth of excludeCentre (useful for skipping a
-// strong carrier when hunting for a sideband). It returns −1 for an empty
-// spectrum.
-func PeakBin(spectrum []float64, excludeCentre, excludeHalfWidth int) int {
-	n := len(spectrum)
-	best, bestIdx := math.Inf(-1), -1
-	for i, p := range spectrum {
-		d := i - excludeCentre
-		// Wrap distance.
-		if d > n/2 {
-			d -= n
-		}
-		if d < -n/2 {
-			d += n
-		}
-		if d >= -excludeHalfWidth && d <= excludeHalfWidth {
-			continue
-		}
-		if p > best {
-			best, bestIdx = p, i
-		}
-	}
-	return bestIdx
 }
 
 // SquareWave returns n samples of a 0/1 square wave with the given

@@ -439,7 +439,4 @@ func TestRenderHelpers(t *testing.T) {
 	if GbpsAt(25) < 6 {
 		t.Error("GbpsAt(25) should be ~6.76")
 	}
-	if RequiredRateGbpsForDisplay() < 5 {
-		t.Error("required display rate should be ~5.6 Gb/s")
-	}
 }

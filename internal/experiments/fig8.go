@@ -22,9 +22,6 @@ type Fig8Config struct {
 	// hierarchical one (slower; same accuracy).
 	Exhaustive bool
 
-	// ControlLossProb injects control-frame loss.
-	ControlLossProb float64
-
 	// Seed fixes placements and measurement noise.
 	Seed int64
 }
@@ -67,7 +64,7 @@ func Fig8(cfg Fig8Config) Fig8Result {
 			run--
 			continue
 		}
-		link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, cfg.ControlLossProb, cfg.Seed+int64(run))
+		link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, cfg.Seed+int64(run))
 		aCfg := align.DefaultConfig()
 		aCfg.Seed = cfg.Seed + int64(run)*7919
 		sw, err := align.NewSweeper(w.AP, dev, link, w.Tracer, aCfg)

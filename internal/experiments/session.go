@@ -11,7 +11,6 @@ import (
 	"github.com/movr-sim/movr/internal/obs"
 	"github.com/movr-sim/movr/internal/room"
 	"github.com/movr-sim/movr/internal/stream"
-	"github.com/movr-sim/movr/internal/units"
 	"github.com/movr-sim/movr/internal/vr"
 )
 
@@ -309,9 +308,4 @@ func (r SessionResult) Render() string {
 		rows,
 	))
 	return b.String()
-}
-
-// RequiredRateGbpsForDisplay is a convenience for reports.
-func RequiredRateGbpsForDisplay() float64 {
-	return stream.RequiredRateBps(vr.HTCVive()) / units.Gbps
 }

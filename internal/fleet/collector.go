@@ -544,13 +544,6 @@ func (s Shard) Range(n int) (lo, hi int) {
 	return n * s.Index / s.Count, n * (s.Index + 1) / s.Count
 }
 
-// Slice returns the shard's sub-slice of specs (sharing the backing
-// array).
-func (s Shard) Slice(specs []Spec) []Spec {
-	lo, hi := s.Range(len(specs))
-	return specs[lo:hi]
-}
-
 // AlignedRange returns the shard's half-open spec-index range with
 // boundaries aligned to bay-size multiples, so no shard splits a bay
 // and every shard runs whole bays. Spec sets built by

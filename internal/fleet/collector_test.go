@@ -151,12 +151,16 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 		ReEvalPeriod: 50 * time.Millisecond,
 		Seed:         7,
 	}
-	kinds := []Kind{KindMixed, KindHome, KindCoex}
+	kinds := []Kind{KindMixed, KindHome, KindCoex, KindCoexEDF, KindVenue}
 	if testing.Short() {
-		kinds = []Kind{KindMixed}
+		kinds = []Kind{KindCoex}
 	}
+	// Ten sessions do not split into whole rooms of four evenly, so the
+	// bay-aligned split production shards with differs from the plain
+	// Range split in some case below.
+	aligned := false
 	for _, kind := range kinds {
-		specs, err := kind.Specs(8, cfg)
+		specs, err := kind.Specs(10, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -182,7 +186,11 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 			streamParts := make([]Result, count)
 			for i := 0; i < count; i++ {
 				sh := Shard{Index: i, Count: count}
-				part := sh.Slice(specs)
+				part := sh.SliceAligned(specs)
+				lo, hi := sh.Range(len(specs))
+				if alo, ahi := sh.AlignedRange(len(specs), BayLen(specs)); alo != lo || ahi != hi {
+					aligned = true
+				}
 				if exactParts[i], err = Run(context.Background(), part, Config{Workers: 2}); err != nil {
 					t.Fatalf("%s shard %d/%d: %v", kind, i, count, err)
 				}
@@ -218,6 +226,9 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 			}
 			assertStreamWithinBound(t, unsharded.Agg, mergedStream)
 		}
+	}
+	if !aligned {
+		t.Fatal("every shard range equals its unaligned Range: the bay-aligned split went unexercised")
 	}
 }
 

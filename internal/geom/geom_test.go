@@ -133,28 +133,6 @@ func TestCircleClearance(t *testing.T) {
 	}
 }
 
-func TestChordParams(t *testing.T) {
-	c := Circle{C: V(5, 0), R: 1}
-	s := Seg(V(0, 0), V(10, 0))
-	t0, t1, ok := c.ChordParams(s)
-	if !ok {
-		t.Fatal("expected chord")
-	}
-	if math.Abs(t0-0.4) > 1e-12 || math.Abs(t1-0.6) > 1e-12 {
-		t.Errorf("chord params = %v, %v", t0, t1)
-	}
-	// Miss entirely.
-	if _, _, ok := (Circle{C: V(5, 3), R: 1}).ChordParams(s); ok {
-		t.Error("expected no chord")
-	}
-	// Chord clamped to segment range.
-	s2 := Seg(V(4.5, 0), V(5, 0))
-	t0, t1, ok = c.ChordParams(s2)
-	if !ok || t0 != 0 || t1 != 1 {
-		t.Errorf("interior segment chord = %v,%v,%v", t0, t1, ok)
-	}
-}
-
 func TestMirrorPoint(t *testing.T) {
 	wall := Seg(V(0, 0), V(10, 0)) // the X axis
 	img := MirrorPoint(V(3, 4), wall)
@@ -206,37 +184,6 @@ func TestSpecularPointRejections(t *testing.T) {
 	// Point on the wall line.
 	if _, ok := SpecularPoint(V(2, 0), V(8, 2), wall); ok {
 		t.Error("tx on wall line should fail")
-	}
-}
-
-func TestReflectDir(t *testing.T) {
-	d := ReflectDir(V(1, -1).Unit(), V(0, 1))
-	if !d.AlmostEqual(V(1, 1).Unit(), 1e-12) {
-		t.Errorf("ReflectDir = %v", d)
-	}
-}
-
-func TestPolylineLength(t *testing.T) {
-	if got := PolylineLength([]Vec{V(0, 0), V(3, 4), V(3, 10)}); math.Abs(got-11) > 1e-12 {
-		t.Errorf("PolylineLength = %v", got)
-	}
-	if got := PolylineLength([]Vec{V(1, 1)}); got != 0 {
-		t.Errorf("single point length = %v", got)
-	}
-	if got := PolylineLength(nil); got != 0 {
-		t.Errorf("nil length = %v", got)
-	}
-}
-
-func TestIncidenceAngle(t *testing.T) {
-	wall := Seg(V(0, 0), V(10, 0))
-	// Ray straight down onto the wall: 0 degrees from normal.
-	if got := IncidenceAngleDeg(V(0, -1), wall); math.Abs(got) > 1e-9 {
-		t.Errorf("normal incidence = %v", got)
-	}
-	// 45-degree incidence.
-	if got := IncidenceAngleDeg(V(1, -1), wall); math.Abs(got-45) > 1e-9 {
-		t.Errorf("45 incidence = %v", got)
 	}
 }
 

@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // MirrorPoint returns p reflected across the infinite line that contains
 // the segment wall. This is the "image source" of the image method used to
 // construct specular reflection paths.
@@ -40,31 +38,4 @@ func SpecularPoint(tx, rx Vec, wall Segment) (Vec, bool) {
 		return Vec{}, false
 	}
 	return hit, true
-}
-
-// ReflectDir returns direction d reflected about a surface with unit
-// normal n.
-func ReflectDir(d, n Vec) Vec {
-	n = n.Unit()
-	return d.Sub(n.Scale(2 * d.Dot(n)))
-}
-
-// PolylineLength returns the total length of a path through the given
-// points.
-func PolylineLength(pts []Vec) float64 {
-	total := 0.0
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return total
-}
-
-// IncidenceAngleDeg returns the angle (degrees, in [0, 90]) between an
-// incoming ray direction and the wall's surface normal at a reflection
-// point, useful for angle-dependent reflection losses.
-func IncidenceAngleDeg(incoming Vec, wall Segment) float64 {
-	n := wall.Normal()
-	cos := math.Abs(incoming.Unit().Dot(n))
-	cos = math.Min(1, math.Max(-1, cos))
-	return math.Acos(cos) * 180 / math.Pi
 }

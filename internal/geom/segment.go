@@ -10,12 +10,6 @@ type Segment struct {
 // Seg is shorthand for constructing a Segment.
 func Seg(a, b Vec) Segment { return Segment{A: a, B: b} }
 
-// Length returns the segment's length.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the segment's midpoint.
-func (s Segment) Midpoint() Vec { return s.A.Lerp(s.B, 0.5) }
-
 // Dir returns the unit direction from A to B.
 func (s Segment) Dir() Vec { return s.B.Sub(s.A).Unit() }
 
@@ -45,12 +39,6 @@ func (s Segment) Intersect(o Segment) (Vec, bool) {
 	return s.A.Add(d1.Scale(t)), true
 }
 
-// Intersects reports whether two segments cross.
-func (s Segment) Intersects(o Segment) bool {
-	_, ok := s.Intersect(o)
-	return ok
-}
-
 // ClosestPoint returns the point on the segment closest to p.
 func (s Segment) ClosestPoint(p Vec) Vec {
 	d := s.B.Sub(s.A)
@@ -73,9 +61,6 @@ type Circle struct {
 	R float64
 }
 
-// Contains reports whether p lies inside or on the circle.
-func (c Circle) Contains(p Vec) bool { return c.C.Dist(p) <= c.R }
-
 // SegmentClearance returns the distance from the circle's edge to the
 // segment: positive when the segment misses the circle (by that margin),
 // negative when the segment cuts through it (by the penetration depth).
@@ -86,29 +71,4 @@ func (c Circle) SegmentClearance(s Segment) float64 {
 // IntersectsSegment reports whether the segment passes through the circle.
 func (c Circle) IntersectsSegment(s Segment) bool {
 	return c.SegmentClearance(s) < 0
-}
-
-// ChordParams returns the parameters t0 <= t1 along the segment (as in
-// Segment.PointAt) at which it enters and exits the circle, and true when
-// the segment actually intersects the circle's interior.
-func (c Circle) ChordParams(s Segment) (t0, t1 float64, ok bool) {
-	d := s.B.Sub(s.A)
-	f := s.A.Sub(c.C)
-	a := d.Dot(d)
-	if a == 0 {
-		return 0, 0, false
-	}
-	b := 2 * f.Dot(d)
-	cc := f.Dot(f) - c.R*c.R
-	disc := b*b - 4*a*cc
-	if disc < 0 {
-		return 0, 0, false
-	}
-	sq := math.Sqrt(disc)
-	t0 = (-b - sq) / (2 * a)
-	t1 = (-b + sq) / (2 * a)
-	if t1 < 0 || t0 > 1 {
-		return 0, 0, false
-	}
-	return math.Max(t0, 0), math.Min(t1, 1), true
 }

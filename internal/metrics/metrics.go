@@ -133,9 +133,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 	return g
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add moves the value by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 

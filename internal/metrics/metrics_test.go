@@ -13,7 +13,7 @@ func TestCounterAndGauge(t *testing.T) {
 	g := r.NewGauge("jobs_running", "jobs running now")
 	c.Inc()
 	c.Add(4)
-	g.Set(3)
+	g.Add(3)
 	g.Add(-1)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d", c.Value())

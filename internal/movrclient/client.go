@@ -1,7 +1,7 @@
 // Package movrclient is the Go client for the movrd v1 job API: submit
-// simulation specs, poll or block for results, stream per-session
-// progress events, page through the job listing, and fetch trace
-// artifacts. It is the one in-repo consumer idiom for the HTTP surface
+// simulation specs and block for results, read a job's status, stream
+// per-session progress events, page through the job listing, and
+// scrape metrics. It is the one in-repo consumer idiom for the HTTP surface
 // — examples/serve and cmd/movrload both drive movrd through it, so
 // any drift between server and client breaks visibly in tests.
 //
@@ -100,16 +100,6 @@ type Job struct {
 	CacheDisposition string `json:"-"`
 }
 
-// Terminal reports whether the job has finished (done, failed, or
-// canceled).
-func (j *Job) Terminal() bool {
-	switch j.State {
-	case "done", "failed", "canceled":
-		return true
-	}
-	return false
-}
-
 // Event is one entry of a job's progress stream.
 type Event struct {
 	Seq           int     `json:"seq"`
@@ -123,28 +113,16 @@ type Event struct {
 	Error         string  `json:"error,omitempty"`
 }
 
-// Submit posts a job spec and returns the accepted job without waiting
-// for completion. spec is any JSON-marshalable value — typically a
-// map or a struct mirroring the movrd spec schema.
-func (c *Client) Submit(ctx context.Context, spec any) (*Job, error) {
-	return c.submit(ctx, spec, false)
-}
-
 // SubmitWait posts a job spec and blocks until the job is terminal,
-// returning the finished job with its result.
+// returning the finished job with its result. spec is any
+// JSON-marshalable value — typically a map or a struct mirroring the
+// movrd spec schema.
 func (c *Client) SubmitWait(ctx context.Context, spec any) (*Job, error) {
-	return c.submit(ctx, spec, true)
-}
-
-func (c *Client) submit(ctx context.Context, spec any, wait bool) (*Job, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, fmt.Errorf("movrclient: marshal spec: %w", err)
 	}
-	u := c.BaseURL + "/v1/jobs"
-	if wait {
-		u += "?wait=1"
-	}
+	u := c.BaseURL + "/v1/jobs?wait=1"
 	backoff := c.RetryBackoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
@@ -184,43 +162,6 @@ func (c *Client) submit(ctx context.Context, spec any, wait bool) (*Job, error) 
 // Get fetches the current status (and result, if terminal) of a job.
 func (c *Client) Get(ctx context.Context, id string) (*Job, error) {
 	return c.getJob(ctx, c.BaseURL+"/v1/jobs/"+url.PathEscape(id))
-}
-
-// Cancel requests cancellation and returns the job's state after the
-// request. Canceling a terminal job is a no-op.
-func (c *Client) Cancel(ctx context.Context, id string) (*Job, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		c.BaseURL+"/v1/jobs/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	return decodeJob(resp)
-}
-
-// Wait polls until the job is terminal. poll bounds the status-check
-// interval (default 50ms).
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*Job, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	for {
-		j, err := c.Get(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if j.Terminal() {
-			return j, nil
-		}
-		select {
-		case <-time.After(poll):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // ListOptions filter and page the job listing.
@@ -309,25 +250,6 @@ func (c *Client) StreamEvents(ctx context.Context, id string, fn func(Event) err
 		}
 	}
 	return sc.Err()
-}
-
-// Trace fetches a completed traced job's flight-data artifact (Chrome
-// trace-event JSON).
-func (c *Client) Trace(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/v1/jobs/"+url.PathEscape(id)+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // Metrics fetches the raw Prometheus text exposition.

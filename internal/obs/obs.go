@@ -191,11 +191,6 @@ func (r *Recorder) SetClock(clock func() time.Duration) {
 	r.clock = clock
 }
 
-// Enabled reports whether events are being recorded — the guard for
-// instrumentation that must do extra work (beyond the emit itself)
-// only when tracing is on.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Emit records an event stamped with the recorder clock (T=0 with no
 // clock installed). Nil-receiver safe and allocation-free.
 func (r *Recorder) Emit(k Kind, a, b int32, x, y float64) {
@@ -276,15 +271,6 @@ func (r *Recorder) Events() []Event {
 	head := copy(out, r.buf[r.start:min(r.start+r.n, len(r.buf))])
 	copy(out[head:], r.buf[:r.n-head])
 	return out
-}
-
-// Reset empties the ring and zeroes the drop count; the capacity and
-// clock are kept.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.start, r.n, r.dropped = 0, 0, 0
 }
 
 // SessionTrace is one session's recorded events plus its identity and

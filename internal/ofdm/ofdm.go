@@ -243,23 +243,6 @@ func EstimateSNRdB(received, reference []complex128) (float64, error) {
 	return 10 * math.Log10(sig/errPow), nil
 }
 
-// HardDemap slices each received point to the nearest constellation point
-// and returns the indices.
-func (m *Modem) HardDemap(points []complex128) []int {
-	c := m.constellation()
-	out := make([]int, len(points))
-	for i, p := range points {
-		best, bestD := 0, math.Inf(1)
-		for j, s := range c {
-			if d := cmplx.Abs(p - s); d < bestD {
-				best, bestD = j, d
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
 // MeasureAtSNR performs the full data-plane SNR measurement the paper's
 // headset does (§5.2): modulate nSymbols random OFDM symbols, pass them
 // through a flat channel with AWGN at the given per-subcarrier SNR,
@@ -302,21 +285,4 @@ func (m *Modem) MeasureAtSNR(snrDB float64, nSymbols int, seed int64) (float64, 
 		refAll = append(refAll, ref...)
 	}
 	return EstimateSNRdB(rxAll, refAll)
-}
-
-// SymbolErrorRate compares hard decisions on received points against the
-// reference points and returns the fraction that decoded incorrectly.
-func (m *Modem) SymbolErrorRate(received, reference []complex128) float64 {
-	if len(received) != len(reference) || len(received) == 0 {
-		return math.NaN()
-	}
-	rx := m.HardDemap(received)
-	ref := m.HardDemap(reference)
-	errors := 0
-	for i := range rx {
-		if rx[i] != ref[i] {
-			errors++
-		}
-	}
-	return float64(errors) / float64(len(rx))
 }

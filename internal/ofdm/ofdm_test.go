@@ -165,44 +165,6 @@ func TestEVMErrors(t *testing.T) {
 	}
 }
 
-func TestSymbolErrorRate(t *testing.T) {
-	m, _ := NewModem(DefaultConfig())
-	rng := rand.New(rand.NewSource(3))
-	ref := m.RandomSymbols(1000, rng)
-	// Clean copy: zero errors.
-	if ser := m.SymbolErrorRate(ref, ref); ser != 0 {
-		t.Errorf("clean SER = %v", ser)
-	}
-	// Heavy noise: plenty of errors.
-	noisy := append([]complex128(nil), ref...)
-	dsp.AddNoise(noisy, 2.0, rng)
-	if ser := m.SymbolErrorRate(noisy, ref); ser < 0.05 {
-		t.Errorf("noisy SER = %v, want > 0.05", ser)
-	}
-	if !math.IsNaN(m.SymbolErrorRate(ref, ref[:10])) {
-		t.Error("mismatched SER should be NaN")
-	}
-}
-
-func TestQAM64MoreFragileThanQPSK(t *testing.T) {
-	// At equal SNR, 64QAM must suffer a higher symbol error rate — the
-	// reason higher MCS needs higher SNR.
-	rng := rand.New(rand.NewSource(5))
-	sers := map[Modulation]float64{}
-	for _, mod := range []Modulation{QPSK, QAM64} {
-		cfg := DefaultConfig()
-		cfg.Mod = mod
-		m, _ := NewModem(cfg)
-		ref := m.RandomSymbols(4000, rng)
-		noisy := append([]complex128(nil), ref...)
-		dsp.AddNoise(noisy, math.Pow(10, -12.0/10), rng) // 12 dB SNR
-		sers[mod] = m.SymbolErrorRate(noisy, ref)
-	}
-	if sers[QAM64] <= sers[QPSK] {
-		t.Errorf("SER(64QAM)=%v should exceed SER(QPSK)=%v", sers[QAM64], sers[QPSK])
-	}
-}
-
 func TestCarrierLayoutAvoidsDC(t *testing.T) {
 	m, _ := NewModem(DefaultConfig())
 	for _, k := range m.carriers {

@@ -127,18 +127,6 @@ func RateBps(snrDB float64) float64 {
 	return m.RateBps
 }
 
-// GoodputBps returns the expected useful throughput at snrDB: the best
-// MCS's PHY rate discounted by its packet error rate at that SNR. Near
-// an MCS threshold the goodput dips below the nominal rate — the reason
-// rate adaptation keeps a margin.
-func GoodputBps(snrDB float64) float64 {
-	m, ok := Best(snrDB)
-	if !ok {
-		return 0
-	}
-	return m.RateBps * (1 - m.PERAt(snrDB))
-}
-
 // MinSNRForRate returns the lowest SNR at which some MCS achieves at
 // least rateBps, or +Inf when no MCS is fast enough.
 func MinSNRForRate(rateBps float64) float64 {
@@ -149,32 +137,4 @@ func MinSNRForRate(rateBps float64) float64 {
 		}
 	}
 	return best
-}
-
-// ByIndex returns the MCS with the given index and true when it exists.
-func ByIndex(idx int) (MCS, bool) {
-	for _, m := range Table {
-		if m.Index == idx {
-			return m, true
-		}
-	}
-	return MCS{}, false
-}
-
-// PERAt approximates the packet error rate of this MCS at the given SNR
-// with a logistic waterfall centred slightly below the MCS operating
-// point: ~1% PER at MinSNRdB, falling fast above it. It is used by the
-// streaming simulator to inject residual loss.
-func (m MCS) PERAt(snrDB float64) float64 {
-	// Logistic centred at MinSNR - 1.15 with slope chosen so that
-	// PER(MinSNR) ≈ 1e-2 and PER(MinSNR-3) ≈ 1.
-	const width = 0.25 // dB per logistic unit
-	x := (snrDB - (m.MinSNRdB - 1.15)) / width
-	if x > 500 {
-		return 0
-	}
-	if x < -500 {
-		return 1
-	}
-	return 1 / (1 + math.Exp(x))
 }

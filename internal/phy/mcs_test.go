@@ -84,37 +84,12 @@ func TestMinSNRForRate(t *testing.T) {
 	}
 }
 
-func TestByIndex(t *testing.T) {
-	m, ok := ByIndex(12)
-	if !ok || m.PHY != SingleCarrier || m.Modulation != "pi/2-16QAM" {
-		t.Errorf("ByIndex(12) = %+v", m)
-	}
-	if _, ok := ByIndex(99); ok {
-		t.Error("ByIndex(99) should fail")
-	}
-}
-
 func TestPHYTypeString(t *testing.T) {
 	if Control.String() != "control" || SingleCarrier.String() != "SC" || OFDM.String() != "OFDM" {
 		t.Error("PHYType strings wrong")
 	}
 	if PHYType(9).String() != "unknown" {
 		t.Error("unknown PHYType string")
-	}
-}
-
-func TestPER(t *testing.T) {
-	m, _ := ByIndex(12)
-	// At the operating point, PER ≈ 1%.
-	if per := m.PERAt(m.MinSNRdB); per > 0.03 || per < 0.001 {
-		t.Errorf("PER at MinSNR = %v, want ~0.01", per)
-	}
-	// Well above: essentially zero. Well below: essentially one.
-	if per := m.PERAt(m.MinSNRdB + 5); per > 1e-6 {
-		t.Errorf("PER at +5 dB = %v", per)
-	}
-	if per := m.PERAt(m.MinSNRdB - 5); per < 0.999 {
-		t.Errorf("PER at -5 dB = %v", per)
 	}
 }
 
@@ -181,24 +156,6 @@ func TestQuickBestConsistent(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: PER is monotone nonincreasing in SNR for every MCS.
-func TestQuickPERMonotone(t *testing.T) {
-	f := func(a, b float64, idx uint8) bool {
-		m := Table[int(idx)%len(Table)]
-		s1, s2 := math.Mod(a, 60), math.Mod(b, 60)
-		if math.IsNaN(s1) || math.IsNaN(s2) {
-			return true
-		}
-		if s1 > s2 {
-			s1, s2 = s2, s1
-		}
-		return m.PERAt(s1) >= m.PERAt(s2)-1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -57,12 +57,6 @@ func (r *Radio) SteerTo(deg float64) float64 { return r.Array.SteerTo(deg) }
 // GainDBi returns the array's realized gain toward a world angle.
 func (r *Radio) GainDBi(deg float64) float64 { return r.Array.GainDBi(deg) }
 
-// EIRPDBm returns the effective isotropic radiated power toward a world
-// angle with the current steering.
-func (r *Radio) EIRPDBm(deg float64) float64 {
-	return r.Budget.TXPowerDBm + r.Array.GainDBi(deg)
-}
-
 // String describes the radio.
 func (r *Radio) String() string {
 	return fmt.Sprintf("%s@(%.2f,%.2f) beam=%.1f°", r.Name, r.Pos.X, r.Pos.Y, r.Array.SteeringDeg())

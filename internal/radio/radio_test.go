@@ -32,16 +32,6 @@ func TestSteerToward(t *testing.T) {
 	}
 }
 
-func TestEIRP(t *testing.T) {
-	_, _, tx, _ := testWorld()
-	tx.SteerTo(45)
-	eirp := tx.EIRPDBm(45)
-	want := tx.Budget.TXPowerDBm + tx.Array.GainDBi(45)
-	if eirp != want {
-		t.Errorf("EIRP = %v, want %v", eirp, want)
-	}
-}
-
 func TestLinkSNRAlignedIsPaperLOS(t *testing.T) {
 	_, tr, tx, rx := testWorld()
 	snr := LinkSNRAligned(tr, tx, rx)

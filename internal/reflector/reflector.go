@@ -51,10 +51,6 @@ type Config struct {
 	// HeightM is the wall-mount height above the floor.
 	HeightM float64
 
-	// AntennaSeparationM is the on-board spacing between the RX and TX
-	// arrays.
-	AntennaSeparationM float64
-
 	// RXArray and TXArray configure the two phased arrays. Their
 	// OrientationDeg fields are overridden with MountDeg.
 	RXArray, TXArray antenna.Config
@@ -87,18 +83,17 @@ type Config struct {
 // ≥15 dB swings across beam angles.
 func DefaultConfig(pos geom.Vec, mountDeg float64) Config {
 	return Config{
-		Pos:                pos,
-		MountDeg:           mountDeg,
-		HeightM:            2.6,
-		AntennaSeparationM: 0.06,
-		RXArray:            antenna.DefaultConfig(mountDeg),
-		TXArray:            antenna.DefaultConfig(mountDeg),
-		Amp:                amplifier.DefaultConfig(),
-		BaseIsolationDB:    60,
-		SlowSwingDB:        8,
-		FastSwingDB:        6,
-		MinLeakageDB:       35,
-		Seed:               1,
+		Pos:             pos,
+		MountDeg:        mountDeg,
+		HeightM:         2.6,
+		RXArray:         antenna.DefaultConfig(mountDeg),
+		TXArray:         antenna.DefaultConfig(mountDeg),
+		Amp:             amplifier.DefaultConfig(),
+		BaseIsolationDB: 60,
+		SlowSwingDB:     8,
+		FastSwingDB:     6,
+		MinLeakageDB:    35,
+		Seed:            1,
 	}
 }
 
@@ -143,9 +138,6 @@ type Reflector struct {
 // New validates cfg and builds the device with both beams at boresight
 // and the amplifier at minimum gain.
 func New(cfg Config) (*Reflector, error) {
-	if cfg.AntennaSeparationM <= 0 {
-		return nil, fmt.Errorf("reflector: AntennaSeparationM %v must be positive", cfg.AntennaSeparationM)
-	}
 	cfg.RXArray.OrientationDeg = cfg.MountDeg
 	cfg.TXArray.OrientationDeg = cfg.MountDeg
 	rx, err := antenna.New(cfg.RXArray)
@@ -187,16 +179,6 @@ func (r *Reflector) MountDeg() float64 { return r.cfg.MountDeg }
 // HeightM returns the wall-mount height above the floor.
 func (r *Reflector) HeightM() float64 { return r.cfg.HeightM }
 
-// RXPos returns the receive array's position (offset along the wall).
-func (r *Reflector) RXPos() geom.Vec {
-	return geom.FromPolar(r.cfg.Pos, r.cfg.MountDeg+90, r.cfg.AntennaSeparationM/2)
-}
-
-// TXPos returns the transmit array's position.
-func (r *Reflector) TXPos() geom.Vec {
-	return geom.FromPolar(r.cfg.Pos, r.cfg.MountDeg-90, r.cfg.AntennaSeparationM/2)
-}
-
 // SetRXBeam steers the receive beam (the angle of incidence) to a world
 // angle and returns the applied angle.
 func (r *Reflector) SetRXBeam(worldDeg float64) float64 { return r.rx.SteerTo(worldDeg) }
@@ -237,9 +219,6 @@ func (r *Reflector) TXGainDBi(worldDeg float64) float64 { return r.tx.GainDBi(wo
 func (r *Reflector) TXPeak() (gainDBi float64, elements int) {
 	return r.tx.PeakGainDBi(), r.cfg.TXArray.Elements
 }
-
-// RXBeamwidthDeg returns the receive array's half-power beamwidth.
-func (r *Reflector) RXBeamwidthDeg() float64 { return r.rx.BeamwidthDeg() }
 
 // Amp returns the amplifier chain for gain programming.
 func (r *Reflector) Amp() *amplifier.VGA { return r.amp }
@@ -361,19 +340,6 @@ func (r *Reflector) SaturatedAt(extDBm float64) bool {
 // given external input power — the only observable §4.2's algorithm has.
 func (r *Reflector) SupplyCurrentA(extDBm float64) float64 {
 	return r.amp.SupplyCurrentA(r.EffectiveAmpInputDBm(extDBm))
-}
-
-// ThroughGainDB returns the device's end-to-end small-signal gain for a
-// signal arriving from world angle fromDeg and re-radiated toward world
-// angle toDeg: RX array gain + amplifier gain + TX array gain. The second
-// return is false when the device is currently unusable (unstable loop or
-// amplifier saturated at this input), in which case the output is garbage
-// rather than an amplified copy.
-func (r *Reflector) ThroughGainDB(fromDeg, toDeg, extDBm float64) (float64, bool) {
-	if !r.amp.Enabled() || !r.Stable() || r.SaturatedAt(extDBm) {
-		return 0, false
-	}
-	return r.rx.GainDBi(fromDeg) + r.amp.GainDB() + r.tx.GainDBi(toDeg), true
 }
 
 // NoiseFigureDB returns the amplifier chain's noise figure, needed by the

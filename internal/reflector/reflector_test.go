@@ -40,11 +40,6 @@ func minLeakageBeam(r *Reflector) (angle, leakage float64) {
 
 func TestNewValidation(t *testing.T) {
 	cfg := DefaultConfig(geom.V(0, 0), 0)
-	cfg.AntennaSeparationM = 0
-	if _, err := New(cfg); err == nil {
-		t.Error("zero separation should fail")
-	}
-	cfg = DefaultConfig(geom.V(0, 0), 0)
 	cfg.RXArray.Elements = 0
 	if _, err := New(cfg); err == nil {
 		t.Error("bad rx array should fail")
@@ -63,11 +58,6 @@ func TestGeometry(t *testing.T) {
 	}
 	if r.MountDeg() != 270 {
 		t.Error("MountDeg wrong")
-	}
-	// RX and TX arrays sit AntennaSeparationM apart along the wall.
-	sep := r.RXPos().Dist(r.TXPos())
-	if math.Abs(sep-0.06) > 1e-9 {
-		t.Errorf("antenna separation = %v", sep)
 	}
 }
 
@@ -88,10 +78,6 @@ func TestBeamControl(t *testing.T) {
 	r.SetBothBeams(280)
 	if r.RXBeamDeg() != r.TXBeamDeg() {
 		t.Error("SetBothBeams did not align beams")
-	}
-	// Beamwidth matches the array model (~10°).
-	if bw := r.RXBeamwidthDeg(); bw < 8 || bw > 12 {
-		t.Errorf("beamwidth = %v", bw)
 	}
 }
 
@@ -223,35 +209,6 @@ func TestLeakageSteeringChangesStability(t *testing.T) {
 	r.SetTXBeam(hiAng)
 	if !r.Stable() {
 		t.Errorf("gain %v should be stable at leakage %v", mid, hi)
-	}
-}
-
-func TestThroughGain(t *testing.T) {
-	r := dev()
-	from, to := 250.0, 300.0
-	r.SetRXBeam(from)
-	r.SetTXBeam(to)
-	r.Amp().SetGainDB(math.Min(r.LeakageDB()-8, r.Amp().Config().MaxGainDB))
-	g, ok := r.ThroughGainDB(from, to, -50)
-	if !ok {
-		t.Fatal("through gain should be valid when stable")
-	}
-	// RX gain ~15 + amp gain + TX gain ~15.
-	want := r.RXGainDBi(from) + r.Amp().GainDB() + r.TXGainDBi(to)
-	if g != want {
-		t.Errorf("through gain = %v, want %v", g, want)
-	}
-	if g < r.Amp().GainDB()+20 {
-		t.Errorf("through gain %v should include both array gains", g)
-	}
-	// Unstable: no valid through gain (exercised on the low-isolation
-	// device where instability is reachable).
-	lr := lowIso()
-	lr.SetRXBeam(270)
-	_, l := minLeakageBeam(lr)
-	lr.Amp().SetGainDB(l + 3)
-	if _, ok := lr.ThroughGainDB(from, to, -50); ok {
-		t.Error("unstable device should not have valid through gain")
 	}
 }
 

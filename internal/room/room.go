@@ -270,40 +270,6 @@ func (r *Room) Epoch() uint64 { return r.epoch }
 // not modify it.
 func (r *Room) ObstacleEpochs() []uint64 { return r.obsEpochs }
 
-// InBounds reports whether p lies within the room's bounding rectangle
-// (with a small margin so wall-mounted devices validate).
-func (r *Room) InBounds(p geom.Vec) bool {
-	const eps = 1e-9
-	return p.X >= -eps && p.X <= r.WidthM+eps && p.Y >= -eps && p.Y <= r.DepthM+eps
-}
-
-// SegmentObstructions returns the obstacles whose discs the segment a→b
-// passes through, in path order (by entry parameter along the segment).
-func (r *Room) SegmentObstructions(a, b geom.Vec) []Obstacle {
-	type hit struct {
-		o Obstacle
-		t float64
-	}
-	seg := geom.Seg(a, b)
-	var hits []hit
-	for _, o := range r.obstacles {
-		if t0, _, ok := o.Shape.ChordParams(seg); ok {
-			hits = append(hits, hit{o, t0})
-		}
-	}
-	// Insertion sort by entry parameter; obstacle counts are tiny.
-	for i := 1; i < len(hits); i++ {
-		for j := i; j > 0 && hits[j].t < hits[j-1].t; j-- {
-			hits[j], hits[j-1] = hits[j-1], hits[j]
-		}
-	}
-	out := make([]Obstacle, len(hits))
-	for i, h := range hits {
-		out[i] = h.o
-	}
-	return out
-}
-
 // LOSClear reports whether the straight path a→b is free of obstacles.
 // Walls are intentionally not considered: perimeter walls cannot stand
 // between two in-room points, and interior reflectors (whiteboard,

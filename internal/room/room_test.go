@@ -48,19 +48,6 @@ func TestOffice5x5(t *testing.T) {
 	}
 }
 
-func TestInBounds(t *testing.T) {
-	r := NewOffice5x5()
-	if !r.InBounds(geom.V(2.5, 2.5)) {
-		t.Error("centre should be in bounds")
-	}
-	if !r.InBounds(geom.V(0, 5)) {
-		t.Error("wall corner should be in bounds")
-	}
-	if r.InBounds(geom.V(-0.1, 2)) || r.InBounds(geom.V(2, 5.1)) {
-		t.Error("outside points should be out of bounds")
-	}
-}
-
 func TestLOSAndObstacles(t *testing.T) {
 	r := NewOffice5x5()
 	a, b := geom.V(0.5, 2.5), geom.V(4.5, 2.5)
@@ -71,27 +58,9 @@ func TestLOSAndObstacles(t *testing.T) {
 	if r.LOSClear(a, b) {
 		t.Error("hand on the path should block LOS")
 	}
-	obs := r.SegmentObstructions(a, b)
-	if len(obs) != 1 || obs[0].Name != "hand" {
-		t.Errorf("obstructions = %v", obs)
-	}
 	r.RemoveObstacle(idx)
 	if !r.LOSClear(a, b) {
 		t.Error("LOS should be restored after removal")
-	}
-}
-
-func TestSegmentObstructionsOrdered(t *testing.T) {
-	r := NewOffice5x5()
-	// Add out of path order on purpose.
-	r.AddObstacle(Body(geom.V(4.0, 2.5)))
-	r.AddObstacle(Hand(geom.V(1.0, 2.5)))
-	obs := r.SegmentObstructions(geom.V(0.2, 2.5), geom.V(4.8, 2.5))
-	if len(obs) != 2 {
-		t.Fatalf("obstruction count = %d", len(obs))
-	}
-	if obs[0].Name != "hand" || obs[1].Name != "body" {
-		t.Errorf("obstructions out of order: %v, %v", obs[0].Name, obs[1].Name)
 	}
 }
 

@@ -305,9 +305,6 @@ func (s *Scheduler) cachePut(hash string, res []byte) {
 	}
 }
 
-// Metrics exposes the registry (for the /metrics handler and tests).
-func (s *Scheduler) Metrics() *serverMetrics { return s.met }
-
 // Close stops accepting jobs, cancels everything in flight, and waits
 // for the executors to drain.
 func (s *Scheduler) Close() {

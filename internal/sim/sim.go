@@ -38,10 +38,9 @@ func (q *eventQueue) Pop() any {
 
 // Engine runs events in virtual time.
 type Engine struct {
-	now    time.Duration
-	seq    uint64
-	queue  eventQueue
-	halted bool
+	now   time.Duration
+	seq   uint64
+	queue eventQueue
 
 	// free recycles executed event structs, so steady-state periodic
 	// schedules (Every, frame chains) allocate nothing.
@@ -82,7 +81,7 @@ func (e *Engine) After(delay time.Duration, fn func()) {
 }
 
 // Every schedules fn at the given period starting at start, until the
-// engine is halted or the run horizon ends.
+// run horizon ends.
 func (e *Engine) Every(start, period time.Duration, fn func()) {
 	if period <= 0 {
 		return
@@ -97,16 +96,12 @@ func (e *Engine) Every(start, period time.Duration, fn func()) {
 	e.At(start, tick)
 }
 
-// Halt stops the run loop after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // Run executes events in order until the queue empties or virtual time
 // would pass the horizon. It returns the number of events executed.
 // Events scheduled exactly at the horizon still run.
 func (e *Engine) Run(horizon time.Duration) int {
 	executed := 0
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
+	for len(e.queue) > 0 {
 		next := e.queue[0]
 		if next.at > horizon {
 			break
@@ -121,11 +116,8 @@ func (e *Engine) Run(horizon time.Duration) int {
 		fn()
 		executed++
 	}
-	if e.now < horizon && !e.halted {
+	if e.now < horizon {
 		e.now = horizon
 	}
 	return executed
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }

@@ -80,9 +80,6 @@ func TestHorizonStopsRun(t *testing.T) {
 	if count != 10 {
 		t.Errorf("tick count = %d, want 10", count)
 	}
-	if e.Pending() == 0 {
-		t.Error("next tick should remain queued")
-	}
 	// Continue running: the queue resumes where it stopped.
 	e.Run(125 * time.Millisecond)
 	if count != 13 {
@@ -100,25 +97,10 @@ func TestEventAtHorizonRuns(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := New()
-	count := 0
-	e.Every(0, time.Millisecond, func() {
-		count++
-		if count == 5 {
-			e.Halt()
-		}
-	})
-	e.Run(time.Second)
-	if count != 5 {
-		t.Errorf("halted at %d events", count)
-	}
-}
-
 func TestEveryInvalidPeriod(t *testing.T) {
 	e := New()
 	e.Every(0, 0, func() { t.Fatal("should never run") })
-	if e.Pending() != 0 {
-		t.Error("invalid period should schedule nothing")
+	if n := e.Run(time.Second); n != 0 {
+		t.Errorf("invalid period ran %d events, want none", n)
 	}
 }

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness uses to summarize Monte-Carlo runs: means, percentiles,
-// empirical CDFs, and histograms.
+// harness uses to summarize Monte-Carlo runs: means, percentiles
+// and empirical CDFs.
 package stats
 
 import (
@@ -139,9 +139,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// N returns the number of samples backing the CDF.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // At returns P(X ≤ x), the fraction of samples at or below x.
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {
@@ -150,66 +147,6 @@ func (c *CDF) At(x float64) float64 {
 	// Index of first element > x.
 	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the smallest sample value v such that At(v) ≥ q, for
-// q in (0, 1].
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	i := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return c.sorted[i]
-}
-
-// Points returns the step points of the CDF as parallel slices of sample
-// values and cumulative probabilities, suitable for plotting.
-func (c *CDF) Points() (xs, ps []float64) {
-	n := len(c.sorted)
-	xs = append([]float64(nil), c.sorted...)
-	ps = make([]float64, n)
-	for i := range ps {
-		ps[i] = float64(i+1) / float64(n)
-	}
-	return xs, ps
-}
-
-// Histogram bins the sample xs into n equal-width bins spanning
-// [min, max]. It returns the bin edges (n+1 values) and counts (n values).
-// An empty sample or non-positive n yields nil slices.
-func Histogram(xs []float64, n int) (edges []float64, counts []int) {
-	if len(xs) == 0 || n <= 0 {
-		return nil, nil
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		hi = lo + 1
-	}
-	edges = make([]float64, n+1)
-	for i := range edges {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(n)
-	}
-	counts = make([]int, n)
-	for _, x := range xs {
-		i := int((x - lo) / (hi - lo) * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		counts[i]++
-	}
-	return edges, counts
 }
 
 // LinearFit returns the slope and intercept of the least-squares line
@@ -244,19 +181,4 @@ func MeanAbsError(a, b []float64) float64 {
 		sum += math.Abs(a[i] - b[i])
 	}
 	return sum / float64(len(a))
-}
-
-// MaxAbsError returns the maximum absolute difference between parallel
-// slices a and b, or NaN when the lengths differ or are zero.
-func MaxAbsError(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return math.NaN()
-	}
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }

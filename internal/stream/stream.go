@@ -16,7 +16,6 @@ import (
 	"github.com/movr-sim/movr/internal/obs"
 	"github.com/movr-sim/movr/internal/sim"
 	"github.com/movr-sim/movr/internal/stats"
-	"github.com/movr-sim/movr/internal/units"
 	"github.com/movr-sim/movr/internal/vr"
 )
 
@@ -246,9 +245,4 @@ func ConstantRate(rateBps float64) RateFunc {
 // "multiple Gbps" requirement, derived rather than asserted.
 func RequiredRateBps(d vr.DisplaySpec) float64 {
 	return d.FrameBits() / d.FrameInterval().Seconds()
-}
-
-// GbpsString formats a rate for reports.
-func GbpsString(rateBps float64) string {
-	return fmt.Sprintf("%.2f Gbps", rateBps/units.Gbps)
 }

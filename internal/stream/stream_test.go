@@ -156,7 +156,4 @@ func TestReportString(t *testing.T) {
 	if !strings.Contains(s, "frames=") || !strings.Contains(s, "glitches=") {
 		t.Errorf("report string = %q", s)
 	}
-	if GbpsString(5e9) != "5.00 Gbps" {
-		t.Errorf("GbpsString = %q", GbpsString(5e9))
-	}
 }

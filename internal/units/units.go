@@ -35,7 +35,6 @@ const (
 
 // Data-rate helpers, in bits per second.
 const (
-	Kbps = 1e3
 	Mbps = 1e6
 	Gbps = 1e9
 )
@@ -76,9 +75,6 @@ func MilliwattsToDBm(mw float64) float64 {
 	}
 	return 10 * math.Log10(mw)
 }
-
-// DBmToWatts converts an absolute power in dBm to watts.
-func DBmToWatts(dbm float64) float64 { return DBmToMilliwatts(dbm) / 1e3 }
 
 // WattsToDBm converts an absolute power in watts to dBm.
 func WattsToDBm(w float64) float64 { return MilliwattsToDBm(w * 1e3) }
@@ -126,17 +122,8 @@ func ThermalNoiseDBm(bandwidthHz, noiseFigureDB float64) float64 {
 	return WattsToDBm(ktb) + noiseFigureDB
 }
 
-// NoiseDensityDBmPerHz is the thermal noise power spectral density at the
-// standard noise temperature, ≈ −173.98 dBm/Hz.
-func NoiseDensityDBmPerHz() float64 {
-	return WattsToDBm(Boltzmann * StandardNoiseTemperature)
-}
-
 // DegToRad converts degrees to radians.
 func DegToRad(deg float64) float64 { return deg * math.Pi / 180 }
-
-// RadToDeg converts radians to degrees.
-func RadToDeg(rad float64) float64 { return rad * 180 / math.Pi }
 
 // NormalizeDeg wraps an angle in degrees onto the interval [0, 360).
 func NormalizeDeg(deg float64) float64 {

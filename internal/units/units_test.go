@@ -58,9 +58,6 @@ func TestDBmConversions(t *testing.T) {
 	if got := WattsToDBm(1); !almostEqual(got, 30, 1e-9) {
 		t.Errorf("1 W = %v dBm, want 30", got)
 	}
-	if got := DBmToWatts(30); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("30 dBm = %v W, want 1", got)
-	}
 }
 
 func TestAddPowersDBm(t *testing.T) {
@@ -114,8 +111,8 @@ func TestFSPLNearFieldClamp(t *testing.T) {
 }
 
 func TestThermalNoise(t *testing.T) {
-	// Density must be ~ -173.98 dBm/Hz.
-	if got := NoiseDensityDBmPerHz(); !almostEqual(got, -173.975, 0.01) {
+	// Density (1 Hz, noiseless receiver) must be ~ -173.98 dBm/Hz.
+	if got := ThermalNoiseDBm(1, 0); !almostEqual(got, -173.975, 0.01) {
 		t.Errorf("noise density = %v dBm/Hz", got)
 	}
 	// 802.11ad channel with NF 6 dB: -173.98 + 10log10(1.76e9) + 6 = -75.5 dBm.

@@ -228,62 +228,6 @@ func Generate(cfg TraceConfig) (Trace, error) {
 	return trace, nil
 }
 
-// StandingTrace synthesizes a "standing shooter" session: the player
-// stays put, scans left and right, and raises a hand to aim every few
-// seconds — the minimal-motion workload where hand blockage dominates.
-func StandingTrace(pos geom.Vec, faceDeg float64, dur, step time.Duration, seed int64) Trace {
-	rng := rand.New(rand.NewSource(seed))
-	n := int(dur/step) + 1
-	trace := make(Trace, 0, n)
-	handUntil := time.Duration(-1)
-	for i := 0; i < n; i++ {
-		t := time.Duration(i) * step
-		// Scan ±40° around the facing direction with a slow sinusoid.
-		scan := 40 * math.Sin(2*math.Pi*t.Seconds()/8)
-		if handUntil < t && rng.Float64() < 0.4*step.Seconds() {
-			handUntil = t + 1200*time.Millisecond
-		}
-		trace = append(trace, Pose{
-			T:          t,
-			Pos:        pos,
-			YawDeg:     units.NormalizeDeg(faceDeg + scan),
-			HandRaised: t < handUntil,
-		})
-	}
-	return trace
-}
-
-// PacingTrace synthesizes a back-and-forth walking session between two
-// waypoints, facing the direction of travel — the workload where head
-// rotation (turning at each end) dominates.
-func PacingTrace(a, b geom.Vec, speedMps float64, dur, step time.Duration) Trace {
-	if speedMps <= 0 {
-		speedMps = 0.5
-	}
-	n := int(dur/step) + 1
-	trace := make(Trace, 0, n)
-	leg := a.Dist(b)
-	if leg == 0 {
-		leg = 1e-9
-	}
-	period := 2 * leg / speedMps
-	for i := 0; i < n; i++ {
-		t := time.Duration(i) * step
-		phase := math.Mod(t.Seconds(), period) / period // 0..1 over a round trip
-		var pos geom.Vec
-		var yaw float64
-		if phase < 0.5 {
-			pos = a.Lerp(b, phase*2)
-			yaw = geom.DirectionDeg(a, b)
-		} else {
-			pos = b.Lerp(a, (phase-0.5)*2)
-			yaw = geom.DirectionDeg(b, a)
-		}
-		trace = append(trace, Pose{T: t, Pos: pos, YawDeg: units.NormalizeDeg(yaw)})
-	}
-	return trace
-}
-
 // Stats summarizes a trace for sanity checks and reports.
 type Stats struct {
 	Samples      int
