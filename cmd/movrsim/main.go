@@ -27,33 +27,39 @@
 //	-runs N       Monte-Carlo runs where applicable (default: paper scale)
 //	-fast         reduce run counts and sweep resolution for a quick pass
 //	-workers N    worker-pool size for fleet, fig9 and map (0 = all cores)
-//	-sessions N   fleet session count (default 24)
-//	-scenario S   fleet scenario: mixed|arcade|home|dense|coex|coexpf|coexedf
+//	-sessions N   fleet session count (default 24; venue: its whole bay grid,
+//	              bays × players per bay)
+//	-scenario S   fleet scenario: mixed|arcade|home|dense|coex|coexpf|coexedf|venue
 //	              (default mixed)
-//	-players N    players sharing each coex bay's medium (coex family, default 4)
+//	-players N    players sharing each coex bay's medium (coex family, default 4,
+//	              max 8)
 //	-coex-policy P airtime policy for coex bays: rr|pf|edf (coex family, default rr;
 //	              the coexpf/coexedf scenarios force pf/edf)
 //	-uplink D     pose-report uplink sub-slot reserved per player per scheduling
-//	              window, e.g. 200us (coex family, default 0 = off)
+//	              window, e.g. 200us (coex family, default 0 = off); one that
+//	              leaves a bay no downlink airtime is an error
 //	-bays N       venue bay-grid size (venue scenario, default 4, max 64)
 //	-players-per-bay N
-//	              players per venue bay — alias of -players for the venue
-//	              quickstart (venue scenario, default 4)
+//	              alias of -players, as the venue quickstart spells it
 //	-channels N   venue channel budget for bay assignment (venue, default 3, max 4)
 //	-assign M     venue channel assignment: color|fixed (venue, default color)
 //	-interference-off
 //	              disable cross-bay interference (venue; A/B studies)
 //	-admission M  players beyond a bay's TDMA capacity: queue|reject (venue,
 //	              default queue)
-//	-agg M        fleet aggregation: exact (default; legacy output, per-session
-//	              outcomes in memory) or stream (constant-memory mergeable
-//	              sketches — percentiles within the sketch error bound)
+//	-agg M        fleet aggregation: exact (per-session outcomes in memory; the
+//	              default except for venue) or stream (constant-memory mergeable
+//	              sketches — percentiles within the sketch error bound; the
+//	              venue default)
 //	-shard I/N    run only fleet shard I of N (contiguous session ranges,
 //	              0-indexed); shard outputs merge deterministically, see the
 //	              README's "Running movrd at scale"
 //	-trace P      write a per-session event trace to P (session and fleet only):
 //	              Chrome trace-event JSON loadable in Perfetto, or JSONL when P
 //	              ends in .jsonl; summarize with movrtrace -analyze P
+//
+// The fleet flags are validated and defaulted exactly like the movrd job
+// API's fields: both go through fleet.Job.Resolve.
 //
 // Bench flags (see the README's "Performance workflow" section):
 //
@@ -84,20 +90,9 @@ func main() {
 	runs := flag.Int("runs", 0, "Monte-Carlo runs (0 = paper default)")
 	fast := flag.Bool("fast", false, "quick pass: fewer runs, coarser sweeps")
 	workers := flag.Int("workers", 0, "worker-pool size for fleet, fig9 and map (0 = all cores)")
-	sessions := flag.Int("sessions", 24, "fleet session count")
-	scenario := flag.String("scenario", "mixed", "fleet scenario: "+movr.FleetScenarioNames())
-	players := flag.Int("players", 0, "players sharing each coex bay's medium (coex scenarios; 0 = 4)")
-	coexPolicy := flag.String("coex-policy", "", "airtime policy for coex bays: "+movr.CoexPolicyNames()+" (coex scenarios; default rr)")
-	uplink := flag.Duration("uplink", 0, "pose-uplink sub-slot reserved per player per window (coex scenarios; 0 = off)")
-	bays := flag.Int("bays", 0, "venue bay-grid size (venue scenario; 0 = 4)")
-	playersPerBay := flag.Int("players-per-bay", 0, "players per venue bay (venue scenario; alias of -players; 0 = 4)")
-	channels := flag.Int("channels", 0, "venue channel budget for bay assignment (venue scenario; 0 = 3)")
-	assign := flag.String("assign", "", "venue channel assignment: "+movr.VenueAssignModeNames()+" (venue scenario; default color)")
-	interferenceOff := flag.Bool("interference-off", false, "disable cross-bay interference (venue scenario)")
-	admission := flag.String("admission", "", "players beyond a bay's TDMA capacity: queue|reject (venue scenario; default queue)")
+	var ff fleetFlags
+	ff.register(flag.CommandLine)
 	tracePath := flag.String("trace", "", "write a per-session event trace (Perfetto-loadable Chrome JSON; use a .jsonl path for JSONL) — session and fleet only")
-	aggMode := flag.String("agg", "", `fleet aggregation: "exact" (default) or "stream"`)
-	shardSpec := flag.String("shard", "", "run only fleet shard I/N (e.g. 1/4) — fleet only")
 	benchOut := flag.String("bench-out", "", "bench report path (default BENCH_<git-sha>.json)")
 	benchCompare := flag.String("bench-compare", "", "baseline BENCH_*.json to gate against")
 	tol := bench.DefaultTolerance()
@@ -111,159 +106,19 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	// Validate the fleet knobs up front — a bad value is a usage error,
-	// not something to discover inside the engine.
-	if *sessions <= 0 {
-		fmt.Fprintf(os.Stderr, "movrsim: -sessions %d must be positive\n\n", *sessions)
-		usage()
-		os.Exit(2)
-	}
-	kind, err := movr.ParseFleetScenario(*scenario)
+	// Resolve the fleet job up front: a bad knob is a usage error, not
+	// something to discover inside the engine.
+	job, err := ff.job(*seed, *fast)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "movrsim: %v\n\n", err)
 		usage()
 		os.Exit(2)
 	}
-	// -players-per-bay is the venue quickstart's spelling of -players;
-	// fold it in before the shared bounds checks.
-	if *playersPerBay != 0 {
-		switch {
-		case !movr.IsVenueFleetScenario(kind):
-			fmt.Fprintf(os.Stderr, "movrsim: -players-per-bay is only meaningful with the venue scenario\n\n")
-			usage()
-			os.Exit(2)
-		case *players != 0 && *players != *playersPerBay:
-			fmt.Fprintf(os.Stderr, "movrsim: -players %d conflicts with -players-per-bay %d\n\n", *players, *playersPerBay)
-			usage()
-			os.Exit(2)
-		}
-		*players = *playersPerBay
-	}
-	// -players mirrors the daemon's headsets_per_room validation: only
-	// meaningful for the coex scenario family, bounded the same way.
-	if *players != 0 {
-		switch {
-		case !movr.IsCoexFleetScenario(kind):
-			fmt.Fprintf(os.Stderr, "movrsim: -players is only meaningful with the coex scenarios\n\n")
-			usage()
-			os.Exit(2)
-		case *players < 0:
-			fmt.Fprintf(os.Stderr, "movrsim: -players %d must be positive\n\n", *players)
-			usage()
-			os.Exit(2)
-		case *players > movr.MaxCoexHeadsets:
-			fmt.Fprintf(os.Stderr, "movrsim: -players %d exceeds the limit of %d\n\n", *players, movr.MaxCoexHeadsets)
-			usage()
-			os.Exit(2)
-		}
-	}
-	// -coex-policy mirrors the daemon's coex_policy validation,
-	// including the rule that a policy-suffixed scenario must not carry
-	// a conflicting explicit policy.
-	policy, err := movr.ParseCoexPolicy(*coexPolicy)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "movrsim: %v\n\n", err)
-		usage()
-		os.Exit(2)
-	}
-	if *coexPolicy != "" && !movr.IsCoexFleetScenario(kind) {
-		fmt.Fprintf(os.Stderr, "movrsim: -coex-policy is only meaningful with the coex scenarios\n\n")
-		usage()
-		os.Exit(2)
-	}
-	forced := map[movr.FleetScenarioKind]movr.CoexPolicyName{
-		movr.FleetScenarioCoexPF:  movr.CoexPolicyPF,
-		movr.FleetScenarioCoexEDF: movr.CoexPolicyEDF,
-	}
-	if want, ok := forced[kind]; ok {
-		if *coexPolicy != "" && policy != want {
-			fmt.Fprintf(os.Stderr, "movrsim: -scenario %s conflicts with -coex-policy %s\n\n", kind, *coexPolicy)
-			usage()
-			os.Exit(2)
-		}
-		policy = want
-	}
-	if *uplink != 0 {
-		switch {
-		case !movr.IsCoexFleetScenario(kind):
-			fmt.Fprintf(os.Stderr, "movrsim: -uplink is only meaningful with the coex scenarios\n\n")
-			usage()
-			os.Exit(2)
-		case *uplink < 0:
-			fmt.Fprintf(os.Stderr, "movrsim: -uplink %v must not be negative\n\n", *uplink)
-			usage()
-			os.Exit(2)
-		}
-	}
-
-	// The venue knobs mirror the daemon's bays/channels/assign/admission
-	// validation.
-	if (*bays != 0 || *channels != 0 || *assign != "" || *interferenceOff || *admission != "") &&
-		!movr.IsVenueFleetScenario(kind) {
-		fmt.Fprintf(os.Stderr, "movrsim: -bays, -channels, -assign, -interference-off and -admission are only meaningful with the venue scenario\n\n")
-		usage()
-		os.Exit(2)
-	}
-	if *bays < 0 || *bays > movr.MaxVenueBays {
-		fmt.Fprintf(os.Stderr, "movrsim: -bays %d must be in [1,%d]\n\n", *bays, movr.MaxVenueBays)
-		usage()
-		os.Exit(2)
-	}
-	if *channels < 0 || *channels > movr.MaxVenueChannels {
-		fmt.Fprintf(os.Stderr, "movrsim: -channels %d must be in [1,%d]\n\n", *channels, movr.MaxVenueChannels)
-		usage()
-		os.Exit(2)
-	}
-	assignMode, err := movr.ParseVenueAssignMode(*assign)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "movrsim: -assign: %v\n\n", err)
-		usage()
-		os.Exit(2)
-	}
-	admitMode, err := movr.ParseVenueAdmission(*admission)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "movrsim: -admission: %v\n\n", err)
-		usage()
-		os.Exit(2)
-	}
-	// A venue's natural size is its whole bay grid: unless -sessions was
-	// given explicitly, size the fleet to bays × players-per-bay so
-	// `-scenario venue -bays 16 -players-per-bay 4` runs all 64 sessions.
-	if movr.IsVenueFleetScenario(kind) {
-		sessionsSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "sessions" {
-				sessionsSet = true
-			}
-		})
-		if !sessionsSet {
-			effBays, effPPB := *bays, *players
-			if effBays <= 0 {
-				effBays = movr.DefaultVenueBays
-			}
-			if effPPB <= 0 {
-				effPPB = movr.DefaultCoexHeadsets
-			}
-			*sessions = effBays * effPPB
-		}
-	}
-
-	switch *aggMode {
-	case "", "exact", "stream":
-	default:
-		fmt.Fprintf(os.Stderr, "movrsim: -agg %q must be exact or stream\n\n", *aggMode)
-		usage()
-		os.Exit(2)
-	}
-	shard, err := parseShard(*shardSpec, *sessions)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "movrsim: %v\n\n", err)
-		usage()
-		os.Exit(2)
-	}
+	job.Trace = *tracePath != ""
+	title := fleet.Kind(ff.scenario).Title()
 
 	cmd := flag.Arg(0)
-	if (*aggMode != "" || *shardSpec != "") && cmd != "fleet" {
+	if (ff.agg != "" || ff.shard != "") && cmd != "fleet" {
 		fmt.Fprintf(os.Stderr, "movrsim: -agg and -shard are only meaningful with the fleet experiment\n\n")
 		usage()
 		os.Exit(2)
@@ -272,13 +127,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "movrsim: -trace is only meaningful with the session and fleet experiments\n\n")
 		usage()
 		os.Exit(2)
-	}
-	vf := venueFlags{
-		bays:            *bays,
-		channels:        *channels,
-		assign:          assignMode,
-		interferenceOff: *interferenceOff,
-		admission:       admitMode,
 	}
 	start := time.Now()
 	switch cmd {
@@ -303,7 +151,7 @@ func main() {
 	case "ablations":
 		runAblations(*seed)
 	case "fleet":
-		runFleet(*seed, *workers, *sessions, *players, policy, *uplink, kind, *fast, *tracePath, *aggMode, shard, vf)
+		runFleet(job, title, *workers, *tracePath)
 	case "bench":
 		runBench(*benchOut, *benchCompare, *benchCPUProf, *benchMemProf, *benchTolPct, *benchAllocTol, *fast)
 	case "all":
@@ -327,7 +175,7 @@ func main() {
 		fmt.Println()
 		runAblations(*seed)
 		fmt.Println()
-		runFleet(*seed, *workers, *sessions, *players, policy, *uplink, kind, *fast, "", "", nil, vf)
+		runFleet(job, title, *workers, "")
 	default:
 		fmt.Fprintf(os.Stderr, "movrsim: unknown experiment %q\n\n", cmd)
 		usage()
@@ -438,114 +286,105 @@ func runMap(workers int) {
 	fmt.Print(movr.RunHeatmap(with).Render("VR coverage — AP + MoVR reflector"))
 }
 
-// parseShard parses "I/N" into a validated FleetShard (nil when the
-// flag is unset or names the whole fleet, keeping output byte-identical
-// to an unsharded run).
-func parseShard(s string, sessions int) (*movr.FleetShard, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var idx, count int
-	if n, err := fmt.Sscanf(s, "%d/%d", &idx, &count); n != 2 || err != nil {
-		return nil, fmt.Errorf("-shard %q must be I/N, e.g. 1/4", s)
-	}
-	sh := movr.FleetShard{Index: idx, Count: count}
-	if err := sh.Validate(); err != nil {
-		return nil, fmt.Errorf("-shard %q: %w", s, err)
-	}
-	if count > sessions {
-		return nil, fmt.Errorf("-shard %q: %d shards exceed %d sessions", s, count, sessions)
-	}
-	if count == 1 {
-		return nil, nil
-	}
-	return &sh, nil
+// fleetFlags holds the fleet experiment's flags. They only name a
+// fleet.Job's knobs: every rule and default is the job's own, so the
+// CLI accepts and runs exactly what the movrd job API does.
+type fleetFlags struct {
+	scenario, policy, assign, admission, agg, shard  string
+	sessions, players, playersPerBay, bays, channels int
+	uplink                                           time.Duration
+	interferenceOff                                  bool
 }
 
-// venueFlags bundles the venue scenario's CLI knobs for runFleet.
-type venueFlags struct {
-	bays, channels  int
-	assign          movr.VenueAssignMode
-	interferenceOff bool
-	admission       string
+func (f *fleetFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.scenario, "scenario", "mixed", "fleet scenario: "+movr.FleetScenarioNames())
+	fs.IntVar(&f.sessions, "sessions", 0, "fleet session count (0 = 24; venue: bays × players per bay)")
+	fs.IntVar(&f.players, "players", 0, "players sharing each coex bay's medium (coex scenarios; 0 = 4)")
+	fs.IntVar(&f.playersPerBay, "players-per-bay", 0, "alias of -players, as the venue quickstart spells it")
+	fs.StringVar(&f.policy, "coex-policy", "", "airtime policy for coex bays: "+movr.CoexPolicyNames()+" (coex scenarios; default rr)")
+	fs.DurationVar(&f.uplink, "uplink", 0, "pose-uplink sub-slot reserved per player per window (coex scenarios; 0 = off)")
+	fs.IntVar(&f.bays, "bays", 0, "venue bay-grid size (venue scenario; 0 = 4)")
+	fs.IntVar(&f.channels, "channels", 0, "venue channel budget for bay assignment (venue scenario; 0 = 3)")
+	fs.StringVar(&f.assign, "assign", "", "venue channel assignment: "+movr.VenueAssignModeNames()+" (venue scenario; default color)")
+	fs.BoolVar(&f.interferenceOff, "interference-off", false, "disable cross-bay interference (venue scenario)")
+	fs.StringVar(&f.admission, "admission", "", "players beyond a bay's TDMA capacity: queue|reject (venue scenario; default queue)")
+	fs.StringVar(&f.agg, "agg", "", `fleet aggregation: "exact" or "stream" (default stream for venue, exact otherwise)`)
+	fs.StringVar(&f.shard, "shard", "", "run only fleet shard I/N (e.g. 1/4) — fleet only")
 }
 
-func runFleet(seed int64, workers, sessions, players int, policy movr.CoexPolicyName, uplink time.Duration, kind movr.FleetScenarioKind, fast bool, tracePath string, aggMode string, shard *movr.FleetShard, vf venueFlags) {
-	cfg := movr.FleetScenarioConfig{
-		Seed:                 seed,
-		Duration:             10 * time.Second,
-		HeadsetsPerRoom:      players,
-		CoexPolicy:           policy,
-		CoexUplink:           uplink,
-		VenueBays:            vf.bays,
-		VenueChannels:        vf.channels,
-		VenueAssign:          vf.assign,
-		VenueInterferenceOff: vf.interferenceOff,
-		VenueAdmission:       vf.admission,
+// cliNames spells the fleet knobs by their flags in resolver errors.
+var cliNames = fleet.Frontend{
+	DefaultSessions: 24,
+
+	Scenario: "-scenario", Sessions: "-sessions", Players: "-players",
+	Policy: "-coex-policy", Uplink: "-uplink", Bays: "-bays", Channels: "-channels",
+	Assign: "-assign", InterferenceOff: "-interference-off", Admission: "-admission",
+	Agg: "-agg",
+}
+
+// job maps the flags onto the fleet job they describe and resolves it.
+// A -fast run plays 2 s at a 100 ms cadence instead of 10 s at 50 ms.
+func (f fleetFlags) job(seed int64, fast bool) (fleet.Job, error) {
+	names, players := cliNames, f.players
+	if f.playersPerBay != 0 {
+		if f.players != 0 && f.players != f.playersPerBay {
+			return fleet.Job{}, fmt.Errorf("-players %d conflicts with -players-per-bay %d", f.players, f.playersPerBay)
+		}
+		names.Players, players = "-players-per-bay", f.playersPerBay
+	}
+	j := fleet.Job{
+		Kind:     fleet.Kind(f.scenario),
+		Sessions: f.sessions,
+		Agg:      f.agg,
+		Config: fleet.ScenarioConfig{
+			Seed:                 seed,
+			Duration:             10 * time.Second,
+			HeadsetsPerRoom:      players,
+			CoexPolicy:           movr.CoexPolicyName(f.policy),
+			CoexUplink:           f.uplink,
+			VenueBays:            f.bays,
+			VenueChannels:        f.channels,
+			VenueAssign:          movr.VenueAssignMode(f.assign),
+			VenueInterferenceOff: f.interferenceOff,
+			VenueAdmission:       f.admission,
+		},
 	}
 	if fast {
-		cfg.Duration = 2 * time.Second
-		cfg.ReEvalPeriod = 100 * time.Millisecond
+		j.Config.Duration = 2 * time.Second
+		j.Config.ReEvalPeriod = 100 * time.Millisecond
 	}
+	if f.shard != "" {
+		if n, err := fmt.Sscanf(f.shard, "%d/%d", &j.Shard.Index, &j.Shard.Count); n != 2 || err != nil {
+			return fleet.Job{}, fmt.Errorf("-shard %q must be I/N, e.g. 1/4", f.shard)
+		}
+	}
+	return j.Resolve(names)
+}
+
+// runFleet runs a resolved fleet job and prints its report under title.
+func runFleet(job fleet.Job, title string, workers int, tracePath string) {
 	// Shared-medium runs lead with a self-describing header, so a saved
 	// report records which airtime policy and bay population produced
 	// it. Legacy scenarios print nothing extra — their output stays
 	// byte-identical.
-	if movr.IsVenueFleetScenario(kind) {
-		perRoom := players
-		if perRoom <= 0 {
-			perRoom = movr.DefaultCoexHeadsets
-		}
-		bays := vf.bays
-		if bays <= 0 {
-			bays = movr.DefaultVenueBays
-		}
-		channels := vf.channels
-		if channels <= 0 {
-			channels = movr.DefaultVenueChannels
-		}
+	c := job.Config
+	if fleet.IsVenueKind(job.Kind) {
 		fmt.Printf("venue: bays=%d players-per-bay=%d channels=%d assign=%s admission=%s policy=%s uplink=%v\n\n",
-			bays, perRoom, channels, vf.assign, vf.admission, policy, uplink)
-	} else if movr.IsCoexFleetScenario(kind) {
-		perRoom := players
-		if perRoom <= 0 {
-			perRoom = movr.DefaultCoexHeadsets
-		}
-		fmt.Printf("coex: policy=%s players=%d uplink=%v\n\n", policy, perRoom, uplink)
+			c.VenueBays, c.HeadsetsPerRoom, c.VenueChannels, c.VenueAssign, c.VenueAdmission, c.CoexPolicy, c.CoexUplink)
+	} else if fleet.IsCoexKind(job.Kind) {
+		fmt.Printf("coex: policy=%s players=%d uplink=%v\n\n", c.CoexPolicy, c.HeadsetsPerRoom, c.CoexUplink)
 	}
-	// The spec set comes from the same generator the movrd job API
-	// uses, so CLI runs and server jobs cannot drift apart.
-	specs, err := kind.Specs(sessions, cfg)
+	res, tr, err := job.Run(context.Background(), fleet.Config{Workers: workers}, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "movrsim: fleet: %v\n", err)
 		os.Exit(1)
 	}
-	// The streaming collector's sketch ranges come from the full spec
-	// set before any shard slice, so shard states stay mergeable.
-	var col movr.FleetCollector
-	if aggMode == "stream" {
-		col = movr.NewFleetStreamCollector(specs)
-	}
-	title := kind.Title()
-	if shard != nil {
-		// Bay-aligned slicing: no shard splits a bay, so every shard
-		// keeps the bay-batched execution path and merged results still
-		// reassemble the full run exactly.
-		specs = shard.SliceAligned(specs)
-		title += fmt.Sprintf(" [shard %d/%d]", shard.Index, shard.Count)
-	}
-	var recs []*obs.Recorder
-	if tracePath != "" {
-		recs = fleet.AttachTraceRecorders(specs, 0)
-	}
-	res, err := movr.RunFleetCollect(context.Background(), specs, movr.FleetConfig{Workers: workers}, col)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "movrsim: fleet: %v\n", err)
-		os.Exit(1)
+	if job.Shard != (fleet.Shard{}) {
+		title += fmt.Sprintf(" [shard %d/%d]", job.Shard.Index, job.Shard.Count)
 	}
 	fmt.Print(res.Render(title))
-	if tracePath != "" {
-		writeTrace(fleet.CollectTrace(specs, recs), tracePath)
+	if tr != nil {
+		writeTrace(*tr, tracePath)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestBayBatchByteIdentical(t *testing.T) {
 // truncated by a slice boundary, or a slice starting mid-bay, runs as a
 // partial bay, while specs without a shared geometry run alone.
 func TestBayGroupsPartialBays(t *testing.T) {
-	specs := Coex(2, 4, coexTestCfg())
+	specs := mustCoex(t, 2, 4, coexTestCfg())
 	if n := len(specs); n != 8 {
 		t.Fatalf("Coex(2, 4) generated %d specs, want 8", n)
 	}
@@ -113,7 +113,7 @@ func TestBayGroupsPartialBays(t *testing.T) {
 	}
 
 	// A room without a shared geometry is a bay of one.
-	private := Coex(1, 3, coexTestCfg())
+	private := mustCoex(t, 1, 3, coexTestCfg())
 	for i := range private {
 		rm := *private[i].Session.Coex
 		rm.Geometry = nil
@@ -131,7 +131,7 @@ func TestBayGroupsPartialBays(t *testing.T) {
 // unaligned split (every shard keeps work; the split bays run as
 // partial bays) instead of handing some shard an empty range.
 func TestAlignedRangeTilesBays(t *testing.T) {
-	specs := Coex(3, 4, coexTestCfg())
+	specs := mustCoex(t, 3, 4, coexTestCfg())
 	n, bay := len(specs), BayLen(specs) // 12 specs, 3 bays of 4
 	if bay != 4 {
 		t.Fatalf("BayLen = %d, want 4", bay)

@@ -31,7 +31,7 @@ func TestCoexGoldenSeed7Frozen(t *testing.T) {
 		if policy != coex.PolicyRR {
 			cfg.CoexPolicy = policy
 		}
-		res, err := Run(context.Background(), Coex(1, 4, cfg), Config{Workers: 2})
+		res, err := Run(context.Background(), mustCoex(t, 1, 4, cfg), Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestCoexGoldenSeed7Frozen(t *testing.T) {
 // field of every session's report, not just the aggregate.
 func TestCoexGeometryOnOffByteIdentical(t *testing.T) {
 	cfg := coexTestCfg()
-	withGeo := Coex(1, 4, cfg)
+	withGeo := mustCoex(t, 1, 4, cfg)
 
 	without := make([]Spec, len(withGeo))
 	for i, sp := range withGeo {

@@ -15,6 +15,15 @@ func coexTestCfg() ScenarioConfig {
 	return ScenarioConfig{Seed: 7, Duration: 2 * time.Second}
 }
 
+func mustCoex(t *testing.T, rooms, headsetsPerRoom int, cfg ScenarioConfig) []Spec {
+	t.Helper()
+	specs, err := Coex(rooms, headsetsPerRoom, cfg)
+	if err != nil {
+		t.Fatalf("Coex(%d, %d): %v", rooms, headsetsPerRoom, err)
+	}
+	return specs
+}
+
 func meanDelivered(t *testing.T, specs []Spec) float64 {
 	t.Helper()
 	res, err := Run(context.Background(), specs, Config{Workers: 2})
@@ -36,8 +45,8 @@ func meanDelivered(t *testing.T, specs []Spec) float64 {
 func TestCoexContentionMonotone(t *testing.T) {
 	cfg := coexTestCfg()
 	arcade := meanDelivered(t, Arcade(1, 4, cfg))
-	coex2 := meanDelivered(t, Coex(1, 2, cfg))
-	coex4 := meanDelivered(t, Coex(1, 4, cfg))
+	coex2 := meanDelivered(t, mustCoex(t, 1, 2, cfg))
+	coex4 := meanDelivered(t, mustCoex(t, 1, 4, cfg))
 
 	t.Logf("mean delivered: arcade=%.4f coex2=%.4f coex4=%.4f", arcade, coex2, coex4)
 	if !(coex4 < coex2) {
@@ -57,15 +66,15 @@ func TestCoexContentionMonotone(t *testing.T) {
 // middle of a frame interval wastes the air on both sides of it).
 func TestCoexPolicyAcceptance(t *testing.T) {
 	cfg := coexTestCfg()
-	rr := meanDelivered(t, Coex(1, 4, cfg))
+	rr := meanDelivered(t, mustCoex(t, 1, 4, cfg))
 
 	pfCfg := cfg
 	pfCfg.CoexPolicy = coex.PolicyPF
-	pf := meanDelivered(t, Coex(1, 4, pfCfg))
+	pf := meanDelivered(t, mustCoex(t, 1, 4, pfCfg))
 
 	edfCfg := cfg
 	edfCfg.CoexPolicy = coex.PolicyEDF
-	edf := meanDelivered(t, Coex(1, 4, edfCfg))
+	edf := meanDelivered(t, mustCoex(t, 1, 4, edfCfg))
 
 	t.Logf("mean delivered under 4-player contention: rr=%.4f pf=%.4f edf=%.4f", rr, pf, edf)
 	if pf < rr {
@@ -134,7 +143,7 @@ func TestLegacyKindsCarryNoCoex(t *testing.T) {
 // rely on: every session in a bay is built over the identical player
 // list, with itself at its own slot.
 func TestCoexRoomsShareTraces(t *testing.T) {
-	specs := Coex(2, 3, coexTestCfg())
+	specs := mustCoex(t, 2, 3, coexTestCfg())
 	if len(specs) != 6 {
 		t.Fatalf("generated %d specs, want 6", len(specs))
 	}

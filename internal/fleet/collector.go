@@ -529,10 +529,10 @@ type Shard struct {
 // Validate checks the shard coordinates.
 func (s Shard) Validate() error {
 	if s.Count < 1 {
-		return fmt.Errorf("fleet: shard count %d must be at least 1", s.Count)
+		return fmt.Errorf("shard count %d must be at least 1", s.Count)
 	}
 	if s.Index < 0 || s.Index >= s.Count {
-		return fmt.Errorf("fleet: shard index %d outside [0,%d)", s.Index, s.Count)
+		return fmt.Errorf("shard index %d outside [0,%d)", s.Index, s.Count)
 	}
 	return nil
 }

@@ -16,10 +16,14 @@ import (
 // once and shares it across all four sessions, and the whole pipeline
 // is deterministic: this exact output is pinned on every run.
 func ExampleCoex() {
-	specs := fleet.Coex(1, 4, fleet.ScenarioConfig{
+	specs, err := fleet.Coex(1, 4, fleet.ScenarioConfig{
 		Seed:     7,
 		Duration: 2 * time.Second,
 	})
+	if err != nil {
+		fmt.Println("generate failed:", err)
+		return
+	}
 	res, err := fleet.Run(context.Background(), specs, fleet.Config{Workers: 2})
 	if err != nil {
 		fmt.Println("run failed:", err)

@@ -167,13 +167,10 @@ func (k Kind) Specs(n int, cfg ScenarioConfig) ([]Spec, error) {
 	case KindDense:
 		return DenseBlockers(n, defaultDenseBlockers, cfg), nil
 	case KindCoex:
-		return CoexN(n, cfg), nil
-	case KindCoexPF:
-		cfg.CoexPolicy = coex.PolicyPF
-		return CoexN(n, cfg), nil
-	case KindCoexEDF:
-		cfg.CoexPolicy = coex.PolicyEDF
-		return CoexN(n, cfg), nil
+		return CoexN(n, cfg)
+	case KindCoexPF, KindCoexEDF:
+		cfg.CoexPolicy = forcedPolicy[k]
+		return CoexN(n, cfg)
 	case KindVenue:
 		return VenueN(n, cfg)
 	}
@@ -273,8 +270,10 @@ func ArcadeN(n int, cfg ScenarioConfig) []Spec {
 // (cfg.CoexWeights), and every other player's body follows its own
 // motion trace through the room as a dynamic obstacle instead of
 // standing at a fixed station. This is the first workload where
-// per-player delivered rate degrades as headsetsPerRoom grows.
-func Coex(rooms, headsetsPerRoom int, cfg ScenarioConfig) []Spec {
+// per-player delivered rate degrades as headsetsPerRoom grows. A knob
+// the bay cannot honor (an uplink reservation that fills the window) is
+// an error.
+func Coex(rooms, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	if rooms <= 0 {
 		rooms = 1
 	}
@@ -294,7 +293,10 @@ func Coex(rooms, headsetsPerRoom int, cfg ScenarioConfig) []Spec {
 
 	var specs []Spec
 	for r := 0; r < rooms; r++ {
-		bay := buildCoexBay(rng, headsetsPerRoom, w, d, weights, cfg)
+		bay, err := buildCoexBay(rng, headsetsPerRoom, w, d, weights, cfg)
+		if err != nil {
+			return nil, err
+		}
 		for h := 0; h < headsetsPerRoom; h++ {
 			sess := cfg.session(bay.seeds[h])
 			sess.RoomW, sess.RoomD = w, d
@@ -314,7 +316,7 @@ func Coex(rooms, headsetsPerRoom int, cfg ScenarioConfig) []Spec {
 			})
 		}
 	}
-	return specs
+	return specs, nil
 }
 
 // cycleWeights materializes the per-player weight vector for an n-player
@@ -352,8 +354,9 @@ type coexBay struct {
 // player's pose grid and the full window schedule — is built once here
 // and shared read-only by all of the bay's sessions, so each session
 // reads the schedule instead of re-running the airtime policy per
-// window.
-func buildCoexBay(rng *rand.Rand, headsets int, w, d float64, weights []float64, cfg ScenarioConfig) coexBay {
+// window. An invalid room — an uplink reservation that leaves no
+// downlink airtime, say — is an error from the builders.
+func buildCoexBay(rng *rand.Rand, headsets int, w, d float64, weights []float64, cfg ScenarioConfig) (coexBay, error) {
 	seeds := make([]int64, headsets)
 	for h := range seeds {
 		seeds[h] = rng.Int63()
@@ -364,7 +367,7 @@ func buildCoexBay(rng *rand.Rand, headsets int, w, d float64, weights []float64,
 		trCfg.Duration = cfg.Duration
 		tr, err := vr.Generate(trCfg)
 		if err != nil {
-			panic(err) // 8×8 m bay always fits the motion generator
+			return coexBay{}, err
 		}
 		traces[h] = tr
 	}
@@ -376,15 +379,14 @@ func buildCoexBay(rng *rand.Rand, headsets int, w, d float64, weights []float64,
 		UplinkSlot: cfg.CoexUplink,
 	}, cfg.Duration)
 	if err != nil {
-		panic(err) // traces validated by generation above
+		return coexBay{}, err
 	}
-	return coexBay{seeds: seeds, traces: traces, geo: geo}
+	return coexBay{seeds: seeds, traces: traces, geo: geo}, nil
 }
 
-// DefaultCoexHeadsets matches the arcade bay's four players; both
-// front-ends (the movrsim -players flag and the movrd headsets_per_room
-// field) default to it, so CLI runs and daemon jobs describe the same
-// bay. MaxCoexHeadsets bounds the per-room count: each extra headset
+// DefaultCoexHeadsets matches the arcade bay's four players; Job.Resolve
+// defaults every coex-family job to it, so CLI runs and daemon jobs
+// describe the same bay. MaxCoexHeadsets bounds the per-room count: each extra headset
 // adds a dynamic obstacle to every co-located session's world, so cost
 // grows quadratically with the room's population.
 const (
@@ -397,16 +399,16 @@ const (
 // rooms to hold them, truncated to n. A truncated bay's missing players
 // still contend for airtime and block beams — they just are not
 // simulated as sessions of their own.
-func CoexN(n int, cfg ScenarioConfig) []Spec {
+func CoexN(n int, cfg ScenarioConfig) ([]Spec, error) {
 	perRoom := cfg.HeadsetsPerRoom
 	if perRoom <= 0 {
 		perRoom = DefaultCoexHeadsets
 	}
-	specs := Coex((n+perRoom-1)/perRoom, perRoom, cfg)
+	specs, err := Coex((n+perRoom-1)/perRoom, perRoom, cfg)
 	if len(specs) > n {
 		specs = specs[:n]
 	}
-	return specs
+	return specs, err
 }
 
 // Homes generates a consumer deployment: n homes, each a differently

@@ -60,21 +60,18 @@ func ParseAdmission(s string) (string, error) {
 // A 1-bay venue has no neighbors, leaks nowhere, and generates
 // byte-identical results to the equivalent Coex room — the guard that
 // pins the venue layer to the single-room physics.
+//
+// bays and headsetsPerRoom go through the same rules as
+// ScenarioConfig.VenueBays and HeadsetsPerRoom (0 means the default);
+// out-of-range knobs are an error.
 func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
-	if bays <= 0 {
-		bays = DefaultVenueBays
-	}
-	if bays > MaxVenueBays {
-		return nil, fmt.Errorf("venue: %d bays exceeds the maximum %d", bays, MaxVenueBays)
-	}
-	if headsetsPerRoom <= 0 {
-		headsetsPerRoom = DefaultCoexHeadsets
-	}
-	cfg = cfg.withDefaults()
-	admission, err := ParseAdmission(cfg.VenueAdmission)
+	cfg.VenueBays, cfg.HeadsetsPerRoom = bays, headsetsPerRoom
+	cfg, err := cfg.resolve(KindVenue, goNames)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("venue: %w", err)
 	}
+	bays, headsetsPerRoom = cfg.VenueBays, cfg.HeadsetsPerRoom
+	cfg = cfg.withDefaults()
 
 	const w, d = 8, 8
 	layout, err := venue.Grid(bays, w, d, room.Drywall)
@@ -89,10 +86,7 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	// Admission: the TDMA window only fits so many players under the
 	// configured policy and uplink reservation; the rest are held back
 	// before any world is built.
-	admitted := coex.MaxAdmissible(cfg.CoexPolicy, headsetsPerRoom, cfg.ReEvalPeriod, 0, cfg.CoexUplink)
-	if admitted > headsetsPerRoom {
-		admitted = headsetsPerRoom
-	}
+	admitted := VenueCapacity(headsetsPerRoom, cfg)
 	overflow := headsetsPerRoom - admitted
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -106,7 +100,9 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	bayData := make([]coexBay, bays)
 	geos := make([]*coex.Geometry, bays)
 	for b := 0; b < bays; b++ {
-		bayData[b] = buildCoexBay(rng, admitted, w, d, weights, cfg)
+		if bayData[b], err = buildCoexBay(rng, admitted, w, d, weights, cfg); err != nil {
+			return nil, err
+		}
 		geos[b] = bayData[b].geo
 	}
 
@@ -145,7 +141,7 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 				// The bay's first session carries the admission
 				// bookkeeping so venue traces show where capacity ran
 				// out.
-				if admission == AdmissionReject {
+				if cfg.VenueAdmission == AdmissionReject {
 					sess.AdmissionRejected = overflow
 				} else {
 					sess.AdmissionQueued = overflow
@@ -160,22 +156,13 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	return specs, nil
 }
 
-// VenueN generates a venue sized for roughly n sessions: cfg.VenueBays
-// bays when configured, otherwise enough bays of cfg.HeadsetsPerRoom
-// players (default 4) to hold n, truncated to n. A truncated bay's
-// missing players still contend for airtime, block beams and leak into
-// neighboring bays — they just are not simulated as sessions of their
-// own.
+// VenueN generates the venue of cfg.VenueBays bays of
+// cfg.HeadsetsPerRoom players (0 means the defaults) truncated to n
+// sessions. A truncated bay's missing players still contend for
+// airtime, block beams and leak into neighboring bays — they just are
+// not simulated as sessions of their own.
 func VenueN(n int, cfg ScenarioConfig) ([]Spec, error) {
-	perRoom := cfg.HeadsetsPerRoom
-	if perRoom <= 0 {
-		perRoom = DefaultCoexHeadsets
-	}
-	bays := cfg.VenueBays
-	if bays <= 0 {
-		bays = (n + perRoom - 1) / perRoom
-	}
-	specs, err := Venue(bays, perRoom, cfg)
+	specs, err := Venue(cfg.VenueBays, cfg.HeadsetsPerRoom, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func TestVenueOneBayByteIdenticalToCoex(t *testing.T) {
 	for _, policy := range []coex.PolicyName{"", coex.PolicyPF, coex.PolicyEDF} {
 		cfg := coexTestCfg()
 		cfg.CoexPolicy = policy
-		coexSpecs := Coex(1, 4, cfg)
+		coexSpecs := mustCoex(t, 1, 4, cfg)
 		venueSpecs := mustVenue(t, 1, 4, cfg)
 		if len(venueSpecs) != len(coexSpecs) {
 			t.Fatalf("policy %q: venue generated %d sessions, coex %d", policy, len(venueSpecs), len(coexSpecs))

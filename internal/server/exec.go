@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/movr-sim/movr/internal/coex"
 	"github.com/movr-sim/movr/internal/experiments"
 	"github.com/movr-sim/movr/internal/fleet"
 	"github.com/movr-sim/movr/internal/fleet/pool"
-	"github.com/movr-sim/movr/internal/obs"
-	"github.com/movr-sim/movr/internal/venue"
 )
 
 // TraceArtifact is a completed job's flight-data recording: the
@@ -92,69 +89,28 @@ func execute(ctx context.Context, spec JobSpec, runner *pool.Runner, onSession f
 	return raw, trace, nil
 }
 
-// executeFleet expands the fleet job spec into session specs — the full
-// scenario set once per requested variant, IDs suffixed "@variant" —
-// and runs them on the shared pool.
+// executeFleet runs the fleet job the spec describes — the full
+// scenario set once per requested variant, IDs suffixed "@variant" — on
+// the shared pool.
 func executeFleet(ctx context.Context, f FleetJobSpec, runner *pool.Runner, onSession func(done, total int, o fleet.SessionOutcome)) (fleet.Result, string, *TraceArtifact, error) {
-	kind, err := fleet.ParseKind(f.Scenario)
-	if err != nil {
-		return fleet.Result{}, "", nil, err
-	}
-	scfg := fleet.ScenarioConfig{
-		Seed:                 f.Seed,
-		Duration:             f.fleetDuration(),
-		ReEvalPeriod:         f.reEvalPeriod(),
-		HeadsetsPerRoom:      f.HeadsetsPerRoom,
-		CoexPolicy:           coex.PolicyName(f.CoexPolicy),
-		VenueBays:            f.Bays,
-		VenueChannels:        f.Channels,
-		VenueAssign:          venue.AssignMode(f.Assign),
-		VenueInterferenceOff: f.InterferenceOff,
-		VenueAdmission:       f.Admission,
-	}
-	base, err := kind.Specs(f.Sessions, scfg)
-	if err != nil {
-		return fleet.Result{}, "", nil, err
-	}
-	specs := make([]fleet.Spec, 0, len(base)*len(f.Variants))
-	for _, name := range f.Variants {
-		variant := variantNames[name]
-		for _, sp := range base {
-			sp.ID = sp.ID + "@" + name
-			sp.Variant = variant
-			specs = append(specs, sp)
+	expand := func(base []fleet.Spec) []fleet.Spec {
+		specs := make([]fleet.Spec, 0, len(base)*len(f.Variants))
+		for _, name := range f.Variants {
+			variant := variantNames[name]
+			for _, sp := range base {
+				sp.ID = sp.ID + "@" + name
+				sp.Variant = variant
+				specs = append(specs, sp)
+			}
 		}
+		return specs
 	}
-	// Sharding slices the expanded list, but streaming sketches are
-	// always sized from the FULL set — every shard of one job spec gets
-	// identical sketch ranges, the precondition for merging their
-	// states. The shard coordinates are part of the canonical hash, so
-	// each shard caches independently.
-	var col fleet.Collector
-	if f.Agg == aggStream {
-		col = fleet.StreamCollectorFor(specs)
-	}
-	if f.Shard != nil {
-		sh := fleet.Shard{Index: f.Shard.Index, Count: f.Shard.Count}
-		if err := sh.Validate(); err != nil {
-			return fleet.Result{}, "", nil, err
-		}
-		// Bay-aligned: no shard splits a bay, so sharded jobs keep the
-		// bay-batched execution path; merging shards still reassembles
-		// the full run exactly.
-		specs = sh.SliceAligned(specs)
-	}
-	var recs []*obs.Recorder
-	if f.Trace {
-		recs = fleet.AttachTraceRecorders(specs, 0)
-	}
-	res, err := fleet.RunCollect(ctx, specs, fleet.Config{Runner: runner, OnSession: onSession}, col)
+	res, tr, err := f.job().Run(ctx, fleet.Config{Runner: runner, OnSession: onSession}, expand)
 	if err != nil {
 		return fleet.Result{}, "", nil, err
 	}
 	var trace *TraceArtifact
-	if f.Trace {
-		tr := fleet.CollectTrace(specs, recs)
+	if tr != nil {
 		var buf bytes.Buffer
 		if err := tr.WriteChrome(&buf); err != nil {
 			return fleet.Result{}, "", nil, fmt.Errorf("encode trace: %w", err)
@@ -165,11 +121,11 @@ func executeFleet(ctx context.Context, f FleetJobSpec, runner *pool.Runner, onSe
 			trace.Dropped += st.Dropped
 		}
 	}
-	title := kind.Title()
+	title := fleet.Kind(f.Scenario).Title()
 	if f.CoexPolicy != "" {
 		title += " [policy=" + f.CoexPolicy + "]"
 	}
-	if fleet.IsVenueKind(kind) {
+	if f.Scenario == string(fleet.KindVenue) {
 		title += fmt.Sprintf(" [bays=%d channels=%d assign=%s]", f.Bays, f.Channels, f.Assign)
 	}
 	if len(f.Variants) > 1 {

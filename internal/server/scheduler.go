@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/movr-sim/movr/internal/coex"
 	"github.com/movr-sim/movr/internal/fleet"
 	"github.com/movr-sim/movr/internal/fleet/pool"
 )
@@ -570,24 +569,21 @@ func (s *Scheduler) admitVenue(norm JobSpec) error {
 	if norm.Kind != "fleet" || norm.Fleet == nil || norm.Fleet.Scenario != string(fleet.KindVenue) {
 		return nil
 	}
-	f := norm.Fleet
-	capacity := fleet.VenueCapacity(f.HeadsetsPerRoom, fleet.ScenarioConfig{
-		ReEvalPeriod: f.reEvalPeriod(),
-		CoexPolicy:   coex.PolicyName(f.CoexPolicy),
-	})
-	overflow := f.HeadsetsPerRoom - capacity
-	if overflow > 0 && f.Admission == fleet.AdmissionReject {
-		s.met.admissionRejected.Add(int64(overflow * f.Bays))
-		policy := f.CoexPolicy
-		if policy == "" {
-			policy = string(coex.PolicyRR)
-		}
-		return fmt.Errorf("%w: %d players per bay exceeds the %s policy's admission capacity of %d",
-			ErrAdmissionDenied, f.HeadsetsPerRoom, policy, capacity)
+	job, err := norm.Fleet.job().Resolve(wireNames)
+	if err != nil {
+		return err
 	}
-	s.met.admissionAdmitted.Add(int64(capacity * f.Bays))
+	c := job.Config
+	capacity := fleet.VenueCapacity(c.HeadsetsPerRoom, c)
+	overflow := c.HeadsetsPerRoom - capacity
+	if overflow > 0 && c.VenueAdmission == fleet.AdmissionReject {
+		s.met.admissionRejected.Add(int64(overflow * c.VenueBays))
+		return fmt.Errorf("%w: %d players per bay exceeds the %s policy's admission capacity of %d",
+			ErrAdmissionDenied, c.HeadsetsPerRoom, c.CoexPolicy, capacity)
+	}
+	s.met.admissionAdmitted.Add(int64(capacity * c.VenueBays))
 	if overflow > 0 {
-		s.met.admissionQueued.Add(int64(overflow * f.Bays))
+		s.met.admissionQueued.Add(int64(overflow * c.VenueBays))
 	}
 	return nil
 }

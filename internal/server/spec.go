@@ -45,12 +45,6 @@ const (
 // specVersion is the job-API spec version this server speaks.
 const specVersion = 1
 
-// Aggregation modes of a fleet job.
-const (
-	aggExact  = "exact"
-	aggStream = "stream"
-)
-
 // JobSpec is the wire format of POST /v1/jobs: a kind plus the matching
 // sub-spec. Exactly one sub-spec may be set, and it must match Kind
 // (a nil sub-spec of the right kind means "all defaults").
@@ -75,10 +69,7 @@ type JobSpec struct {
 // in the canonical hash — each shard is its own cacheable job — and
 // shard 0/1 (the whole job) normalizes to the omitted field, so
 // unsharded specs keep their pre-shard hashes.
-type ShardSpec struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
-}
+type ShardSpec = fleet.Shard
 
 // FleetJobSpec parameterizes a multi-session fleet run.
 type FleetJobSpec struct {
@@ -263,34 +254,27 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 }
 
+// wireNames spells the fleet knobs by their JSON fields, so a rejected
+// spec names the field at fault.
+var wireNames = fleet.Frontend{
+	DefaultSessions: defaultSessions,
+
+	Scenario: "scenario", Sessions: "sessions", Players: "headsets_per_room",
+	Policy: "coex_policy", Uplink: "uplink", Bays: "bays", Channels: "channels",
+	Assign: "assign", InterferenceOff: "interference_off", Admission: "admission",
+	Agg: "agg",
+}
+
+// normalize resolves the spec through the fleet job rules, applies the
+// service limits and writes the resolved fields back in their canonical
+// spelling.
 func (f FleetJobSpec) normalize() (FleetJobSpec, error) {
-	if f.Scenario == "" {
-		f.Scenario = string(fleet.KindMixed)
-	}
-	if _, err := fleet.ParseKind(f.Scenario); err != nil {
+	job, err := f.job().Resolve(wireNames)
+	if err != nil {
 		return FleetJobSpec{}, fmt.Errorf("spec: %w", err)
 	}
-	// The venue scenario's natural size is its whole bay grid, so an
-	// unset session count defaults to bays × players rather than the
-	// generic default.
-	if f.Sessions == 0 && f.Scenario == string(fleet.KindVenue) {
-		bays := f.Bays
-		if bays == 0 {
-			bays = fleet.DefaultVenueBays
-		}
-		ppb := f.HeadsetsPerRoom
-		if ppb == 0 {
-			ppb = fleet.DefaultCoexHeadsets
-		}
-		f.Sessions = bays * ppb
-	}
-	switch {
-	case f.Sessions == 0:
-		f.Sessions = defaultSessions
-	case f.Sessions < 0:
-		return FleetJobSpec{}, fmt.Errorf("spec: sessions %d must be positive", f.Sessions)
-	case f.Sessions > maxFleetSessions:
-		return FleetJobSpec{}, fmt.Errorf("spec: sessions %d exceeds the limit of %d", f.Sessions, maxFleetSessions)
+	if job.Sessions > maxFleetSessions {
+		return FleetJobSpec{}, fmt.Errorf("spec: sessions %d exceeds the limit of %d", job.Sessions, maxFleetSessions)
 	}
 	switch {
 	case f.DurationMS == 0:
@@ -307,83 +291,6 @@ func (f FleetJobSpec) normalize() (FleetJobSpec, error) {
 		return FleetJobSpec{}, fmt.Errorf("spec: reeval_ms %d must be positive", f.ReEvalMS)
 	case f.ReEvalMS < minFleetReEvalMS:
 		return FleetJobSpec{}, fmt.Errorf("spec: reeval_ms %d below the minimum of %d", f.ReEvalMS, minFleetReEvalMS)
-	}
-	// Fold the policy-suffixed scenario shorthands into the canonical
-	// form — scenario "coex" plus an explicit policy — so both
-	// spellings of one workload share a single cache entry.
-	fold := func(kind fleet.Kind, policy coex.PolicyName) error {
-		if f.CoexPolicy != "" && f.CoexPolicy != string(policy) {
-			return fmt.Errorf("spec: scenario %q conflicts with coex_policy %q", kind, f.CoexPolicy)
-		}
-		f.Scenario = string(fleet.KindCoex)
-		f.CoexPolicy = string(policy)
-		return nil
-	}
-	switch fleet.Kind(f.Scenario) {
-	case fleet.KindCoexPF:
-		if err := fold(fleet.KindCoexPF, coex.PolicyPF); err != nil {
-			return FleetJobSpec{}, err
-		}
-	case fleet.KindCoexEDF:
-		if err := fold(fleet.KindCoexEDF, coex.PolicyEDF); err != nil {
-			return FleetJobSpec{}, err
-		}
-	}
-	if fleet.IsCoexKind(fleet.Kind(f.Scenario)) {
-		switch {
-		case f.HeadsetsPerRoom == 0:
-			f.HeadsetsPerRoom = fleet.DefaultCoexHeadsets
-		case f.HeadsetsPerRoom < 0:
-			return FleetJobSpec{}, fmt.Errorf("spec: headsets_per_room %d must be positive", f.HeadsetsPerRoom)
-		case f.HeadsetsPerRoom > fleet.MaxCoexHeadsets:
-			return FleetJobSpec{}, fmt.Errorf("spec: headsets_per_room %d exceeds the limit of %d", f.HeadsetsPerRoom, fleet.MaxCoexHeadsets)
-		}
-		if _, err := coex.ParsePolicy(f.CoexPolicy); err != nil {
-			return FleetJobSpec{}, fmt.Errorf("spec: %w", err)
-		}
-		if f.CoexPolicy == string(coex.PolicyRR) {
-			// The round-robin default is canonically spelled as the
-			// empty (omitted) field, so pre-policy specs keep their
-			// hashes and cached results stay valid.
-			f.CoexPolicy = ""
-		}
-	} else {
-		if f.HeadsetsPerRoom != 0 {
-			return FleetJobSpec{}, fmt.Errorf("spec: headsets_per_room is only meaningful for the %q scenario family", fleet.KindCoex)
-		}
-		if f.CoexPolicy != "" {
-			return FleetJobSpec{}, fmt.Errorf("spec: coex_policy is only meaningful for the %q scenario family", fleet.KindCoex)
-		}
-	}
-	if f.Scenario == string(fleet.KindVenue) {
-		switch {
-		case f.Bays == 0:
-			f.Bays = fleet.DefaultVenueBays
-		case f.Bays < 0:
-			return FleetJobSpec{}, fmt.Errorf("spec: bays %d must be positive", f.Bays)
-		case f.Bays > fleet.MaxVenueBays:
-			return FleetJobSpec{}, fmt.Errorf("spec: bays %d exceeds the limit of %d", f.Bays, fleet.MaxVenueBays)
-		}
-		switch {
-		case f.Channels == 0:
-			f.Channels = venue.DefaultChannels
-		case f.Channels < 0:
-			return FleetJobSpec{}, fmt.Errorf("spec: channels %d must be positive", f.Channels)
-		case f.Channels > venue.MaxChannels:
-			return FleetJobSpec{}, fmt.Errorf("spec: channels %d exceeds the limit of %d", f.Channels, venue.MaxChannels)
-		}
-		mode, err := venue.ParseAssignMode(f.Assign)
-		if err != nil {
-			return FleetJobSpec{}, fmt.Errorf("spec: %w", err)
-		}
-		f.Assign = string(mode)
-		adm, err := fleet.ParseAdmission(f.Admission)
-		if err != nil {
-			return FleetJobSpec{}, fmt.Errorf("spec: %w", err)
-		}
-		f.Admission = adm
-	} else if f.Bays != 0 || f.Channels != 0 || f.Assign != "" || f.InterferenceOff || f.Admission != "" {
-		return FleetJobSpec{}, fmt.Errorf("spec: bays/channels/assign/interference_off/admission are only meaningful for the %q scenario", fleet.KindVenue)
 	}
 	if len(f.Variants) == 0 {
 		f.Variants = []string{"tracking"}
@@ -403,46 +310,31 @@ func (f FleetJobSpec) normalize() (FleetJobSpec, error) {
 	f.Variants = norm
 	// The session limit bounds actual work: the scenario set runs once
 	// per variant.
-	if total := f.Sessions * len(f.Variants); total > maxFleetSessions {
+	if total := job.Sessions * len(f.Variants); total > maxFleetSessions {
 		return FleetJobSpec{}, fmt.Errorf("spec: sessions %d × %d variants = %d exceeds the limit of %d",
-			f.Sessions, len(f.Variants), total, maxFleetSessions)
+			job.Sessions, len(f.Variants), total, maxFleetSessions)
 	}
-	switch f.Agg {
-	case "":
-		// The venue scenario defaults to the streaming path — hundreds
-		// of sessions at constant memory; everywhere else the exact
-		// default is canonically spelled as the omitted field, so
-		// pre-streaming specs keep their hashes.
-		if f.Scenario == string(fleet.KindVenue) {
-			f.Agg = aggStream
-		}
-	case aggExact:
-		// Venue keeps an explicit "exact" explicit (its default is
-		// stream, so the two must normalize apart).
-		if f.Scenario != string(fleet.KindVenue) {
-			f.Agg = ""
-		}
-	case aggStream:
-	default:
-		return FleetJobSpec{}, fmt.Errorf("spec: unknown agg %q (exact|stream)", f.Agg)
+	// Each default a field held before it existed is spelled as the
+	// omitted field — round-robin policy, exact aggregation off the
+	// venue, the whole job — so older specs keep their hashes. The
+	// venue streams by default, so its explicit exact stays.
+	c := job.Config
+	f.Scenario, f.Sessions, f.HeadsetsPerRoom = string(job.Kind), job.Sessions, c.HeadsetsPerRoom
+	f.CoexPolicy = string(c.CoexPolicy)
+	if c.CoexPolicy == coex.PolicyRR {
+		f.CoexPolicy = ""
 	}
-	if f.Shard != nil {
-		sh := *f.Shard
-		switch {
-		case sh == ShardSpec{} || sh == ShardSpec{Index: 0, Count: 1}:
-			// The whole job is canonically spelled as the omitted field,
-			// so unsharded specs keep their pre-shard hashes.
-			f.Shard = nil
-		case sh.Count < 1:
-			return FleetJobSpec{}, fmt.Errorf("spec: shard count %d must be at least 1", sh.Count)
-		case sh.Index < 0 || sh.Index >= sh.Count:
-			return FleetJobSpec{}, fmt.Errorf("spec: shard index %d outside [0,%d)", sh.Index, sh.Count)
-		case sh.Count > f.Sessions:
-			return FleetJobSpec{}, fmt.Errorf("spec: shard count %d exceeds sessions %d", sh.Count, f.Sessions)
-		default:
-			// Copy so the normalized spec never aliases the caller's.
-			f.Shard = &sh
-		}
+	f.Bays, f.Channels, f.Assign, f.Admission = c.VenueBays, c.VenueChannels, string(c.VenueAssign), c.VenueAdmission
+	f.Agg = job.Agg
+	if job.Agg == fleet.AggExact && !fleet.IsVenueKind(job.Kind) {
+		f.Agg = ""
+	}
+	f.Shard = nil
+	if job.Shard != (fleet.Shard{}) {
+		// A fresh copy, so the normalized spec never aliases the
+		// caller's.
+		sh := job.Shard
+		f.Shard = &sh
 	}
 	return f, nil
 }
@@ -500,11 +392,28 @@ func hashNormalized(norm JobSpec) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// fleetDuration converts the wire milliseconds to the engine duration.
-func (f FleetJobSpec) fleetDuration() time.Duration {
-	return time.Duration(f.DurationMS) * time.Millisecond
-}
-
-func (f FleetJobSpec) reEvalPeriod() time.Duration {
-	return time.Duration(f.ReEvalMS) * time.Millisecond
+// job maps the spec onto the fleet job it describes.
+func (f FleetJobSpec) job() fleet.Job {
+	j := fleet.Job{
+		Kind:     fleet.Kind(f.Scenario),
+		Sessions: f.Sessions,
+		Agg:      f.Agg,
+		Trace:    f.Trace,
+		Config: fleet.ScenarioConfig{
+			Seed:                 f.Seed,
+			Duration:             time.Duration(f.DurationMS) * time.Millisecond,
+			ReEvalPeriod:         time.Duration(f.ReEvalMS) * time.Millisecond,
+			HeadsetsPerRoom:      f.HeadsetsPerRoom,
+			CoexPolicy:           coex.PolicyName(f.CoexPolicy),
+			VenueBays:            f.Bays,
+			VenueChannels:        f.Channels,
+			VenueAssign:          venue.AssignMode(f.Assign),
+			VenueInterferenceOff: f.InterferenceOff,
+			VenueAdmission:       f.Admission,
+		},
+	}
+	if f.Shard != nil {
+		j.Shard = *f.Shard
+	}
+	return j
 }

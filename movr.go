@@ -435,7 +435,9 @@ var (
 	// proportional-fair or deadline-aware sizing, CoexUplink reserves
 	// per-player pose-report sub-slots, CoexWeights skews airtime), and
 	// every other player's body moves through the room as a dynamic
-	// obstacle. CoexFleetN sizes bays for exactly n sessions.
+	// obstacle. CoexFleetN sizes bays for exactly n sessions. Both
+	// return an error for a bay the knobs make impossible, such as an
+	// uplink reservation that fills the scheduling window.
 	CoexFleet  = fleet.Coex
 	CoexFleetN = fleet.CoexN
 
@@ -444,7 +446,7 @@ var (
 	// channel assignment (FleetScenarioConfig.VenueChannels/VenueAssign),
 	// cross-bay SINR interference read from neighboring bays' geometry
 	// snapshots, and admission control on each bay's TDMA capacity
-	// (VenueAdmission). VenueFleetN sizes the venue for roughly n
+	// (VenueAdmission). VenueFleetN truncates the configured venue to n
 	// sessions. A 1-bay venue reproduces the equivalent CoexFleet room
 	// byte-identically.
 	VenueFleet  = fleet.Venue
@@ -466,9 +468,8 @@ var (
 	FleetScenarioNames = fleet.KindNames
 )
 
-// Coex scenario vocabulary shared by the CLI and the movrd job API, so
-// the two front-ends validate the players-per-bay and airtime-policy
-// knobs identically.
+// Coex and venue scenario vocabulary: the kinds, bounds and modes the
+// fleet job resolver holds every front-end's knobs to.
 const (
 	// FleetScenarioCoex is the shared-medium arcade kind;
 	// FleetScenarioCoexPF and FleetScenarioCoexEDF are the same bays
@@ -535,8 +536,7 @@ type (
 	CoexPolicyName    = coex.PolicyName
 )
 
-// Airtime-policy helpers shared by the movrsim CLI and the movrd job
-// API.
+// Airtime-policy and scenario-family helpers.
 var (
 	// BuildCoexGeometry builds a shared room's schedule table once, on
 	// the session engine's world-tick grid out to the session duration;
