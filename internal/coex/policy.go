@@ -158,7 +158,8 @@ type AirtimePolicy interface {
 // policy-driven capacity the venue admission path asks before letting
 // players onto a bay's medium. Zero period/frame resolve to the same
 // defaults BuildGeometry applies. Every policy requires the per-player
-// pose-uplink reservation to leave downlink airtime; the deadline-aware
+// pose-uplink reservation to leave downlink airtime, so the answer is 0
+// when one player's uplink alone fills the window; the deadline-aware
 // policy additionally refuses players beyond the number of whole
 // display-frame intervals a window's downlink span carries, because a
 // player entitled to less than one whole frame per window on average
@@ -187,6 +188,9 @@ func MaxAdmissible(p PolicyName, n int, period, frame, uplink time.Duration) int
 			continue
 		}
 		return k
+	}
+	if period-uplink <= 0 {
+		return 0 // one player's uplink alone fills the window
 	}
 	return 1
 }

@@ -374,3 +374,25 @@ func TestPolicySchedulesDiverge(t *testing.T) {
 		}
 	}
 }
+
+// TestMaxAdmissibleUplinkEdge pins admission at the window's edge: an
+// uplink reservation equal to the period leaves no downlink airtime for
+// even one player (0 admitted under every policy), and one nanosecond
+// less admits exactly one — the deadline-aware policy included, whose
+// whole-frame rule never refuses the last player.
+func TestMaxAdmissibleUplinkEdge(t *testing.T) {
+	const period = 100 * time.Millisecond
+	for _, p := range []PolicyName{PolicyRR, PolicyPF, PolicyEDF} {
+		for _, tc := range []struct {
+			uplink time.Duration
+			want   int
+		}{
+			{period, 0},
+			{period - time.Nanosecond, 1},
+		} {
+			if got := MaxAdmissible(p, 4, period, 0, tc.uplink); got != tc.want {
+				t.Errorf("MaxAdmissible(%s, 4, %v, 0, %v) = %d, want %d", p, period, tc.uplink, got, tc.want)
+			}
+		}
+	}
+}

@@ -73,6 +73,17 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	bays, headsetsPerRoom = cfg.VenueBays, cfg.HeadsetsPerRoom
 	cfg = cfg.withDefaults()
 
+	// Admission: the TDMA window only fits so many players under the
+	// configured policy and uplink reservation; the rest are held back
+	// before any world is built, and a window that fits none is an
+	// error before any trace is drawn.
+	admitted := VenueCapacity(headsetsPerRoom, cfg)
+	if admitted == 0 {
+		return nil, fmt.Errorf("venue: admission capacity 0: a %v uplink reservation per player fills the %v window",
+			cfg.CoexUplink, cfg.ReEvalPeriod)
+	}
+	overflow := headsetsPerRoom - admitted
+
 	const w, d = 8, 8
 	layout, err := venue.Grid(bays, w, d, room.Drywall)
 	if err != nil {
@@ -82,12 +93,6 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Admission: the TDMA window only fits so many players under the
-	// configured policy and uplink reservation; the rest are held back
-	// before any world is built.
-	admitted := VenueCapacity(headsetsPerRoom, cfg)
-	overflow := headsetsPerRoom - admitted
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mounts := append(experiments.DefaultMounts(w, d),

@@ -270,7 +270,7 @@ func renderEvent(pid int, ev Event) []chromeEvent {
 			}{ev.X, ev.Y}}}
 	case KindFrameOK:
 		return []chromeEvent{{Name: "frame", Ph: "X", Pid: pid, Tid: tidFrames,
-			Ts: usec(ev.T), Dur: ev.X * 1e6,
+			Ts: usec(ev.T), Dur: sanitize(ev.X * 1e6), // a latency past 1.8e302 s overflows
 			Args: struct {
 				Frame int32 `json:"frame"`
 			}{ev.A}}}
@@ -305,10 +305,26 @@ func ReadTrace(r io.Reader) (Trace, error) {
 		}
 		dec := json.NewDecoder(bytes.NewReader(trimmed))
 		if err := dec.Decode(&doc); err == nil && !dec.More() && doc.Movr != nil {
+			if err := doc.Movr.checkKinds(); err != nil {
+				return Trace{}, err
+			}
 			return *doc.Movr, nil
 		}
 	}
 	return readJSONL(bytes.NewReader(trimmed))
+}
+
+// checkKinds rejects an embedded event whose kind is outside the wire
+// vocabulary, as readJSONL does for an unknown kind name.
+func (tr Trace) checkKinds() error {
+	for _, s := range tr.Sessions {
+		for i, ev := range s.Events {
+			if ev.Kind == 0 || ev.Kind >= kindMax {
+				return fmt.Errorf("obs: chrome session %q event %d: unknown event kind %d", s.ID, i, ev.Kind)
+			}
+		}
+	}
+	return nil
 }
 
 // ReadTraceFile reads and parses a trace file.

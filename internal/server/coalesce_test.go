@@ -2,8 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/movr-sim/movr/internal/fleet"
+	"github.com/movr-sim/movr/internal/fleet/pool"
 )
 
 // TestCoalesceIdenticalInflight pins single-flight semantics: a spec
@@ -237,4 +243,107 @@ func waitState(t *testing.T, j *Job, want State) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("job %s never reached %s (now %s)", j.ID, want, j.State())
+}
+
+// TestCoalesceBurstLifecycle submits one spec from many goroutines while
+// the primary is released mid-burst, so submissions land before, during
+// and after the primary's finish. Each must be a follower, a cache hit
+// or the one execution — never a second run — and end done with the
+// primary's bytes. A second primary then holds followers through Close,
+// which must leave no job short of a terminal state.
+func TestCoalesceBurstLifecycle(t *testing.T) {
+	s := mustScheduler(t, Options{Workers: 1, MaxJobs: 1, QueueDepth: 4})
+	release := make(chan struct{})
+	var runs atomic.Int64
+	s.execFn = func(ctx context.Context, spec JobSpec, runner *pool.Runner, onSession func(int, int, fleet.SessionOutcome)) ([]byte, *TraceArtifact, error) {
+		runs.Add(1)
+		if spec.Fleet.Seed == 2 { // the held primary: only Close ends it
+			<-ctx.Done()
+			return nil, nil, ctx.Err()
+		}
+		select {
+		case <-release:
+			return []byte(`{"ok":true}`), nil, nil
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+	}
+
+	const submitters, each = 8, 25
+	jobs := make(chan *Job, submitters*each)
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if g == 0 && i == each/2 {
+					close(release)
+				}
+				j, err := s.Submit(specN(1))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				jobs <- j
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(jobs)
+
+	var primary *Job
+	var all []*Job
+	for j := range jobs {
+		waitTerminal(t, j)
+		if j.State() != StateDone {
+			t.Fatalf("job %s ended %s: %s", j.ID, j.State(), j.Err())
+		}
+		if _, cached := j.Result(); !cached {
+			primary = j
+		}
+		all = append(all, j)
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("execFn ran %d times for one spec, want 1", got)
+	}
+	want, _ := primary.Result()
+	for _, j := range all {
+		if res, _ := j.Result(); !bytes.Equal(res, want) {
+			t.Fatalf("job %s result %q, want the primary's %q", j.ID, res, want)
+		}
+	}
+	n := int64(submitters * each)
+	if h, c, m := s.met.cacheHits.Value(), s.met.jobsCoalesced.Value(), s.met.cacheMisses.Value(); h+c+m != n || m != 1 {
+		t.Fatalf("hits %d + coalesced %d + misses %d, want %d with one miss", h, c, m, n)
+	}
+	if got := s.met.jobsDone.Value(); got != n {
+		t.Fatalf("jobsDone = %d, want %d", got, n)
+	}
+
+	held, err := s.Submit(specN(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, held, StateRunning)
+	for i := 0; i < 5; i++ {
+		f, err := s.Submit(specN(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Coalesced() != held.ID {
+			t.Fatalf("submission %d coalesced with %q, want %q", i, f.Coalesced(), held.ID)
+		}
+	}
+	s.Close()
+	for _, j := range s.Jobs() {
+		select {
+		case <-j.Done():
+		default:
+			t.Fatalf("job %s left %s by Close", j.ID, j.State())
+		}
+		if j.Spec.Fleet.Seed == 2 && j.State() != StateCanceled {
+			t.Fatalf("held job %s ended %s, want canceled", j.ID, j.State())
+		}
+	}
 }

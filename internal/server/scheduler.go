@@ -67,6 +67,10 @@ type Job struct {
 	ctx    context.Context
 	done   chan struct{} // closed on terminal transition
 
+	// followers are the submissions coalesced onto this job while it is
+	// in flight; its finish ends them too. Guarded by Scheduler.mu.
+	followers []*Job
+
 	mu        sync.Mutex
 	state     State
 	errMsg    string
@@ -129,6 +133,43 @@ func (j *Job) Err() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.errMsg
+}
+
+// outcome is how a job ends: its terminal state and what goes with it.
+type outcome struct {
+	state  State
+	errMsg string
+	result []byte
+	trace  *TraceArtifact
+	cached bool // the result was computed by another job
+}
+
+// end moves j from state from to the outcome's terminal state, stamping
+// the terminal event; it reports false, changing nothing, if j already
+// left from. sha is the result's digest, computed once per outcome.
+// Only Scheduler.finish calls it, holding Scheduler.mu.
+func (j *Job) end(from State, out outcome, sha string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != from {
+		return false
+	}
+	j.state, j.errMsg, j.finished = out.state, out.errMsg, time.Now()
+	ev := Event{Type: string(out.state)}
+	switch out.state {
+	case StateDone:
+		j.result, j.resultSHA, j.trace, j.cached = out.result, sha, out.trace, out.cached
+		// A cache hit is born done: it takes no time, and its event says
+		// where the bytes came from. A follower's event does not.
+		if out.cached && j.coalesced == "" {
+			j.started, j.finished = j.created, j.created
+			ev.Cached = true
+		}
+	case StateFailed:
+		ev.Error = out.errMsg
+	}
+	j.appendEventLocked(ev)
+	return true
 }
 
 // appendEventLocked records ev (stamping its sequence number) and wakes
@@ -226,7 +267,6 @@ type Scheduler struct {
 	baseCtx  context.Context
 	shutdown context.CancelFunc
 	wg       sync.WaitGroup
-	followWG sync.WaitGroup // coalesced-follower watchers
 
 	// execFn runs a job spec; the default is execute. Tests substitute
 	// blocking or failing executors to probe scheduling behaviour
@@ -329,95 +369,69 @@ func (s *Scheduler) Close() {
 	// otherwise never reach a terminal state, wedging every ?wait=1
 	// handler blocked on them. Nothing can enqueue any more (Submit
 	// checks closed under s.mu before the enqueue), so draining here is
-	// complete.
+	// complete — and every primary's finish ends its followers.
 drain:
 	for {
 		select {
 		case j := <-s.queue:
 			s.met.jobsQueued.Add(-1)
-			s.finishCanceled(j, "scheduler shut down")
+			s.finish(j, StateQueued, outcome{state: StateCanceled, errMsg: "scheduler shut down"})
 		default:
 			break drain
 		}
 	}
-	// Every primary is now terminal, so the follower watchers all wake
-	// and finish; no new ones can start once closed is set.
-	s.followWG.Wait()
 	if s.store != nil {
 		_ = s.store.Close()
 	}
 }
 
-// finishCanceled moves a job that will never run from queued straight
-// to canceled, atomically — the transition happens only if the job is
-// still queued, so it cannot collide with an executor that already
-// claimed it. Reports whether it transitioned.
-func (s *Scheduler) finishCanceled(j *Job, msg string) bool {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		j.mu.Unlock()
+// finish is the only way a job ends. It moves j from state from to the
+// outcome (false, changing nothing, if j already left from), and in the
+// same s.mu step drops j's coalescing registration and ends every
+// follower still queued on it with j's outcome. A primary's result is
+// cached before its finish, so an identical submission either follows
+// it (before) or hits the cache (after) — never re-executes a completed
+// spec. Counters are bumped before done is closed, so a waiter that
+// sees the job end sees it counted.
+func (s *Scheduler) finish(j *Job, from State, out outcome) bool {
+	var sha string
+	if out.state == StateDone {
+		sha = resultDigest(out.result)
+	}
+	s.mu.Lock()
+	if !j.end(from, out, sha) {
+		s.mu.Unlock()
 		return false
 	}
-	j.state = StateCanceled
-	j.errMsg = msg
-	j.finished = time.Now()
-	j.appendEventLocked(Event{Type: "canceled"})
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-	s.clearInflight(j)
-	s.met.jobsCanceled.Inc()
-	return true
-}
-
-// clearInflight drops the job's coalescing registration, if it is the
-// current primary for its hash. New identical submissions will then
-// hit the cache (the primary's result lands there before this runs) or
-// execute afresh.
-func (s *Scheduler) clearInflight(j *Job) {
-	s.mu.Lock()
 	if s.inflight[j.Hash] == j {
 		delete(s.inflight, j.Hash)
 	}
-	s.mu.Unlock()
-}
-
-// newJob allocates a job record and registers it. The closed check
-// shares the registration critical section, so no job can be born after
-// Close has started tearing the registry down.
-func (s *Scheduler) newJob(spec JobSpec, hash string) (*Job, error) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrShuttingDown
+	ended := append(make([]*Job, 0, 1+len(j.followers)), j)
+	follow := outcome{state: out.state, errMsg: out.errMsg, result: out.result, cached: true}
+	if out.state == StateCanceled {
+		follow.errMsg = "coalesced primary canceled"
 	}
-	j := s.newJobLocked(spec, hash, ctx, cancel)
-	s.mu.Unlock()
-	return j, nil
-}
-
-// newJobLocked is newJob's registration core; the caller holds s.mu and
-// has already rejected a closed scheduler.
-func (s *Scheduler) newJobLocked(spec JobSpec, hash string, ctx context.Context, cancel context.CancelFunc) *Job {
-	s.nextID++
-	j := &Job{
-		ID:      fmt.Sprintf("job-%d", s.nextID),
-		Spec:    spec,
-		Hash:    hash,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		state:   StateQueued,
-		created: time.Now(),
-		updated: make(chan struct{}),
+	for _, f := range j.followers {
+		if f.end(StateQueued, follow, sha) { // a follower canceled on its own stays so
+			ended = append(ended, f)
+		}
 	}
-	j.appendEventLocked(Event{Type: "queued"})
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.pruneLocked()
-	return j
+	j.followers = nil
+	s.mu.Unlock()
+
+	switch out.state {
+	case StateDone:
+		s.met.jobsDone.Add(int64(len(ended)))
+	case StateFailed:
+		s.met.jobsFailed.Add(int64(len(ended)))
+	default:
+		s.met.jobsCanceled.Add(int64(len(ended)))
+	}
+	for _, j := range ended {
+		j.cancel()
+		close(j.done)
+	}
+	return true
 }
 
 // pruneLocked drops the oldest terminal job records beyond the
@@ -446,25 +460,12 @@ func (s *Scheduler) pruneLocked() {
 	}
 }
 
-// removeLocked unregisters a job that was never admitted (queue full,
-// shutdown race). Callers hold s.mu. The ID is the newest, so the scan
-// runs from the back.
-func (s *Scheduler) removeLocked(id string) {
-	delete(s.jobs, id)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			return
-		}
-	}
-}
-
 // Submit validates and normalizes spec, then serves it the cheapest
 // correct way: from the result cache (the job is born done, with the
 // exact bytes a fresh run would produce), by coalescing onto an
-// identical in-flight job (the follower subscribes to the primary's
-// outcome and never enqueues), or by enqueueing it. A full queue
-// returns ErrQueueFull — the API layer's 429. Only admitted submissions
+// identical in-flight job (the follower rides on the primary and never
+// enqueues), or by enqueueing it. A full queue returns ErrQueueFull —
+// the API layer's 429. Only admitted submissions are registered and
 // count toward the submission and cache metrics; rejections count
 // separately.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
@@ -483,78 +484,80 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	// Traced jobs bypass the cache and coalescing entirely: both return
 	// result bytes only, silently losing the trace the caller asked for.
 	traced := norm.Fleet != nil && norm.Fleet.Trace
+	var res []byte
+	hit := false
 	if !traced {
-		if res, ok := s.cacheGet(hash); ok {
-			j, err := s.newJob(norm, hash)
-			if err != nil {
-				return nil, err
-			}
-			j.mu.Lock()
-			j.state = StateDone
-			j.cached = true
-			j.result = res
-			j.resultSHA = resultDigest(res)
-			j.started = j.created
-			j.finished = j.created
-			j.appendEventLocked(Event{Type: "done", Cached: true})
-			j.mu.Unlock()
-			j.cancel() // nothing will ever use the context
-			close(j.done)
-			s.met.jobsSubmitted.Inc()
-			s.met.jobsByScenario.Inc(scenarioLabel(norm))
-			s.met.cacheHits.Inc()
-			s.met.jobsDone.Inc()
-			return j, nil
-		}
+		res, hit = s.cacheGet(hash)
 	}
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	j := &Job{
+		Spec:    norm,
+		Hash:    hash,
+		ctx:     ctx,
+		cancel:  cancel,
+		done:    make(chan struct{}),
+		state:   StateQueued,
+		created: time.Now(),
+		updated: make(chan struct{}),
+	}
+	j.appendEventLocked(Event{Type: "queued"}) // j is not shared yet
 
 	// Admission: one critical section covers the closed check, the
-	// coalescing lookup, the registration, and the enqueue — so a
+	// coalescing lookup, the enqueue and the registration — so a
 	// concurrent identical submission cannot slip between lookup and
 	// registration (becoming a second primary), and nothing can enqueue
 	// behind Close's drain.
-	ctx, cancel := context.WithCancel(s.baseCtx)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		cancel()
 		return nil, ErrShuttingDown
 	}
-	if !traced {
-		if primary, ok := s.inflight[hash]; ok {
-			j := s.newJobLocked(norm, hash, ctx, cancel)
-			j.mu.Lock()
-			j.coalesced = primary.ID
-			j.appendEventLocked(Event{Type: "coalesced", Primary: primary.ID})
-			j.mu.Unlock()
-			s.followWG.Add(1) // inside s.mu: Close cannot Wait between the closed check and this Add
-			s.mu.Unlock()
-			s.met.jobsSubmitted.Inc()
-			s.met.jobsByScenario.Inc(scenarioLabel(norm))
-			s.met.jobsCoalesced.Inc()
-			go s.followPrimary(j, primary)
-			return j, nil
+	s.nextID++
+	j.ID = fmt.Sprintf("job-%d", s.nextID)
+	var primary *Job
+	if !traced && !hit {
+		if primary = s.inflight[hash]; primary == nil {
+			// A primary that finished since the lookup above cached its
+			// result before leaving inflight.
+			res, hit = s.cache.Get(hash)
 		}
 	}
-	j := s.newJobLocked(norm, hash, ctx, cancel)
-	select {
-	case s.queue <- j:
+	admitted := s.met.cacheMisses
+	switch {
+	case hit:
+		admitted = s.met.cacheHits
+	case primary != nil:
+		j.coalesced = primary.ID
+		j.appendEventLocked(Event{Type: "coalesced", Primary: primary.ID})
+		primary.followers = append(primary.followers, j)
+		admitted = s.met.jobsCoalesced
+	default:
+		select {
+		case s.queue <- j:
+		default:
+			s.mu.Unlock()
+			cancel()
+			s.met.jobsRejected.Inc()
+			return nil, ErrQueueFull
+		}
 		if !traced {
 			s.inflight[hash] = j
 		}
-		s.mu.Unlock()
-		s.met.jobsSubmitted.Inc()
-		s.met.jobsByScenario.Inc(scenarioLabel(norm))
-		s.met.cacheMisses.Inc()
 		s.met.jobsQueued.Add(1)
-		return j, nil
-	default:
-		s.removeLocked(j.ID)
-		s.mu.Unlock()
-		j.cancel()
-		s.met.jobsRejected.Inc()
-		return nil, ErrQueueFull
 	}
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	s.pruneLocked()
+	s.mu.Unlock()
+
+	s.met.jobsSubmitted.Inc()
+	s.met.jobsByScenario.Inc(scenarioLabel(norm))
+	admitted.Inc()
+	if hit {
+		s.finish(j, StateQueued, outcome{state: StateDone, result: res, cached: true})
+	}
+	return j, nil
 }
 
 // admitVenue runs policy-driven admission control on a normalized venue
@@ -588,57 +591,6 @@ func (s *Scheduler) admitVenue(norm JobSpec) error {
 	return nil
 }
 
-// followPrimary mirrors the primary's terminal state onto a coalesced
-// follower once the primary finishes — all waiters on an identical
-// in-flight spec share one execution. A follower canceled before the
-// primary finishes detaches without affecting it.
-func (s *Scheduler) followPrimary(j, primary *Job) {
-	defer s.followWG.Done()
-	select {
-	case <-j.done: // follower canceled directly (finishCanceled closed it)
-		return
-	case <-primary.Done():
-	}
-	primary.mu.Lock()
-	state, errMsg := primary.state, primary.errMsg
-	result, resultSHA := primary.result, primary.resultSHA
-	primary.mu.Unlock()
-
-	j.mu.Lock()
-	if j.state != StateQueued { // lost the race to a direct cancel
-		j.mu.Unlock()
-		return
-	}
-	j.finished = time.Now()
-	switch state {
-	case StateDone:
-		j.state = StateDone
-		j.result = result
-		j.resultSHA = resultSHA
-		j.cached = true // computed by the primary, not this job
-		j.appendEventLocked(Event{Type: "done"})
-	case StateFailed:
-		j.state = StateFailed
-		j.errMsg = errMsg
-		j.appendEventLocked(Event{Type: "failed", Error: errMsg})
-	default:
-		j.state = StateCanceled
-		j.errMsg = "coalesced primary canceled"
-		j.appendEventLocked(Event{Type: "canceled"})
-	}
-	j.mu.Unlock()
-	j.cancel()
-	close(j.done)
-	switch j.State() {
-	case StateDone:
-		s.met.jobsDone.Inc()
-	case StateFailed:
-		s.met.jobsFailed.Inc()
-	default:
-		s.met.jobsCanceled.Inc()
-	}
-}
-
 // scenarioLabel is the per-scenario job-counter label of a normalized
 // spec: the fleet scenario kind for fleet jobs, the job kind otherwise.
 func scenarioLabel(norm JobSpec) string {
@@ -669,17 +621,17 @@ func (s *Scheduler) Jobs() []*Job {
 	return out
 }
 
-// Cancel cancels a job: a queued job terminates immediately (its queue
-// slot is reclaimed when an executor dequeues the husk), a running
-// job's context is cancelled — the shared pool stops claiming its work
-// units and the executor marks it canceled. Returns false for unknown
-// IDs.
+// Cancel cancels a job: a queued job (or a follower) terminates
+// immediately (a queued job's slot is reclaimed when an executor
+// dequeues the husk), a running job's context is cancelled — the shared
+// pool stops claiming its work units and the executor marks it
+// canceled. Returns false for unknown IDs.
 func (s *Scheduler) Cancel(id string) bool {
 	j, ok := s.Get(id)
 	if !ok {
 		return false
 	}
-	if !s.finishCanceled(j, "canceled while queued") {
+	if !s.finish(j, StateQueued, outcome{state: StateCanceled, errMsg: "canceled while queued"}) {
 		j.cancel()
 	}
 	return true
@@ -709,10 +661,10 @@ func (s *Scheduler) run(j *Job) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	queueWait := j.started.Sub(j.created)
+	started := j.started
 	j.appendEventLocked(Event{Type: "running"})
 	j.mu.Unlock()
-	s.met.queueWait.Observe(queueWait.Seconds())
+	s.met.queueWait.Observe(started.Sub(j.created).Seconds())
 	s.met.jobsRunning.Add(1)
 	defer s.met.jobsRunning.Add(-1)
 
@@ -730,57 +682,30 @@ func (s *Scheduler) run(j *Job) {
 	}
 	result, trace, err := s.execFn(j.ctx, j.Spec, s.runner, onSession)
 
-	j.mu.Lock()
-	j.finished = time.Now()
-	elapsed := j.finished.Sub(j.started)
+	out := outcome{state: StateFailed}
 	switch {
 	// Cancellation wins even over a completed result: a DELETE that
 	// raced the job's last work unit still reports canceled.
 	case j.ctx.Err() != nil || errors.Is(err, context.Canceled):
-		j.state = StateCanceled
-		j.errMsg = "canceled"
-		j.appendEventLocked(Event{Type: "canceled"})
+		out = outcome{state: StateCanceled, errMsg: "canceled"}
 	case err == nil:
-		j.state = StateDone
-		j.result = result
-		j.resultSHA = resultDigest(result)
-		j.trace = trace
-		j.appendEventLocked(Event{Type: "done"})
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		j.appendEventLocked(Event{Type: "failed", Error: j.errMsg})
-	}
-	state := j.state
-	j.mu.Unlock()
-	// Traced jobs stay out of the result cache: a later identical
-	// submission must re-run to produce its own trace (Submit bypasses
-	// Get for them symmetrically). Everything else is cached — and
-	// appended to the durable store — before done is signaled, so a
-	// waiter that sees the job finish can rely on its result surviving
-	// a crash.
-	if state == StateDone && trace == nil {
-		s.cachePut(j.Hash, result)
-	}
-	j.cancel()
-	close(j.done)
-
-	switch state {
-	case StateDone:
-		if trace != nil {
+		out = outcome{state: StateDone, result: result, trace: trace}
+		// Traced jobs stay out of the result cache: a later identical
+		// submission must re-run to produce its own trace (Submit
+		// bypasses the cache for them symmetrically). Everything else
+		// is cached — and appended to the durable store — before the
+		// job finishes, so a waiter that sees it done can rely on its
+		// result surviving a crash.
+		if trace == nil {
+			s.cachePut(j.Hash, result)
+		} else {
 			s.met.tracedJobs.Inc()
 			s.met.traceEvents.Add(int64(trace.Events))
 			s.met.traceDropped.Add(int64(trace.Dropped))
 		}
-		s.met.jobsDone.Inc()
-		s.met.jobLatency.Observe(elapsed.Seconds())
-	case StateCanceled:
-		s.met.jobsCanceled.Inc()
+		s.met.jobLatency.Observe(time.Since(started).Seconds())
 	default:
-		s.met.jobsFailed.Inc()
+		out.errMsg = err.Error()
 	}
-	// Deregister from coalescing only after the result is cached: an
-	// identical submission always either coalesces (before this) or
-	// cache-hits (after) — never re-executes a completed spec.
-	s.clearInflight(j)
+	s.finish(j, StateRunning, out)
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/movr-sim/movr/internal/fleet"
@@ -215,4 +217,68 @@ func TestCrashRestartServesPersistedResult(t *testing.T) {
 	}
 
 	s1.Close()
+}
+
+// TestStoreWriteFailureKeepsServing closes the store's log file under a
+// live scheduler, so every append fails as on a yanked volume: the job
+// still ends done, the failure is counted, an identical resubmit is a
+// memory-cache hit with the same bytes, and a scheduler reopened on the
+// directory re-executes the spec instead of serving anything from the
+// log that never took the record.
+func TestStoreWriteFailureKeepsServing(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Kind: "fleet", Fleet: &FleetJobSpec{Scenario: "home", Sessions: 2, Seed: 12, DurationMS: 100}}
+
+	s1 := mustScheduler(t, Options{Workers: 2, CacheDir: dir})
+	if err := s1.store.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j1, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j1)
+	if j1.State() != StateDone {
+		t.Fatalf("job state %s: %s", j1.State(), j1.Err())
+	}
+	var prom bytes.Buffer
+	s1.met.reg.WritePrometheus(&prom)
+	if !strings.Contains(prom.String(), "\nmovrd_store_errors_total 1\n") {
+		t.Fatalf("/metrics does not count one store error:\n%s", prom.String())
+	}
+	want, _ := j1.Result()
+	j2, err := s1.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, cached := j2.Result()
+	if j2.State() != StateDone || !cached || !bytes.Equal(res, want) {
+		t.Fatalf("resubmit: state %s, cached %v, same bytes %v; want a done cache hit with the first result",
+			j2.State(), cached, bytes.Equal(res, want))
+	}
+	if s1.met.storeHits.Value() != 0 {
+		t.Fatalf("store hits = %d, want the memory tier to serve", s1.met.storeHits.Value())
+	}
+	s1.Close()
+
+	s2 := mustScheduler(t, Options{Workers: 2, CacheDir: dir})
+	defer s2.Close()
+	var runs atomic.Int64
+	s2.execFn = func(ctx context.Context, spec JobSpec, runner *pool.Runner, onSession func(int, int, fleet.SessionOutcome)) ([]byte, *TraceArtifact, error) {
+		runs.Add(1)
+		return execute(ctx, spec, runner, onSession)
+	}
+	j3, err := s2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, j3)
+	res, cached = j3.Result()
+	if j3.State() != StateDone || cached || runs.Load() != 1 {
+		t.Fatalf("reopened scheduler: state %s, cached %v, runs %d; want one fresh execution",
+			j3.State(), cached, runs.Load())
+	}
+	if !bytes.Equal(res, want) {
+		t.Fatal("re-executed result differs from the first run")
+	}
 }
