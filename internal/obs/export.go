@@ -44,8 +44,13 @@ type jsonlLine struct {
 }
 
 // WriteJSONL renders the trace as JSON lines: for each session a meta
-// line, then its events in order.
+// line, then its events in order. A trace with no sessions has no lines,
+// and an empty input is not a trace, so it is refused rather than
+// written as a file ReadTrace cannot read back.
 func (tr Trace) WriteJSONL(w io.Writer) error {
+	if len(tr.Sessions) == 0 {
+		return fmt.Errorf("obs: a trace with no sessions has no JSONL form")
+	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, s := range tr.Sessions {
@@ -339,17 +344,21 @@ func ReadTraceFile(path string) (Trace, error) {
 
 // WriteFile writes the trace to path, choosing the format from the
 // extension: .jsonl writes JSONL, everything else the Chrome document.
+// A failed write removes the file rather than leave one ReadTrace
+// cannot read.
 func (tr Trace) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := tr.writeByExt(path, f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
+	err = tr.writeByExt(path, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return cerr
+	if err != nil {
+		_ = os.Remove(path) // the write error is the one to report
+	}
+	return err
 }
 
 func (tr Trace) writeByExt(path string, w io.Writer) error {

@@ -11,9 +11,8 @@ import (
 // Analyze and Render must never panic; a trace ReadTrace accepts must
 // hold only known event kinds, and written back as JSONL and as a
 // Chrome document it must read back equal (nil and empty slices alike).
-// A trace with no sessions has no JSONL form — WriteJSONL writes
-// nothing and an empty input is not a trace — so it round-trips through
-// the Chrome document only. The seed corpus under
+// A trace with no sessions has no JSONL form: WriteJSONL refuses it and
+// it round-trips through the Chrome document only. The seed corpus under
 // testdata/fuzz/FuzzReadTrace holds a JSONL trace, a Chrome trace, a
 // Chrome document with a kind-0 event, `{}`, an event line before any
 // meta line, and a frame latency whose Chrome duration overflows.
@@ -34,6 +33,8 @@ func FuzzReadTrace(f *testing.F) {
 		writers := map[string]func(io.Writer) error{"chrome": tr.WriteChrome}
 		if len(tr.Sessions) > 0 {
 			writers["jsonl"] = tr.WriteJSONL
+		} else if err := tr.WriteJSONL(io.Discard); err == nil {
+			t.Fatal("jsonl: wrote a trace with no sessions, which ReadTrace cannot read back")
 		}
 		for name, write := range writers {
 			var buf bytes.Buffer

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -178,5 +181,35 @@ func TestWriteFilePicksFormatByExtension(t *testing.T) {
 		if !reflect.DeepEqual(tr, back) {
 			t.Fatalf("%s: round-trip mismatch", p)
 		}
+	}
+}
+
+// TestWriteJSONLRefusesEmptyTrace: a trace with no sessions has no JSONL
+// lines, and ReadTrace rejects an empty input, so writing one as JSONL
+// is an error, and leaves no file, instead of a file that cannot be
+// read back. The Chrome document still carries it.
+func TestWriteJSONLRefusesEmptyTrace(t *testing.T) {
+	var tr Trace
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err == nil {
+		t.Fatalf("WriteJSONL accepted a trace with no sessions, writing %q", buf.Bytes())
+	}
+	dir := t.TempDir()
+	if err := tr.WriteFile(dir + "/empty.jsonl"); err == nil {
+		t.Error("WriteFile(.jsonl) accepted a trace with no sessions")
+	}
+	if _, err := os.Stat(dir + "/empty.jsonl"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused .jsonl write left a file behind (stat: %v)", err)
+	}
+	chromePath := dir + "/empty.json"
+	if err := tr.WriteFile(chromePath); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTraceFile(chromePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Sessions) != 0 {
+		t.Fatalf("Chrome round trip of an empty trace gave %d sessions", len(back.Sessions))
 	}
 }

@@ -6,9 +6,11 @@ import (
 )
 
 // cache is the deterministic result cache: canonical spec hash → result
-// bytes, LRU-evicted at a fixed entry bound. Because every job is a
-// pure function of its normalized spec, a hit returns exactly the bytes
-// a fresh run would produce — correctness is testable bit for bit.
+// bytes and their digest, LRU-evicted at a fixed entry bound. It holds
+// only the compact form of each result; views are rendered from it.
+// Because every job is a pure function of its normalized spec, a hit
+// returns exactly the bytes a fresh run would produce — correctness is
+// testable bit for bit.
 type cache struct {
 	mu      sync.Mutex
 	max     int
@@ -19,6 +21,7 @@ type cache struct {
 type cacheEntry struct {
 	key string
 	val []byte
+	sha string // resultDigest(val)
 }
 
 func newCache(maxEntries int) *cache {
@@ -32,29 +35,33 @@ func newCache(maxEntries int) *cache {
 	}
 }
 
-// Get returns the cached bytes for key and refreshes its recency.
-func (c *cache) Get(key string) ([]byte, bool) {
+// Get returns the cached bytes for key with their digest and refreshes
+// the entry's recency.
+func (c *cache) Get(key string) (val []byte, sha string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		return nil, "", false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).val, true
+	e := el.Value.(*cacheEntry)
+	return e.val, e.sha, true
 }
 
-// Put stores val under key, evicting the least recently used entry when
-// the cache is full. Storing an existing key refreshes it.
-func (c *cache) Put(key string, val []byte) {
+// Put stores val and its digest sha under key, evicting the least
+// recently used entry when the cache is full. Storing an existing key
+// refreshes it.
+func (c *cache) Put(key string, val []byte, sha string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).val = val
+		e := el.Value.(*cacheEntry)
+		e.val, e.sha = val, sha
 		c.order.MoveToFront(el)
 		return
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val})
+	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, val: val, sha: sha})
 	for c.order.Len() > c.max {
 		last := c.order.Back()
 		c.order.Remove(last)

@@ -75,7 +75,7 @@ type Job struct {
 	state     State
 	errMsg    string
 	result    []byte
-	resultSHA string // hex SHA-256 of result, computed once when set
+	resultSHA string // hex SHA-256 of result, computed once per result
 	trace     *TraceArtifact
 	cached    bool
 	coalesced string // ID of the in-flight primary this job was folded into
@@ -86,8 +86,9 @@ type Job struct {
 	updated   chan struct{} // closed and replaced on every event
 }
 
-// resultDigest hashes result bytes once, at the moment they are set;
-// status views reuse it instead of rehashing per request.
+// resultDigest hashes result bytes once: when an executor produces them
+// or a store hit enters the memory cache. Cache hits, followers and
+// status views reuse the digest instead of rehashing.
 func resultDigest(res []byte) string {
 	sum := sha256.Sum256(res)
 	return hex.EncodeToString(sum[:])
@@ -140,15 +141,15 @@ type outcome struct {
 	state  State
 	errMsg string
 	result []byte
+	sha    string // resultDigest(result)
 	trace  *TraceArtifact
 	cached bool // the result was computed by another job
 }
 
 // end moves j from state from to the outcome's terminal state, stamping
 // the terminal event; it reports false, changing nothing, if j already
-// left from. sha is the result's digest, computed once per outcome.
-// Only Scheduler.finish calls it, holding Scheduler.mu.
-func (j *Job) end(from State, out outcome, sha string) bool {
+// left from. Only Scheduler.finish calls it, holding Scheduler.mu.
+func (j *Job) end(from State, out outcome) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != from {
@@ -158,7 +159,7 @@ func (j *Job) end(from State, out outcome, sha string) bool {
 	ev := Event{Type: string(out.state)}
 	switch out.state {
 	case StateDone:
-		j.result, j.resultSHA, j.trace, j.cached = out.result, sha, out.trace, out.cached
+		j.result, j.resultSHA, j.trace, j.cached = out.result, out.sha, out.trace, out.cached
 		// A cache hit is born done: it takes no time, and its event says
 		// where the bytes came from. A follower's event does not.
 		if out.cached && j.coalesced == "" {
@@ -317,26 +318,29 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 }
 
 // cacheGet checks the memory tier, then the durable store (promoting a
-// disk hit into memory so repeats stay off the disk).
-func (s *Scheduler) cacheGet(hash string) ([]byte, bool) {
-	if res, ok := s.cache.Get(hash); ok {
-		return res, true
+// disk hit into memory so repeats stay off the disk). It returns the
+// result with its digest.
+func (s *Scheduler) cacheGet(hash string) ([]byte, string, bool) {
+	if res, sha, ok := s.cache.Get(hash); ok {
+		return res, sha, true
 	}
 	if s.store != nil {
 		if res, ok := s.store.Get(hash); ok {
-			s.cache.Put(hash, res)
+			sha := resultDigest(res)
+			s.cache.Put(hash, res, sha)
 			s.met.storeHits.Inc()
-			return res, true
+			return res, sha, true
 		}
 	}
-	return nil, false
+	return nil, "", false
 }
 
-// cachePut stores a completed result in both tiers. A store append
-// failure (disk full, yanked volume) degrades durability, not service:
-// it is counted and the in-memory entry still serves.
-func (s *Scheduler) cachePut(hash string, res []byte) {
-	s.cache.Put(hash, res)
+// cachePut stores a completed result and its digest in both tiers (the
+// store keeps only the bytes). A store append failure (disk full, yanked
+// volume) degrades durability, not service: it is counted and the
+// in-memory entry still serves.
+func (s *Scheduler) cachePut(hash string, res []byte, sha string) {
+	s.cache.Put(hash, res, sha)
 	if s.store != nil {
 		if err := s.store.Put(hash, res); err != nil {
 			s.met.storeErrors.Inc()
@@ -394,12 +398,8 @@ drain:
 // spec. Counters are bumped before done is closed, so a waiter that
 // sees the job end sees it counted.
 func (s *Scheduler) finish(j *Job, from State, out outcome) bool {
-	var sha string
-	if out.state == StateDone {
-		sha = resultDigest(out.result)
-	}
 	s.mu.Lock()
-	if !j.end(from, out, sha) {
+	if !j.end(from, out) {
 		s.mu.Unlock()
 		return false
 	}
@@ -407,12 +407,12 @@ func (s *Scheduler) finish(j *Job, from State, out outcome) bool {
 		delete(s.inflight, j.Hash)
 	}
 	ended := append(make([]*Job, 0, 1+len(j.followers)), j)
-	follow := outcome{state: out.state, errMsg: out.errMsg, result: out.result, cached: true}
+	follow := outcome{state: out.state, errMsg: out.errMsg, result: out.result, sha: out.sha, cached: true}
 	if out.state == StateCanceled {
 		follow.errMsg = "coalesced primary canceled"
 	}
 	for _, f := range j.followers {
-		if f.end(StateQueued, follow, sha) { // a follower canceled on its own stays so
+		if f.end(StateQueued, follow) { // a follower canceled on its own stays so
 			ended = append(ended, f)
 		}
 	}
@@ -485,9 +485,10 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	// result bytes only, silently losing the trace the caller asked for.
 	traced := norm.Fleet != nil && norm.Fleet.Trace
 	var res []byte
+	var sha string
 	hit := false
 	if !traced {
-		res, hit = s.cacheGet(hash)
+		res, sha, hit = s.cacheGet(hash)
 	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	j := &Job{
@@ -520,7 +521,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		if primary = s.inflight[hash]; primary == nil {
 			// A primary that finished since the lookup above cached its
 			// result before leaving inflight.
-			res, hit = s.cache.Get(hash)
+			res, sha, hit = s.cache.Get(hash)
 		}
 	}
 	admitted := s.met.cacheMisses
@@ -555,7 +556,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	s.met.jobsByScenario.Inc(scenarioLabel(norm))
 	admitted.Inc()
 	if hit {
-		s.finish(j, StateQueued, outcome{state: StateDone, result: res, cached: true})
+		s.finish(j, StateQueued, outcome{state: StateDone, result: res, sha: sha, cached: true})
 	}
 	return j, nil
 }
@@ -689,7 +690,7 @@ func (s *Scheduler) run(j *Job) {
 	case j.ctx.Err() != nil || errors.Is(err, context.Canceled):
 		out = outcome{state: StateCanceled, errMsg: "canceled"}
 	case err == nil:
-		out = outcome{state: StateDone, result: result, trace: trace}
+		out = outcome{state: StateDone, result: result, sha: resultDigest(result), trace: trace}
 		// Traced jobs stay out of the result cache: a later identical
 		// submission must re-run to produce its own trace (Submit
 		// bypasses the cache for them symmetrically). Everything else
@@ -697,7 +698,7 @@ func (s *Scheduler) run(j *Job) {
 		// job finishes, so a waiter that sees it done can rely on its
 		// result surviving a crash.
 		if trace == nil {
-			s.cachePut(j.Hash, result)
+			s.cachePut(j.Hash, result, out.sha)
 		} else {
 			s.met.tracedJobs.Inc()
 			s.met.traceEvents.Add(int64(trace.Events))

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -144,6 +146,77 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// viewBufs recycles writeView's response bodies; a body over
+// maxPooledView is left to the garbage collector rather than pinned.
+var viewBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledView = 1 << 20
+
+// resultKey is the top-level result key as writeJSON's indenter spells
+// it. Nested keys sit deeper and a JSON string cannot hold a raw
+// newline, so it occurs exactly once in an indented view.
+var resultKey = []byte("\n  \"result\": ")
+
+// resultPlaceholder stands in for the result while the envelope is
+// encoded: one byte, cut out again by writeView.
+var resultPlaceholder = json.RawMessage("0")
+
+// writeView writes a job view exactly as writeJSON would, without
+// re-encoding the result: the result bytes never change once a job is
+// done, so the envelope is encoded around a one-byte placeholder and
+// the stored result is indented straight into the placeholder's place.
+// writeJSON compacts the result with HTML escaping before indenting it;
+// the splice is byte-identical whenever that compaction only drops
+// whitespace, and any result it would rewrite goes through writeJSON.
+func writeView(w http.ResponseWriter, status int, v jobView) {
+	// Indent drops leading whitespace but keeps trailing whitespace,
+	// which compaction drops.
+	res := bytes.TrimRight(v.Result, " \t\r\n")
+	if len(res) == 0 || htmlEscapable(res) {
+		writeJSON(w, status, v)
+		return
+	}
+	buf := viewBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledView {
+			viewBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	env := v
+	env.Result = resultPlaceholder
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(env); err != nil {
+		writeJSON(w, status, v)
+		return
+	}
+	at := bytes.Index(buf.Bytes(), resultKey) + len(resultKey)
+	tail := append([]byte(nil), buf.Bytes()[at+len(resultPlaceholder):]...)
+	buf.Truncate(at)
+	if err := json.Indent(buf, res, "  ", "  "); err != nil {
+		writeJSON(w, status, v) // answers an invalid result as writeJSON does
+		return
+	}
+	buf.Write(tail)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// htmlEscapable reports whether res holds what the encoder's
+// HTML-escaping compaction rewrites: '<', '>', '&', U+2028 or U+2029.
+// Other runes whose UTF-8 starts with 0xE2, such as the em dash in
+// every result's render title, pass through.
+func htmlEscapable(res []byte) bool {
+	for _, c := range []byte("<>&") {
+		if bytes.IndexByte(res, c) >= 0 {
+			return true
+		}
+	}
+	return bytes.Contains(res, []byte("\u2028")) || bytes.Contains(res, []byte("\u2029"))
+}
+
 // Stable machine-readable error codes of the v1 envelope. Every
 // non-2xx response carries exactly one of them; clients branch on the
 // code, never on the human-readable message.
@@ -255,7 +328,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// cacheable for the next submission).
 			return
 		}
-		writeJSON(w, http.StatusOK, view(job, true))
+		writeView(w, http.StatusOK, view(job, true))
 		return
 	}
 	// Only a cache hit answers 200. A miss whose job already finished
@@ -265,7 +338,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, view(job, true))
+	writeView(w, status, view(job, true))
 }
 
 // List defaults and bounds.
@@ -383,7 +456,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, view(j, true))
+	writeView(w, http.StatusOK, view(j, true))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
