@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build build-cmds vet fmt-check test race bench-module-test bench bench-suite bench-gate bench-baseline bench-profile serve load-smoke ci
+.PHONY: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check fast-all-golden bench-suite bench-gate bench-baseline bench-profile serve load-smoke ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,16 @@ bench-module-test:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Diff a fresh `movrsim -fast all` at seed 1 — every figure, session,
+# map and ablation table the CLI prints — against the pinned stdout.
+fast-all-check:
+	$(GO) run ./cmd/movrsim -fast -seed 1 all 2>/dev/null | diff -u cmd/movrsim/testdata/fast_all_seed1.txt -
+
+# Re-pin that stdout after an intended change to a printed result, and
+# commit it with the change that justified it.
+fast-all-golden:
+	$(GO) run ./cmd/movrsim -fast -seed 1 all > cmd/movrsim/testdata/fast_all_seed1.txt
 
 # Run the named perf suite — one fleet entry per scenario kind, the
 # coex airtime-policy family (fleet/coex{,pf,edf}) included — and write
@@ -75,4 +85,4 @@ serve:
 load-smoke:
 	sh scripts/movrd_load_smoke.sh
 
-ci: build build-cmds vet fmt-check test race bench-module-test bench serve load-smoke bench-gate
+ci: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check serve load-smoke bench-gate

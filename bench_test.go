@@ -62,16 +62,21 @@ func BenchmarkFig8Alignment(b *testing.B) {
 }
 
 // BenchmarkFig8ExhaustiveSweep measures the paper's reference exhaustive
-// alignment (the §6 "most time consuming process").
+// alignment (the §6 "most time consuming process") on one wall-mounted
+// reflector.
 func BenchmarkFig8ExhaustiveSweep(b *testing.B) {
-	cfg := movr.DefaultFig8Config()
-	cfg.Runs = 1
-	cfg.Exhaustive = true
+	world := movr.NewWorld(0)
+	device := movr.DefaultReflector(movr.V(2.2, 5), 270)
 	for i := 0; i < b.N; i++ {
+		cfg := movr.DefaultAlignConfig()
 		cfg.Seed = int64(i + 1)
-		r := movr.RunFig8(cfg)
-		if len(r.Errors) != cfg.Runs {
-			b.Fatal("bad result")
+		link := movr.NewControlLink(movr.NewController(device), 0, 0, cfg.Seed)
+		sw, err := movr.NewSweeper(world.AP, device, link, world.Tracer, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sw.Exhaustive(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -240,8 +245,7 @@ func BenchmarkLinkManagerStep(b *testing.B) {
 	hs := world.NewHeadsetAt(movr.V(3.4, 2.4), 60)
 	mgr := movr.NewLinkManager(world.Tracer, world.AP, hs)
 	dev := movr.DefaultReflector(movr.V(4.6, 4.6), 225)
-	link := movr.NewControlLink(movr.NewController(dev), 0, 0, 1)
-	idx := mgr.AddReflector(dev, link)
+	idx := mgr.AddReflector(dev)
 	if err := mgr.AlignFromGeometry(idx); err != nil {
 		b.Fatal(err)
 	}

@@ -58,8 +58,7 @@ func coverage(mounts [][3]float64) (covered, total int) {
 			mgr := movr.NewLinkManager(world.Tracer, world.AP, headset)
 			for _, m := range mounts {
 				dev := movr.DefaultReflector(movr.V(m[0], m[1]), m[2])
-				link := movr.NewControlLink(movr.NewController(dev), 0, 0, 1)
-				idx := mgr.AddReflector(dev, link)
+				idx := mgr.AddReflector(dev)
 				if err := mgr.AlignFromGeometry(idx); err != nil {
 					panic(err)
 				}

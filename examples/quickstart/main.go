@@ -18,10 +18,9 @@ func main() {
 
 	// A MoVR reflector stuck high on the opposite-corner wall.
 	device := movr.DefaultReflector(movr.V(4.6, 4.6), 225)
-	link := movr.NewControlLink(movr.NewController(device), 0, 0, 1)
 
 	mgr := movr.NewLinkManager(world.Tracer, world.AP, headset)
-	idx := mgr.AddReflector(device, link)
+	idx := mgr.AddReflector(device)
 	if err := mgr.AlignFromGeometry(idx); err != nil {
 		panic(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/channel"
 	"github.com/movr-sim/movr/internal/coex"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/experiments"
 	"github.com/movr-sim/movr/internal/fleet"
 	"github.com/movr-sim/movr/internal/gainctl"
@@ -89,8 +88,7 @@ func linkmgrSpec() Spec {
 	hs := radio.NewHeadset(geom.V(3.4, 2.4), antenna.Default(60), budget)
 	mgr := linkmgr.New(tr, ap, hs)
 	dev := reflector.Default(geom.V(4.6, 4.6), 225)
-	link := control.NewLink(reflector.NewController(dev), 0, 0, 1)
-	idx := mgr.AddReflector(dev, link)
+	idx := mgr.AddReflector(dev)
 	step := 0
 	return Spec{
 		Name:      "linkmgr/step",

@@ -79,10 +79,6 @@ type Room struct {
 	// Period is the TDMA scheduling window. Zero means DefaultPeriod.
 	Period time.Duration
 
-	// BodyRadiusM is the blocking radius of a player's body for the
-	// idle-reclaim line-of-sight test. Zero means room.BodyRadiusM.
-	BodyRadiusM float64
-
 	// Policy selects the airtime policy that sizes the per-player
 	// sub-slots of every window. Empty means PolicyRR, the historical
 	// round-robin even split.
@@ -103,25 +99,17 @@ type Room struct {
 	// UplinkSlot × len(Players) must stay below Period.
 	UplinkSlot time.Duration
 
-	// FrameInterval is the display deadline grid the deadline-aware
-	// policy (PolicyEDF) quantizes slot sizes to. Zero means the HTC
-	// Vive frame interval (≈11.1 ms at 90 Hz).
-	FrameInterval time.Duration
-
 	// ExtSINRPenaltyDB, when non-empty, is the bay's external-
 	// interference input: the SINR penalty (dB ≥ 0) that co-channel
 	// transmitters in neighboring bays impose, indexed by scheduling
 	// window (out-of-range windows carry no penalty). The venue layer
 	// computes the table per bay from the neighbors' geometry snapshots;
 	// a plain table rather than a callback keeps rooms comparable and
-	// spec generation trivially deterministic. It reaches the airtime
-	// policies via Window.ExtPenaltyDB when the Geometry is built and
-	// the session's link budget via Scheduler.ExtPenaltyDB; the built-in
-	// policies' shares are invariant to it (a bay-wide penalty scales
-	// every player's quality equally and shares normalize), so a table
-	// built before the venue computes the penalties stays valid. Empty
-	// means no external interference — the historical single-room
-	// behavior.
+	// spec generation trivially deterministic. It reaches only the
+	// session's link budget, via Scheduler.ExtPenaltyDB: no airtime
+	// policy sees it, so a Geometry built before the venue computes the
+	// penalties stays valid. Empty means no external interference — the
+	// historical single-room behavior.
 	ExtSINRPenaltyDB []float64
 
 	// Geometry is the room's schedule table — peer poses and the full
@@ -265,13 +253,10 @@ func (s *Scheduler) computeWindow(win int64) {
 type layout struct {
 	players []vr.Trace
 	period  time.Duration
-	radius  float64
 	ap      geom.Vec
 	weights []float64
 	uplink  time.Duration
-	frame   time.Duration
 	policy  AirtimePolicy
-	ext     []float64
 
 	poses     []geom.Vec
 	activeSet []bool
@@ -297,10 +282,6 @@ func newLayout(rm Room, ap geom.Vec) (*layout, error) {
 	if period <= 0 {
 		period = DefaultPeriod
 	}
-	radius := rm.BodyRadiusM
-	if radius <= 0 {
-		radius = room.BodyRadiusM
-	}
 	if rm.Weights != nil {
 		if len(rm.Weights) != len(rm.Players) {
 			return nil, fmt.Errorf("coex: %d weights for %d players", len(rm.Weights), len(rm.Players))
@@ -318,10 +299,6 @@ func newLayout(rm Room, ap geom.Vec) (*layout, error) {
 		return nil, fmt.Errorf("coex: uplink reservation %v (%d players × %v) leaves no downlink airtime in a %v window",
 			res, len(rm.Players), rm.UplinkSlot, period)
 	}
-	frame := rm.FrameInterval
-	if frame <= 0 {
-		frame = vr.HTCVive().FrameInterval()
-	}
 	n := len(rm.Players)
 	policy, err := newPolicy(rm.Policy, n)
 	if err != nil {
@@ -330,13 +307,10 @@ func newLayout(rm Room, ap geom.Vec) (*layout, error) {
 	l := &layout{
 		players:   rm.Players,
 		period:    period,
-		radius:    radius,
 		ap:        ap,
 		weights:   rm.Weights,
 		uplink:    rm.UplinkSlot,
-		frame:     frame,
 		policy:    policy,
-		ext:       rm.ExtSINRPenaltyDB,
 		poses:     make([]geom.Vec, n),
 		activeSet: make([]bool, n),
 		shares:    make([]float64, n),
@@ -406,12 +380,8 @@ func (l *layout) layoutWindow(win int64, active []bool, starts, ends []time.Dura
 	down := l.period - up
 
 	w := &l.win
-	w.Index, w.Start, w.DownStart, w.Downlink, w.Frame = win, start, upEnd, down, l.frame
-	w.Poses, w.Active, w.NActive, w.Weights = l.poses, l.activeSet, nActive, l.weights
-	w.ExtPenaltyDB = 0
-	if win >= 0 && win < int64(len(l.ext)) {
-		w.ExtPenaltyDB = l.ext[win]
-	}
+	w.Index, w.DownStart, w.Downlink = win, upEnd, down
+	w.Active, w.NActive, w.Weights = l.activeSet, nActive, l.weights
 
 	for i := range l.shares {
 		l.shares[i] = 0
@@ -483,7 +453,7 @@ func (l *layout) losClear(poses []geom.Vec, i int) bool {
 		if j == i {
 			continue
 		}
-		body := geom.Circle{C: poses[j], R: l.radius}
+		body := geom.Circle{C: poses[j], R: room.BodyRadiusM}
 		if body.IntersectsSegment(seg) {
 			return false
 		}

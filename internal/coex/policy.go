@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/vr"
 )
 
@@ -69,28 +68,19 @@ func ParsePolicy(s string) (PolicyName, error) {
 // the order windows are laid out in. The slices are layout-owned
 // scratch, valid only for the duration of the Shares call.
 type Window struct {
-	// Index is the scheduling window number (Start / the room period).
+	// Index is the scheduling window number (its start / the room
+	// period).
 	Index int64
 
-	// Start is the window's start in virtual time.
-	Start time.Duration
-
 	// DownStart is where the downlink span begins in virtual time — the
-	// end of the window's pose-uplink reservation (Start when the
-	// reservation is off). Deadline-aware policies need the absolute
+	// end of the window's pose-uplink reservation (the window start when
+	// the reservation is off). Deadline-aware policies need the absolute
 	// position to find the display's frame-deadline grid.
 	DownStart time.Duration
 
 	// Downlink is the airtime the policy divides: the window span minus
 	// the pose-uplink reservation.
 	Downlink time.Duration
-
-	// Frame is the display's frame interval — the deadline grid
-	// deadline-aware policies size slots against.
-	Frame time.Duration
-
-	// Poses holds every player's position at the window start.
-	Poses []geom.Vec
 
 	// Active flags the players whose direct path from the AP is clear
 	// of other bodies (all true when everyone is blocked — the
@@ -104,15 +94,6 @@ type Window struct {
 	// Weights are the room's per-player airtime weights; nil means
 	// equal. Use Weight to read them.
 	Weights []float64
-
-	// ExtPenaltyDB is the bay's external-interference input for this
-	// window: the SINR penalty co-channel neighbors impose (0 when the
-	// room has none — see Room.ExtSINRPenaltyDB). It is advisory
-	// context, taken from the room the Geometry is built from: the venue
-	// layer builds its tables before the penalties exist, so a policy
-	// consulting it must remain share-invariant when the penalty applies
-	// bay-wide (as the built-ins trivially are, by ignoring it).
-	ExtPenaltyDB float64
 
 	lay *layout
 }
@@ -135,6 +116,11 @@ const qualityLookback = 8
 // direct path is shadowed, so airtime spent on it mostly misses.
 const blockedQuality = 0.05
 
+// frameInterval is the display deadline grid the deadline-aware policy
+// quantizes slot sizes to: the HTC Vive frame interval (≈11.1 ms at
+// 90 Hz).
+var frameInterval = vr.HTCVive().FrameInterval()
+
 // AirtimePolicy sizes the per-player sub-slots of every scheduling
 // window. Implementations must be deterministic pure functions of the
 // Window (any state must be reconstructible from Index alone): the same
@@ -142,11 +128,8 @@ const blockedQuality = 0.05
 // visited in, or concurrently simulated sessions of one room would
 // derive conflicting schedules.
 type AirtimePolicy interface {
-	// Name identifies the policy in reports and wire configs.
-	Name() PolicyName
-
 	// Shares fills shares[i] with player i's relative share of the
-	// window's downlink airtime (shares is zeroed, len = len(w.Poses)).
+	// window's downlink airtime (shares is zeroed, one entry per player).
 	// The scheduler normalizes, so only ratios matter; inactive
 	// players are forced to zero regardless. Returning all zeros
 	// degrades to an even split over the active players.
@@ -156,8 +139,8 @@ type AirtimePolicy interface {
 // MaxAdmissible reports how many of n requested players the named
 // airtime policy can serve in one bay without starving anyone — the
 // policy-driven capacity the venue admission path asks before letting
-// players onto a bay's medium. Zero period/frame resolve to the same
-// defaults BuildGeometry applies. Every policy requires the per-player
+// players onto a bay's medium. A zero period resolves to the default
+// BuildGeometry applies. Every policy requires the per-player
 // pose-uplink reservation to leave downlink airtime, so the answer is 0
 // when one player's uplink alone fills the window; the deadline-aware
 // policy additionally refuses players beyond the number of whole
@@ -165,12 +148,9 @@ type AirtimePolicy interface {
 // player entitled to less than one whole frame per window on average
 // can never meet a deadline — admitting it starves everyone's deadline
 // budget instead of degrading gracefully.
-func MaxAdmissible(p PolicyName, n int, period, frame, uplink time.Duration) int {
+func MaxAdmissible(p PolicyName, n int, period, uplink time.Duration) int {
 	if period <= 0 {
 		period = DefaultPeriod
-	}
-	if frame <= 0 {
-		frame = vr.HTCVive().FrameInterval()
 	}
 	if uplink < 0 {
 		uplink = 0
@@ -184,7 +164,7 @@ func MaxAdmissible(p PolicyName, n int, period, frame, uplink time.Duration) int
 		if down <= 0 {
 			continue
 		}
-		if name == PolicyEDF && int64(down/frame) < int64(k) {
+		if name == PolicyEDF && int64(down/frameInterval) < int64(k) {
 			continue
 		}
 		return k
@@ -223,8 +203,6 @@ func newPolicy(name PolicyName, n int) (AirtimePolicy, error) {
 // sub-slot boundaries are bit-identical to the pre-policy scheduler.
 type rrPolicy struct{}
 
-func (rrPolicy) Name() PolicyName { return PolicyRR }
-
 func (rrPolicy) Shares(w *Window, shares []float64) {
 	for i := range shares {
 		if w.Active[i] {
@@ -242,8 +220,6 @@ func (rrPolicy) Shares(w *Window, shares []float64) {
 type pfPolicy struct {
 	q []float64 // per-player recent-quality scratch
 }
-
-func (*pfPolicy) Name() PolicyName { return PolicyPF }
 
 func (p *pfPolicy) Shares(w *Window, shares []float64) {
 	// One bulk lookback pass per window: every lookback window's poses
@@ -294,8 +270,6 @@ type edfPolicy struct {
 	frac   []float64 // fractional entitlements, by player
 }
 
-func (*edfPolicy) Name() PolicyName { return PolicyEDF }
-
 func (p *edfPolicy) Shares(w *Window, shares []float64) {
 	fallback := func() {
 		for i := range shares {
@@ -304,8 +278,8 @@ func (p *edfPolicy) Shares(w *Window, shares []float64) {
 			}
 		}
 	}
-	frame := w.Frame
-	if frame <= 0 || w.Downlink < frame {
+	frame := frameInterval
+	if w.Downlink < frame {
 		// The downlink span cannot carry even one whole frame: no
 		// sizing can save a deadline, fall back to the even split.
 		fallback()

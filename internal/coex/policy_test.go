@@ -278,8 +278,17 @@ func TestPolicyRoundTrip(t *testing.T) {
 	}
 	for _, p := range Policies() {
 		pol, err := newPolicy(p, 2)
-		if err != nil || pol.Name() != p {
-			t.Errorf("newPolicy(%q) built %v, %v", p, pol, err)
+		var built PolicyName
+		switch pol.(type) {
+		case rrPolicy:
+			built = PolicyRR
+		case *pfPolicy:
+			built = PolicyPF
+		case *edfPolicy:
+			built = PolicyEDF
+		}
+		if err != nil || built != p {
+			t.Errorf("newPolicy(%q) built %T, %v", p, pol, err)
 		}
 	}
 }
@@ -390,8 +399,8 @@ func TestMaxAdmissibleUplinkEdge(t *testing.T) {
 			{period, 0},
 			{period - time.Nanosecond, 1},
 		} {
-			if got := MaxAdmissible(p, 4, period, 0, tc.uplink); got != tc.want {
-				t.Errorf("MaxAdmissible(%s, 4, %v, 0, %v) = %d, want %d", p, period, tc.uplink, got, tc.want)
+			if got := MaxAdmissible(p, 4, period, tc.uplink); got != tc.want {
+				t.Errorf("MaxAdmissible(%s, 4, %v, %v) = %d, want %d", p, period, tc.uplink, got, tc.want)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/baseline"
 	"github.com/movr-sim/movr/internal/channel"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/linkmgr"
 	"github.com/movr-sim/movr/internal/phy"
@@ -108,8 +107,7 @@ func deploymentCovers(nAPs, nRefl int, apMounts, reflMounts [][3]float64, pos ge
 		for rIdx := 0; rIdx < nRefl; rIdx++ {
 			rm := reflMounts[rIdx]
 			dev := reflector.Default(geom.V(rm[0], rm[1]), rm[2])
-			link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1)
-			idx := mgr.AddReflector(dev, link)
+			idx := mgr.AddReflector(dev)
 			if err := mgr.AlignFromGeometry(idx); err != nil {
 				panic(err) // index valid by construction
 			}

@@ -18,10 +18,6 @@ type Fig8Config struct {
 	// Runs is the number of random reflector placements (paper: 100).
 	Runs int
 
-	// Exhaustive selects the full joint sweep instead of the
-	// hierarchical one (slower; same accuracy).
-	Exhaustive bool
-
 	// Seed fixes placements and measurement noise.
 	Seed int64
 }
@@ -71,12 +67,7 @@ func Fig8(cfg Fig8Config) Fig8Result {
 		if err != nil {
 			panic(err) // default config cannot fail validation
 		}
-		var result align.Result
-		if cfg.Exhaustive {
-			result, err = sw.Exhaustive()
-		} else {
-			result, err = sw.Hierarchical()
-		}
+		result, err := sw.Hierarchical()
 		if err != nil {
 			// A lost control link aborts this run; record nothing.
 			continue

@@ -8,7 +8,6 @@ import (
 
 	"github.com/movr-sim/movr/internal/baseline"
 	"github.com/movr-sim/movr/internal/channel"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/fleet/pool"
 	"github.com/movr-sim/movr/internal/gainctl"
 	"github.com/movr-sim/movr/internal/geom"
@@ -102,7 +101,6 @@ func Fig9Context(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
 		w := NewWorld(1)
 		// Reflector in the corner opposite the AP (paper's placement).
 		dev := reflector.Default(geom.V(4.6, 4.6), 225)
-		link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, cfg.Seed+int64(run))
 
 		hs := w.NewHeadsetAt(places[run], 0)
 
@@ -128,7 +126,7 @@ func Fig9Context(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
 		hs.SetYaw(geom.DirectionDeg(hs.Pos, dev.Pos()))
 		m := linkmgr.New(w.Tracer, w.AP, hs)
 		m.GainCfg = gainctl.DefaultConfig()
-		idx := m.AddReflector(dev, link)
+		idx := m.AddReflector(dev)
 		if err := m.AlignFromGeometry(idx); err != nil {
 			panic(err) // index is valid by construction
 		}

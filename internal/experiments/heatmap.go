@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/fleet/pool"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/linkmgr"
@@ -113,8 +112,7 @@ func HeatmapContext(ctx context.Context, cfg HeatmapConfig) (HeatmapResult, erro
 		mgr := linkmgr.New(w.Tracer, w.AP, hs)
 		if cfg.WithReflector {
 			dev := reflector.Default(geom.V(4.6, 4.6), 225)
-			link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1)
-			idx := mgr.AddReflector(dev, link)
+			idx := mgr.AddReflector(dev)
 			if err := mgr.AlignFromGeometry(idx); err != nil {
 				panic(err) // index valid by construction
 			}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -102,31 +101,5 @@ func TestSessionExplicitFootprint(t *testing.T) {
 	}
 	if got := len(office.Room.Walls()); got <= 4 {
 		t.Errorf("default room has %d walls, want the furnished office", got)
-	}
-}
-
-// TestSessionVariantSubset: cfg.Variants limits which variants run, and
-// the handoff map covers exactly those.
-func TestSessionVariantSubset(t *testing.T) {
-	cfg := SessionConfig{
-		Duration:     2 * time.Second,
-		Seed:         6,
-		ReEvalPeriod: 100 * time.Millisecond,
-		Variants:     []SessionVariant{VariantMoVRTracking},
-	}
-	r := Session(cfg)
-	if len(r.Reports) != 1 || len(r.Handoffs) != 1 {
-		t.Fatalf("reports=%d handoffs=%d, want 1 each", len(r.Reports), len(r.Handoffs))
-	}
-	if _, ok := r.Reports[VariantMoVRTracking]; !ok {
-		t.Error("tracking variant missing")
-	}
-	// Render lists only the variants that ran — no phantom zero rows.
-	out := r.Render()
-	if strings.Contains(out, string(VariantDirectOnly)) {
-		t.Error("render shows a variant that never ran")
-	}
-	if !strings.Contains(out, string(VariantMoVRTracking)) {
-		t.Error("render missing the variant that ran")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/movr-sim/movr/internal/coex"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/linkmgr"
 	"github.com/movr-sim/movr/internal/obs"
@@ -94,14 +93,13 @@ func (ps *playerState) init(cfg SessionConfig, trace vr.Trace, geo *coex.Geometr
 		}
 		for _, mount := range mounts {
 			dev := reflector.Default(mount.Pos, mount.FacingDeg)
-			link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, cfg.Seed)
-			idx := mgr.AddReflector(dev, link)
+			idx := mgr.AddReflector(dev)
 			if err := mgr.AlignFromGeometry(idx); err != nil {
 				panic(err) // index valid by construction
 			}
 			// Point the reflector at the session-start pose; the static
 			// variant never moves it again.
-			mgr.PrimeReflector(idx)
+			mgr.EvaluateReflector(idx)
 		}
 	}
 
@@ -243,7 +241,7 @@ func (ps *playerState) controlTick(p vr.Pose) {
 			// Sweep done: beams re-pointed for the current pose.
 			ps.realignPending = false
 			for i := range ps.mgr.Reflectors() {
-				ps.mgr.PrimeReflector(i)
+				ps.mgr.EvaluateReflector(i)
 			}
 		}
 		st = ps.mgr.BestFrozen()

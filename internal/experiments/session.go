@@ -81,10 +81,6 @@ type SessionConfig struct {
 	// from the room with its own motion at Self.
 	Coex *coex.Room
 
-	// Variants selects which system variants Session runs. Nil runs all
-	// four.
-	Variants []SessionVariant
-
 	// AdmissionQueued and AdmissionRejected record how many players the
 	// venue admission controller held back from this session's bay
 	// (queued for a later slot vs. turned away). They are bookkeeping
@@ -250,11 +246,7 @@ func Session(cfg SessionConfig) SessionResult {
 		Reports:  map[SessionVariant]stream.Report{},
 		Handoffs: map[SessionVariant]int{},
 	}
-	variants := cfg.Variants
-	if variants == nil {
-		variants = SessionVariants
-	}
-	for _, variant := range variants {
+	for _, variant := range SessionVariants {
 		out, err := RunSessionVariant(run, variant)
 		if err != nil {
 			panic(err) // unstreamable config; see doc comment
@@ -289,12 +281,7 @@ func (r SessionResult) Render() string {
 		r.Trace.DistanceM, 100*r.Trace.HandUpFrac, r.Trace.YawRangeDeg)
 	var rows [][]string
 	for _, v := range SessionVariants {
-		// A Variants subset leaves some variants unrun; skip them
-		// rather than rendering phantom all-zero rows.
-		rep, ok := r.Reports[v]
-		if !ok {
-			continue
-		}
+		rep := r.Reports[v]
 		rows = append(rows, []string{
 			string(v),
 			fmt.Sprintf("%d", rep.Frames),

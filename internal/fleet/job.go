@@ -75,7 +75,7 @@ var forcedPolicy = map[Kind]coex.PolicyName{
 // Resolve validates the job and fills in every default, so that equal
 // jobs resolve to equal values whatever their spelling. It folds the
 // coexpf and coexedf shorthands into KindCoex with an explicit policy,
-// holds the coex-family knobs (players, policy, uplink, weights) and
+// holds the coex-family knobs (players, policy, uplink) and
 // the venue-only knobs (bays, channels, assignment, interference,
 // admission) to their kinds and bounds, sizes the session count, picks
 // the aggregation path and checks the shard. Resolving a resolved job
@@ -161,8 +161,6 @@ func (cfg ScenarioConfig) resolve(kind Kind, fe Frontend) (ScenarioConfig, error
 			return cfg, fmt.Errorf("%s is %s", fe.Policy, family)
 		case cfg.CoexUplink != 0:
 			return cfg, fmt.Errorf("%s is %s", fe.Uplink, family)
-		case cfg.CoexWeights != nil:
-			return cfg, fmt.Errorf("coex weights are %s", family)
 		}
 	}
 	if !IsVenueKind(kind) {

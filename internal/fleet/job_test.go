@@ -70,7 +70,6 @@ func TestResolveRejects(t *testing.T) {
 		{Job{Kind: KindCoex, Config: ScenarioConfig{CoexPolicy: "fifo"}}, "unknown airtime policy"},
 		{Job{Kind: KindCoex, Config: ScenarioConfig{CoexUplink: -time.Millisecond}}, "CoexUplink -1ms must not be negative"},
 		{Job{Kind: KindMixed, Config: ScenarioConfig{CoexUplink: time.Millisecond}}, "CoexUplink is only meaningful"},
-		{Job{Kind: KindHome, Config: ScenarioConfig{CoexWeights: []float64{1}}}, "weights are only meaningful"},
 		{Job{Kind: KindCoex, Config: ScenarioConfig{VenueBays: 2}}, "only meaningful for the \"venue\" scenario"},
 		{Job{Kind: KindVenue, Config: ScenarioConfig{VenueBays: MaxVenueBays + 1}}, "VenueBays 65 exceeds the limit of 64"},
 		{Job{Kind: KindVenue, Config: ScenarioConfig{VenueChannels: -1}}, "VenueChannels -1 must be positive"},

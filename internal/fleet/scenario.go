@@ -42,11 +42,6 @@ type ScenarioConfig struct {
 	// coex bay, subtracted from the downlink airtime (0 = off).
 	CoexUplink time.Duration
 
-	// CoexWeights are per-player airtime weights applied to every coex
-	// bay, cycled when a bay holds more players than weights. Nil means
-	// equal weights.
-	CoexWeights []float64
-
 	// VenueBays sets how many adjacent bays the venue scenario lays out
 	// on its grid (venue scenario only; 0 means DefaultVenueBays).
 	VenueBays int
@@ -266,10 +261,9 @@ func ArcadeN(n int, cfg ScenarioConfig) []Spec {
 // the tracking cadence, sized by cfg.CoexPolicy (round-robin by
 // default; slots of body-blocked players are reclaimed by the others —
 // coex.Scheduler), optionally behind a per-player pose-uplink
-// reservation (cfg.CoexUplink) and per-player weights
-// (cfg.CoexWeights), and every other player's body follows its own
-// motion trace through the room as a dynamic obstacle instead of
-// standing at a fixed station. This is the first workload where
+// reservation (cfg.CoexUplink), and every other player's body follows
+// its own motion trace through the room as a dynamic obstacle instead
+// of standing at a fixed station. This is the first workload where
 // per-player delivered rate degrades as headsetsPerRoom grows. A knob
 // the bay cannot honor (an uplink reservation that fills the window) is
 // an error.
@@ -286,14 +280,9 @@ func Coex(rooms, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	mounts := append(experiments.DefaultMounts(w, d),
 		experiments.Mount{Pos: geom.V(w/2, 0), FacingDeg: 90})
 
-	// One weight vector serves every bay (cycled over the room's
-	// players); every session of a room shares the same backing slice,
-	// like the trace set.
-	weights := cycleWeights(headsetsPerRoom, cfg.CoexWeights)
-
 	var specs []Spec
 	for r := 0; r < rooms; r++ {
-		bay, err := buildCoexBay(rng, headsetsPerRoom, w, d, weights, cfg)
+		bay, err := buildCoexBay(rng, headsetsPerRoom, w, d, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +295,6 @@ func Coex(rooms, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 				Self:       h,
 				Period:     cfg.ReEvalPeriod,
 				Policy:     cfg.CoexPolicy,
-				Weights:    weights,
 				UplinkSlot: cfg.CoexUplink,
 				Geometry:   bay.geo,
 			}
@@ -317,20 +305,6 @@ func Coex(rooms, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 		}
 	}
 	return specs, nil
-}
-
-// cycleWeights materializes the per-player weight vector for an n-player
-// bay: the configured weights cycled out to length n, nil when none are
-// configured (equal weights).
-func cycleWeights(n int, from []float64) []float64 {
-	if len(from) == 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	for h := range w {
-		w[h] = from[h%len(from)]
-	}
-	return w
 }
 
 // coexBay is one shared-medium bay's generated state: every player's
@@ -356,7 +330,7 @@ type coexBay struct {
 // reads the schedule instead of re-running the airtime policy per
 // window. An invalid room — an uplink reservation that leaves no
 // downlink airtime, say — is an error from the builders.
-func buildCoexBay(rng *rand.Rand, headsets int, w, d float64, weights []float64, cfg ScenarioConfig) (coexBay, error) {
+func buildCoexBay(rng *rand.Rand, headsets int, w, d float64, cfg ScenarioConfig) (coexBay, error) {
 	seeds := make([]int64, headsets)
 	for h := range seeds {
 		seeds[h] = rng.Int63()
@@ -375,7 +349,6 @@ func buildCoexBay(rng *rand.Rand, headsets int, w, d float64, weights []float64,
 		Players:    traces,
 		Period:     cfg.ReEvalPeriod,
 		Policy:     cfg.CoexPolicy,
-		Weights:    weights,
 		UplinkSlot: cfg.CoexUplink,
 	}, cfg.Duration)
 	if err != nil {

@@ -97,7 +97,6 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	mounts := append(experiments.DefaultMounts(w, d),
 		experiments.Mount{Pos: geom.V(w/2, 0), FacingDeg: 90})
-	weights := cycleWeights(admitted, cfg.CoexWeights)
 
 	// Phase 1: build every bay first — admitted players, traces and the
 	// room-owned geometry snapshot — in the exact rng order Coex draws,
@@ -105,7 +104,7 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 	bayData := make([]coexBay, bays)
 	geos := make([]*coex.Geometry, bays)
 	for b := 0; b < bays; b++ {
-		if bayData[b], err = buildCoexBay(rng, admitted, w, d, weights, cfg); err != nil {
+		if bayData[b], err = buildCoexBay(rng, admitted, w, d, cfg); err != nil {
 			return nil, err
 		}
 		geos[b] = bayData[b].geo
@@ -137,7 +136,6 @@ func Venue(bays, headsetsPerRoom int, cfg ScenarioConfig) ([]Spec, error) {
 				Self:             h,
 				Period:           cfg.ReEvalPeriod,
 				Policy:           cfg.CoexPolicy,
-				Weights:          weights,
 				UplinkSlot:       cfg.CoexUplink,
 				Geometry:         geos[b],
 				ExtSINRPenaltyDB: ext[b],
@@ -185,7 +183,7 @@ func VenueCapacity(headsetsPerRoom int, cfg ScenarioConfig) int {
 		headsetsPerRoom = DefaultCoexHeadsets
 	}
 	cfg = cfg.withDefaults()
-	admitted := coex.MaxAdmissible(cfg.CoexPolicy, headsetsPerRoom, cfg.ReEvalPeriod, 0, cfg.CoexUplink)
+	admitted := coex.MaxAdmissible(cfg.CoexPolicy, headsetsPerRoom, cfg.ReEvalPeriod, cfg.CoexUplink)
 	if admitted > headsetsPerRoom {
 		admitted = headsetsPerRoom
 	}

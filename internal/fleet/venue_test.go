@@ -178,10 +178,10 @@ func TestVenueInterferenceTables(t *testing.T) {
 // 50 ms window (one 11.1 ms frame slot each), so a 6-player bay admits
 // 4 and queues or rejects 2 — recorded on each bay's first session.
 func TestVenueAdmission(t *testing.T) {
-	if got := coex.MaxAdmissible(coex.PolicyEDF, 6, 0, 0, 0); got != 4 {
+	if got := coex.MaxAdmissible(coex.PolicyEDF, 6, 0, 0); got != 4 {
 		t.Fatalf("MaxAdmissible(edf, 6) = %d, want 4", got)
 	}
-	if got := coex.MaxAdmissible(coex.PolicyRR, 6, 0, 0, 0); got != 6 {
+	if got := coex.MaxAdmissible(coex.PolicyRR, 6, 0, 0); got != 6 {
 		t.Fatalf("MaxAdmissible(rr, 6) = %d, want 6", got)
 	}
 

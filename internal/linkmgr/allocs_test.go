@@ -11,7 +11,6 @@ import (
 
 	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/channel"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/radio"
 	"github.com/movr-sim/movr/internal/reflector"
@@ -30,8 +29,7 @@ func allocTestManager(tb testing.TB) *Manager {
 	hs := radio.NewHeadset(geom.V(3.4, 2.4), antenna.Default(60), budget)
 	m := New(tr, ap, hs)
 	dev := reflector.Default(geom.V(4.6, 4.6), 225)
-	link := control.NewLink(reflector.NewController(dev), 0, 0, 1)
-	idx := m.AddReflector(dev, link)
+	idx := m.AddReflector(dev)
 	if err := m.AlignFromGeometry(idx); err != nil {
 		tb.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/reflector"
 )
@@ -87,7 +86,7 @@ func TestSharedDeviceDeferral(t *testing.T) {
 			_, m := twinWorld(rand.New(rand.NewSource(seed)))
 			dev := reflector.Default(geom.V(4.6, 4.6), 225)
 			for j := 0; j < 2; j++ {
-				i := m.AddReflector(dev, control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1))
+				i := m.AddReflector(dev)
 				if err := m.AlignFromGeometry(i); err != nil {
 					t.Fatal(err)
 				}

@@ -131,7 +131,7 @@ func reassessReference(m *Manager) LinkState {
 	return st
 }
 
-// TestDriveLevelMemoMatchesReference runs Best, BestFrozen, PrimeReflector
+// TestDriveLevelMemoMatchesReference runs Best, BestFrozen, EvaluateReflector
 // and Reassess against the frozen inline drive level on twin managers
 // over seeded worlds: 0–3 reflectors, head yaw, a body moved across each
 // reflector's AP leg, reflectors re-aligned, the AP's TX power and
@@ -216,7 +216,7 @@ func TestDriveLevelMemoMatchesReference(t *testing.T) {
 			case 0:
 				if n := len(a.entries); n > 0 && rng.Intn(2) == 0 {
 					i := rng.Intn(n)
-					a.PrimeReflector(i)
+					a.EvaluateReflector(i)
 					evaluateReflectorReference(b, i)
 				}
 				stA, stB = a.BestFrozen(), bestReference(b, true)

@@ -36,7 +36,6 @@ import (
 
 	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/channel"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/gainctl"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/obs"
@@ -106,9 +105,6 @@ func (s LinkState) String() string {
 type Entry struct {
 	// Dev is the physical device.
 	Dev *reflector.Reflector
-
-	// Link is the Bluetooth control channel to it.
-	Link *control.Link
 
 	// APBeamDeg is the AP's beam toward this reflector (from
 	// alignment).
@@ -247,8 +243,8 @@ func New(tr *channel.Tracer, ap *radio.AP, hs *radio.Headset) *Manager {
 // its gain control pending, which the Manager runs before any read
 // through it. Programming the device some other way, through its
 // control link or a pointer kept from here, bypasses that run.
-func (m *Manager) AddReflector(dev *reflector.Reflector, link *control.Link) int {
-	m.entries = append(m.entries, &Entry{Dev: dev, Link: link})
+func (m *Manager) AddReflector(dev *reflector.Reflector) int {
+	m.entries = append(m.entries, &Entry{Dev: dev})
 	return len(m.entries) - 1
 }
 
@@ -420,13 +416,6 @@ func (m *Manager) BestFrozen() LinkState {
 	}
 	m.aim(choice, reflIdx)
 	return m.stateFor(choice, reflIdx, bestSNR)
-}
-
-// PrimeReflector applies the tracked configuration for reflector i once
-// (beams + gain control at the current pose); used to set up the frozen
-// variant before a session starts.
-func (m *Manager) PrimeReflector(i int) {
-	m.EvaluateReflector(i)
 }
 
 // driveLevel returns reflector i's drive level: the power its amplifier

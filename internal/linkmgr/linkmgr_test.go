@@ -7,7 +7,6 @@ import (
 
 	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/channel"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/radio"
 	"github.com/movr-sim/movr/internal/reflector"
@@ -28,8 +27,7 @@ func world(hsPos geom.Vec, yawDeg float64) (*room.Room, *Manager) {
 	hs := radio.NewHeadset(hsPos, antenna.Default(yawDeg), b)
 	m := New(tr, ap, hs)
 	dev := reflector.Default(geom.V(4.6, 4.6), 225)
-	link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1)
-	i := m.AddReflector(dev, link)
+	i := m.AddReflector(dev)
 	if err := m.AlignFromGeometry(i); err != nil {
 		panic(err)
 	}
@@ -122,7 +120,7 @@ func TestUnalignedReflectorUnusable(t *testing.T) {
 	hs := radio.NewHeadset(geom.V(3, 2.5), antenna.Default(180), b)
 	m := New(tr, ap, hs)
 	dev := reflector.Default(geom.V(4.6, 4.6), 225)
-	m.AddReflector(dev, control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1))
+	m.AddReflector(dev)
 	if _, ok := m.EvaluateReflector(0); ok {
 		t.Error("unaligned reflector should be unusable")
 	}
@@ -155,7 +153,7 @@ func twoReflectorWorld(t *testing.T) (m *Manager, near, far *reflector.Reflector
 	near = reflector.Default(geom.V(4.6, 4.6), 225)
 	far = reflector.Default(geom.V(2.5, 5), 270)
 	for _, dev := range []*reflector.Reflector{near, far} {
-		i := m.AddReflector(dev, control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1))
+		i := m.AddReflector(dev)
 		if err := m.AlignFromGeometry(i); err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +249,7 @@ func TestGainMemoKeyedOnConfig(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := m.AddReflector(dev, control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1))
+		i := m.AddReflector(dev)
 		if err := m.AlignFromGeometry(i); err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/channel"
-	"github.com/movr-sim/movr/internal/control"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/radio"
 	"github.com/movr-sim/movr/internal/reflector"
@@ -91,7 +90,7 @@ func twinWorld(rng *rand.Rand) (*room.Room, *Manager) {
 		if err != nil {
 			panic(err)
 		}
-		i := m.AddReflector(dev, control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, 1))
+		i := m.AddReflector(dev)
 		if rng.Intn(5) != 0 {
 			if err := m.AlignFromGeometry(i); err != nil {
 				panic(err)
@@ -163,8 +162,8 @@ func TestBestMatchesReevaluation(t *testing.T) {
 			if frozen {
 				if n := len(a.entries); n > 0 && rng.Intn(2) == 0 {
 					i := rng.Intn(n)
-					a.PrimeReflector(i)
-					b.PrimeReflector(i)
+					a.EvaluateReflector(i)
+					b.EvaluateReflector(i)
 				}
 				stA, stB = a.BestFrozen(), bestFrozenReevaluating(b)
 			} else {

@@ -88,15 +88,15 @@ func TestBestFrozenUsesStaleBeams(t *testing.T) {
 	}
 }
 
-func TestPrimeReflectorAppliesConfiguration(t *testing.T) {
+func TestEvaluateReflectorAppliesConfiguration(t *testing.T) {
 	_, m := world(geom.V(3.4, 2.4), 60)
 	dev := m.Reflectors()[0].Dev
 	before := dev.TXBeamDeg()
 	m.Headset.MoveTo(geom.V(2.0, 3.9))
-	m.PrimeReflector(0)
+	m.EvaluateReflector(0)
 	after := dev.TXBeamDeg()
 	if before == after {
-		t.Error("PrimeReflector should re-point the TX beam at the new pose")
+		t.Error("EvaluateReflector should re-point the TX beam at the new pose")
 	}
 	wantDir := geom.DirectionDeg(dev.Pos(), m.Headset.Pos)
 	if math.Abs(units.AngleDiffDeg(after, wantDir)) > 1 {

@@ -31,7 +31,6 @@ import (
 type store struct {
 	mu    sync.Mutex
 	f     *os.File
-	path  string
 	index map[string]storePos // value location in f
 	size  int64               // append offset
 }
@@ -68,7 +67,7 @@ func openStore(dir string) (*store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log: %w", err)
 	}
-	s := &store{f: f, path: path, index: make(map[string]storePos, len(entries))}
+	s := &store{f: f, index: make(map[string]storePos, len(entries))}
 	// The compacted layout is deterministic, so the index can be rebuilt
 	// arithmetically — but re-scanning the file we just wrote verifies
 	// the bytes that will actually be served.

@@ -254,11 +254,6 @@ type Params struct {
 	// coincide).
 	APLocal          geom.Vec
 	APOrientationDeg float64
-
-	// RXGainDBi is the victim-side antenna gain toward the interference
-	// (0 = the conservative sidelobe assumption: the headset's beam
-	// points at its own AP, not at the neighbor's).
-	RXGainDBi float64
 }
 
 // DefaultParams returns the interference model matched to the session
@@ -285,9 +280,10 @@ func DefaultParams(apLocal geom.Vec) Params {
 // pose in turn; the victim bay (evaluated at its floor-plan center)
 // receives that transmission through the neighbor AP's pattern gain
 // toward it — mainlobe when the served player happens to line up with
-// the victim, sidelobe otherwise — attenuated by free-space spreading,
-// atmospheric absorption, and one wall-penetration loss per partition
-// crossed. Slot powers are weighted by their fraction of the window and
+// the victim, sidelobe otherwise — and 0 dBi at the victim (the
+// headset's beam points at its own AP, not at the neighbor's),
+// attenuated by free-space spreading, atmospheric absorption, and one
+// wall-penetration loss per partition crossed. Slot powers are weighted by their fraction of the window and
 // summed across neighbors; the penalty is the bay-wide SINR degradation
 // 10·log10(1 + I/N) against the budget's noise floor. The budget's
 // implementation loss is deliberately not charged: it prices decoding
@@ -338,7 +334,7 @@ func InterferenceTable(l Layout, chans []int, bay int, geos []*coex.Geometry, p 
 					target = origin.Add(row[i])
 				}
 				arr.SteerTo(geom.DirectionDeg(apPos, target))
-				iDBm := p.Budget.TXPowerDBm + arr.GainDBi(victimDeg) + p.RXGainDBi - baseLossDB
+				iDBm := p.Budget.TXPowerDBm + arr.GainDBi(victimDeg) - baseLossDB
 				acc[w] += units.DBmToMilliwatts(iDBm) * (float64(e-s) / float64(period))
 			}
 		}

@@ -433,9 +433,9 @@ var (
 	// scheduler under a pluggable policy (round-robin by default, with
 	// idle slots reclaimed; FleetScenarioConfig.CoexPolicy selects
 	// proportional-fair or deadline-aware sizing, CoexUplink reserves
-	// per-player pose-report sub-slots, CoexWeights skews airtime), and
-	// every other player's body moves through the room as a dynamic
-	// obstacle. CoexFleetN sizes bays for exactly n sessions. Both
+	// per-player pose-report sub-slots), and every other player's body
+	// moves through the room as a dynamic obstacle. CoexFleetN sizes
+	// bays for exactly n sessions. Both
 	// return an error for a bay the knobs make impossible, such as an
 	// uplink reservation that fills the scheduling window.
 	CoexFleet  = fleet.Coex

@@ -35,7 +35,7 @@ func TestE2EFullPipeline(t *testing.T) {
 	// Step 2: hand the sweep result (NOT geometry) to the link manager.
 	hs := world.NewHeadsetAt(movr.V(3.0, 3.4), 120) // facing the reflector side
 	mgr := movr.NewLinkManager(world.Tracer, world.AP, hs)
-	idx := mgr.AddReflector(dev, link)
+	idx := mgr.AddReflector(dev)
 	if err := mgr.SetAlignment(idx, alignRes.APBeamDeg, alignRes.ReflBeamDeg); err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,8 @@ func TestE2EReflectorPowerLoss(t *testing.T) {
 	world := movr.NewWorld(1)
 	hs := world.NewHeadsetAt(movr.V(3.4, 2.4), 60) // facing reflector, AP behind
 	dev := movr.DefaultReflector(movr.V(4.6, 4.6), 225)
-	link := movr.NewControlLink(movr.NewController(dev), 0, 0, 1)
 	mgr := movr.NewLinkManager(world.Tracer, world.AP, hs)
-	idx := mgr.AddReflector(dev, link)
+	idx := mgr.AddReflector(dev)
 	if err := mgr.AlignFromGeometry(idx); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +117,8 @@ func TestE2EWalkOutOfCoverage(t *testing.T) {
 	world := movr.NewWorld(1)
 	hs := world.NewHeadsetAt(movr.V(2.5, 2.5), 225)
 	dev := movr.DefaultReflector(movr.V(4.6, 4.6), 225)
-	link := movr.NewControlLink(movr.NewController(dev), 0, 0, 1)
 	mgr := movr.NewLinkManager(world.Tracer, world.AP, hs)
-	idx := mgr.AddReflector(dev, link)
+	idx := mgr.AddReflector(dev)
 	if err := mgr.AlignFromGeometry(idx); err != nil {
 		t.Fatal(err)
 	}

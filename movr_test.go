@@ -14,9 +14,8 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	world := movr.NewWorld(1)
 	hs := world.NewHeadsetAt(movr.V(3.4, 2.4), 60)
 	dev := movr.DefaultReflector(movr.V(4.6, 4.6), 225)
-	link := movr.NewControlLink(movr.NewController(dev), 0, 0, 1)
 	mgr := movr.NewLinkManager(world.Tracer, world.AP, hs)
-	idx := mgr.AddReflector(dev, link)
+	idx := mgr.AddReflector(dev)
 	if err := mgr.AlignFromGeometry(idx); err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -83,14 +85,29 @@ var testOnlyAllowed = map[string]string{
 	"internal/movrclient.IsCode":      "typed error-code check of client_test",
 }
 
+// testOnlyFieldsAllowed names the exported struct fields that non-test
+// code reads but never sets and that stay on purpose, each with the
+// reason. Keys are the package's directory relative to the repository
+// root, then the struct type's name, then the field's name.
+var testOnlyFieldsAllowed = map[string]string{
+	// The movrd client's listing filters, read only by the allowlisted
+	// Client.List.
+	"internal/movrclient.ListOptions.State":    "state filter of the cursor listing client_test walks",
+	"internal/movrclient.ListOptions.Scenario": "scenario filter of the cursor listing client_test walks",
+	"internal/movrclient.ListOptions.Limit":    "page size of the cursor listing client_test walks",
+	"internal/movrclient.ListOptions.Cursor":   "continuation cursor of the cursor listing client_test walks",
+}
+
 // TestNoTestOnlyCode fails on any function or method, in either module
 // of the repository, that no non-test code references: what only
 // _test.go files call, or nothing calls at all. Such code is maintained,
 // documented and reviewed but never runs in the simulator, the daemon,
-// the commands or the examples; delete it with the test that covers it. A method that implements a method of an interface
-// the code can see, a name the movr.go facade declares, and an entry
-// of testOnlyAllowed are exempt. An allowlist entry that non-test code
-// has since come to reference, or that names nothing, fails too.
+// the commands or the examples; delete it with the test that covers it.
+// A method an interface declares counts as called only through that
+// interface. A method that implements one the code can call (declared
+// outside the repository, or called by its non-test code), a name the
+// movr.go facade declares, and an entry of testOnlyAllowed are exempt. An allowlist entry that non-test code has
+// since come to reference, or that names nothing, fails too.
 func TestNoTestOnlyCode(t *testing.T) {
 	l, err := loadRepo(".")
 	if err != nil {
@@ -109,7 +126,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 			if allowed {
 				t.Errorf("%s is in testOnlyAllowed but non-test code now calls it; drop the entry", key)
 			}
-		case d.facade || d.implements(ifaces):
+		case !d.abstract && (d.facade || l.implements(d, ifaces)):
 			if allowed {
 				t.Errorf("%s is in testOnlyAllowed but is exempt anyway; drop the entry", key)
 			}
@@ -130,25 +147,76 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 }
 
+// TestNoTestOnlyFields fails on any exported struct field, in either
+// module of the repository, that non-test code reads but never sets:
+// only tests give it a value, or nothing does, so the simulator, the
+// daemon, the commands and the examples always run its zero value and
+// the field is a constant in disguise. Make it one, or delete it with
+// the tests that set it. A write is a keyed or positional composite
+// literal, an assignment, ++ or --, taking the field's address, or
+// calling a pointer method on it. Fields with a json tag, and those of
+// an anonymous struct a json-tagged field holds, which decoding sets,
+// and entries of testOnlyFieldsAllowed are exempt. An allowlist
+// entry that names no such field fails too.
+func TestNoTestOnlyFields(t *testing.T) {
+	l, err := loadRepo(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, writes := l.fieldAccesses()
+	found := map[string]bool{}
+	var unset []string
+	for _, f := range l.fields {
+		if !reads[f.v] || writes[f.v] {
+			continue
+		}
+		found[f.key] = true
+		if _, allowed := testOnlyFieldsAllowed[f.key]; !allowed {
+			unset = append(unset, f.key+" ("+l.fset.Position(f.v.Pos()).String()+")")
+		}
+	}
+	for key := range testOnlyFieldsAllowed {
+		if !found[key] {
+			t.Errorf("testOnlyFieldsAllowed names %s, which is not a field non-test code reads but never sets; drop the entry", key)
+		}
+	}
+	sort.Strings(unset)
+	if len(unset) > 0 {
+		t.Errorf("%d fields are read but never set outside tests; make each a constant or delete it, or add it to testOnlyFieldsAllowed with the reason it stays:\n\t%s",
+			len(unset), strings.Join(unset, "\n\t"))
+	}
+}
+
 // repo is every non-test package of both modules, type-checked from
 // source into one universe, with the standard library from export data.
 type repo struct {
-	fset  *token.FileSet
-	root  string
-	dirs  map[string]*build.Package // by import path
-	pkgs  map[string]*types.Package
-	files map[string][]*ast.File
-	info  *types.Info
-	std   types.Importer
-	decls []decl
-	used  map[*types.Func]bool
+	fset   *token.FileSet
+	root   string
+	dirs   map[string]*build.Package // by import path
+	pkgs   map[string]*types.Package
+	files  map[string][]*ast.File
+	info   *types.Info
+	std    types.Importer
+	decls  []decl
+	fields []field
+	used   map[*types.Func]bool
 }
 
-// decl is one top-level function or method declaration.
+// decl is one top-level function or method declaration, or one method
+// a named interface declares.
 type decl struct {
-	fn     *types.Func
-	dir    string // package directory relative to the repository root, "movr" for the root
-	facade bool   // declared in the root package's movr.go
+	fn       *types.Func
+	dir      string // package directory relative to the repository root, "movr" for the root
+	facade   bool   // declared in the root package's movr.go
+	abstract bool   // an interface's method
+}
+
+// field is one exported, named field of a struct type declared in
+// non-test code, except a json-tagged one and those of an anonymous
+// struct a json-tagged field holds.
+type field struct {
+	v   *types.Var
+	key string // package directory, struct type name ("struct{}" when anonymous), field name
 }
 
 // recv returns the named type a method is declared on, or nil for a
@@ -173,16 +241,21 @@ func (d decl) key() string {
 }
 
 // implements reports whether d is a method that some interface in
-// ifaces requires of its receiver type.
-func (d decl) implements(ifaces []*types.Interface) bool {
+// ifaces requires of its receiver type, where that interface's method
+// is one code can call: declared outside the repository, or called by
+// its non-test code.
+func (l *repo) implements(d decl, ifaces []*types.Interface) bool {
 	r := d.recv()
 	if r == nil {
 		return false
 	}
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() == d.fn.Name() &&
-				(types.Implements(r, it) || types.Implements(types.NewPointer(r), it)) {
+			m := it.Method(i)
+			if m.Name() != d.fn.Name() || (m.Pkg() != nil && l.pkgs[m.Pkg().Path()] == m.Pkg() && !l.used[m]) {
+				continue
+			}
+			if types.Implements(r, it) || types.Implements(types.NewPointer(r), it) {
 				return true
 			}
 		}
@@ -200,9 +273,10 @@ func loadRepo(root string) (*repo, error) {
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 		info: &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 		used: map[*types.Func]bool{},
 	}
@@ -336,11 +410,15 @@ func (l *repo) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// record collects path's declarations and marks every function its
-// code references, except a function's references to itself.
+// record collects path's declarations, interface methods and struct
+// fields, and marks every function its code references, except a
+// function's references to itself.
 func (l *repo) record(path string) {
 	rel, _ := filepath.Rel(l.root, l.dirs[path].Dir)
-	rel = filepath.ToSlash(rel)
+	name := filepath.ToSlash(rel)
+	if name == "." {
+		name = "movr"
+	}
 	for _, f := range l.files[path] {
 		facade := rel == "." && filepath.Base(l.fset.Position(f.Pos()).Filename) == "movr.go"
 		for _, d := range f.Decls {
@@ -349,23 +427,154 @@ func (l *repo) record(path string) {
 				self = l.info.Defs[fd.Name].(*types.Func)
 				isMain := fd.Recv == nil && fd.Name.Name == "main" && self.Pkg().Name() == "main"
 				if fd.Name.Name != "init" && !isMain {
-					name := rel
-					if name == "." {
-						name = "movr"
-					}
 					l.decls = append(l.decls, decl{fn: self, dir: name, facade: facade})
 				}
 			}
+			typeName := map[ast.Expr]string{}
+			decoded := map[ast.Expr]bool{} // anonymous structs json-tagged fields hold
 			ast.Inspect(d, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					if fn, ok := l.info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if fn, ok := l.info.Uses[n].(*types.Func); ok && fn.Origin() != self {
 						l.used[fn.Origin()] = true
+					}
+				case *ast.TypeSpec:
+					typeName[n.Type] = n.Name.Name
+					if _, ok := n.Type.(*ast.InterfaceType); ok {
+						it := l.info.Defs[n.Name].Type().Underlying().(*types.Interface)
+						for i := 0; i < it.NumExplicitMethods(); i++ {
+							l.decls = append(l.decls, decl{fn: it.ExplicitMethod(i), dir: name, abstract: true})
+						}
+					}
+				case *ast.StructType:
+					owner, ok := typeName[n]
+					if !ok {
+						owner = "struct{}"
+					}
+					for _, fl := range n.Fields.List {
+						if decoded[n] || jsonTagged(fl) {
+							if inner, ok := fl.Type.(*ast.StructType); ok {
+								decoded[inner] = true
+							}
+							continue
+						}
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								l.fields = append(l.fields, field{v: l.info.Defs[id].(*types.Var), key: name + "." + owner + "." + id.Name})
+							}
+						}
 					}
 				}
 				return true
 			})
 		}
 	}
+}
+
+// jsonTagged reports whether a struct field carries a json tag.
+func jsonTagged(fl *ast.Field) bool {
+	if fl.Tag == nil {
+		return false
+	}
+	tag, err := strconv.Unquote(fl.Tag.Value)
+	if err != nil {
+		return false
+	}
+	_, ok := reflect.StructTag(tag).Lookup("json")
+	return ok
+}
+
+// fieldAccesses reports which struct fields non-test code reads and
+// which it writes. A write is a composite literal's keyed or positional
+// element, the target of an assignment or ++/--, the operand of &, or
+// the receiver of a pointer method; every field selected along such a
+// target (x.A.B = v, x.A[i] = v) counts as written. Any other selection
+// of a field is a read.
+func (l *repo) fieldAccesses() (reads, writes map[*types.Var]bool) {
+	reads, writes = map[*types.Var]bool{}, map[*types.Var]bool{}
+	fieldOf := func(sel *ast.SelectorExpr) *types.Var {
+		if v, ok := l.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	// ast.Inspect visits a node before its children, so a write marks
+	// its target selectors before the walk reaches them.
+	target := map[*ast.SelectorExpr]bool{}
+	mark := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if fieldOf(x) == nil {
+					return
+				}
+				target[x] = true
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	for _, files := range l.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						mark(e)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						mark(n.Key)
+						mark(n.Value)
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						mark(n.X)
+					}
+				case *ast.SelectorExpr:
+					if s := l.info.Selections[n]; s != nil && s.Kind() == types.MethodVal {
+						if _, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+							mark(n.X)
+						}
+					}
+					if v := fieldOf(n); v != nil {
+						if target[n] {
+							writes[v] = true
+						} else {
+							reads[v] = true
+						}
+					}
+				case *ast.CompositeLit:
+					t := l.info.TypeOf(n)
+					if p, ok := t.(*types.Pointer); ok {
+						t = p.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							writes[l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+						} else {
+							writes[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return reads, writes
 }
 
 // interfaces gathers every interface type the loaded code can see: the
