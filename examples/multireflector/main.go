@@ -58,10 +58,7 @@ func coverage(mounts [][3]float64) (covered, total int) {
 			mgr := movr.NewLinkManager(world.Tracer, world.AP, headset)
 			for _, m := range mounts {
 				dev := movr.DefaultReflector(movr.V(m[0], m[1]), m[2])
-				idx := mgr.AddReflector(dev)
-				if err := mgr.AlignFromGeometry(idx); err != nil {
-					panic(err)
-				}
+				mgr.AddAlignedReflector(dev)
 			}
 			total++
 			if st := mgr.Best(); req.MetByRate(st.RateBps) {

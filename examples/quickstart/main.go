@@ -20,10 +20,7 @@ func main() {
 	device := movr.DefaultReflector(movr.V(4.6, 4.6), 225)
 
 	mgr := movr.NewLinkManager(world.Tracer, world.AP, headset)
-	idx := mgr.AddReflector(device)
-	if err := mgr.AlignFromGeometry(idx); err != nil {
-		panic(err)
-	}
+	mgr.AddAlignedReflector(device)
 
 	fmt.Println("MoVR quickstart — cutting the cord in the 5x5 office")
 	fmt.Println()

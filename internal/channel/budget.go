@@ -92,24 +92,3 @@ func (b Budget) CombinedRXPowerDBm(paths []Path, tx, rx Gainer) float64 {
 func (b Budget) CombinedSNRdB(paths []Path, tx, rx Gainer) float64 {
 	return b.SNRdB(b.CombinedRXPowerDBm(paths, tx, rx))
 }
-
-// CombinedRXPowerDBmOfKind is CombinedRXPowerDBm restricted to paths of
-// the given kind, skipping the others in place — no filtered copy of the
-// path slice is needed. Because the kept paths contribute in the same
-// order either way, the result is bit-identical to filtering first.
-func (b Budget) CombinedRXPowerDBmOfKind(paths []Path, kind PathKind, tx, rx Gainer) float64 {
-	total := math.Inf(-1)
-	for _, p := range paths {
-		if p.Kind != kind {
-			continue
-		}
-		pw := b.RXPowerDBm(p, tx.GainDBi(p.AoDDeg), rx.GainDBi(p.AoADeg))
-		total = units.AddPowersDBm(total, pw)
-	}
-	return total
-}
-
-// CombinedSNRdBOfKind is CombinedRXPowerDBmOfKind converted to SNR.
-func (b Budget) CombinedSNRdBOfKind(paths []Path, kind PathKind, tx, rx Gainer) float64 {
-	return b.SNRdB(b.CombinedRXPowerDBmOfKind(paths, kind, tx, rx))
-}

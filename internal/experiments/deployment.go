@@ -107,10 +107,7 @@ func deploymentCovers(nAPs, nRefl int, apMounts, reflMounts [][3]float64, pos ge
 		for rIdx := 0; rIdx < nRefl; rIdx++ {
 			rm := reflMounts[rIdx]
 			dev := reflector.Default(geom.V(rm[0], rm[1]), rm[2])
-			idx := mgr.AddReflector(dev)
-			if err := mgr.AlignFromGeometry(idx); err != nil {
-				panic(err) // index valid by construction
-			}
+			mgr.AddAlignedReflector(dev)
 		}
 		if st := mgr.Best(); req.MetByRate(st.RateBps) {
 			return true

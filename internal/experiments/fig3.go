@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/movr-sim/movr/internal/baseline"
-	"github.com/movr-sim/movr/internal/channel"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/phy"
 	"github.com/movr-sim/movr/internal/radio"
@@ -78,9 +77,10 @@ func Fig3(cfg Fig3Config) Fig3Result {
 		rows[i].Scenario = s
 	}
 
-	// One tracer scratch buffer serves every SNR read in the serial run
-	// loop — the measurement sweep allocates nothing per placement.
-	var pathBuf []channel.Path
+	// One Opt-NLOS scratch serves every SNR read and every sweep in the
+	// serial run loop (its trace buffer is lent to the link reads) — the
+	// measurement sweep allocates nothing per placement.
+	var buf baseline.Scratch
 	for run := 0; run < cfg.Runs; run++ {
 		w := NewWorld(1)
 		pos, _ := w.RandomHeadsetPlacement(rng, 1.5)
@@ -88,7 +88,7 @@ func Fig3(cfg Fig3Config) Fig3Result {
 
 		// Bar 1: clear LOS, both ends aligned.
 		var losSNR float64
-		losSNR, pathBuf = w.AlignedLOSSNRBuf(hs, pathBuf)
+		losSNR, buf.Paths = w.AlignedLOSSNRBuf(hs, buf.Paths)
 		record(&rows[0], losSNR)
 
 		// Bars 2-4: blockage while the beams stay on the (now blocked)
@@ -106,7 +106,7 @@ func Fig3(cfg Fig3Config) Fig3Result {
 			w.Room.AddObstacle(blockers[s])
 			w.FaceEachOther(hs)
 			var snr float64
-			snr, pathBuf = radio.LinkSNRdBBuf(w.Tracer, &w.AP.Radio, &hs.Radio, pathBuf)
+			snr, buf.Paths = radio.LinkSNRdBBuf(w.Tracer, &w.AP.Radio, &hs.Radio, buf.Paths)
 			record(&rows[idx+1], snr)
 		}
 
@@ -114,8 +114,7 @@ func Fig3(cfg Fig3Config) Fig3Result {
 		// both beams swept everywhere.
 		w.Room.ClearObstacles()
 		w.Room.AddObstacle(blockers[ScenarioHand])
-		var res baseline.OptNLOSResult
-		res, pathBuf = baseline.OptNLOSBuf(w.Tracer, &w.AP.Radio, &hs.Radio, cfg.NLOSStepDeg, pathBuf)
+		res := baseline.OptNLOSBuf(w.Tracer, &w.AP.Radio, &hs.Radio, cfg.NLOSStepDeg, &buf)
 		record(&rows[4], res.SNRdB)
 	}
 

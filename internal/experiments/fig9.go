@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"github.com/movr-sim/movr/internal/baseline"
-	"github.com/movr-sim/movr/internal/channel"
 	"github.com/movr-sim/movr/internal/fleet/pool"
-	"github.com/movr-sim/movr/internal/gainctl"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/linkmgr"
 	"github.com/movr-sim/movr/internal/reflector"
@@ -104,13 +102,14 @@ func Fig9Context(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
 
 		hs := w.NewHeadsetAt(places[run], 0)
 
-		// One tracer scratch buffer serves the trial's measurements
-		// (trial-local: trials fan out across pool workers).
-		var pathBuf []channel.Path
+		// One scratch serves the trial's measurements (trial-local:
+		// trials fan out across pool workers); the LOS read borrows its
+		// trace buffer.
+		var buf baseline.Scratch
 
 		// Scenario LOS: clear room, aligned.
 		var losSNR float64
-		losSNR, pathBuf = w.AlignedLOSSNRBuf(hs, pathBuf)
+		losSNR, buf.Paths = w.AlignedLOSSNRBuf(hs, buf.Paths)
 
 		// Blockage for the other two scenarios: the player's hand in
 		// front of the headset toward the AP.
@@ -118,18 +117,14 @@ func Fig9Context(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
 		w.Room.AddObstacle(room.Hand(geom.FromPolar(hs.Pos, towardAP, 0.35)))
 
 		// Scenario Opt-NLOS: sweep everything, direct path excluded.
-		nlos, _ := baseline.OptNLOSBuf(w.Tracer, &w.AP.Radio, &hs.Radio, cfg.NLOSStepDeg, pathBuf)
+		nlos := baseline.OptNLOSBuf(w.Tracer, &w.AP.Radio, &hs.Radio, cfg.NLOSStepDeg, &buf)
 
 		// Scenario MoVR: same blockage, reflector path. The headset
 		// turns toward the reflector (the measurement posture; in play
 		// this is the head orientation that caused the blockage).
 		hs.SetYaw(geom.DirectionDeg(hs.Pos, dev.Pos()))
 		m := linkmgr.New(w.Tracer, w.AP, hs)
-		m.GainCfg = gainctl.DefaultConfig()
-		idx := m.AddReflector(dev)
-		if err := m.AlignFromGeometry(idx); err != nil {
-			panic(err) // index is valid by construction
-		}
+		idx := m.AddAlignedReflector(dev)
 		movrSNR, ok := m.EvaluateReflector(idx)
 		if !ok {
 			// Unusable reflector path: record a deep negative.

@@ -112,10 +112,7 @@ func HeatmapContext(ctx context.Context, cfg HeatmapConfig) (HeatmapResult, erro
 		mgr := linkmgr.New(w.Tracer, w.AP, hs)
 		if cfg.WithReflector {
 			dev := reflector.Default(geom.V(4.6, 4.6), 225)
-			idx := mgr.AddReflector(dev)
-			if err := mgr.AlignFromGeometry(idx); err != nil {
-				panic(err) // index valid by construction
-			}
+			mgr.AddAlignedReflector(dev)
 		}
 		covered := 0
 		for _, yaw := range cfg.Yaws {

@@ -93,10 +93,7 @@ func (ps *playerState) init(cfg SessionConfig, trace vr.Trace, geo *coex.Geometr
 		}
 		for _, mount := range mounts {
 			dev := reflector.Default(mount.Pos, mount.FacingDeg)
-			idx := mgr.AddReflector(dev)
-			if err := mgr.AlignFromGeometry(idx); err != nil {
-				panic(err) // index valid by construction
-			}
+			idx := mgr.AddAlignedReflector(dev)
 			// Point the reflector at the session-start pose; the static
 			// variant never moves it again.
 			mgr.EvaluateReflector(idx)

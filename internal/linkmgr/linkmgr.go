@@ -286,6 +286,14 @@ func (m *Manager) AlignFromGeometry(i int) error {
 		geom.DirectionDeg(e.Dev.Pos(), m.AP.Pos))
 }
 
+// AddAlignedReflector is AddReflector followed by AlignFromGeometry: it
+// registers dev, aligns it from known positions, and returns its index.
+func (m *Manager) AddAlignedReflector(dev *reflector.Reflector) int {
+	i := m.AddReflector(dev)
+	_ = m.AlignFromGeometry(i) // its only error is an index out of range
+	return i
+}
+
 // EvaluateDirect steers AP and headset at each other and returns the
 // direct-path SNR.
 func (m *Manager) EvaluateDirect() float64 {

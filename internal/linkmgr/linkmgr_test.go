@@ -26,11 +26,7 @@ func world(hsPos geom.Vec, yawDeg float64) (*room.Room, *Manager) {
 	ap := radio.NewAP(geom.V(0.4, 0.4), antenna.Default(45), b)
 	hs := radio.NewHeadset(hsPos, antenna.Default(yawDeg), b)
 	m := New(tr, ap, hs)
-	dev := reflector.Default(geom.V(4.6, 4.6), 225)
-	i := m.AddReflector(dev)
-	if err := m.AlignFromGeometry(i); err != nil {
-		panic(err)
-	}
+	m.AddAlignedReflector(reflector.Default(geom.V(4.6, 4.6), 225))
 	return rm, m
 }
 

@@ -35,7 +35,7 @@ const (
 	maxFleetDuration  = 120_000 // ms
 	minFleetReEvalMS  = 5       // finer cadence multiplies tick work ~linearly
 	maxFig9Runs       = 500
-	minFig9StepDeg    = 0.5 // OptNLOS sweeps both beams: work ~ (360/step)²
+	minFig9StepDeg    = 0.5 // OptNLOS: pattern evaluations ~ 360/step, cheap pair bounds ~ (360/step)²
 	minMapGridStep    = 0.1
 	defaultSessions   = 8
 	defaultDurationMS = 2000

@@ -294,11 +294,6 @@ var (
 	// baseline.
 	OptNLOS = baseline.OptNLOS
 
-	// OptNLOSBuf is OptNLOS with a caller-retained tracer scratch
-	// buffer (Tracer.TraceHInto semantics) for allocation-free sweeps
-	// over many placements.
-	OptNLOSBuf = baseline.OptNLOSBuf
-
 	// LinkSNR computes the data-plane SNR between two radios over all
 	// traced paths at their current steering.
 	LinkSNR = radio.LinkSNRdB
