@@ -1,6 +1,8 @@
 package reflector
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -51,5 +53,25 @@ func TestMemoizedEvaluationsBitIdentical(t *testing.T) {
 		if got, want := dev.OutputPowerDBm(ext), ref.OutputPowerDBm(ext); got != want {
 			t.Fatalf("step %d: OutputPowerDBm memo %v != cold %v", step, got, want)
 		}
+	}
+}
+
+// TestLeakagePatternMemo: a memoized pattern is the one its key builds,
+// for a repeated key, keys past the memo's bound, and swings that
+// compare unequal to themselves or equal to their opposite sign.
+func TestLeakagePatternMemo(t *testing.T) {
+	swings := [][2]float64{{8, 6}, {0, 0}, {math.Copysign(0, -1), 6}, {math.NaN(), 6}}
+	for seed := int64(0); seed < maxMemoPatterns+8; seed++ {
+		for _, sw := range swings {
+			for rep := 0; rep < 2; rep++ {
+				got, want := newLeakagePattern(seed, sw[0], sw[1]), buildLeakagePattern(seed, sw[0], sw[1])
+				if fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+					t.Fatalf("seed %d swings %v: memo gives %#v, a fresh build %#v", seed, sw, got, want)
+				}
+			}
+		}
+	}
+	if n := len(patterns.m); n > maxMemoPatterns {
+		t.Fatalf("memo holds %d patterns, bound %d", n, maxMemoPatterns)
 	}
 }

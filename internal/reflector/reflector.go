@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/movr-sim/movr/internal/amplifier"
 	"github.com/movr-sim/movr/internal/antenna"
@@ -364,7 +365,48 @@ func (p patternTerm) eval(t, q float64) float64 {
 	return p.amp * math.Sin(p.ft*t+p.fr*q+p.phase)
 }
 
+// patternKey is what a leakage pattern is a function of, with the
+// swings by bit pattern, so that every key equals itself (NaN too) and
+// a key's pattern is the one its exact inputs build.
+type patternKey struct {
+	seed             int64
+	slowAmp, fastAmp uint64
+}
+
+// patterns memoizes newLeakagePattern: a pattern is an immutable pure
+// function of its key, and seeding math/rand for it costs more than
+// the rest of building a reflector. A venue job builds 192 reflectors
+// from one key. Experiments that draw a fresh seed per device (fig 8,
+// the ablations) would grow the memo without end, so past
+// maxMemoPatterns keys a pattern is built without being kept.
+var patterns struct {
+	mu sync.Mutex
+	m  map[patternKey]leakagePattern
+}
+
+const maxMemoPatterns = 256
+
 func newLeakagePattern(seed int64, slowAmp, fastAmp float64) leakagePattern {
+	key := patternKey{seed, math.Float64bits(slowAmp), math.Float64bits(fastAmp)}
+	patterns.mu.Lock()
+	p, ok := patterns.m[key]
+	patterns.mu.Unlock()
+	if ok {
+		return p
+	}
+	p = buildLeakagePattern(seed, slowAmp, fastAmp)
+	patterns.mu.Lock()
+	if patterns.m == nil {
+		patterns.m = make(map[patternKey]leakagePattern)
+	}
+	if len(patterns.m) < maxMemoPatterns {
+		patterns.m[key] = p
+	}
+	patterns.mu.Unlock()
+	return p
+}
+
+func buildLeakagePattern(seed int64, slowAmp, fastAmp float64) leakagePattern {
 	rng := rand.New(rand.NewSource(seed))
 	term := func(amp, minFT, maxFT, minFR, maxFR float64) patternTerm {
 		return patternTerm{

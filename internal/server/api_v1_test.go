@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +10,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/movr-sim/movr/internal/fleet"
+	"github.com/movr-sim/movr/internal/fleet/pool"
 )
 
 // postForError submits a body expecting rejection and returns the
@@ -259,5 +264,135 @@ func TestListFiltersAndPagination(t *testing.T) {
 	}
 	if got := fetchEnvelope(t, resp2).Code; got != ErrCodeInvalidArgument {
 		t.Errorf("code %q, want %q", got, ErrCodeInvalidArgument)
+	}
+}
+
+// TestListLiveIndex holds the queued and running pages, which walk the
+// scheduler's live jobs, byte for byte to the same filter over every
+// retained job: in ID order, across a cursor page boundary, beside a
+// cache hit, with a coalesced follower and a job canceled while queued,
+// as jobs start and end, and after Close. Once every job is terminal
+// the live index is empty.
+func TestListLiveIndex(t *testing.T) {
+	srv, ts := newTestServer(t, Options{Workers: 1, MaxJobs: 1, QueueDepth: 8})
+	s := srv.sched
+	release := map[int64]chan struct{}{}
+	for seed := int64(1); seed <= 6; seed++ {
+		release[seed] = make(chan struct{})
+	}
+	s.execFn = func(ctx context.Context, spec JobSpec, runner *pool.Runner, onSession func(int, int, fleet.SessionOutcome)) ([]byte, *TraceArtifact, error) {
+		select {
+		case <-release[spec.Fleet.Seed]:
+			return []byte(`{"ok":true}`), nil, nil
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+	}
+	submit := func(seed int64) *Job {
+		t.Helper()
+		j, err := s.Submit(specN(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+
+	// check walks each live filter two jobs a page and holds every page
+	// to listJobs over the retained walk, then the walked IDs to want.
+	check := func(stage string, want map[State][]string) {
+		t.Helper()
+		for _, state := range []State{StateQueued, StateRunning} {
+			var ids []string
+			cursor, after := "", 0
+			for hop := 0; hop < 10; hop++ {
+				resp, err := http.Get(ts.URL + "/v1/jobs?limit=2&state=" + string(state) + cursor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				writeJSON(rec, http.StatusOK, listJobs(s.Jobs(), state, "", after, 2))
+				if !bytes.Equal(got, rec.Body.Bytes()) {
+					t.Fatalf("%s: state=%s page %d differs from the retained walk:\n got %s\nwant %s", stage, state, hop, got, rec.Body.Bytes())
+				}
+				var page listPage
+				if err := json.Unmarshal(got, &page); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range page.Jobs {
+					ids = append(ids, v.ID)
+				}
+				if page.NextCursor == "" {
+					break
+				}
+				if after, err = decodeListCursor(page.NextCursor); err != nil {
+					t.Fatal(err)
+				}
+				cursor = "&cursor=" + page.NextCursor
+			}
+			if fmt.Sprint(ids) != fmt.Sprint(want[state]) {
+				t.Fatalf("%s: state=%s lists %v, want %v", stage, state, ids, want[state])
+			}
+		}
+	}
+
+	j1 := submit(1)
+	waitState(t, j1, StateRunning)
+	j2, j3, j4 := submit(2), submit(3), submit(4)
+	hit := specN(9)
+	norm, err := hit.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := hashNormalized(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cachePut(hash, []byte(`{"hit":true}`), resultDigest([]byte(`{"hit":true}`)))
+	if j5 := submit(9); j5.State() != StateDone {
+		t.Fatalf("cache hit %s is %s", j5.ID, j5.State())
+	}
+	j6 := submit(3)
+	if j6.Coalesced() != j3.ID {
+		t.Fatalf("%s did not coalesce onto %s", j6.ID, j3.ID)
+	}
+	check("submitted", map[State][]string{StateQueued: {j2.ID, j3.ID, j4.ID, j6.ID}, StateRunning: {j1.ID}})
+
+	s.Cancel(j2.ID)
+	check("canceled while queued", map[State][]string{StateQueued: {j3.ID, j4.ID, j6.ID}, StateRunning: {j1.ID}})
+
+	close(release[1])
+	waitState(t, j3, StateRunning)
+	check("first done", map[State][]string{StateQueued: {j4.ID, j6.ID}, StateRunning: {j3.ID}})
+
+	close(release[3])
+	waitState(t, j4, StateRunning)
+	waitTerminal(t, j6)
+	check("primary and follower done", map[State][]string{StateRunning: {j4.ID}})
+
+	close(release[4])
+	waitTerminal(t, j4)
+	check("all done", nil)
+	if live := s.liveJobs(); len(live) != 0 {
+		t.Fatalf("every job is terminal, but the live index holds %d", len(live))
+	}
+
+	j7 := submit(5)
+	waitState(t, j7, StateRunning)
+	j8 := submit(6)
+	check("before Close", map[State][]string{StateQueued: {j8.ID}, StateRunning: {j7.ID}})
+	s.Close()
+	for _, j := range []*Job{j7, j8} {
+		if j.State() != StateCanceled {
+			t.Fatalf("%s is %s after Close", j.ID, j.State())
+		}
+	}
+	check("after Close", nil)
+	if live := s.liveJobs(); len(live) != 0 {
+		t.Fatalf("Close left %d jobs in the live index", len(live))
 	}
 }

@@ -56,7 +56,7 @@ func newServerMetrics(runner *pool.Runner, c *cache, st *store) *serverMetrics {
 		cacheMisses:   reg.NewCounter("movrd_cache_misses_total", "Submissions that had to run."),
 		jobsCoalesced: reg.NewCounter("movrd_jobs_coalesced_total", "Submissions folded onto an identical in-flight job instead of executing."),
 		storeHits:     reg.NewCounter("movrd_store_hits_total", "Cache lookups served from the durable on-disk store."),
-		storeErrors:   reg.NewCounter("movrd_store_errors_total", "Failed appends to the durable result store."),
+		storeErrors:   reg.NewCounter("movrd_store_errors_total", "Failed appends to the durable result store, and stored results that failed their check when read."),
 		sessionsDone:  reg.NewCounter("movrd_sessions_completed_total", "Fleet sessions completed across all jobs."),
 		jobLatency:    reg.NewHistogram("movrd_job_latency_seconds", "Wall-clock latency of executed jobs (cache hits excluded).", metrics.DefaultLatencyBuckets()),
 		queueWait:     reg.NewHistogram("movrd_job_queue_wait_seconds", "Time jobs spent queued between submission and execution start (cache hits excluded).", metrics.DefaultLatencyBuckets()),

@@ -4,8 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -278,6 +280,7 @@ type Scheduler struct {
 	closed   bool
 	jobs     map[string]*Job
 	order    []string // creation order, for retention pruning
+	live     []*Job   // the queued and running jobs, in creation order
 	inflight map[string]*Job
 	nextID   int
 }
@@ -319,20 +322,33 @@ func NewScheduler(opts Options) (*Scheduler, error) {
 
 // cacheGet checks the memory tier, then the durable store (promoting a
 // disk hit into memory so repeats stay off the disk). It returns the
-// result with its digest.
+// result with its digest. A stored record that fails its check, or
+// does not hold valid JSON (writeView's precondition for every cached
+// result), is counted as a store error, dropped from the store's index
+// and treated as a miss, so the job executes and stores it afresh.
 func (s *Scheduler) cacheGet(hash string) ([]byte, string, bool) {
 	if res, sha, ok := s.cache.Get(hash); ok {
 		return res, sha, true
 	}
-	if s.store != nil {
-		if res, ok := s.store.Get(hash); ok {
-			sha := resultDigest(res)
-			s.cache.Put(hash, res, sha)
-			s.met.storeHits.Inc()
-			return res, sha, true
-		}
+	if s.store == nil {
+		return nil, "", false
 	}
-	return nil, "", false
+	res, ok, err := s.store.Get(hash)
+	bad := err != nil
+	if ok && !json.Valid(res) {
+		s.store.Drop(hash)
+		ok, bad = false, true
+	}
+	if bad {
+		s.met.storeErrors.Inc()
+	}
+	if !ok {
+		return nil, "", false
+	}
+	sha := resultDigest(res)
+	s.cache.Put(hash, res, sha)
+	s.met.storeHits.Inc()
+	return res, sha, true
 }
 
 // cachePut stores a completed result and its digest in both tiers (the
@@ -391,11 +407,11 @@ drain:
 
 // finish is the only way a job ends. It moves j from state from to the
 // outcome (false, changing nothing, if j already left from), and in the
-// same s.mu step drops j's coalescing registration and ends every
-// follower still queued on it with j's outcome. A primary's result is
-// cached before its finish, so an identical submission either follows
-// it (before) or hits the cache (after) — never re-executes a completed
-// spec. Counters are bumped before done is closed, so a waiter that
+// same s.mu step drops j's coalescing registration, ends every follower
+// still queued on it with j's outcome, and takes every job it ended out
+// of the live index. A primary's result is cached before its finish,
+// so an identical submission either follows it (before) or hits the
+// cache (after) — never re-executes a completed spec. Counters are bumped before done is closed, so a waiter that
 // sees the job end sees it counted.
 func (s *Scheduler) finish(j *Job, from State, out outcome) bool {
 	s.mu.Lock()
@@ -417,6 +433,11 @@ func (s *Scheduler) finish(j *Job, from State, out outcome) bool {
 		}
 	}
 	j.followers = nil
+	for _, e := range ended {
+		if i := slices.Index(s.live, e); i >= 0 {
+			s.live = slices.Delete(s.live, i, i+1)
+		}
+	}
 	s.mu.Unlock()
 
 	switch out.state {
@@ -549,6 +570,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.jobs[j.ID] = j
 	s.order = append(s.order, j.ID)
+	s.live = append(s.live, j) // a cache hit too, until its finish below
 	s.pruneLocked()
 	s.mu.Unlock()
 
@@ -620,6 +642,15 @@ func (s *Scheduler) Jobs() []*Job {
 		}
 	}
 	return out
+}
+
+// liveJobs returns the queued and running jobs in creation order: the
+// only jobs that can answer a queued or running filter, however many
+// terminal records are retained. A job may end after the snapshot.
+func (s *Scheduler) liveJobs() []*Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Clone(s.live)
 }
 
 // Cancel cancels a job: a queued job (or a follower) terminates

@@ -146,9 +146,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// viewBufs recycles writeView's response bodies; a body over
-// maxPooledView is left to the garbage collector rather than pinned.
-var viewBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// viewBuf is writeView's scratch: the envelope as the encoder writes
+// it, and the body spliced from it and the result.
+type viewBuf struct {
+	env  bytes.Buffer
+	body []byte
+}
+
+// viewBufs recycles writeView's scratch; a body over maxPooledView is
+// left to the garbage collector rather than pinned.
+var viewBufs = sync.Pool{New: func() any { return new(viewBuf) }}
 
 const maxPooledView = 1 << 20
 
@@ -164,44 +171,49 @@ var resultPlaceholder = json.RawMessage("0")
 // writeView writes a job view exactly as writeJSON would, without
 // re-encoding the result: the result bytes never change once a job is
 // done, so the envelope is encoded around a one-byte placeholder and
-// the stored result is indented straight into the placeholder's place.
-// writeJSON compacts the result with HTML escaping before indenting it;
-// the splice is byte-identical whenever that compaction only drops
-// whitespace, and any result it would rewrite goes through writeJSON.
+// the stored result is indented straight into the placeholder's place
+// by appendIndented, whose precondition, valid JSON, every cached
+// result meets. writeJSON compacts the result with HTML escaping
+// before indenting it; the splice is byte-identical whenever that
+// compaction only drops whitespace, and any result it would rewrite
+// goes through writeJSON.
 func writeView(w http.ResponseWriter, status int, v jobView) {
-	// Indent drops leading whitespace but keeps trailing whitespace,
+	// Indenting drops leading whitespace but keeps trailing whitespace,
 	// which compaction drops.
 	res := bytes.TrimRight(v.Result, " \t\r\n")
 	if len(res) == 0 || htmlEscapable(res) {
 		writeJSON(w, status, v)
 		return
 	}
-	buf := viewBufs.Get().(*bytes.Buffer)
+	vb := viewBufs.Get().(*viewBuf)
 	defer func() {
-		if buf.Cap() <= maxPooledView {
-			viewBufs.Put(buf)
+		if cap(vb.body) <= maxPooledView {
+			viewBufs.Put(vb)
 		}
 	}()
-	buf.Reset()
+	vb.env.Reset()
 	env := v
 	env.Result = resultPlaceholder
-	enc := json.NewEncoder(buf)
+	enc := json.NewEncoder(&vb.env)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(env); err != nil {
 		writeJSON(w, status, v)
 		return
 	}
-	at := bytes.Index(buf.Bytes(), resultKey) + len(resultKey)
-	tail := append([]byte(nil), buf.Bytes()[at+len(resultPlaceholder):]...)
-	buf.Truncate(at)
-	if err := json.Indent(buf, res, "  ", "  "); err != nil {
+	e := vb.env.Bytes()
+	at := bytes.Index(e, resultKey) + len(resultKey)
+	body, ok := appendIndented(append(vb.body[:0], e[:at]...), res)
+	if ok {
+		body = append(body, e[at+len(resultPlaceholder):]...)
+	}
+	vb.body = body
+	if !ok {
 		writeJSON(w, status, v) // answers an invalid result as writeJSON does
 		return
 	}
-	buf.Write(tail)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // htmlEscapable reports whether res holds what the encoder's
@@ -381,7 +393,9 @@ func jobNumericID(id string) int {
 // retained jobs in deterministic creation order (ascending job ID),
 // optionally filtered by lifecycle state and scenario label, paginated
 // by an opaque cursor. The page carries next_cursor while more filtered
-// jobs remain.
+// jobs remain. A queued or running filter walks only the scheduler's
+// live jobs, so a poll for them costs the same with 1 or 1,024
+// terminal records retained.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 
@@ -414,17 +428,34 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		after = id
 	}
 
-	views := make([]jobView, 0, limit)
+	var jobs []*Job
+	if st := State(stateFilter); st == StateQueued || st == StateRunning {
+		jobs = s.sched.liveJobs()
+	} else {
+		jobs = s.sched.Jobs()
+	}
+	writeJSON(w, http.StatusOK, listJobs(jobs, State(stateFilter), scenarioFilter, after, limit))
+}
+
+// listJobs is the list response over jobs (in creation order): the
+// first limit jobs after the cursor ID that pass the filters, and
+// next_cursor while more pass. Filters are checked before a job's
+// summary is built.
+func listJobs(jobs []*Job, state State, scenario string, after, limit int) map[string]any {
+	views := make([]jobView, 0, min(limit, len(jobs)))
 	nextCursor := ""
-	for _, j := range s.sched.Jobs() { // creation order = ascending ID
+	for _, j := range jobs {
 		if jobNumericID(j.ID) <= after {
 			continue
 		}
-		v := view(j, false)
-		if stateFilter != "" && v.State != State(stateFilter) {
+		if scenario != "" && scenarioLabel(j.Spec) != scenario {
 			continue
 		}
-		if scenarioFilter != "" && scenarioLabel(v.Spec) != scenarioFilter {
+		if state != "" && j.State() != state {
+			continue
+		}
+		v := view(j, false)
+		if state != "" && v.State != state { // a live job moved on meanwhile
 			continue
 		}
 		if len(views) == limit {
@@ -438,7 +469,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if nextCursor != "" {
 		resp["next_cursor"] = nextCursor
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -194,19 +193,41 @@ func (s *store) reindex() error {
 	return nil
 }
 
-// Get reads the stored result bytes for key from disk.
-func (s *store) Get(key string) ([]byte, bool) {
+// Get reads the record stored for key from disk (key, value and CRC in
+// one read) and checks that it still holds key and that its CRC
+// matches: the open-time scan checked the log, but a byte can change on
+// disk after it. ok is false on a miss. A record that fails its check
+// is dropped from the index, so the next Put of key stores it afresh,
+// and reported as err.
+func (s *store) Get(key string) (val []byte, ok bool, err error) {
 	s.mu.Lock()
 	pos, ok := s.index[key]
 	s.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, false, nil
 	}
-	val := make([]byte, pos.len)
-	if _, err := s.f.ReadAt(val, pos.off); err != nil && err != io.EOF {
-		return nil, false
+	rec := make([]byte, len(key)+pos.len+storeCRCLen)
+	n, err := s.f.ReadAt(rec, pos.off-int64(len(key)))
+	switch {
+	case n < len(rec):
+		err = fmt.Errorf("store: read %q: %d of %d bytes: %v", key, n, len(rec), err)
+	case string(rec[:len(key)]) != key:
+		err = fmt.Errorf("store: record for %q holds another key", key)
+	case crc32.ChecksumIEEE(rec[:len(rec)-storeCRCLen]) != binary.LittleEndian.Uint32(rec[len(rec)-storeCRCLen:]):
+		err = fmt.Errorf("store: record for %q fails its CRC", key)
+	default:
+		return rec[len(key) : len(key)+pos.len : len(key)+pos.len], true, nil
 	}
-	return val, true
+	s.Drop(key)
+	return nil, false, err
+}
+
+// Drop removes key from the index; its record stays in the log as dead
+// bytes.
+func (s *store) Drop(key string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.index, key)
 }
 
 // Put appends one fsync'd record. Results are deterministic functions

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,7 +23,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, ok := st.Get("missing"); ok {
+	if _, ok, _ := st.Get("missing"); ok {
 		t.Fatal("empty store claims an entry")
 	}
 	want := map[string][]byte{
@@ -44,7 +46,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("re-put of an existing key grew the log")
 	}
 	for k, v := range want {
-		got, ok := st.Get(k)
+		got, ok, _ := st.Get(k)
 		if !ok || !bytes.Equal(got, v) {
 			t.Fatalf("Get(%q) = %q, %v; want %q", k, got, ok, v)
 		}
@@ -63,7 +65,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	defer st2.Close()
 	for k, v := range want {
-		got, ok := st2.Get(k)
+		got, ok, _ := st2.Get(k)
 		if !ok || !bytes.Equal(got, v) {
 			t.Fatalf("after reopen: Get(%q) = %q, %v; want %q", k, got, ok, v)
 		}
@@ -116,12 +118,12 @@ func TestStoreTornTailTruncated(t *testing.T) {
 			t.Fatalf("%s: open after taint: %v", name, err)
 		}
 		for k, v := range map[string]string{"key1": "value-one", "key2": "value-two"} {
-			got, ok := st2.Get(k)
+			got, ok, _ := st2.Get(k)
 			if !ok || string(got) != v {
 				t.Fatalf("%s: lost intact entry %q (got %q, %v)", name, k, got, ok)
 			}
 		}
-		if _, ok := st2.Get("key3"); ok {
+		if _, ok, _ := st2.Get("key3"); ok {
 			t.Fatalf("%s: torn record served", name)
 		}
 		if st2.Len() != 2 {
@@ -155,10 +157,10 @@ func TestStoreCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if got, ok := st.Get("dup"); !ok || string(got) != "v49" {
+	if got, ok, _ := st.Get("dup"); !ok || string(got) != "v49" {
 		t.Fatalf("last write should win: got %q, %v", got, ok)
 	}
-	if got, ok := st.Get("other"); !ok || string(got) != "keep" {
+	if got, ok, _ := st.Get("other"); !ok || string(got) != "keep" {
 		t.Fatalf("lost entry: got %q, %v", got, ok)
 	}
 	info, err := os.Stat(path)
@@ -281,4 +283,96 @@ func TestStoreWriteFailureKeepsServing(t *testing.T) {
 	if !bytes.Equal(res, want) {
 		t.Fatal("re-executed result differs from the first run")
 	}
+}
+
+// TestStoreHitChecked changes one byte of a stored result on disk under
+// a live daemon, after the open-time scan has passed it: the
+// resubmission fails the record's CRC, counts a store error, re-executes
+// and serves the correct bytes, and the next resubmission is a memory
+// hit. The changed byte is a digit, so the bytes stay valid JSON and
+// only the CRC can tell. A record whose CRC holds but whose value is not
+// JSON is refused the same way.
+func TestStoreHitChecked(t *testing.T) {
+	spec := JobSpec{Kind: "fleet", Fleet: &FleetJobSpec{Scenario: "home", Sessions: 2, Seed: 14, DurationMS: 100}}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := hashNormalized(norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := execute(context.Background(), norm, pool.NewRunner(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// resubmit posts the spec to a daemon on dir after corrupt has
+	// changed its stored record, and expects one fresh execution.
+	resubmit := func(t *testing.T, dir string, corrupt func(*store)) {
+		srv, ts := newTestServer(t, Options{Workers: 2, CacheDir: dir})
+		var runs atomic.Int64
+		srv.sched.execFn = func(ctx context.Context, spec JobSpec, runner *pool.Runner, onSession func(int, int, fleet.SessionOutcome)) ([]byte, *TraceArtifact, error) {
+			runs.Add(1)
+			return execute(ctx, spec, runner, onSession)
+		}
+		corrupt(srv.sched.store)
+		for i, wantCache := range []string{"miss", "hit"} {
+			resp, v := postJob(t, ts, string(body), true)
+			if got := resp.Header.Get("X-Movr-Cache"); resp.StatusCode != http.StatusOK || got != wantCache || v.State != StateDone {
+				t.Fatalf("submit %d: status %d, X-Movr-Cache %q, state %s; want 200, %q, done", i, resp.StatusCode, got, v.State, wantCache)
+			}
+			if !bytes.Equal(compactJSON(t, v.Result), want) || v.ResultSHA != sha256Hex(want) {
+				t.Fatalf("submit %d served %d result bytes that differ from the executor's %d", i, len(compactJSON(t, v.Result)), len(want))
+			}
+		}
+		if runs.Load() != 1 || srv.sched.met.storeErrors.Value() != 1 || srv.sched.met.storeHits.Value() != 0 {
+			t.Fatalf("runs %d, store errors %d, store hits %d; want 1, 1, 0",
+				runs.Load(), srv.sched.met.storeErrors.Value(), srv.sched.met.storeHits.Value())
+		}
+	}
+
+	t.Run("crc", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := openStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(hash, want); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		resubmit(t, dir, func(st *store) {
+			pos := st.index[hash]
+			val := make([]byte, pos.len)
+			if _, err := st.f.ReadAt(val, pos.off); err != nil || !bytes.Equal(val, want) {
+				t.Fatalf("stored value differs from the result (read error %v)", err)
+			}
+			i := bytes.Index(val, []byte(".")) + 1 // a fraction digit
+			val[i] ^= 1
+			if !json.Valid(val) {
+				t.Fatal("the changed value is not JSON; the CRC check would not be the one to catch it")
+			}
+			if _, err := st.f.WriteAt(val[i:i+1], pos.off+int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+
+	t.Run("not_json", func(t *testing.T) {
+		dir := t.TempDir()
+		st, err := openStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(hash, want[:len(want)/2]); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		resubmit(t, dir, func(*store) {})
+	})
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -9,13 +10,16 @@ import (
 
 // FuzzWriteView holds writeView to writeJSON on arbitrary result bytes:
 // a result crosses a trust boundary when it is read back from the
-// durable store. For any input json.Valid accepts, the view of the raw
-// bytes (which may take the fallback) and the view of their canonical
-// compact form (what an executor's json.Marshal produces, always
-// spliced) must both equal writeJSON's byte for byte. The seed corpus
-// under testdata/fuzz/FuzzWriteView holds empty and nested empty
-// containers, strings with escaped quotes and backslashes, HTML and
-// U+2028 strings, whitespace-laden input and a bare scalar.
+// durable store. For any input json.Valid accepts, appendIndented must
+// give json.Indent's bytes, and the view of the raw bytes (which may
+// take the fallback) and the view of their canonical compact form (what
+// an executor's json.Marshal produces, always spliced) must both equal
+// writeJSON's byte for byte. Any other input must not make either
+// panic. The seed corpus under testdata/fuzz/FuzzWriteView holds empty
+// and nested empty containers, nesting deeper than indentRun, strings
+// with escaped quotes and backslashes (one ending in an escaped
+// backslash), \u escapes, exponent numbers, HTML and U+2028 strings,
+// whitespace-laden input and a bare scalar.
 func FuzzWriteView(f *testing.F) {
 	created := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
 	finished := created.Add(time.Second)
@@ -27,7 +31,18 @@ func FuzzWriteView(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if !json.Valid(raw) {
+			appendIndented(nil, raw)
+			rv := v
+			rv.Result = raw
+			recordView(writeView, http.StatusOK, rv)
 			return
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, raw, "  ", "  "); err != nil {
+			t.Fatalf("json.Indent of a valid result: %v", err)
+		}
+		if got, ok := appendIndented(nil, raw); !ok || !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appendIndented = %q, %v; json.Indent gives %q", got, ok, want.Bytes())
 		}
 		canonical, err := json.Marshal(json.RawMessage(raw))
 		if err != nil {

@@ -46,7 +46,7 @@ var (
 
 // hotSet executes every hot-set spec once per test binary and returns
 // the specs with their executor results.
-func hotSet(t *testing.T) []hotResult {
+func hotSet(t testing.TB) []hotResult {
 	t.Helper()
 	hotOnce.Do(func() {
 		runner := pool.NewRunner(2)
@@ -79,7 +79,7 @@ func hotSet(t *testing.T) []hotResult {
 	return hotResults
 }
 
-func hotResultNamed(t *testing.T, name string) hotResult {
+func hotResultNamed(t testing.TB, name string) hotResult {
 	t.Helper()
 	for _, hr := range hotSet(t) {
 		if hr.name == name {
@@ -268,6 +268,39 @@ func TestWriteViewAllocs(t *testing.T) {
 		t.Errorf("writeView made %.1f allocations with the venue result and %.1f with the bare map result: the count depends on the result",
 			allocs["venue"], allocs["map_bare"])
 	}
+}
+
+// BenchmarkWriteView prices a cached venue view (35 KB compact, 249 KB
+// indented): the whole writeView, and its indenting step alone beside
+// json.Indent, which it replaced, on the same result.
+func BenchmarkWriteView(b *testing.B) {
+	venue := hotResultNamed(b, "venue")
+	created := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	v := jobView{
+		ID: "job-1", State: StateDone, Cached: true, SpecSHA256: venue.hash, Spec: venue.spec,
+		CreatedAt: created, StartedAt: &created, FinishedAt: &created,
+		Result: venue.result, ResultSHA: sha256Hex(venue.result),
+	}
+	b.Run("view", func(b *testing.B) {
+		w := discardResponse{h: http.Header{}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			writeView(w, http.StatusOK, v)
+		}
+	})
+	b.Run("appendIndented", func(b *testing.B) {
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf, _ = appendIndented(buf[:0], venue.result)
+		}
+	})
+	b.Run("json.Indent", func(b *testing.B) {
+		var buf bytes.Buffer
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			_ = json.Indent(&buf, venue.result, "  ", "  ")
+		}
+	})
 }
 
 // TestWriteViewConcurrentGets has concurrent clients fetch and resubmit

@@ -130,6 +130,18 @@ n="$(grep -c '"id": "job-' "$workdir/list_p2" || true)"
 grep -q '"next_cursor"' "$workdir/list_p2" && fail "final page still carries next_cursor"
 echo "movrd-smoke: listing filters and cursor pagination ok"
 
+# Every job so far is done, so the live filters list nothing, and a
+# cancel of a done job leaves it done and answers with its view.
+for state in queued running; do
+    curl -s "http://$addr/v1/jobs?state=$state" >"$workdir/list_$state"
+    grep -q '"jobs": \[\]' "$workdir/list_$state" || fail "state=$state lists jobs after every job is done: $(cat "$workdir/list_$state")"
+done
+code="$(curl -s -o "$workdir/cancel" -w '%{http_code}' -X DELETE "http://$addr/v1/jobs/$jobid")"
+[ "$code" = 200 ] || fail "cancel of done job $jobid returned $code"
+grep -q "\"id\": \"$jobid\"" "$workdir/cancel" || fail "cancel answer is not the view of $jobid: $(cat "$workdir/cancel")"
+grep -q '"state": "done"' "$workdir/cancel" || fail "cancel changed done job $jobid: $(cat "$workdir/cancel")"
+echo "movrd-smoke: live filters empty once jobs are done; cancel leaves a done job done"
+
 # Admission control: an over-capacity venue submit (EDF schedules 4 of
 # 6 players per bay) in reject mode is refused before execution with
 # the typed admission_denied envelope; the queue default admits the
