@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check fast-all-golden bench-suite bench-gate bench-baseline bench-profile serve load-smoke ci
+.PHONY: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check fast-all-golden bench-suite bench-gate bench-baseline bench-profile serve load-smoke prod-cover ci
 
 build:
 	$(GO) build ./...
@@ -85,4 +85,10 @@ serve:
 load-smoke:
 	sh scripts/movrd_load_smoke.sh
 
-ci: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check serve load-smoke bench-gate
+# Production-coverage census: print the functions that the deterministic
+# movrsim and movrtrace runs never reach and that no allowlist in
+# testonly_test.go names. Advisory: it gates nothing.
+prod-cover:
+	sh scripts/prodcover.sh
+
+ci: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check serve load-smoke bench-gate prod-cover

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	movr "github.com/movr-sim/movr"
+	"github.com/movr-sim/movr/internal/channel"
+	"github.com/movr-sim/movr/internal/gainctl"
 )
 
 // BenchmarkFig3Blockage regenerates Fig 3 (blockage impact on SNR and
@@ -70,7 +72,7 @@ func BenchmarkFig8ExhaustiveSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := movr.DefaultAlignConfig()
 		cfg.Seed = int64(i + 1)
-		link := movr.NewControlLink(movr.NewController(device), 0, 0, cfg.Seed)
+		link := movr.NewControlLink(movr.NewController(device), 0)
 		sw, err := movr.NewSweeper(world.AP, device, link, world.Tracer, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -196,7 +198,7 @@ func BenchmarkTracerInto(b *testing.B) {
 	world := movr.NewWorld(2)
 	tx, rx := movr.V(0.5, 0.5), movr.V(4.2, 3.7)
 	world.Room.AddObstacle(movr.Hand(movr.V(2.2, 2.0)))
-	var buf []movr.Path
+	var buf []channel.Path
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = world.Tracer.TraceInto(buf[:0], tx, rx)
@@ -211,7 +213,7 @@ func BenchmarkTracerInto(b *testing.B) {
 func BenchmarkAlignmentMeasurement(b *testing.B) {
 	world := movr.NewWorld(0)
 	dev := movr.DefaultReflector(movr.V(2.5, 5), 270)
-	link := movr.NewControlLink(movr.NewController(dev), 0, 0, 1)
+	link := movr.NewControlLink(movr.NewController(dev), 0)
 	sw, err := movr.NewSweeper(world.AP, dev, link, world.Tracer, movr.DefaultAlignConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -229,9 +231,9 @@ func BenchmarkAlignmentMeasurement(b *testing.B) {
 func BenchmarkGainControl(b *testing.B) {
 	dev := movr.DefaultReflector(movr.V(2.5, 5), 270)
 	dev.SetBothBeams(270)
-	cfg := movr.DefaultGainConfig()
+	cfg := gainctl.DefaultConfig()
 	for i := 0; i < b.N; i++ {
-		res := movr.OptimizeGain(dev, -55, cfg)
+		res := gainctl.Optimize(dev, -55, cfg)
 		if res.Steps == 0 {
 			b.Fatal("no steps")
 		}

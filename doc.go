@@ -26,21 +26,22 @@
 //   - reproductions of every figure in the paper's evaluation (Fig 3,
 //     7, 8, 9) plus the §6 battery and latency analyses, exposed as
 //     seeded, deterministic experiments;
-//   - a fleet engine (RunFleet with the Arcade/Homes/DenseBlocker/Mixed
-//     scenario generators) that simulates many concurrent VR sessions —
+//   - a fleet engine (RunFleet over the MixedFleet and VenueFleet
+//     generators; movrsim -scenario and the job API select among all
+//     eight scenario kinds) that simulates many concurrent VR sessions —
 //     distinct rooms, seeds, reflector deployments and motion traces —
 //     across a bounded worker pool and aggregates them into fleet-level
 //     percentile statistics, byte-identical for any worker count. The
 //     heavy experiment sweeps (coverage heatmap, Fig 9 trials, the
 //     ablations) fan out through the same pool;
-//   - a shared-medium coexistence model (internal/coex, the CoexFleet
-//     "coex" scenario family): multi-headset arcade bays where one
+//   - a shared-medium coexistence model (internal/coex, the "coex"
+//     scenario family): multi-headset arcade bays where one
 //     60 GHz channel is split across the room's players by a TDMA
 //     airtime scheduler at the tracking cadence — body-blocked players'
 //     slots are reclaimed by the others — and every co-player walks its
 //     own motion trace through the room as a dynamic obstacle. The
 //     first workload where per-player delivered rate degrades as
-//     players per room grow. Slot sizing is a pluggable AirtimePolicy:
+//     players per room grow. Slot sizing is a pluggable airtime policy:
 //     round-robin ("rr", the default), proportional-fair ("pf", shares
 //     follow each player's recent geometric link quality), and
 //     deadline-aware ("edf", slots quantized to the display's

@@ -16,7 +16,7 @@ import (
 func main() {
 	world := movr.NewWorld(0)
 	device := movr.DefaultReflector(movr.V(2.2, 5), 270) // north wall
-	link := movr.NewControlLink(movr.NewController(device), 0, 0, 7)
+	link := movr.NewControlLink(movr.NewController(device), 0)
 
 	cfg := movr.DefaultAlignConfig()
 	sweeper, err := movr.NewSweeper(world.AP, device, link, world.Tracer, cfg)

@@ -213,50 +213,10 @@ func sweep(tr *channel.Tracer, tx, rx *radio.Radio, stepDeg float64, s *Scratch)
 	return res, chains
 }
 
-// StaticWHDI models a wireless-HDMI link: beams are aligned once, at
-// setup, toward the initial positions, and never move again.
-type StaticWHDI struct {
-	txBeamDeg, rxBeamDeg float64
-	configured           bool
-}
-
-// Setup aligns the link for the current geometry and freezes it.
-func (s *StaticWHDI) Setup(tx, rx *radio.Radio) {
-	s.txBeamDeg = tx.SteerToward(rx.Pos)
-	s.rxBeamDeg = rx.SteerToward(tx.Pos)
-	s.configured = true
-}
-
-// Evaluate returns the link SNR with the frozen beams applied, for
-// whatever the geometry is now. It returns −Inf before Setup.
-func (s *StaticWHDI) Evaluate(tr *channel.Tracer, tx, rx *radio.Radio) float64 {
-	if !s.configured {
-		return math.Inf(-1)
-	}
-	tx.SteerTo(s.txBeamDeg)
-	rx.SteerTo(s.rxBeamDeg)
-	return radio.LinkSNRdB(tr, tx, rx)
-}
-
 // MultiAP is the brute-force alternative: several full mmWave APs spread
 // around the room, each needing its own HDMI cable run to the PC.
 type MultiAP struct {
 	APs []*radio.AP
-}
-
-// Best returns the best aligned LOS SNR across the deployment for a
-// headset at hs, along with the winning AP index.
-func (m MultiAP) Best(tr *channel.Tracer, hs *radio.Headset) (snrDB float64, apIdx int) {
-	best, idx := math.Inf(-1), -1
-	for i, ap := range m.APs {
-		ap.SteerToward(hs.Pos)
-		hs.SteerToward(ap.Pos)
-		snr := radio.LinkSNRdB(tr, &ap.Radio, &hs.Radio)
-		if snr > best {
-			best, idx = snr, i
-		}
-	}
-	return best, idx
 }
 
 // CablingM estimates the HDMI cabling the deployment needs: wall-route

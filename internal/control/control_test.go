@@ -84,7 +84,7 @@ func echoHandler() Handler {
 }
 
 func TestLinkCall(t *testing.T) {
-	l := NewLink(echoHandler(), 5*time.Millisecond, 0, 1)
+	l := NewLink(echoHandler(), 5*time.Millisecond)
 	reply, err := l.Call(Message{Type: MsgSetRXBeam, Value: 1234})
 	if err != nil {
 		t.Fatal(err)
@@ -95,52 +95,10 @@ func TestLinkCall(t *testing.T) {
 	if l.Elapsed() != 5*time.Millisecond {
 		t.Errorf("elapsed = %v", l.Elapsed())
 	}
-	ex, drops := l.Stats()
-	if ex != 1 || drops != 0 {
-		t.Errorf("stats = %d/%d", ex, drops)
-	}
-}
-
-func TestLinkRetriesOnLoss(t *testing.T) {
-	// 50% loss: with seeded rng the call should still eventually land,
-	// and elapsed time should reflect the retries.
-	l := NewLink(echoHandler(), 2*time.Millisecond, 0.5, 7)
-	reply, err := l.Call(Message{Type: MsgReadCurrent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != MsgAck {
-		t.Errorf("reply = %+v", reply)
-	}
-	ex, drops := l.Stats()
-	if drops == 0 && ex == 1 {
-		// Possible with 50% loss, but over several calls drops must
-		// appear.
-		for i := 0; i < 20; i++ {
-			if _, err := l.Call(Message{Type: MsgReadCurrent}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		_, drops = l.Stats()
-		if drops == 0 {
-			t.Error("expected some drops at 50% loss")
-		}
-	}
-}
-
-func TestLinkGivesUp(t *testing.T) {
-	l := NewLink(echoHandler(), time.Millisecond, 1.0, 3) // always lose
-	l.MaxRetries = 4
-	if _, err := l.Call(Message{Type: MsgSetGainWord}); err == nil {
-		t.Error("total loss should error out")
-	}
-	if _, drops := l.Stats(); drops != 5 {
-		t.Errorf("drops = %d, want MaxRetries+1 = 5", drops)
-	}
 }
 
 func TestLinkDefaultsAndReset(t *testing.T) {
-	l := NewLink(echoHandler(), 0, 0, 1)
+	l := NewLink(echoHandler(), 0)
 	if l.RTT != DefaultRTT {
 		t.Errorf("default RTT = %v", l.RTT)
 	}

@@ -145,7 +145,7 @@ func AblationPhaseBits(seed int64) []PhaseBitsRow {
 			if err != nil {
 				panic(err)
 			}
-			link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, seed+int64(run))
+			link := control.NewLink(reflector.NewController(dev), control.DefaultRTT)
 			sCfg := align.DefaultConfig()
 			sCfg.Seed = seed + int64(run)
 			sw, err := align.NewSweeper(w.AP, dev, link, w.Tracer, sCfg)
@@ -193,7 +193,7 @@ func AblationSweepStep(seed int64) []SweepStepRow {
 			if err != nil {
 				panic(err)
 			}
-			link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, seed+int64(run))
+			link := control.NewLink(reflector.NewController(dev), control.DefaultRTT)
 			sCfg := align.DefaultConfig()
 			sCfg.CoarseStepDeg = step
 			sCfg.Seed = seed + int64(run)

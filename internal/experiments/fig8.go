@@ -60,7 +60,7 @@ func Fig8(cfg Fig8Config) Fig8Result {
 			run--
 			continue
 		}
-		link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, cfg.Seed+int64(run))
+		link := control.NewLink(reflector.NewController(dev), control.DefaultRTT)
 		aCfg := align.DefaultConfig()
 		aCfg.Seed = cfg.Seed + int64(run)*7919
 		sw, err := align.NewSweeper(w.AP, dev, link, w.Tracer, aCfg)

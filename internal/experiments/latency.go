@@ -59,7 +59,7 @@ func Latency(cfg LatencyConfig) LatencyResult {
 	// Measure the alignment sweeps on the standard rig.
 	w := NewWorld(0)
 	dev := reflector.Default(geom.V(2.5, 5), 270)
-	link := control.NewLink(reflector.NewController(dev), control.DefaultRTT, 0, cfg.Seed)
+	link := control.NewLink(reflector.NewController(dev), control.DefaultRTT)
 	aCfg := align.DefaultConfig()
 	aCfg.Seed = cfg.Seed
 	sw, err := align.NewSweeper(w.AP, dev, link, w.Tracer, aCfg)

@@ -22,11 +22,11 @@ import (
 //
 // (little-endian; IEEE CRC). The log is append-only during operation.
 // Open rebuilds the index by scanning the log, keeps the last record
-// per key, truncates any torn tail (a crash mid-append leaves a short
-// or CRC-failing final record — dropped, never propagated), and
-// compacts: live records are rewritten in sorted-key order to a temp
-// file that atomically replaces the log, so dead duplicates never
-// accumulate across restarts.
+// per key, skips any record that fails its CRC (bit rot — dropped,
+// never propagated), drops a torn tail (a crash mid-append leaves a
+// short final record), and compacts: live records are rewritten in
+// sorted-key order to a temp file that atomically replaces the log, so
+// dead duplicates never accumulate across restarts.
 type store struct {
 	mu    sync.Mutex
 	f     *os.File
@@ -78,8 +78,11 @@ func openStore(dir string) (*store, error) {
 }
 
 // scanStoreLog reads every valid record of the log (last write per key
-// wins) and stops at the first torn or corrupt record, whose offset is
-// where a crash interrupted an append — everything before it is intact.
+// wins). A whole record that fails its CRC is skipped and the scan goes
+// on from its end, so a changed byte in a record's key, value or CRC
+// loses that record alone. A record that runs past the end of the file
+// or past storeMaxRecord ends the scan: a crash interrupted that
+// append, or its header is corrupt and gives no end to go on from.
 func scanStoreLog(path string) (map[string][]byte, error) {
 	entries := make(map[string][]byte)
 	raw, err := os.ReadFile(path)
@@ -98,12 +101,9 @@ func scanStoreLog(path string) (map[string][]byte, error) {
 			break // torn tail
 		}
 		body := raw[off+storeHdrLen : recEnd-storeCRCLen]
-		wantCRC := binary.LittleEndian.Uint32(raw[recEnd-storeCRCLen:])
-		if crc32.ChecksumIEEE(body) != wantCRC {
-			break // corrupt tail
+		if crc32.ChecksumIEEE(body) == binary.LittleEndian.Uint32(raw[recEnd-storeCRCLen:]) {
+			entries[string(body[:keyLen])] = append([]byte(nil), body[keyLen:]...)
 		}
-		key := string(body[:keyLen])
-		entries[key] = append([]byte(nil), body[keyLen:]...)
 		off = recEnd
 	}
 	return entries, nil

@@ -137,6 +137,49 @@ func TestStoreTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestStoreSkipsCorruptRecord changes a byte of an early record's value
+// on disk. The damaged key's Get fails and the key is stored again, at
+// the end of the log; the next open must skip the damaged record and
+// still serve every record after it.
+func TestStoreSkipsCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, err := openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("keyA", []byte("value-a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("keyB", []byte("value-b")); err != nil {
+		t.Fatal(err)
+	}
+	pos := st.index["keyA"]
+	if _, err := st.f.WriteAt([]byte("V"), pos.off); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.Get("keyA"); ok || err == nil {
+		t.Fatalf("damaged record served: ok %v, err %v", ok, err)
+	}
+	if err := st.Put("keyA", []byte("value-a")); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st, err = openStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for k, v := range map[string]string{"keyA": "value-a", "keyB": "value-b"} {
+		if got, ok, err := st.Get(k); !ok || string(got) != v {
+			t.Errorf("after reopen %q = %q (present %v, err %v), want %q", k, got, ok, err, v)
+		}
+	}
+	if st.Len() != 2 {
+		t.Errorf("Len = %d, want 2", st.Len())
+	}
+}
+
 // TestStoreCompaction pins that restart compaction drops dead records:
 // many overwrites of one key collapse to a single live record on open.
 func TestStoreCompaction(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	movr "github.com/movr-sim/movr"
+	"github.com/movr-sim/movr/internal/reflector"
+	"github.com/movr-sim/movr/internal/vr"
 )
 
 // TestPublicAPIQuickstart exercises the documented quick-start flow end
@@ -61,9 +63,6 @@ func TestPublicAPIExperiments(t *testing.T) {
 
 // TestPublicAPIPrimitives checks the re-exported substrate helpers.
 func TestPublicAPIPrimitives(t *testing.T) {
-	if movr.Version == "" {
-		t.Error("version empty")
-	}
 	if movr.HTCVive().RefreshHz != 90 {
 		t.Error("display spec wrong")
 	}
@@ -77,7 +76,7 @@ func TestPublicAPIPrimitives(t *testing.T) {
 	if bw := arr.BeamwidthDeg(); bw < 8 || bw > 12 {
 		t.Errorf("beamwidth = %v", bw)
 	}
-	trace, err := movr.GenerateMotion(movr.DefaultMotionConfig(5, 5, 1))
+	trace, err := vr.Generate(vr.DefaultTraceConfig(5, 5, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +92,16 @@ func TestPublicAPIPrimitives(t *testing.T) {
 // TestNewReflectorRejectsNonFiniteArray checks that a non-finite array
 // config reaches the caller as an error instead of NaN or ±Inf gains.
 func TestNewReflectorRejectsNonFiniteArray(t *testing.T) {
-	for name, mutate := range map[string]func(*movr.ReflectorConfig){
-		"rx spacing NaN":  func(c *movr.ReflectorConfig) { c.RXArray.SpacingWavelengths = math.NaN() },
-		"tx element +Inf": func(c *movr.ReflectorConfig) { c.TXArray.ElementGainDBi = math.Inf(1) },
-		"rx backlobe NaN": func(c *movr.ReflectorConfig) { c.RXArray.BacklobeDB = math.NaN() },
-		"mount NaN":       func(c *movr.ReflectorConfig) { c.MountDeg = math.NaN() },
+	for name, mutate := range map[string]func(*reflector.Config){
+		"rx spacing NaN":  func(c *reflector.Config) { c.RXArray.SpacingWavelengths = math.NaN() },
+		"tx element +Inf": func(c *reflector.Config) { c.TXArray.ElementGainDBi = math.Inf(1) },
+		"rx backlobe NaN": func(c *reflector.Config) { c.RXArray.BacklobeDB = math.NaN() },
+		"mount NaN":       func(c *reflector.Config) { c.MountDeg = math.NaN() },
 	} {
-		cfg := movr.DefaultReflectorConfig(movr.V(4.6, 4.6), 225)
+		cfg := reflector.DefaultConfig(movr.V(4.6, 4.6), 225)
 		mutate(&cfg)
-		if _, err := movr.NewReflector(cfg); err == nil {
-			t.Errorf("%s: NewReflector accepted the config", name)
+		if _, err := reflector.New(cfg); err == nil {
+			t.Errorf("%s: reflector.New accepted the config", name)
 		}
 	}
 }

@@ -2,7 +2,8 @@
 # Smoke-test the movrd daemon end to end: build it, start it on an
 # ephemeral port, poll /healthz, submit a tiny fleet job, resubmit the
 # same spec, and assert the second answer is a cache hit with the same
-# result hash. `make serve` and the CI movrd-smoke step both run this.
+# result hash; then drive the trace, event-stream, error, listing,
+# cancel, admission and debug endpoints. `make serve` and the CI movrd-smoke step both run this.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -101,6 +102,19 @@ code="$(curl -s -o "$workdir/trace.json" -w '%{http_code}' "http://$addr/v1/jobs
 [ "$code" = 200 ] || fail "trace endpoint returned $code"
 grep -q '"traceEvents"' "$workdir/trace.json" || fail "trace body is not Chrome trace-event JSON"
 echo "movrd-smoke: trace endpoint serves Chrome trace JSON"
+
+# Progress stream: the done traced job replays its events over SSE, and
+# the stream ends by itself at the terminal event (bounded, so a stream
+# that never ends fails the step instead of hanging it).
+code="$(curl -s --max-time 10 -o "$workdir/events" -w '%{http_code}' "http://$addr/v1/jobs/$jobid/events" || echo " (stream did not end within 10 s)")"
+[ "$code" = 200 ] || fail "events endpoint returned $code"
+grep -q '^data: ' "$workdir/events" || fail "event stream has no data lines: $(cat "$workdir/events")"
+last="$(grep '^data: ' "$workdir/events" | tail -n 1)"
+case "$last" in
+*'"type":"done"'*) ;;
+*) fail "event stream does not end with a done event: $last" ;;
+esac
+echo "movrd-smoke: event stream replays the job and ends at its done event"
 
 # Error envelope: every non-2xx answer is {"error":{code,message,detail}}
 # with a stable machine-readable code.

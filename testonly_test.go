@@ -22,15 +22,11 @@ import (
 )
 
 // testOnlyAllowed names the functions and methods that no non-test code
-// calls but that stay on purpose, each with the reason. Keys are the
-// package's directory relative to the repository root, then the
-// receiver's type name for a method, then the function's name.
+// calls, and the movr.go names no command or example uses, that stay on
+// purpose, each with the reason. Keys are the package's directory
+// relative to the repository root ("movr" for the root package), then
+// the receiver's type name for a method, then the name.
 var testOnlyAllowed = map[string]string{
-	// Paper baselines the facade exports whole (movr.StaticWHDI, movr.MultiAP).
-	"internal/baseline.StaticWHDI.Setup":    "wireless-HDMI baseline (§2) that movr.StaticWHDI exports",
-	"internal/baseline.StaticWHDI.Evaluate": "wireless-HDMI baseline (§2) that movr.StaticWHDI exports",
-	"internal/baseline.MultiAP.Best":        "multi-AP baseline (§1) that movr.MultiAP exports",
-
 	// Reached from production code through an interface the loaded
 	// packages do not declare.
 	"internal/experiments.BayPlayerError.Unwrap": "RunSessionVariant unwraps the lone player's error with errors.Unwrap",
@@ -42,10 +38,14 @@ var testOnlyAllowed = map[string]string{
 	"internal/relay.Bound":                   "TestQuickCombinedBelowBound holds the relay SNR below the weaker hop",
 	"internal/relay.HopBudget.SNRdB":         "per-hop SNR that TestEndToEndMatchesClosedForm builds the closed form from",
 	"internal/radio.LinkSNRAligned":          "aligned LOS SNR that the baseline and radio tests compare against",
+	"internal/ofdm.DefaultConfig":            "signal-path reference (§5.2) the e2e test checks the analytic budget against",
+	"internal/ofdm.NewModem":                 "signal-path reference (§5.2) the e2e test checks the analytic budget against",
+	"internal/ofdm.Modem.MeasureAtSNR":       "signal-path reference (§5.2) the e2e test checks the analytic budget against",
 	"internal/fleet.MetricSketch.ErrorBound": "documented sketch bound the stream-vs-exact tests hold percentiles to",
 
 	// Fixtures that model-pinning tests need.
 	"internal/room.NewLivingRoom":         "furnished room of the channel golden traces and living-room tests",
+	"internal/channel.Budget60GHz":        "802.11ad fixture that band60_test and experiments_test check the model at",
 	"internal/room.Column":                "pillar that TestBlockageDegradesMeasurement blocks the sweep with",
 	"internal/room.Room.AddWall":          "interior walls of the golden traces and PathCache retrace tests",
 	"internal/room.Room.RemoveObstacle":   "obstacle-set change the PathCache retrace and epoch tests drive",
@@ -73,7 +73,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/server.Job.Err":                 "reports a job's failure in the scheduler and coalescing tests",
 	"internal/server.Server.Scheduler":        "lets server tests substitute the scheduler's executor",
 	"internal/channel.PathCache.Stats":        "query-tier counters the PathCache tests assert on",
-	"internal/control.Link.Stats":             "exchange and drop counts the lossy-link tests assert on",
 	"internal/ofdm.Modem.Config":              "modem layout the ofdm tests read",
 	"internal/reflector.Reflector.TXBeamDeg":  "transmit beam the reflector, controller and link-manager tests assert on",
 	"internal/reflector.Reflector.Modulating": "OOK state the controller tests check the alignment commands set",
@@ -105,9 +104,16 @@ var testOnlyFieldsAllowed = map[string]string{
 // the commands or the examples; delete it with the test that covers it.
 // A method an interface declares counts as called only through that
 // interface. A method that implements one the code can call (declared
-// outside the repository, or called by its non-test code), a name the
-// movr.go facade declares, and an entry of testOnlyAllowed are exempt. An allowlist entry that non-test code has
-// since come to reference, or that names nothing, fails too.
+// outside the repository, or called by its non-test code) is exempt.
+//
+// The movr.go facade is held to the same rule one level up: each name it
+// exports needs a user among the commands, the examples and
+// example_test.go (a reference, or an Example named after it), and its
+// declaration's references count as use only when it has one.
+//
+// An entry of testOnlyAllowed exempts a name. An allowlist entry that
+// non-test code has since come to reference, or that names nothing,
+// fails too.
 func TestNoTestOnlyCode(t *testing.T) {
 	l, err := loadRepo(".")
 	if err != nil {
@@ -115,6 +121,25 @@ func TestNoTestOnlyCode(t *testing.T) {
 	}
 	ifaces := l.interfaces()
 	found := map[string]bool{}
+	var unused []string
+	for _, f := range l.facade {
+		key := "movr." + f.obj.Name()
+		found[key] = true
+		_, allowed := testOnlyAllowed[key]
+		switch {
+		case l.facadeUsed[f.obj]:
+			if allowed {
+				t.Errorf("%s is in testOnlyAllowed but a command or an example now uses it; drop the entry", key)
+			}
+		case allowed:
+		default:
+			unused = append(unused, key+" ("+l.fset.Position(f.obj.Pos()).String()+")")
+		}
+	}
+	if len(unused) > 0 {
+		t.Errorf("%d names movr.go exports have no user in cmd/, examples/ or example_test.go; delete them, or add each to testOnlyAllowed with the reason it stays:\n\t%s",
+			len(unused), strings.Join(unused, "\n\t"))
+	}
 	var testOnly []string
 	for _, d := range l.decls {
 		key := d.key()
@@ -126,7 +151,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 			if allowed {
 				t.Errorf("%s is in testOnlyAllowed but non-test code now calls it; drop the entry", key)
 			}
-		case !d.abstract && (d.facade || l.implements(d, ifaces)):
+		case !d.abstract && l.implements(d, ifaces):
 			if allowed {
 				t.Errorf("%s is in testOnlyAllowed but is exempt anyway; drop the entry", key)
 			}
@@ -190,16 +215,27 @@ func TestNoTestOnlyFields(t *testing.T) {
 // repo is every non-test package of both modules, type-checked from
 // source into one universe, with the standard library from export data.
 type repo struct {
-	fset   *token.FileSet
-	root   string
-	dirs   map[string]*build.Package // by import path
-	pkgs   map[string]*types.Package
-	files  map[string][]*ast.File
-	info   *types.Info
-	std    types.Importer
-	decls  []decl
-	fields []field
-	used   map[*types.Func]bool
+	fset     *token.FileSet
+	root     string
+	rootPath string                    // the root package's import path
+	dirs     map[string]*build.Package // by import path
+	pkgs     map[string]*types.Package
+	files    map[string][]*ast.File
+	info     *types.Info
+	std      types.Importer
+	decls    []decl
+	fields   []field
+	used     map[*types.Func]bool
+
+	facade     []facadeName
+	facadeUsed map[types.Object]bool // by the commands, the examples or example_test.go
+}
+
+// facadeName is one exported name the root package's movr.go declares,
+// with the functions its declaration references.
+type facadeName struct {
+	obj  types.Object
+	refs []*types.Func
 }
 
 // decl is one top-level function or method declaration, or one method
@@ -207,7 +243,6 @@ type repo struct {
 type decl struct {
 	fn       *types.Func
 	dir      string // package directory relative to the repository root, "movr" for the root
-	facade   bool   // declared in the root package's movr.go
 	abstract bool   // an interface's method
 }
 
@@ -278,7 +313,8 @@ func loadRepo(root string) (*repo, error) {
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
-		used: map[*types.Func]bool{},
+		used:       map[*types.Func]bool{},
+		facadeUsed: map[types.Object]bool{},
 	}
 	modules := map[string]string{} // directory → module path
 	imports := map[string]bool{}
@@ -317,6 +353,15 @@ func loadRepo(root string) (*repo, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.rootPath = modules[root]
+	examples, err := parser.ParseFile(l.fset, filepath.Join(root, "example_test.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	for _, imp := range examples.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		imports[path] = true
+	}
 	var std []string
 	for imp := range imports {
 		if l.dirs[imp] == nil {
@@ -338,6 +383,9 @@ func loadRepo(root string) (*repo, error) {
 	}
 	for _, p := range paths {
 		l.record(p)
+	}
+	if err := l.recordExamples(examples); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
@@ -412,31 +460,43 @@ func (l *repo) Import(path string) (*types.Package, error) {
 
 // record collects path's declarations, interface methods and struct
 // fields, and marks every function its code references, except a
-// function's references to itself.
+// function's references to itself and the facade's references, which
+// recordFacade keeps per name. In the commands and the examples it also
+// marks the root package's names they reference.
 func (l *repo) record(path string) {
 	rel, _ := filepath.Rel(l.root, l.dirs[path].Dir)
 	name := filepath.ToSlash(rel)
 	if name == "." {
 		name = "movr"
 	}
+	user := strings.HasPrefix(name, "cmd/") || strings.HasPrefix(name, "examples/")
+	root := l.pkgs[l.rootPath]
 	for _, f := range l.files[path] {
 		facade := rel == "." && filepath.Base(l.fset.Position(f.Pos()).Filename) == "movr.go"
 		for _, d := range f.Decls {
 			var self *types.Func
+			front := facade // d declares facade names
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				self = l.info.Defs[fd.Name].(*types.Func)
+				front = facade && fd.Recv == nil
 				isMain := fd.Recv == nil && fd.Name.Name == "main" && self.Pkg().Name() == "main"
-				if fd.Name.Name != "init" && !isMain {
-					l.decls = append(l.decls, decl{fn: self, dir: name, facade: facade})
+				if fd.Name.Name != "init" && !isMain && !front {
+					l.decls = append(l.decls, decl{fn: self, dir: name})
 				}
+			}
+			if front {
+				l.recordFacade(d)
 			}
 			typeName := map[ast.Expr]string{}
 			decoded := map[ast.Expr]bool{} // anonymous structs json-tagged fields hold
 			ast.Inspect(d, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
-					if fn, ok := l.info.Uses[n].(*types.Func); ok && fn.Origin() != self {
+					if fn, ok := l.info.Uses[n].(*types.Func); ok && fn.Origin() != self && !front {
 						l.used[fn.Origin()] = true
+					}
+					if obj := l.info.Uses[n]; user && obj != nil && obj.Pkg() == root {
+						l.facadeUsed[obj] = true
 					}
 				case *ast.TypeSpec:
 					typeName[n.Type] = n.Name.Name
@@ -469,6 +529,86 @@ func (l *repo) record(path string) {
 			})
 		}
 	}
+}
+
+// recordFacade collects the exported names a declaration of movr.go
+// declares, each with the functions its own spec references.
+func (l *repo) recordFacade(d ast.Decl) {
+	units := []ast.Node{d}
+	if gd, ok := d.(*ast.GenDecl); ok {
+		units = units[:0]
+		for _, spec := range gd.Specs {
+			units = append(units, spec)
+		}
+	}
+	for _, u := range units {
+		var refs []*types.Func
+		ast.Inspect(u, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := l.info.Uses[id].(*types.Func); ok {
+					refs = append(refs, fn.Origin())
+				}
+			}
+			return true
+		})
+		for _, id := range declaredNames(u) {
+			if id.IsExported() {
+				l.facade = append(l.facade, facadeName{obj: l.info.Defs[id], refs: refs})
+			}
+		}
+	}
+}
+
+// declaredNames returns the identifiers a top-level function, a
+// constant, variable or type spec declares.
+func declaredNames(n ast.Node) []*ast.Ident {
+	switch n := n.(type) {
+	case *ast.FuncDecl:
+		return []*ast.Ident{n.Name}
+	case *ast.ValueSpec:
+		return n.Names
+	case *ast.TypeSpec:
+		return []*ast.Ident{n.Name}
+	}
+	return nil
+}
+
+// recordExamples type-checks example_test.go against the loaded root
+// package, marks what it references and the names its Examples are
+// named after as used by the facade's users, and then counts each used
+// facade name's references as use.
+func (l *repo) recordExamples(f *ast.File) error {
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: l}
+	if _, err := conf.Check(l.rootPath+"_test", l.fset, []*ast.File{f}, info); err != nil {
+		return err
+	}
+	root := l.pkgs[l.rootPath]
+	for _, obj := range info.Uses {
+		if obj.Pkg() == root {
+			l.facadeUsed[obj] = true
+		}
+	}
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Recv != nil {
+			continue
+		}
+		if name, ok := strings.CutPrefix(fd.Name.Name, "Example"); ok {
+			name, _, _ = strings.Cut(name, "_")
+			if obj := root.Scope().Lookup(name); obj != nil {
+				l.facadeUsed[obj] = true
+			}
+		}
+	}
+	for _, fn := range l.facade {
+		if l.facadeUsed[fn.obj] {
+			for _, ref := range fn.refs {
+				l.used[ref] = true
+			}
+		}
+	}
+	return nil
 }
 
 // jsonTagged reports whether a struct field carries a json tag.
