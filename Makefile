@@ -75,7 +75,8 @@ bench-profile:
 
 # Start movrd, poll /healthz, submit a tiny fleet job, and assert the
 # resubmission is a byte-identical cache hit — the CI movrd-smoke step.
-# Also checks the v1 error envelope and listing pagination.
+# Also checks the v1 error envelope, listing pagination, and the fig9
+# and map job kinds.
 serve:
 	sh scripts/movrd_smoke.sh
 
@@ -85,9 +86,10 @@ serve:
 load-smoke:
 	sh scripts/movrd_load_smoke.sh
 
-# Production-coverage census: print the functions that the deterministic
-# movrsim and movrtrace runs never reach and that no allowlist in
-# testonly_test.go names. Advisory: it gates nothing.
+# Production-coverage gate: run every command and example, and the movrd
+# smoke, under coverage; fail on a function none of them reaches that no
+# allowlist in testonly_test.go names (daemon-side packages are listed
+# as advice only).
 prod-cover:
 	sh scripts/prodcover.sh
 

@@ -55,8 +55,8 @@
 //	              0-indexed); shard outputs merge deterministically, see the
 //	              README's "Running movrd at scale"
 //	-trace P      write a per-session event trace to P (session and fleet only):
-//	              Chrome trace-event JSON loadable in Perfetto, or JSONL when P
-//	              ends in .jsonl; summarize with movrtrace -analyze P
+//	              Chrome trace-event JSON loadable in Perfetto; summarize
+//	              with movrtrace -analyze P
 //
 // The fleet flags are validated and defaulted exactly like the movrd job
 // API's fields: both go through fleet.Job.Resolve.
@@ -76,6 +76,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	movr "github.com/movr-sim/movr"
@@ -92,7 +94,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker-pool size for fleet, fig9 and map (0 = all cores)")
 	var ff fleetFlags
 	ff.register(flag.CommandLine)
-	tracePath := flag.String("trace", "", "write a per-session event trace (Perfetto-loadable Chrome JSON; use a .jsonl path for JSONL) — session and fleet only")
+	tracePath := flag.String("trace", "", "write a per-session event trace (Perfetto-loadable Chrome JSON) — session and fleet only")
 	benchOut := flag.String("bench-out", "", "bench report path (default BENCH_<git-sha>.json)")
 	benchCompare := flag.String("bench-compare", "", "baseline BENCH_*.json to gate against")
 	tol := bench.DefaultTolerance()
@@ -354,9 +356,13 @@ func (f fleetFlags) job(seed int64, fast bool) (fleet.Job, error) {
 		j.Config.ReEvalPeriod = 100 * time.Millisecond
 	}
 	if f.shard != "" {
-		if n, err := fmt.Sscanf(f.shard, "%d/%d", &j.Shard.Index, &j.Shard.Count); n != 2 || err != nil {
+		i, n, _ := strings.Cut(f.shard, "/")
+		index, errI := strconv.Atoi(i)
+		count, errN := strconv.Atoi(n)
+		if errI != nil || errN != nil {
 			return fleet.Job{}, fmt.Errorf("-shard %q must be I/N, e.g. 1/4", f.shard)
 		}
+		j.Shard.Index, j.Shard.Count = index, count
 	}
 	return j.Resolve(names)
 }

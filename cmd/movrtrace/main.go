@@ -1,7 +1,7 @@
-// Command movrtrace generates, inspects, and converts the seeded VR
-// motion traces the simulator replays (walking, head rotation, hand
-// raises in the 5 m × 5 m office), and summarizes the structured event
-// traces the simulator records (movrsim -trace).
+// Command movrtrace generates and inspects the seeded VR motion traces
+// the simulator replays (walking, head rotation, hand raises in the
+// 5 m × 5 m office), and summarizes the structured event traces the
+// simulator records (movrsim -trace, Chrome trace-event JSON).
 //
 // Usage:
 //
@@ -25,7 +25,7 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "trace duration")
 	out := flag.String("out", "", "write generated trace JSON to this file ('-' for stdout)")
 	in := flag.String("in", "", "summarize an existing trace JSON file instead of generating")
-	analyze := flag.String("analyze", "", "summarize a simulator event trace (movrsim -trace output, Chrome JSON or JSONL)")
+	analyze := flag.String("analyze", "", "summarize a simulator event trace (movrsim -trace output, Chrome JSON)")
 	flag.Parse()
 
 	if *analyze != "" {

@@ -19,7 +19,7 @@ import (
 func refOptNLOS(tr *channel.Tracer, tx, rx *radio.Radio, stepDeg float64) OptNLOSResult {
 	txA, rxA := *tx.Array, *rx.Array
 	var refl []channel.Path
-	for _, p := range tr.TraceH(tx.Pos, rx.Pos, tx.HeightM, rx.HeightM) {
+	for _, p := range tr.TraceHInto(nil, tx.Pos, rx.Pos, tx.HeightM, rx.HeightM) {
 		if p.Kind == channel.Reflected {
 			refl = append(refl, p)
 		}

@@ -57,7 +57,7 @@ func TestLowFurniturePassedOver(t *testing.T) {
 		t.Errorf("sofa cost %v dB at headset height, want ~0", p.BlockLossDB)
 	}
 	// A knee-height link would be shadowed.
-	pLow := tr.TraceH(geom.V(0.5, 1.5), geom.V(5.5, 1.5), 0.5, 0.5)[0]
+	pLow := tr.TraceHInto(nil, geom.V(0.5, 1.5), geom.V(5.5, 1.5), 0.5, 0.5)[0]
 	if pLow.BlockLossDB < 10 {
 		t.Errorf("knee-height link lost only %v dB to the sofa", pLow.BlockLossDB)
 	}

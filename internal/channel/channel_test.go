@@ -247,15 +247,6 @@ func TestCombinedPower(t *testing.T) {
 	}
 }
 
-func TestPathKindString(t *testing.T) {
-	if Direct.String() != "direct" || Reflected.String() != "reflected" {
-		t.Error("PathKind strings wrong")
-	}
-	if PathKind(99).String() != "unknown" {
-		t.Error("unknown PathKind string wrong")
-	}
-}
-
 // Property: blockage loss increases monotonically (within tolerance) as an
 // obstacle slides from grazing to dead-centre on the path.
 func TestQuickBlockageMonotoneInPenetration(t *testing.T) {
@@ -286,8 +277,8 @@ func TestQuickChannelReciprocity(t *testing.T) {
 		if a.Dist(b) < 0.3 {
 			return true
 		}
-		fwd := tr.TraceH(a, b, 1.5, 2.3)
-		rev := tr.TraceH(b, a, 2.3, 1.5)
+		fwd := tr.TraceHInto(nil, a, b, 1.5, 2.3)
+		rev := tr.TraceHInto(nil, b, a, 2.3, 1.5)
 		if len(fwd) != len(rev) {
 			return false
 		}

@@ -220,7 +220,7 @@ func TestTraceGolden(t *testing.T) {
 			label := fmt.Sprintf("seed=%d case=%d bounces=%d", seed, c, bounces)
 
 			want := referenceTraceH(tr, tx, rx, hTx, hRx)
-			pathsBitIdentical(t, label+" TraceH", tr.TraceH(tx, rx, hTx, hRx), want)
+			pathsBitIdentical(t, label+" TraceHInto(nil)", tr.TraceHInto(nil, tx, rx, hTx, hRx), want)
 			buf = tr.TraceHInto(buf[:0], tx, rx, hTx, hRx)
 			pathsBitIdentical(t, label+" TraceHInto", buf, want)
 		}
@@ -239,7 +239,7 @@ func TestTraceGoldenWallsAddedLater(t *testing.T) {
 	rm.AddWall(room.Wall{Seg: geom.Seg(geom.V(2, 2), geom.V(3.5, 2)), Mat: room.Metal})
 	rm.AddObstacle(room.Head(geom.V(2.5, 3)))
 	want := referenceTraceH(tr, tx, rx, HeightAPM, HeightHeadsetM)
-	got := tr.TraceH(tx, rx, HeightAPM, HeightHeadsetM)
+	got := tr.TraceHInto(nil, tx, rx, HeightAPM, HeightHeadsetM)
 	pathsBitIdentical(t, "post-AddWall", got, want)
 }
 

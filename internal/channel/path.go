@@ -17,7 +17,7 @@
 // the per-wall mirror-image transforms and material losses once, and the
 // TraceInto/TraceHInto entry points write into a caller-retained []Path
 // scratch buffer, reusing both the slice and the per-path Points backing
-// arrays on every call. Trace/TraceH remain as thin allocating wrappers
+// arrays on every call. Trace remains as a thin allocating wrapper
 // for callers that do not keep a buffer. Both produce bit-identical Path
 // values (the golden tests in golden_test.go enforce this against a
 // frozen reference implementation).
@@ -62,18 +62,6 @@ const (
 	// Reflected is a specular wall-reflection path (one or two bounces).
 	Reflected
 )
-
-// String returns a human-readable path kind.
-func (k PathKind) String() string {
-	switch k {
-	case Direct:
-		return "direct"
-	case Reflected:
-		return "reflected"
-	default:
-		return "unknown"
-	}
-}
 
 // Path is one propagation ray from a transmitter to a receiver.
 type Path struct {
@@ -320,21 +308,15 @@ func (t *Tracer) wavelength() float64 {
 }
 
 // Trace returns all propagation paths from tx to rx at the default
-// (headset) endpoint heights. See TraceH.
-func (t *Tracer) Trace(tx, rx geom.Vec) []Path {
-	return t.TraceH(tx, rx, DefaultEndpointHeightM, DefaultEndpointHeightM)
-}
-
-// TraceH returns all propagation paths from tx (at height hTx metres) to
-// rx (at height hRx) up to the configured reflection order: always the
-// direct path (with whatever blockage loss it suffers), plus valid
-// specular reflections. Paths are returned in ascending order of total
-// propagation loss.
+// (headset) endpoint heights, up to the configured reflection order:
+// always the direct path (with whatever blockage loss it suffers), plus
+// valid specular reflections. Paths are returned in ascending order of
+// total propagation loss.
 //
-// TraceH allocates a fresh slice per call; steady-state loops should hold
-// a scratch buffer and call TraceHInto instead.
-func (t *Tracer) TraceH(tx, rx geom.Vec, hTx, hRx float64) []Path {
-	return t.TraceHInto(nil, tx, rx, hTx, hRx)
+// Trace allocates a fresh slice per call; steady-state loops should hold
+// a scratch buffer and call TraceInto or TraceHInto instead.
+func (t *Tracer) Trace(tx, rx geom.Vec) []Path {
+	return t.TraceHInto(nil, tx, rx, DefaultEndpointHeightM, DefaultEndpointHeightM)
 }
 
 // TraceInto is Trace writing into a caller-retained scratch buffer; see

@@ -2,7 +2,6 @@ package control
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -55,36 +54,15 @@ func TestWireConversions(t *testing.T) {
 	if got := WireToAngle(12345); math.Abs(got-123.45) > 1e-9 {
 		t.Errorf("WireToAngle = %v", got)
 	}
-	if got := WireToCurrent(CurrentToWire(0.654321)); math.Abs(got-0.654321) > 1e-6 {
-		t.Errorf("current round trip = %v", got)
-	}
 }
 
-func TestMsgTypeString(t *testing.T) {
-	names := map[MsgType]string{
-		MsgSetRXBeam: "set-rx-beam", MsgSetTXBeam: "set-tx-beam",
-		MsgSetBothBeams: "set-both-beams", MsgSetGainWord: "set-gain-word",
-		MsgSetModulation: "set-modulation", MsgReadCurrent: "read-current",
-		MsgAck: "ack", MsgNack: "nack",
-	}
-	for ty, want := range names {
-		if ty.String() != want {
-			t.Errorf("%d.String() = %q", ty, ty.String())
-		}
-	}
-	if !strings.HasPrefix(MsgType(200).String(), "unknown") {
-		t.Error("unknown type string")
-	}
-}
+// echo is a device that acknowledges every command with its operand.
+type echo struct{}
 
-func echoHandler() Handler {
-	return HandlerFunc(func(m Message) Message {
-		return Message{Type: MsgAck, Value: m.Value}
-	})
-}
+func (echo) HandleControl(m Message) Message { return Message{Type: MsgAck, Value: m.Value} }
 
 func TestLinkCall(t *testing.T) {
-	l := NewLink(echoHandler(), 5*time.Millisecond)
+	l := NewLink(echo{}, 5*time.Millisecond)
 	reply, err := l.Call(Message{Type: MsgSetRXBeam, Value: 1234})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +76,7 @@ func TestLinkCall(t *testing.T) {
 }
 
 func TestLinkDefaultsAndReset(t *testing.T) {
-	l := NewLink(echoHandler(), 0)
+	l := NewLink(echo{}, 0)
 	if l.RTT != DefaultRTT {
 		t.Errorf("default RTT = %v", l.RTT)
 	}

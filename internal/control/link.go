@@ -12,12 +12,6 @@ type Handler interface {
 	HandleControl(Message) Message
 }
 
-// HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(Message) Message
-
-// HandleControl calls f(m).
-func (f HandlerFunc) HandleControl(m Message) Message { return f(m) }
-
 // Link simulates the Bluetooth control channel: each request/reply
 // round-trip costs latency. Time is accounted, not slept, so experiments
 // can sum control-plane cost deterministically.

@@ -5,9 +5,7 @@
 //
 // The wire format is a compact binary frame (little-endian, checksummed)
 // so the protocol could run over a real BLE GATT characteristic
-// unchanged. The simulated link injects latency and loss, and the
-// endpoint implements the retry discipline a lossy control channel
-// needs.
+// unchanged. The simulated link accounts each round trip's latency.
 package control
 
 import (
@@ -37,40 +35,15 @@ const (
 	// MsgSetModulation turns the OOK alignment modulation on/off.
 	MsgSetModulation
 
-	// MsgReadCurrent asks for the amplifier supply current.
-	MsgReadCurrent
+	// Reserved, so that MsgAck and MsgNack keep their wire values.
+	_
 
-	// MsgAck acknowledges a command; Value carries a reading when the
-	// command requested one.
+	// MsgAck acknowledges a command; Value carries the applied operand.
 	MsgAck
 
 	// MsgNack reports a rejected command.
 	MsgNack
 )
-
-// String names the message type.
-func (t MsgType) String() string {
-	switch t {
-	case MsgSetRXBeam:
-		return "set-rx-beam"
-	case MsgSetTXBeam:
-		return "set-tx-beam"
-	case MsgSetBothBeams:
-		return "set-both-beams"
-	case MsgSetGainWord:
-		return "set-gain-word"
-	case MsgSetModulation:
-		return "set-modulation"
-	case MsgReadCurrent:
-		return "read-current"
-	case MsgAck:
-		return "ack"
-	case MsgNack:
-		return "nack"
-	default:
-		return fmt.Sprintf("unknown(%d)", uint8(t))
-	}
-}
 
 // Message is one control frame.
 type Message struct {
@@ -81,8 +54,7 @@ type Message struct {
 	Seq uint16
 
 	// Value carries the operand: beam angle in centidegrees, gain word,
-	// modulation frequency in Hz, or a returned reading scaled by 1e6
-	// (e.g. microamps for current).
+	// or modulation frequency in Hz.
 	Value int32
 }
 
@@ -144,9 +116,3 @@ func AngleToWire(deg float64) int32 {
 
 // WireToAngle converts the wire encoding back to degrees.
 func WireToAngle(v int32) float64 { return float64(v) / 100 }
-
-// CurrentToWire converts amperes to the wire encoding (microamps).
-func CurrentToWire(amps float64) int32 { return int32(math.Round(amps * 1e6)) }
-
-// WireToCurrent converts the wire encoding back to amperes.
-func WireToCurrent(v int32) float64 { return float64(v) / 1e6 }

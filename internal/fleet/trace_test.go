@@ -39,7 +39,7 @@ func runTraced(t *testing.T, workers int) (Result, obs.Trace) {
 
 // TestTraceDeterministic is the acceptance gate: the same seeded fleet
 // must produce a byte-identical event file across runs and across
-// worker counts, in both export formats.
+// worker counts.
 func TestTraceDeterministic(t *testing.T) {
 	_, tr1 := runTraced(t, 1)
 	_, tr4 := runTraced(t, 4)
@@ -48,7 +48,7 @@ func TestTraceDeterministic(t *testing.T) {
 		t.Fatal("trace differs across worker counts")
 	}
 
-	var c1, c4, j1, j4 bytes.Buffer
+	var c1, c4 bytes.Buffer
 	if err := tr1.WriteChrome(&c1); err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +58,6 @@ func TestTraceDeterministic(t *testing.T) {
 	if !bytes.Equal(c1.Bytes(), c4.Bytes()) {
 		t.Fatal("Chrome trace bytes differ across runs")
 	}
-	if err := tr1.WriteJSONL(&j1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr4.WriteJSONL(&j4); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1.Bytes(), j4.Bytes()) {
-		t.Fatal("JSONL trace bytes differ across runs")
-	}
-
 	// The trace must actually contain the stack's event vocabulary.
 	kinds := map[obs.Kind]int{}
 	for _, s := range tr1.Sessions {

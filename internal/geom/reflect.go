@@ -23,8 +23,6 @@ func MirrorPoint(p Vec, wall Segment) Vec {
 // sides of it.
 func SpecularPoint(tx, rx Vec, wall Segment) (Vec, bool) {
 	n := wall.Normal()
-	sideTx := rx.Sub(wall.A) // placeholder to keep symmetry clear; see below
-	_ = sideTx
 	dTx := tx.Sub(wall.A).Dot(n)
 	dRx := rx.Sub(wall.A).Dot(n)
 	// Both endpoints must be strictly on the same side of the wall for a

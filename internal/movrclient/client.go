@@ -1,9 +1,9 @@
 // Package movrclient is the Go client for the movrd v1 job API: submit
-// simulation specs and block for results, read a job's status, stream
-// per-session progress events, page through the job listing, and
-// scrape metrics. It is the one in-repo consumer idiom for the HTTP surface
-// — examples/serve and cmd/movrload both drive movrd through it, so
-// any drift between server and client breaks visibly in tests.
+// simulation specs and block for results, stream per-session progress
+// events, and scrape metrics. It is the one in-repo consumer idiom for
+// the HTTP surface — examples/serve and cmd/movrload both drive movrd
+// through it, so any drift between server and client breaks visibly in
+// tests.
 //
 // Submissions retry transparently on 429 queue_full backpressure,
 // honoring the server's Retry-After hint with exponential backoff
@@ -72,12 +72,6 @@ func (e *APIError) Error() string {
 		return fmt.Sprintf("movrd: %s (%s): %s", e.Message, e.Code, e.Detail)
 	}
 	return fmt.Sprintf("movrd: %s (%s)", e.Message, e.Code)
-}
-
-// IsCode reports whether err is an *APIError with the given code.
-func IsCode(err error, code string) bool {
-	e, ok := err.(*APIError)
-	return ok && e.Code == code
 }
 
 // Job mirrors the server's job-status document. Result is the raw
@@ -159,65 +153,6 @@ func (c *Client) SubmitWait(ctx context.Context, spec any) (*Job, error) {
 	}
 }
 
-// Get fetches the current status (and result, if terminal) of a job.
-func (c *Client) Get(ctx context.Context, id string) (*Job, error) {
-	return c.getJob(ctx, c.BaseURL+"/v1/jobs/"+url.PathEscape(id))
-}
-
-// ListOptions filter and page the job listing.
-type ListOptions struct {
-	State    string // queued|running|done|failed|canceled, "" for all
-	Scenario string // fleet scenario label or job kind, "" for all
-	Limit    int    // page size, 0 for the server default
-	Cursor   string // opaque next_cursor from the previous page
-}
-
-// ListPage is one page of the job listing.
-type ListPage struct {
-	Jobs       []Job  `json:"jobs"`
-	NextCursor string `json:"next_cursor"`
-}
-
-// List fetches one page of jobs. Pass page.NextCursor back via
-// ListOptions.Cursor to continue; an empty NextCursor means the listing
-// is exhausted.
-func (c *Client) List(ctx context.Context, opts ListOptions) (*ListPage, error) {
-	q := url.Values{}
-	if opts.State != "" {
-		q.Set("state", opts.State)
-	}
-	if opts.Scenario != "" {
-		q.Set("scenario", opts.Scenario)
-	}
-	if opts.Limit > 0 {
-		q.Set("limit", strconv.Itoa(opts.Limit))
-	}
-	if opts.Cursor != "" {
-		q.Set("cursor", opts.Cursor)
-	}
-	u := c.BaseURL + "/v1/jobs"
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	var page ListPage
-	if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-		return nil, fmt.Errorf("movrclient: decode listing: %w", err)
-	}
-	return &page, nil
-}
-
 // StreamEvents follows a job's progress stream, invoking fn for each
 // event in sequence order. It returns nil when the stream ends after
 // the job's terminal event, or fn's error if fn rejects an event.
@@ -268,18 +203,6 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	}
 	b, err := io.ReadAll(resp.Body)
 	return string(b), err
-}
-
-func (c *Client) getJob(ctx context.Context, u string) (*Job, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	return decodeJob(resp)
 }
 
 func decodeJob(resp *http.Response) (*Job, error) {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,8 +39,8 @@ func fleetSpec(seed int) map[string]any {
 }
 
 // TestClientRoundTrip drives the whole client surface against a real
-// in-process movrd: submit-and-wait, cache-hit resubmit, status get,
-// event stream, and listing.
+// in-process movrd: submit-and-wait, cache-hit resubmit, event stream
+// and metrics.
 func TestClientRoundTrip(t *testing.T) {
 	c := newDaemon(t, server.Options{Workers: 2})
 	ctx := context.Background()
@@ -65,14 +67,6 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Error("cached result not byte-identical")
 	}
 
-	got, err := c.Get(ctx, j.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != j.ID || got.State != "done" || got.ResultSHA != j.ResultSHA {
-		t.Errorf("Get mismatch: %+v", got)
-	}
-
 	var types []string
 	err = c.StreamEvents(ctx, j.ID, func(ev Event) error {
 		types = append(types, ev.Type)
@@ -85,52 +79,30 @@ func TestClientRoundTrip(t *testing.T) {
 		t.Errorf("event stream %v, want queued...done", types)
 	}
 
-	page, err := c.List(ctx, ListOptions{Scenario: "home"})
+	metrics, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page.Jobs) != 2 || page.NextCursor != "" {
-		t.Errorf("listing: %d jobs, cursor %q", len(page.Jobs), page.NextCursor)
-	}
-
-	// Pagination through the client: limit 1 walks both jobs.
-	var walked int
-	opts := ListOptions{Limit: 1}
-	for {
-		p, err := c.List(ctx, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		walked += len(p.Jobs)
-		if p.NextCursor == "" {
-			break
-		}
-		opts.Cursor = p.NextCursor
-	}
-	if walked != 2 {
-		t.Errorf("cursor walk visited %d jobs, want 2", walked)
+	if !strings.Contains(metrics, "movrd_cache_hits_total 1\n") {
+		t.Errorf("metrics do not count the cache hit:\n%s", metrics)
 	}
 }
 
 // TestClientAPIError pins the typed error surface: a rejected spec and
-// an unknown job come back as *APIError with the stable code.
+// the event stream of an unknown job come back as *APIError with the
+// stable code.
 func TestClientAPIError(t *testing.T) {
 	c := newDaemon(t, server.Options{Workers: 1})
 	ctx := context.Background()
 
+	var apiErr *APIError
 	_, err := c.SubmitWait(ctx, map[string]any{"kind": "nonsense"})
-	if !IsCode(err, server.ErrCodeInvalidSpec) {
+	if !errors.As(err, &apiErr) || apiErr.Code != server.ErrCodeInvalidSpec {
 		t.Fatalf("bad spec error = %v, want code %s", err, server.ErrCodeInvalidSpec)
 	}
-	_, err = c.Get(ctx, "job-99999")
-	if !IsCode(err, server.ErrCodeNotFound) {
+	err = c.StreamEvents(ctx, "job-99999", func(Event) error { return nil })
+	if !errors.As(err, &apiErr) || apiErr.Code != server.ErrCodeNotFound {
 		t.Fatalf("unknown job error = %v, want code %s", err, server.ErrCodeNotFound)
-	}
-	var apiErr *APIError
-	if e, ok := err.(*APIError); ok {
-		apiErr = e
-	} else {
-		t.Fatalf("error type %T", err)
 	}
 	if apiErr.StatusCode != http.StatusNotFound || apiErr.Message == "" {
 		t.Errorf("envelope fields not carried: %+v", apiErr)
@@ -180,14 +152,11 @@ func TestClientRetriesQueueFull(t *testing.T) {
 	c2 := New(stub.URL)
 	c2.MaxRetries = 0
 	_, err = c2.SubmitWait(ctx, fleetSpec(1))
-	if !IsCode(err, "queue_full") {
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != "queue_full" {
 		t.Fatalf("no-retry client error = %v, want queue_full", err)
 	}
-	var apiErr *APIError
-	if e, ok := err.(*APIError); ok {
-		apiErr = e
-	}
-	if apiErr == nil || apiErr.RetryAfter != time.Second {
+	if apiErr.RetryAfter != time.Second {
 		t.Errorf("RetryAfter = %v, want 1s", apiErr.RetryAfter)
 	}
 }

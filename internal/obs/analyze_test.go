@@ -91,25 +91,11 @@ func almost(got, want float64) bool {
 	return d < 1e-12 && d > -1e-12
 }
 
-// TestAnalyzeVenueEvents pins the venue additions end to end: the new
-// kinds keep stable wire names, the analyzer condenses per-window
-// SINR penalties into episode statistics (zero-penalty windows break
-// an episode without counting), admission bookkeeping is summed, and
-// the rendering surfaces both.
+// TestAnalyzeVenueEvents pins the venue additions end to end: the
+// analyzer condenses per-window SINR penalties into episode statistics
+// (zero-penalty windows break an episode without counting), admission
+// bookkeeping is summed, and the rendering surfaces both.
 func TestAnalyzeVenueEvents(t *testing.T) {
-	for kind, name := range map[Kind]string{
-		KindBayInterference:   "bay_interference",
-		KindAdmissionQueued:   "admission_queued",
-		KindAdmissionRejected: "admission_rejected",
-	} {
-		if kind.String() != name {
-			t.Errorf("kind %d wire name %q, want %q", kind, kind.String(), name)
-		}
-		if parsed, ok := ParseKind(name); !ok || parsed != kind {
-			t.Errorf("ParseKind(%q) = %d, %v", name, parsed, ok)
-		}
-	}
-
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	tr := Trace{Sessions: []SessionTrace{{
 		ID: "venue/b0/h0",

@@ -1,120 +1,24 @@
-// Trace serialization. Two formats, both deterministic (struct-driven
-// field order, shortest-round-trip float formatting — byte-identical
-// output for equal traces):
-//
-//   - JSONL: one object per line, a session meta line followed by that
-//     session's events — the grep/jq-friendly canonical form.
-//   - Chrome trace-event JSON: a {"traceEvents": [...]} document
-//     loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
-//     Sessions render as processes, with a lifecycle span, an airtime
-//     track (slot grants as slices, blockage reclaims as instant
-//     events), a frame track (deliveries as slices, glitches as
-//     instants) and a link track (handoffs and path invalidations),
-//     plus SNR/rate/airtime counter series. The document also embeds
-//     the canonical Trace under the top-level "movr" key — viewers
-//     ignore it, and ReadTrace round-trips from it exactly.
-//
-// ReadTrace auto-detects the format.
+// Trace serialization: one deterministic format (struct-driven field
+// order, shortest-round-trip float formatting — byte-identical output
+// for equal traces), Chrome trace-event JSON. A {"traceEvents": [...]}
+// document loads in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// Sessions render as processes, with a lifecycle span, an airtime track
+// (slot grants as slices, blockage reclaims as instant events), a frame
+// track (deliveries as slices, glitches as instants) and a link track
+// (handoffs and path invalidations), plus SNR/rate/airtime counter
+// series. The document also embeds the canonical Trace under the
+// top-level "movr" key — viewers ignore it, and ReadTrace round-trips
+// from it exactly.
 package obs
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 )
-
-// jsonlLine is the JSONL wire record: a session meta line (Meta=true,
-// Events/Dropped set) or one event (Kind etc. set).
-type jsonlLine struct {
-	SID     string  `json:"sid"`
-	Meta    bool    `json:"meta,omitempty"`
-	Events  int     `json:"events,omitempty"`
-	Dropped uint64  `json:"dropped,omitempty"`
-	TNS     int64   `json:"t_ns,omitempty"`
-	Kind    string  `json:"kind,omitempty"`
-	A       int32   `json:"a,omitempty"`
-	B       int32   `json:"b,omitempty"`
-	X       float64 `json:"x,omitempty"`
-	Y       float64 `json:"y,omitempty"`
-}
-
-// WriteJSONL renders the trace as JSON lines: for each session a meta
-// line, then its events in order. A trace with no sessions has no lines,
-// and an empty input is not a trace, so it is refused rather than
-// written as a file ReadTrace cannot read back.
-func (tr Trace) WriteJSONL(w io.Writer) error {
-	if len(tr.Sessions) == 0 {
-		return fmt.Errorf("obs: a trace with no sessions has no JSONL form")
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range tr.Sessions {
-		if err := enc.Encode(jsonlLine{SID: s.ID, Meta: true, Events: len(s.Events), Dropped: s.Dropped}); err != nil {
-			return err
-		}
-		for _, ev := range s.Events {
-			line := jsonlLine{
-				SID:  s.ID,
-				TNS:  ev.T.Nanoseconds(),
-				Kind: ev.Kind.String(),
-				A:    ev.A,
-				B:    ev.B,
-				X:    ev.X,
-				Y:    ev.Y,
-			}
-			if err := enc.Encode(line); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// readJSONL parses the WriteJSONL format.
-func readJSONL(r io.Reader) (Trace, error) {
-	var tr Trace
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var line jsonlLine
-		if err := json.Unmarshal(raw, &line); err != nil {
-			return Trace{}, fmt.Errorf("obs: jsonl line %d: %w", lineNo, err)
-		}
-		if line.Meta {
-			tr.Sessions = append(tr.Sessions, SessionTrace{ID: line.SID, Dropped: line.Dropped})
-			continue
-		}
-		if len(tr.Sessions) == 0 {
-			return Trace{}, fmt.Errorf("obs: jsonl line %d: event before any session meta line", lineNo)
-		}
-		s := &tr.Sessions[len(tr.Sessions)-1]
-		if line.SID != s.ID {
-			return Trace{}, fmt.Errorf("obs: jsonl line %d: event sid %q under session %q", lineNo, line.SID, s.ID)
-		}
-		k, ok := ParseKind(line.Kind)
-		if !ok {
-			return Trace{}, fmt.Errorf("obs: jsonl line %d: unknown event kind %q", lineNo, line.Kind)
-		}
-		s.Events = append(s.Events, Event{
-			T: time.Duration(line.TNS), Kind: k, A: line.A, B: line.B, X: line.X, Y: line.Y,
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return Trace{}, err
-	}
-	return tr, nil
-}
 
 // Chrome trace-event JSON. Track (tid) layout per session process:
 const (
@@ -289,38 +193,30 @@ func renderEvent(pid int, ev Event) []chromeEvent {
 	return nil
 }
 
-// ReadTrace parses a trace in either serialized format, auto-detected:
-// a Chrome document (a JSON object embedding "movr") or JSONL.
+// ReadTrace parses a Chrome document written by WriteChrome: one JSON
+// object that embeds the canonical trace under "movr".
 func ReadTrace(r io.Reader) (Trace, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	var doc struct {
+		Movr *Trace `json:"movr"`
+	}
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&doc); err != nil {
+		return Trace{}, fmt.Errorf("obs: not a trace document: %w", err)
+	}
+	if dec.More() {
+		return Trace{}, fmt.Errorf("obs: trailing data after the trace document")
+	}
+	if doc.Movr == nil {
+		return Trace{}, fmt.Errorf(`obs: trace document has no "movr" trace`)
+	}
+	if err := doc.Movr.checkKinds(); err != nil {
 		return Trace{}, err
 	}
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 {
-		return Trace{}, fmt.Errorf("obs: empty trace input")
-	}
-	// A Chrome document is one JSON object spanning the whole input; a
-	// JSONL file's first line is a small object of its own. Try the
-	// Chrome shape first — a JSONL input fails it immediately (trailing
-	// lines), and vice versa.
-	if trimmed[0] == '{' {
-		var doc struct {
-			Movr *Trace `json:"movr"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		if err := dec.Decode(&doc); err == nil && !dec.More() && doc.Movr != nil {
-			if err := doc.Movr.checkKinds(); err != nil {
-				return Trace{}, err
-			}
-			return *doc.Movr, nil
-		}
-	}
-	return readJSONL(bytes.NewReader(trimmed))
+	return *doc.Movr, nil
 }
 
 // checkKinds rejects an embedded event whose kind is outside the wire
-// vocabulary, as readJSONL does for an unknown kind name.
+// vocabulary.
 func (tr Trace) checkKinds() error {
 	for _, s := range tr.Sessions {
 		for i, ev := range s.Events {
@@ -342,16 +238,14 @@ func ReadTraceFile(path string) (Trace, error) {
 	return ReadTrace(f)
 }
 
-// WriteFile writes the trace to path, choosing the format from the
-// extension: .jsonl writes JSONL, everything else the Chrome document.
-// A failed write removes the file rather than leave one ReadTrace
-// cannot read.
+// WriteFile writes the trace to path as a Chrome document. A failed
+// write removes the file rather than leave one ReadTrace cannot read.
 func (tr Trace) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = tr.writeByExt(path, f)
+	err = tr.WriteChrome(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -359,11 +253,4 @@ func (tr Trace) WriteFile(path string) error {
 		_ = os.Remove(path) // the write error is the one to report
 	}
 	return err
-}
-
-func (tr Trace) writeByExt(path string, w io.Writer) error {
-	if strings.HasSuffix(path, ".jsonl") {
-		return tr.WriteJSONL(w)
-	}
-	return tr.WriteChrome(w)
 }

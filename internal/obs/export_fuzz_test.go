@@ -2,20 +2,17 @@ package obs
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 )
 
 // FuzzReadTrace feeds arbitrary bytes to the trace reader. ReadTrace,
 // Analyze and Render must never panic; a trace ReadTrace accepts must
-// hold only known event kinds, and written back as JSONL and as a
-// Chrome document it must read back equal (nil and empty slices alike).
-// A trace with no sessions has no JSONL form: WriteJSONL refuses it and
-// it round-trips through the Chrome document only. The seed corpus under
-// testdata/fuzz/FuzzReadTrace holds a JSONL trace, a Chrome trace, a
-// Chrome document with a kind-0 event, `{}`, an event line before any
-// meta line, and a frame latency whose Chrome duration overflows.
+// hold only known event kinds and round-trip through WriteChrome. The
+// seed corpus under testdata/fuzz/FuzzReadTrace holds a Chrome trace, a
+// Chrome document with a kind-0 event, `{}`, a frame latency whose
+// Chrome duration overflows, and three JSON-lines inputs in the layout
+// an older exporter wrote, which must be rejected.
 func FuzzReadTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		tr, err := ReadTrace(bytes.NewReader(raw))
@@ -30,37 +27,16 @@ func FuzzReadTrace(f *testing.F) {
 				}
 			}
 		}
-		writers := map[string]func(io.Writer) error{"chrome": tr.WriteChrome}
-		if len(tr.Sessions) > 0 {
-			writers["jsonl"] = tr.WriteJSONL
-		} else if err := tr.WriteJSONL(io.Discard); err == nil {
-			t.Fatal("jsonl: wrote a trace with no sessions, which ReadTrace cannot read back")
+		var buf bytes.Buffer
+		if err := tr.WriteChrome(&buf); err != nil {
+			t.Fatalf("write: %v", err)
 		}
-		for name, write := range writers {
-			var buf bytes.Buffer
-			if err := write(&buf); err != nil {
-				t.Fatalf("%s: write: %v", name, err)
-			}
-			back, err := ReadTrace(&buf)
-			if err != nil {
-				t.Fatalf("%s: read back: %v\n%s", name, err, buf.Bytes())
-			}
-			if !reflect.DeepEqual(canonicalTrace(back), canonicalTrace(tr)) {
-				t.Fatalf("%s: round trip changed the trace:\n got %+v\nwant %+v", name, back, tr)
-			}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("read back: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", back, tr)
 		}
 	})
-}
-
-// canonicalTrace maps nil and empty slices to nil, the two spellings
-// the formats do not tell apart.
-func canonicalTrace(tr Trace) Trace {
-	var out Trace
-	for _, s := range tr.Sessions {
-		if len(s.Events) == 0 {
-			s.Events = nil
-		}
-		out.Sessions = append(out.Sessions, s)
-	}
-	return out
 }

@@ -3,10 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"io/fs"
-	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,27 +35,6 @@ func sampleTrace() Trace {
 		},
 		{ID: "coex/r0/h1", Events: nil},
 	}}
-}
-
-func TestJSONLDeterministicAndRoundTrips(t *testing.T) {
-	tr := sampleTrace()
-	var a, b bytes.Buffer
-	if err := tr.WriteJSONL(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("WriteJSONL is not byte-deterministic")
-	}
-	back, err := ReadTrace(bytes.NewReader(a.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, back) {
-		t.Fatalf("JSONL round-trip mismatch:\n got %+v\nwant %+v", back, tr)
-	}
 }
 
 func TestChromeDeterministicAndRoundTrips(t *testing.T) {
@@ -149,67 +127,39 @@ func TestChromeSchema(t *testing.T) {
 	}
 }
 
+// TestReadTraceRejectsGarbage: anything but a Chrome document that
+// embeds the canonical trace is refused, the JSON-lines layout an older
+// exporter wrote included.
 func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := ReadTrace(bytes.NewReader([]byte("not json\n"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	// An event line before any session meta line is malformed.
-	if _, err := ReadTrace(bytes.NewReader([]byte(`{"sid":"x","t_ns":1,"kind":"frame_ok"}` + "\n"))); err == nil {
-		t.Error("orphan event line accepted")
+	for name, in := range map[string]string{
+		"empty":          "",
+		"not json":       "not json\n",
+		"no movr key":    `{"traceEvents":[]}`,
+		"trailing value": `{"movr":{"sessions":[]}} {}`,
+		"json lines":     `{"sid":"x","meta":true}` + "\n" + `{"sid":"x","t_ns":1,"kind":"frame_ok"}` + "\n",
+	} {
+		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted %q", name, in)
+		}
 	}
 }
 
-func TestWriteFilePicksFormatByExtension(t *testing.T) {
-	tr := sampleTrace()
+// TestWriteFileRoundTrips: WriteFile writes the Chrome document whatever
+// the path's extension, and ReadTraceFile reads it back equal, the trace
+// with no sessions included.
+func TestWriteFileRoundTrips(t *testing.T) {
 	dir := t.TempDir()
-	chromePath := dir + "/trace.json"
-	jsonlPath := dir + "/trace.jsonl"
-	if err := tr.WriteFile(chromePath); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteFile(jsonlPath); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{chromePath, jsonlPath} {
-		back, err := ReadTraceFile(p)
+	for name, tr := range map[string]Trace{"trace.json": sampleTrace(), "trace.jsonl": sampleTrace(), "empty.json": {}} {
+		path := filepath.Join(dir, name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTraceFile(path)
 		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if !reflect.DeepEqual(tr, back) {
-			t.Fatalf("%s: round-trip mismatch", p)
+			t.Fatalf("%s: round trip gave %+v, want %+v", name, back, tr)
 		}
-	}
-}
-
-// TestWriteJSONLRefusesEmptyTrace: a trace with no sessions has no JSONL
-// lines, and ReadTrace rejects an empty input, so writing one as JSONL
-// is an error, and leaves no file, instead of a file that cannot be
-// read back. The Chrome document still carries it.
-func TestWriteJSONLRefusesEmptyTrace(t *testing.T) {
-	var tr Trace
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err == nil {
-		t.Fatalf("WriteJSONL accepted a trace with no sessions, writing %q", buf.Bytes())
-	}
-	dir := t.TempDir()
-	if err := tr.WriteFile(dir + "/empty.jsonl"); err == nil {
-		t.Error("WriteFile(.jsonl) accepted a trace with no sessions")
-	}
-	if _, err := os.Stat(dir + "/empty.jsonl"); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("the refused .jsonl write left a file behind (stat: %v)", err)
-	}
-	chromePath := dir + "/empty.json"
-	if err := tr.WriteFile(chromePath); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTraceFile(chromePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Sessions) != 0 {
-		t.Fatalf("Chrome round trip of an empty trace gave %d sessions", len(back.Sessions))
 	}
 }

@@ -4,7 +4,7 @@
 // the coex scheduler records per-window slot grants and blockage
 // reclaims, the stream records frame deadline hits and misses, and the
 // session harness records lifecycle spans; exporters render the whole
-// thing as JSONL or Chrome trace-event JSON loadable in Perfetto.
+// thing as Chrome trace-event JSON loadable in Perfetto.
 //
 // Three properties are load-bearing:
 //
@@ -104,43 +104,6 @@ const (
 
 	kindMax // sentinel; keep last
 )
-
-// kindNames is the canonical wire vocabulary, indexed by Kind.
-var kindNames = [kindMax]string{
-	KindSessionStart: "session_start",
-	KindSessionEnd:   "session_end",
-	KindLinkUp:       "link_up",
-	KindLinkDown:     "link_down",
-	KindHandoff:      "handoff",
-	KindReassess:     "reassess",
-	KindSlotGrant:    "slot_grant",
-	KindSlotReclaim:  "slot_reclaim",
-	KindAirtime:      "airtime",
-	KindFrameOK:      "frame_ok",
-	KindFrameMiss:    "frame_miss",
-
-	KindBayInterference:   "bay_interference",
-	KindAdmissionQueued:   "admission_queued",
-	KindAdmissionRejected: "admission_rejected",
-}
-
-// String returns the kind's wire name.
-func (k Kind) String() string {
-	if k > 0 && k < kindMax {
-		return kindNames[k]
-	}
-	return "unknown"
-}
-
-// ParseKind inverts String. ok=false for unknown names.
-func ParseKind(name string) (Kind, bool) {
-	for k := Kind(1); k < kindMax; k++ {
-		if kindNames[k] == name {
-			return k, true
-		}
-	}
-	return 0, false
-}
 
 // Event is one recorded occurrence. It is a fixed-size value — no
 // pointers, no strings — so recording one into the ring allocates

@@ -110,19 +110,3 @@ func TestClockStampsEmit(t *testing.T) {
 		t.Fatalf("Emit T = %v, want %v", got, now)
 	}
 }
-
-func TestKindNamesRoundTrip(t *testing.T) {
-	for k := Kind(1); k < kindMax; k++ {
-		name := k.String()
-		if name == "unknown" {
-			t.Fatalf("kind %d has no name", k)
-		}
-		back, ok := ParseKind(name)
-		if !ok || back != k {
-			t.Fatalf("ParseKind(%q) = %v, %v; want %v", name, back, ok, k)
-		}
-	}
-	if _, ok := ParseKind("nope"); ok {
-		t.Fatal("ParseKind accepted an unknown name")
-	}
-}

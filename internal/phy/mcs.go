@@ -26,20 +26,6 @@ const (
 	OFDM
 )
 
-// String returns the PHY name.
-func (t PHYType) String() string {
-	switch t {
-	case Control:
-		return "control"
-	case SingleCarrier:
-		return "SC"
-	case OFDM:
-		return "OFDM"
-	default:
-		return "unknown"
-	}
-}
-
 // MCS is one modulation-and-coding scheme of 802.11ad.
 type MCS struct {
 	// Index is the standard MCS index (0-24).

@@ -84,15 +84,6 @@ func TestMinSNRForRate(t *testing.T) {
 	}
 }
 
-func TestPHYTypeString(t *testing.T) {
-	if Control.String() != "control" || SingleCarrier.String() != "SC" || OFDM.String() != "OFDM" {
-		t.Error("PHYType strings wrong")
-	}
-	if PHYType(9).String() != "unknown" {
-		t.Error("unknown PHYType string")
-	}
-}
-
 func TestVRRequirement(t *testing.T) {
 	req := HTCViveRequirement()
 	if req.RateBps < 2*units.Gbps {

@@ -11,8 +11,6 @@
 package radio
 
 import (
-	"fmt"
-
 	"github.com/movr-sim/movr/internal/antenna"
 	"github.com/movr-sim/movr/internal/channel"
 	"github.com/movr-sim/movr/internal/geom"
@@ -56,11 +54,6 @@ func (r *Radio) SteerTo(deg float64) float64 { return r.Array.SteerTo(deg) }
 
 // GainDBi returns the array's realized gain toward a world angle.
 func (r *Radio) GainDBi(deg float64) float64 { return r.Array.GainDBi(deg) }
-
-// String describes the radio.
-func (r *Radio) String() string {
-	return fmt.Sprintf("%s@(%.2f,%.2f) beam=%.1f°", r.Name, r.Pos.X, r.Pos.Y, r.Array.SteeringDeg())
-}
 
 // LinkSNRdB computes the data-plane SNR from tx to rx over all traced
 // paths, with both arrays at their current steering. This is the quantity

@@ -2,7 +2,6 @@ package radio
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/movr-sim/movr/internal/antenna"
@@ -116,12 +115,5 @@ func TestHeadRotationKillsLink(t *testing.T) {
 	away := LinkSNRdB(tr, &ap.Radio, &hs.Radio)
 	if away > facing-15 {
 		t.Errorf("head rotation only cost %v dB", facing-away)
-	}
-}
-
-func TestString(t *testing.T) {
-	_, _, tx, _ := testWorld()
-	if s := tx.String(); !strings.Contains(s, "tx@") {
-		t.Errorf("String = %q", s)
 	}
 }

@@ -6,25 +6,18 @@ import (
 
 // Controller is the reflector's on-board microcontroller (an Arduino Due
 // in the prototype): it executes control-plane commands against the
-// device hardware. The AmbientInputDBm field models the off-air power
-// arriving at the amplifier input while commands execute, which the
-// current sensor readout naturally reflects.
+// device hardware.
 type Controller struct {
 	Dev *Reflector
-
-	// AmbientInputDBm is the external signal power at the amplifier
-	// input used when a command needs a current reading. Experiments
-	// update it as the AP's transmissions change.
-	AmbientInputDBm float64
 }
 
 // NewController wraps a reflector device.
 func NewController(dev *Reflector) *Controller {
-	return &Controller{Dev: dev, AmbientInputDBm: -90}
+	return &Controller{Dev: dev}
 }
 
 // HandleControl implements control.Handler: it applies one command to the
-// device and returns an Ack (with a reading where relevant) or a Nack for
+// device and returns an Ack carrying the applied operand, or a Nack for
 // unknown commands.
 func (c *Controller) HandleControl(m control.Message) control.Message {
 	switch m.Type {
@@ -47,9 +40,6 @@ func (c *Controller) HandleControl(m control.Message) control.Message {
 			c.Dev.SetModulating(false, 0)
 		}
 		return control.Message{Type: control.MsgAck, Value: m.Value}
-	case control.MsgReadCurrent:
-		amps := c.Dev.SupplyCurrentA(c.AmbientInputDBm)
-		return control.Message{Type: control.MsgAck, Value: control.CurrentToWire(amps)}
 	default:
 		return control.Message{Type: control.MsgNack}
 	}

@@ -73,21 +73,6 @@ func TestControllerGainAndModulation(t *testing.T) {
 	}
 }
 
-func TestControllerCurrentReadout(t *testing.T) {
-	c, dev := ctl()
-	c.AmbientInputDBm = -50
-	dev.Amp().SetGainDB(20)
-	reply := c.HandleControl(control.Message{Type: control.MsgReadCurrent})
-	if reply.Type != control.MsgAck {
-		t.Fatalf("reply = %+v", reply)
-	}
-	got := control.WireToCurrent(reply.Value)
-	want := dev.SupplyCurrentA(-50)
-	if math.Abs(got-want) > 1e-5 {
-		t.Errorf("current readout = %v, device draws %v", got, want)
-	}
-}
-
 func TestControllerUnknownCommand(t *testing.T) {
 	c, _ := ctl()
 	reply := c.HandleControl(control.Message{Type: control.MsgType(200)})

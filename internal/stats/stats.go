@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -118,12 +117,6 @@ func Summarize(xs []float64) Summary {
 		P95:    Percentile(xs, 95),
 		Max:    Max(xs),
 	}
-}
-
-// String renders the summary as a single human-readable line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f max=%.2f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }
 
 // CDF is an empirical cumulative distribution function over a sample.

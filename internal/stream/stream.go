@@ -10,7 +10,6 @@
 package stream
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/movr-sim/movr/internal/obs"
@@ -52,12 +51,6 @@ type Report struct {
 
 	// GlitchFrac is Glitches/Frames.
 	GlitchFrac float64
-}
-
-// String renders the report.
-func (r Report) String() string {
-	return fmt.Sprintf("frames=%d delivered=%d glitches=%d (%.1f%%) meanLat=%v p99Lat=%v worstOutage=%v",
-		r.Frames, r.Delivered, r.Glitches, 100*r.GlitchFrac, r.MeanLatency, r.P99Latency, r.LongestOutage)
 }
 
 // Config describes the stream.

@@ -3,7 +3,6 @@ package stream
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -147,13 +146,5 @@ func TestPercentileMatchesStats(t *testing.T) {
 	}
 	if got := percentile(nil, 99); got != 0 {
 		t.Errorf("percentile(nil) = %v, want 0", got)
-	}
-}
-
-func TestReportString(t *testing.T) {
-	rep := Run(sim.New(), cfg(100*time.Millisecond), ConstantRate(7*units.Gbps))
-	s := rep.String()
-	if !strings.Contains(s, "frames=") || !strings.Contains(s, "glitches=") {
-		t.Errorf("report string = %q", s)
 	}
 }

@@ -3,7 +3,8 @@
 # ephemeral port, poll /healthz, submit a tiny fleet job, resubmit the
 # same spec, and assert the second answer is a cache hit with the same
 # result hash; then drive the trace, event-stream, error, listing,
-# cancel, admission and debug endpoints. `make serve` and the CI movrd-smoke step both run this.
+# cancel, admission and debug endpoints, and the fig9 and map job kinds.
+# `make serve` and the CI movrd-smoke step both run this.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -176,6 +177,28 @@ curl -s "http://$addr/metrics" >"$workdir/metrics2"
 grep -q '^movrd_admission_rejected_total 4$' "$workdir/metrics2" || fail "/metrics does not count the rejected players"
 grep -q '^movrd_admission_queued_total 4$' "$workdir/metrics2" || fail "/metrics does not count the queued players"
 echo "movrd-smoke: venue admission rejects over capacity and queues by default"
+
+# The other job kinds: a fig9 sweep and a coverage map each run to done,
+# and each resubmission is a cache hit whose result bytes, from the
+# "result" key to the end of the document, equal the first answer's.
+for kind in fig9 map; do
+    case "$kind" in
+    fig9) kspec='{"kind":"fig9","fig9":{"runs":2,"nlos_step_deg":6,"seed":1}}' ;;
+    map) kspec='{"kind":"map","map":{"grid_step":1,"with_reflector":true}}' ;;
+    esac
+    for i in 1 2; do
+        code="$(curl -s -D "$workdir/${kind}_h$i" -o "$workdir/${kind}_r$i" -w '%{http_code}' \
+            -X POST -H 'Content-Type: application/json' -d "$kspec" \
+            "http://$addr/v1/jobs?wait=1")"
+        [ "$code" = 200 ] || fail "$kind submit $i returned $code: $(cat "$workdir/${kind}_r$i")"
+        grep -q '"state": "done"' "$workdir/${kind}_r$i" || fail "$kind submit $i did not finish: $(cat "$workdir/${kind}_r$i")"
+        sed -n '/^  "result": /,$p' "$workdir/${kind}_r$i" >"$workdir/${kind}_result$i"
+    done
+    grep -qi '^x-movr-cache: hit' "$workdir/${kind}_h2" || fail "$kind resubmit was not a cache hit"
+    [ -s "$workdir/${kind}_result1" ] || fail "$kind answer carries no result"
+    cmp -s "$workdir/${kind}_result1" "$workdir/${kind}_result2" || fail "$kind cached result differs from the first answer"
+done
+echo "movrd-smoke: fig9 and map jobs run and resubmit as byte-identical cache hits"
 
 # Debug listener: pprof and expvar live on their own socket, never the
 # job API address.
