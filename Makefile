@@ -82,12 +82,13 @@ serve:
 
 # Replay a movrload burst against a live movrd (p95 gate + 429
 # backpressure), then SIGKILL it and assert the restart serves the
-# persisted result from the durable store — the CI load-smoke job.
+# persisted result from the durable store, stores a fresh one and stops
+# cleanly on SIGTERM — the CI load-smoke job.
 load-smoke:
 	sh scripts/movrd_load_smoke.sh
 
 # Production-coverage gate: run every command and example, and the movrd
-# smoke, under coverage; fail on a function none of them reaches that no
+# and load smokes, under coverage; fail on a function none of them reaches that no
 # allowlist in testonly_test.go names (daemon-side packages are listed
 # as advice only).
 prod-cover:

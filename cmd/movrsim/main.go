@@ -48,12 +48,9 @@
 //	-admission M  players beyond a bay's TDMA capacity: queue|reject (venue,
 //	              default queue)
 //	-agg M        fleet aggregation: exact (per-session outcomes in memory; the
-//	              default except for venue) or stream (constant-memory mergeable
+//	              default except for venue) or stream (constant-memory fixed-bin
 //	              sketches — percentiles within the sketch error bound; the
 //	              venue default)
-//	-shard I/N    run only fleet shard I of N (contiguous session ranges,
-//	              0-indexed); shard outputs merge deterministically, see the
-//	              README's "Running movrd at scale"
 //	-trace P      write a per-session event trace to P (session and fleet only):
 //	              Chrome trace-event JSON loadable in Perfetto; summarize
 //	              with movrtrace -analyze P
@@ -76,8 +73,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	movr "github.com/movr-sim/movr"
@@ -120,8 +115,8 @@ func main() {
 	title := fleet.Kind(ff.scenario).Title()
 
 	cmd := flag.Arg(0)
-	if (ff.agg != "" || ff.shard != "") && cmd != "fleet" {
-		fmt.Fprintf(os.Stderr, "movrsim: -agg and -shard are only meaningful with the fleet experiment\n\n")
+	if ff.agg != "" && cmd != "fleet" {
+		fmt.Fprintf(os.Stderr, "movrsim: -agg is only meaningful with the fleet experiment\n\n")
 		usage()
 		os.Exit(2)
 	}
@@ -292,7 +287,7 @@ func runMap(workers int) {
 // fleet.Job's knobs: every rule and default is the job's own, so the
 // CLI accepts and runs exactly what the movrd job API does.
 type fleetFlags struct {
-	scenario, policy, assign, admission, agg, shard  string
+	scenario, policy, assign, admission, agg         string
 	sessions, players, playersPerBay, bays, channels int
 	uplink                                           time.Duration
 	interferenceOff                                  bool
@@ -311,7 +306,6 @@ func (f *fleetFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.interferenceOff, "interference-off", false, "disable cross-bay interference (venue scenario)")
 	fs.StringVar(&f.admission, "admission", "", "players beyond a bay's TDMA capacity: queue|reject (venue scenario; default queue)")
 	fs.StringVar(&f.agg, "agg", "", `fleet aggregation: "exact" or "stream" (default stream for venue, exact otherwise)`)
-	fs.StringVar(&f.shard, "shard", "", "run only fleet shard I/N (e.g. 1/4) — fleet only")
 }
 
 // cliNames spells the fleet knobs by their flags in resolver errors.
@@ -355,15 +349,6 @@ func (f fleetFlags) job(seed int64, fast bool) (fleet.Job, error) {
 		j.Config.Duration = 2 * time.Second
 		j.Config.ReEvalPeriod = 100 * time.Millisecond
 	}
-	if f.shard != "" {
-		i, n, _ := strings.Cut(f.shard, "/")
-		index, errI := strconv.Atoi(i)
-		count, errN := strconv.Atoi(n)
-		if errI != nil || errN != nil {
-			return fleet.Job{}, fmt.Errorf("-shard %q must be I/N, e.g. 1/4", f.shard)
-		}
-		j.Shard.Index, j.Shard.Count = index, count
-	}
 	return j.Resolve(names)
 }
 
@@ -384,9 +369,6 @@ func runFleet(job fleet.Job, title string, workers int, tracePath string) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "movrsim: fleet: %v\n", err)
 		os.Exit(1)
-	}
-	if job.Shard != (fleet.Shard{}) {
-		title += fmt.Sprintf(" [shard %d/%d]", job.Shard.Index, job.Shard.Count)
 	}
 	fmt.Print(res.Render(title))
 	if tr != nil {

@@ -55,11 +55,6 @@ func TestFleetFlagRejections(t *testing.T) {
 		// Flag spellings of their own.
 		{"players alias conflict", []string{"-scenario", "venue", "-players", "3", "-players-per-bay", "4"}, "conflicts"},
 		{"unknown agg", []string{"-agg", "sketch"}, `unknown -agg "sketch"`},
-		{"bad shard syntax", []string{"-shard", "2"}, "must be I/N"},
-		{"shard trailing text", []string{"-shard", "0/2xyz"}, "must be I/N"},
-		{"shard extra part", []string{"-shard", "0/2/7"}, "must be I/N"},
-		{"shard out of range", []string{"-shard", "2/2"}, "shard index 2 outside [0,2)"},
-		{"more shards than sessions", []string{"-sessions", "2", "-shard", "0/3"}, "shard count 3 exceeds -sessions 2"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

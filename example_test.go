@@ -1,10 +1,7 @@
 package movr_test
 
 import (
-	"context"
 	"fmt"
-	"reflect"
-	"time"
 
 	movr "github.com/movr-sim/movr"
 )
@@ -50,32 +47,4 @@ func ExampleWorld() {
 	fmt.Printf("LOS sustains VR: %v\n", movr.HTCViveRequirement().MetBySNR(snr))
 	// Output:
 	// LOS sustains VR: true
-}
-
-// A fleet split into shards on whole-bay boundaries runs anywhere, in
-// any order, and the shard results merge back into the unsharded
-// result: here the four-player arcade bay of a mixed fleet, then its
-// homes and cluttered offices.
-func ExampleMergeFleetShardResults() {
-	specs := movr.MixedFleet(12, movr.FleetScenarioConfig{
-		Duration:     time.Second,
-		ReEvalPeriod: 100 * time.Millisecond,
-		Seed:         1,
-	})
-	run := func(specs []movr.FleetSpec) movr.FleetResult {
-		res, err := movr.RunFleet(context.Background(), specs, movr.FleetConfig{})
-		if err != nil {
-			panic(err)
-		}
-		return res
-	}
-	merged, err := movr.MergeFleetShardResults(run(specs[:4]), run(specs[4:]))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("%d sessions, %d frames\n", merged.Agg.Sessions, merged.Agg.Frames)
-	fmt.Println("merged equals unsharded:", reflect.DeepEqual(merged.Agg, run(specs).Agg))
-	// Output:
-	// 12 sessions, 1080 frames
-	// merged equals unsharded: true
 }

@@ -42,9 +42,9 @@
 //   - a window past the table's horizon holds no slot for anyone;
 //   - the table answers pose queries only on its tick grid;
 //   - NewScheduler trusts the table to describe its room. The session
-//     engine builds a private table for a room that carries none, and
-//     checks a shared one with O(1) guards: its tick is the world tick,
-//     its horizon covers the session, and Self is in range.
+//     engine refuses a shared room that carries none, and checks the
+//     table with O(1) guards: its tick is the world tick, its horizon
+//     covers the session, and Self is in range.
 package coex
 
 import (

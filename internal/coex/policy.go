@@ -313,6 +313,12 @@ func (p *edfPolicy) Shares(w *Window, shares []float64) {
 	// before g0, the last the tail after the final deadline edge;
 	// interior boundaries sit on the grid. Shares are the widths
 	// themselves (the scheduler normalizes).
+	//
+	// Some quota is always positive, so last is always set: the quotas
+	// sum to exactly f >= 1. blockQuotas serves nServe players, with
+	// 1 <= nServe <= max(1, f/edfMinFrames) <= f, and grants each one
+	// base = f/nServe >= 1 plus the remainder spread over the first;
+	// weightedQuotas pads or trims its grants to exactly f.
 	layoutOff := int(w.Index % int64(n))
 	last := -1
 	for o := 0; o < n; o++ {
@@ -320,10 +326,6 @@ func (p *edfPolicy) Shares(w *Window, shares []float64) {
 		if p.quota[i] > 0 {
 			last = i
 		}
-	}
-	if last < 0 {
-		fallback() // unreachable: the quotas always sum to f >= 1
-		return
 	}
 	lo := ds
 	cum := 0

@@ -328,6 +328,47 @@ func TestEDFBoundariesOnDeadlineGrid(t *testing.T) {
 	}
 }
 
+// TestEDFQuotasTileTheDeadlineGrid pins the invariant the deadline-aware
+// policy's slot layout rests on: in every window, on both the uniform
+// (block) and the weighted path, the whole frame intervals granted sum
+// to exactly the f intervals the downlink span holds, so some player
+// always holds a positive quota.
+func TestEDFQuotasTileTheDeadlineGrid(t *testing.T) {
+	players := movingRoom(t, 7, 4, 2*time.Second)
+	up := 300 * time.Microsecond
+	weights := []float64{3, 1, 2, 0.5}
+	for name, rm := range map[string]Room{
+		"uniform":            {Players: players, Policy: PolicyEDF, UplinkSlot: up},
+		"uniform 3 at 100ms": {Players: players[:3], Policy: PolicyEDF, UplinkSlot: up, Period: 100 * time.Millisecond},
+		"weighted":           {Players: players, Policy: PolicyEDF, UplinkSlot: up, Weights: weights},
+		"weighted 100ms":     {Players: players, Policy: PolicyEDF, UplinkSlot: up, Weights: weights, Period: 100 * time.Millisecond},
+	} {
+		l, err := newLayout(rm, apPos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edf := l.policy.(*edfPolicy)
+		n := len(rm.Players)
+		active, starts, ends := make([]bool, n), make([]time.Duration, n), make([]time.Duration, n)
+		for win := int64(0); win < 40; win++ {
+			l.layoutWindow(win, active, starts, ends)
+			ds, down := l.win.DownStart, l.win.Downlink
+			g0 := ((ds + frameInterval - 1) / frameInterval) * frameInterval
+			f := int((ds + down - g0) / frameInterval)
+			if f < 1 {
+				t.Fatalf("%s win %d: downlink %v holds no whole frame interval", name, win, down)
+			}
+			sum := 0
+			for _, q := range edf.quota {
+				sum += q
+			}
+			if sum != f {
+				t.Fatalf("%s win %d: quotas %v sum to %d, want the window's %d frame intervals", name, win, edf.quota, sum, f)
+			}
+		}
+	}
+}
+
 // TestEDFWeightsSkewAirtime pins the weight contract on the
 // deadline-aware policy: long-run airtime tracks the weights even
 // though grants are quantized to whole frame intervals, and extreme

@@ -9,7 +9,7 @@ import (
 
 func TestMarshalRoundTrip(t *testing.T) {
 	msgs := []Message{
-		{Type: MsgSetRXBeam, Seq: 1, Value: 27000},
+		{Type: MsgSetBothBeams, Seq: 1, Value: 27000},
 		{Type: MsgSetGainWord, Seq: 65535, Value: 100},
 		{Type: MsgAck, Seq: 0, Value: -123456},
 		{Type: MsgSetModulation, Seq: 42, Value: 100000},
@@ -21,6 +21,25 @@ func TestMarshalRoundTrip(t *testing.T) {
 		}
 		if got != m {
 			t.Errorf("round trip: got %+v, want %+v", got, m)
+		}
+	}
+}
+
+// TestMsgTypeWireValues pins each command's byte on the wire: retired
+// commands leave their values reserved, so no live one moves.
+func TestMsgTypeWireValues(t *testing.T) {
+	for _, c := range []struct {
+		ty   MsgType
+		want uint8
+	}{
+		{MsgSetBothBeams, 3},
+		{MsgSetGainWord, 4},
+		{MsgSetModulation, 5},
+		{MsgAck, 7},
+		{MsgNack, 8},
+	} {
+		if got := (Message{Type: c.ty}).Marshal()[1]; got != c.want {
+			t.Errorf("type %d marshals as %d, want %d", c.ty, got, c.want)
 		}
 	}
 }
@@ -63,7 +82,7 @@ func (echo) HandleControl(m Message) Message { return Message{Type: MsgAck, Valu
 
 func TestLinkCall(t *testing.T) {
 	l := NewLink(echo{}, 5*time.Millisecond)
-	reply, err := l.Call(Message{Type: MsgSetRXBeam, Value: 1234})
+	reply, err := l.Call(Message{Type: MsgSetBothBeams, Value: 1234})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +123,7 @@ func TestQuickCorruptionDetected(t *testing.T) {
 		if flip == 0 {
 			return true // no corruption
 		}
-		m := Message{Type: MsgSetRXBeam, Seq: seq, Value: val}
+		m := Message{Type: MsgSetBothBeams, Seq: seq, Value: val}
 		b := m.Marshal()
 		i := int(pos) % len(b)
 		b[i] ^= flip

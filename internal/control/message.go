@@ -18,15 +18,12 @@ import (
 type MsgType uint8
 
 const (
-	// MsgSetRXBeam steers the reflector's receive beam (Angle in
-	// centidegrees).
-	MsgSetRXBeam MsgType = iota + 1
+	// Reserved, so that every later command keeps its wire value.
+	_ MsgType = iota + 1
+	_
 
-	// MsgSetTXBeam steers the reflector's transmit beam.
-	MsgSetTXBeam
-
-	// MsgSetBothBeams steers both beams to the same angle (alignment
-	// sweep state).
+	// MsgSetBothBeams steers both beams to the same angle (Value in
+	// centidegrees; alignment sweep state).
 	MsgSetBothBeams
 
 	// MsgSetGainWord programs the amplifier gain DAC.

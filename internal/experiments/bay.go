@@ -17,7 +17,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/movr-sim/movr/internal/coex"
@@ -69,7 +68,7 @@ func RunBayLockstep(players []BayPlayer) ([]VariantOutcome, error) {
 			return nil, &BayPlayerError{i, err}
 		}
 		if i == 0 {
-			if geo, err = roomGeometry(cfg, trace); err != nil {
+			if geo, err = roomGeometry(cfg); err != nil {
 				return nil, &BayPlayerError{0, err}
 			}
 		} else if geo == nil || cfg.Coex == nil || cfg.Coex.Geometry != geo ||
@@ -140,27 +139,18 @@ func poseRow(geo *coex.Geometry, t time.Duration) []geom.Vec {
 }
 
 // roomGeometry resolves the schedule table a bay reads: nil for a
-// private room; for a shared room without a Geometry, a private table
-// built from the room with the session's own trace at Self; otherwise
-// the room's shared table, after the O(1) guards that it answers every
-// query the session makes — poses on the WorldTick grid, windows and
-// poses out to the session duration.
-func roomGeometry(cfg SessionConfig, trace vr.Trace) (*coex.Geometry, error) {
+// private room; otherwise the shared room's Geometry, after the O(1)
+// guards that it answers every query the session makes — poses on the
+// WorldTick grid, windows and poses out to the session duration. A
+// shared room without a Geometry is an error: the fleet and venue
+// generators build every bay's table up front (BuildCoexGeometry).
+func roomGeometry(cfg SessionConfig) (*coex.Geometry, error) {
 	rm := cfg.Coex
 	if rm == nil {
 		return nil, nil
 	}
 	if rm.Geometry == nil {
-		if rm.Self < 0 || rm.Self >= len(rm.Players) {
-			return nil, fmt.Errorf("coex: self index %d out of range [0,%d)", rm.Self, len(rm.Players))
-		}
-		own := *rm
-		own.Players = slices.Clone(rm.Players)
-		own.Players[rm.Self] = trace
-		if own.Period <= 0 {
-			own.Period = cfg.ReEvalPeriod
-		}
-		return BuildCoexGeometry(own, cfg.Duration)
+		return nil, fmt.Errorf("coex: shared room has no schedule table (build one with BuildCoexGeometry)")
 	}
 	if step := rm.Geometry.Step(); step != WorldTick {
 		return nil, fmt.Errorf("coex: geometry tick %v is not the world tick %v", step, WorldTick)

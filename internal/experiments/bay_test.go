@@ -81,10 +81,10 @@ func TestBayPlayersKeepTheirOwnVenuePenalty(t *testing.T) {
 }
 
 // TestBayGuardsRejectForeignTables pins the O(1) guards a bay checks
-// before reading a shared schedule table — its tick is the world tick,
-// its horizon covers the session, Self indexes one of its players — and
-// the per-player check that the streamed motion is the table's trace at
-// Self. Players of one bay must share one table.
+// before reading a shared schedule table — the room has one, its tick is
+// the world tick, its horizon covers the session, Self indexes one of
+// its players — and the per-player check that the streamed motion is
+// the table's trace at Self. Players of one bay must share one table.
 func TestBayGuardsRejectForeignTables(t *testing.T) {
 	const dur = time.Second
 	base := sharedBay(t, 2, dur)
@@ -105,10 +105,11 @@ func TestBayGuardsRejectForeignTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, cfg := range map[string]SessionConfig{
-		"tick":    withRoom(func(rm *coex.Room) { rm.Geometry = offGrid }),
-		"horizon": withRoom(func(rm *coex.Room) { rm.Geometry = short }),
-		"self":    withRoom(func(rm *coex.Room) { rm.Self = 2 }),
-		"trace":   withRoom(func(rm *coex.Room) { rm.Players = []vr.Trace{traces[1], traces[1]} }),
+		"no table": withRoom(func(rm *coex.Room) { rm.Geometry = nil }),
+		"tick":     withRoom(func(rm *coex.Room) { rm.Geometry = offGrid }),
+		"horizon":  withRoom(func(rm *coex.Room) { rm.Geometry = short }),
+		"self":     withRoom(func(rm *coex.Room) { rm.Self = 2 }),
+		"trace":    withRoom(func(rm *coex.Room) { rm.Players = []vr.Trace{traces[1], traces[1]} }),
 	} {
 		if _, err := RunSessionVariant(cfg, VariantMoVRTracking); err == nil {
 			t.Errorf("%s: a session accepted a table that does not describe it", name)
@@ -121,20 +122,5 @@ func TestBayGuardsRejectForeignTables(t *testing.T) {
 	var be *BayPlayerError
 	if !errors.As(err, &be) || be.Player != 1 {
 		t.Errorf("bay of players on different tables: err = %v, want player 1 rejected", err)
-	}
-
-	// Without a table the session lays out its own, reproducing the
-	// shared table's outcome.
-	private := withRoom(func(rm *coex.Room) { rm.Geometry = nil })
-	got, err := RunSessionVariant(private, VariantMoVRTracking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunSessionVariant(base[0], VariantMoVRTracking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("private table outcome %+v, shared table %+v", got, want)
 	}
 }

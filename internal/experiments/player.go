@@ -116,9 +116,9 @@ func (ps *playerState) init(cfg SessionConfig, trace vr.Trace, geo *coex.Geometr
 		if err != nil {
 			return err
 		}
-		// A shared table was laid out from Players, so it describes this
+		// The table was laid out from Players, so it describes this
 		// session only if the motion being streamed is the trace at Self.
-		if rm.Geometry != nil && (rm.Self >= len(rm.Players) || !slices.Equal(trace, rm.Players[rm.Self])) {
+		if rm.Self >= len(rm.Players) || !slices.Equal(trace, rm.Players[rm.Self]) {
 			return fmt.Errorf("coex: session trace differs from the room's player %d", rm.Self)
 		}
 		row, _ := geo.PosesAtTick(0)

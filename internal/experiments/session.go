@@ -75,10 +75,9 @@ type SessionConfig struct {
 	// Coex.Weights, behind the optional Coex.UplinkSlot pose-report
 	// reservation. Nil keeps the historical behavior — the session has
 	// the medium to itself. Peer poses and slots are read from the
-	// room's schedule table, Coex.Geometry. With a table attached,
-	// Coex.Players[Coex.Self] must be this session's own motion, or the
-	// session fails; without one, the session builds a private table
-	// from the room with its own motion at Self.
+	// room's schedule table, Coex.Geometry, which must be set (build it
+	// with BuildCoexGeometry), and Coex.Players[Coex.Self] must be this
+	// session's own motion, or the session fails.
 	Coex *coex.Room
 
 	// AdmissionQueued and AdmissionRejected record how many players the

@@ -123,82 +123,3 @@ func TestBayGroupsPartialBays(t *testing.T) {
 		t.Errorf("homes and geometry-less rooms grouped as %v, want 5 bays of one", got)
 	}
 }
-
-// TestAlignedRangeTilesBays checks that bay-aligned sharding still tiles
-// the spec set exactly — every spec lands in exactly one shard — that no
-// shard boundary falls inside a bay while there are bays enough to go
-// around, and that with more shards than bays it degrades to the
-// unaligned split (every shard keeps work; the split bays run as
-// partial bays) instead of handing some shard an empty range.
-func TestAlignedRangeTilesBays(t *testing.T) {
-	specs := mustCoex(t, 3, 4, coexTestCfg())
-	n, bay := len(specs), BayLen(specs) // 12 specs, 3 bays of 4
-	if bay != 4 {
-		t.Fatalf("BayLen = %d, want 4", bay)
-	}
-	nBays := n / bay
-	for count := 1; count <= 5; count++ {
-		prev := 0
-		for idx := 0; idx < count; idx++ {
-			lo, hi := (Shard{Index: idx, Count: count}).AlignedRange(n, bay)
-			if lo != prev {
-				t.Fatalf("count=%d shard %d: lo=%d, want %d (gap or overlap)", count, idx, lo, prev)
-			}
-			if count <= nBays && (lo%bay != 0 || (hi%bay != 0 && hi != n)) {
-				t.Fatalf("count=%d shard %d: [%d,%d) splits a bay of %d", count, idx, lo, hi, bay)
-			}
-			if count <= n && hi == lo {
-				t.Fatalf("count=%d shard %d: empty range [%d,%d) with %d specs to go around", count, idx, lo, hi, n)
-			}
-			prev = hi
-		}
-		if prev != n {
-			t.Fatalf("count=%d: shards cover [0,%d), want [0,%d)", count, prev, n)
-		}
-	}
-}
-
-// TestShardRangesFrozen pins the bay-aligned shard ranges of every
-// scenario kind at 1–5 shards against testdata/shard_ranges.txt, so a
-// change to bay grouping (BayLen) can never move a shard boundary and
-// silently invalidate results cached per shard.
-func TestShardRangesFrozen(t *testing.T) {
-	var got bytes.Buffer
-	for _, kind := range Kinds {
-		for _, n := range []int{1, 3, 8, 10} {
-			for _, headsets := range []int{0, 3} {
-				cfg := coexTestCfg()
-				cfg.HeadsetsPerRoom = headsets
-				specs, err := kind.Specs(n, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fmt.Fprintf(&got, "%s n=%d headsets=%d:", kind, n, headsets)
-				for count := 1; count <= 5; count++ {
-					for idx := 0; idx < count; idx++ {
-						sh := Shard{Index: idx, Count: count}
-						lo, hi := sh.AlignedRange(len(specs), BayLen(specs))
-						if sub := sh.SliceAligned(specs); len(sub) != hi-lo || (len(sub) > 0 && &sub[0] != &specs[lo]) {
-							t.Fatalf("%s n=%d: SliceAligned disagrees with AlignedRange [%d,%d)", kind, n, lo, hi)
-						}
-						fmt.Fprintf(&got, " %d/%d=[%d,%d)", idx, count, lo, hi)
-					}
-				}
-				got.WriteByte('\n')
-			}
-		}
-	}
-	path := filepath.Join("testdata", "shard_ranges.txt")
-	if *updateGoldens {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("shard ranges moved; got\n%s", got.Bytes())
-	}
-}

@@ -51,48 +51,3 @@ func TestCoexGoldenSeed7Frozen(t *testing.T) {
 		}
 	}
 }
-
-// TestCoexGeometryOnOffByteIdentical is the tentpole's end-to-end
-// equivalence pin: a bay whose sessions read the room-owned geometry
-// snapshot must produce byte-identical streaming reports to the same
-// bay with the snapshot stripped (live per-session evaluation) — every
-// field of every session's report, not just the aggregate.
-func TestCoexGeometryOnOffByteIdentical(t *testing.T) {
-	cfg := coexTestCfg()
-	withGeo := mustCoex(t, 1, 4, cfg)
-
-	without := make([]Spec, len(withGeo))
-	for i, sp := range withGeo {
-		rm := *sp.Session.Coex
-		if rm.Geometry == nil {
-			t.Fatalf("session %q: fleet generator attached no room geometry", sp.ID)
-		}
-		rm.Geometry = nil
-		sp.Session.Coex = &rm
-		without[i] = sp
-	}
-
-	resGeo, err := Run(context.Background(), withGeo, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resLive, err := Run(context.Background(), without, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resGeo.Sessions) != len(resLive.Sessions) {
-		t.Fatalf("%d vs %d sessions", len(resGeo.Sessions), len(resLive.Sessions))
-	}
-	for i := range resGeo.Sessions {
-		g, l := resGeo.Sessions[i], resLive.Sessions[i]
-		if g.ID != l.ID {
-			t.Fatalf("session order diverged: %q vs %q", g.ID, l.ID)
-		}
-		if g.Report != l.Report {
-			t.Errorf("session %q: snapshot report %+v != live report %+v", g.ID, g.Report, l.Report)
-		}
-		if g.Handoffs != l.Handoffs {
-			t.Errorf("session %q: snapshot handoffs %d != live %d", g.ID, g.Handoffs, l.Handoffs)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -10,26 +9,22 @@ import (
 	"time"
 )
 
-// This file is the streaming-aggregation and sharding layer of the
-// fleet engine: a Collector abstraction over "what happens to each
-// SessionOutcome as it completes", an exact collector (the historical
-// path — every outcome retained, aggregates computed over the full
-// list), a constant-memory streaming collector built on mergeable
-// fixed-bin sketches, and the contiguous session-range Shard split
-// whose per-shard results merge back to the unsharded answer.
+// This file is the aggregation layer of the fleet engine: a Collector
+// abstraction over "what happens to each SessionOutcome as it
+// completes", an exact collector (the historical path — every outcome
+// retained, aggregates computed over the full list), and a
+// constant-memory streaming collector built on fixed-bin sketches.
 //
 // Determinism contract:
 //
 //   - The exact path is bit-identical to the pre-Collector fleet.Run:
 //     outcomes land in spec order and aggregation walks that order.
-//     Merging exact shard results in shard order reproduces the
-//     unsharded Result byte for byte.
 //   - The streaming path folds outcomes in completion order, which the
 //     worker pool does not fix — so every streaming accumulator is
 //     exactly order-invariant by construction: integer counters,
 //     fixed-point (1e-9-quantized) sums, min/max, and integer bin
 //     counts. The same outcome multiset yields the same StreamState
-//     bit for bit whatever the completion or merge order.
+//     bit for bit whatever the completion order.
 //
 // Accuracy contract of the streaming path (documented error bounds):
 //
@@ -54,11 +49,11 @@ const sketchBins = 4096
 // fpScale is the fixed-point quantum of streaming sums: samples are
 // accumulated as round(x·1e9) in int64, making addition exactly
 // commutative and associative — the property that keeps completion
-// order and merge order out of the result.
+// order out of the result.
 const fpScale = 1e9
 
-// streamSchemaV versions the serialized StreamState; merges across
-// schema versions are rejected rather than silently misinterpreted.
+// streamSchemaV versions the serialized StreamState a streaming result
+// carries, so a reader can tell its layout apart from a later one.
 const streamSchemaV = 1
 
 // Collector consumes per-session outcomes as the pool completes them
@@ -96,11 +91,11 @@ func (c *ExactCollector) Result() Result {
 	return Result{Sessions: c.outcomes, Agg: aggregate(c.outcomes)}
 }
 
-// MetricSketch is a mergeable bounded-size summary of one per-session
-// metric: exact count, min, max and fixed-point sum, plus a fixed-bin
-// histogram over [Lo, Hi) for percentile estimates. All accumulators
-// are integers or order-invariant extrema, so any fold or merge order
-// produces the identical state.
+// MetricSketch is a bounded-size summary of one per-session metric:
+// exact count, min, max and fixed-point sum, plus a fixed-bin histogram
+// over [Lo, Hi) for percentile estimates. All accumulators are integers
+// or order-invariant extrema, so any fold order produces the identical
+// state.
 type MetricSketch struct {
 	Count int64     `json:"count"`
 	SumFP int64     `json:"sum_fp"` // Σ round(x·1e9), exactly order-invariant
@@ -131,8 +126,8 @@ type binCount struct {
 // job's sessions fill, so folding them never regrows it.
 const histogramCap = 64
 
-// addAt adds c to bin i.
-func (h *Histogram) addAt(i int, c int64) {
+// inc adds one to bin i.
+func (h *Histogram) inc(i int) {
 	lo, hi := 0, len(h.bins)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -143,10 +138,10 @@ func (h *Histogram) addAt(i int, c int64) {
 		}
 	}
 	if lo < len(h.bins) && int(h.bins[lo].i) == i {
-		h.bins[lo].c += c
+		h.bins[lo].c++
 		return
 	}
-	h.bins = slices.Insert(h.bins, lo, binCount{int32(i), c})
+	h.bins = slices.Insert(h.bins, lo, binCount{int32(i), 1})
 }
 
 func (h Histogram) clone() Histogram {
@@ -230,32 +225,7 @@ func (m *MetricSketch) add(x float64) {
 	}
 	m.Count++
 	m.SumFP += int64(math.Round(x * fpScale))
-	m.Bins.addAt(m.binOf(x), 1)
-}
-
-// merge folds o into m. Both sketches must share a range and
-// resolution; integer adds and extrema keep the merge exactly
-// commutative and associative.
-func (m *MetricSketch) merge(o MetricSketch) error {
-	if m.Lo != o.Lo || m.Hi != o.Hi || m.Bins.n != o.Bins.n {
-		return fmt.Errorf("fleet: sketch shapes differ ([%g,%g)×%d vs [%g,%g)×%d)",
-			m.Lo, m.Hi, m.Bins.n, o.Lo, o.Hi, o.Bins.n)
-	}
-	if o.Count == 0 {
-		return nil
-	}
-	if m.Count == 0 || o.Min < m.Min {
-		m.Min = o.Min
-	}
-	if m.Count == 0 || o.Max > m.Max {
-		m.Max = o.Max
-	}
-	m.Count += o.Count
-	m.SumFP += o.SumFP
-	for _, b := range o.Bins.bins {
-		m.Bins.addAt(int(b.i), b.c)
-	}
-	return nil
+	m.Bins.inc(m.binOf(x))
 }
 
 // Mean returns the fixed-point mean (NaN when empty).
@@ -346,10 +316,9 @@ func maxOrNaN(m MetricSketch) float64 {
 }
 
 // StreamState is the complete, serializable state of a streaming
-// aggregation: bounded in size whatever the session count, mergeable
-// across shards, and exactly order-invariant. It is what a sharded
-// movrd job embeds in its result so an external merger can reconstruct
-// the fleet-wide aggregate.
+// aggregation: bounded in size whatever the session count and exactly
+// order-invariant. A streaming result carries it beside the aggregate
+// it derives.
 type StreamState struct {
 	SchemaV       int          `json:"schema_v"`
 	Sessions      int          `json:"sessions"`
@@ -422,48 +391,6 @@ func (st StreamState) clone() StreamState {
 	return out
 }
 
-// MergeStreamStates folds shard states into one. The merge is exactly
-// commutative and associative — any argument order yields bit-identical
-// output — so independent shard runners need no coordination beyond
-// sharing the sketch ranges (which equal-duration shards of one job
-// spec do by construction).
-func MergeStreamStates(states ...StreamState) (StreamState, error) {
-	if len(states) == 0 {
-		return StreamState{}, fmt.Errorf("fleet: no stream states to merge")
-	}
-	out := states[0].clone()
-	if out.SchemaV != streamSchemaV {
-		return StreamState{}, fmt.Errorf("fleet: stream state schema %d, want %d", out.SchemaV, streamSchemaV)
-	}
-	for _, st := range states[1:] {
-		if st.SchemaV != streamSchemaV {
-			return StreamState{}, fmt.Errorf("fleet: stream state schema %d, want %d", st.SchemaV, streamSchemaV)
-		}
-		out.Sessions += st.Sessions
-		out.Frames += st.Frames
-		out.Delivered += st.Delivered
-		out.Glitches += st.Glitches
-		out.TotalHandoffs += st.TotalHandoffs
-		if st.WorstOutageNS > out.WorstOutageNS {
-			out.WorstOutageNS = st.WorstOutageNS
-		}
-		for _, m := range []struct {
-			dst *MetricSketch
-			src MetricSketch
-		}{
-			{&out.DeliveredFrac, st.DeliveredFrac},
-			{&out.GlitchFrac, st.GlitchFrac},
-			{&out.OutageSeconds, st.OutageSeconds},
-			{&out.Handoffs, st.Handoffs},
-		} {
-			if err := m.dst.merge(m.src); err != nil {
-				return StreamState{}, err
-			}
-		}
-	}
-	return out, nil
-}
-
 // StreamCollector folds outcomes into a StreamState as they complete:
 // the constant-memory aggregation path. Safe for concurrent Add; the
 // state is order-invariant, so worker scheduling cannot change the
@@ -476,15 +403,12 @@ type StreamCollector struct {
 // NewStreamCollector builds a streaming collector whose outage sketch
 // spans [0, maxOutageSeconds] — a session's total outage can never
 // exceed its duration, so pass the longest session duration of the run.
-// Every shard of one job must use the same value or the shard states
-// will refuse to merge.
 func NewStreamCollector(maxOutageSeconds float64) *StreamCollector {
 	return &StreamCollector{st: newStreamState(maxOutageSeconds)}
 }
 
 // StreamCollectorFor sizes the collector for a spec set: the outage
-// range is the longest session duration. Shards slicing one spec set
-// get identical ranges from their full (pre-slice) set.
+// range is the longest session duration.
 func StreamCollectorFor(specs []Spec) *StreamCollector {
 	maxOutage := 0.0
 	for _, sp := range specs {
@@ -510,113 +434,9 @@ func (c *StreamCollector) State() StreamState {
 	return c.st.clone()
 }
 
-// Result returns the streaming Result: aggregate plus mergeable state,
-// no per-session list.
+// Result returns the streaming Result: aggregate plus sketch state, no
+// per-session list.
 func (c *StreamCollector) Result() Result {
 	st := c.State()
 	return Result{Agg: st.Aggregate(), Stream: &st}
-}
-
-// Shard selects the Index-th of Count contiguous session-range slices
-// of a spec set. The ranges tile [0, n) exactly: every spec lands in
-// exactly one shard, and concatenating the shards in index order
-// reproduces the original set.
-type Shard struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
-}
-
-// Validate checks the shard coordinates.
-func (s Shard) Validate() error {
-	if s.Count < 1 {
-		return fmt.Errorf("shard count %d must be at least 1", s.Count)
-	}
-	if s.Index < 0 || s.Index >= s.Count {
-		return fmt.Errorf("shard index %d outside [0,%d)", s.Index, s.Count)
-	}
-	return nil
-}
-
-// Range returns the half-open spec-index range [lo, hi) of this shard
-// over n specs. Ranges are contiguous, disjoint, and differ in size by
-// at most one.
-func (s Shard) Range(n int) (lo, hi int) {
-	return n * s.Index / s.Count, n * (s.Index + 1) / s.Count
-}
-
-// AlignedRange returns the shard's half-open spec-index range with
-// boundaries aligned to bay-size multiples, so no shard splits a bay
-// and every shard runs whole bays. Spec sets built by
-// the scenario generators lay bays out contiguously at offsets that
-// are multiples of the bay size, which is exactly what this alignment
-// preserves. The ranges still tile [0, n) exactly (shards covering the
-// same bays, differing in bay count by at most one); with bay <= 1
-// this is Range. Merged results are unchanged by alignment: outcomes
-// are per session and shards concatenate in index order either way.
-// With more shards than bays, alignment would leave some shards empty
-// where the unaligned split gave every shard work, so it falls back to
-// Range — the split bays run as partial bays, byte-identical by the bay
-// determinism contract.
-func (s Shard) AlignedRange(n, bay int) (lo, hi int) {
-	if bay <= 1 {
-		return s.Range(n)
-	}
-	nBays := (n + bay - 1) / bay
-	if nBays < s.Count {
-		return s.Range(n)
-	}
-	lo = nBays * s.Index / s.Count * bay
-	hi = nBays * (s.Index + 1) / s.Count * bay
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// SliceAligned returns the shard's bay-aligned sub-slice of specs
-// (sharing the backing array), aligning to the spec set's own bay size
-// (BayLen).
-func (s Shard) SliceAligned(specs []Spec) []Spec {
-	lo, hi := s.AlignedRange(len(specs), BayLen(specs))
-	return specs[lo:hi]
-}
-
-// MergeShardResults reassembles per-shard Results — given in shard
-// index order — into the fleet-wide Result. Exact results (Sessions
-// retained) concatenate and re-aggregate, reproducing the unsharded
-// run byte for byte; streaming results merge their states, which is
-// additionally order-invariant. Mixing the two paths is an error.
-func MergeShardResults(parts ...Result) (Result, error) {
-	if len(parts) == 0 {
-		return Result{}, fmt.Errorf("fleet: no shard results to merge")
-	}
-	streaming := parts[0].Stream != nil
-	for i, p := range parts {
-		if (p.Stream != nil) != streaming {
-			return Result{}, fmt.Errorf("fleet: shard %d mixes exact and streaming results", i)
-		}
-	}
-	if streaming {
-		states := make([]StreamState, len(parts))
-		for i, p := range parts {
-			states[i] = *p.Stream
-		}
-		st, err := MergeStreamStates(states...)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Agg: st.Aggregate(), Stream: &st}, nil
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p.Sessions)
-	}
-	all := make([]SessionOutcome, 0, total)
-	for _, p := range parts {
-		all = append(all, p.Sessions...)
-	}
-	return Result{Sessions: all, Agg: aggregate(all)}, nil
 }

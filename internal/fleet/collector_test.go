@@ -41,9 +41,9 @@ func syntheticOutcomes(n int, seed int64) []SessionOutcome {
 }
 
 // TestStreamStateOrderInvariant pins the property the whole streaming
-// design rests on: folding the same outcomes in any order — including
-// split across collectors merged in any order — yields bit-identical
-// state, so worker scheduling can never leak into results.
+// design rests on: folding the same outcomes in any order yields
+// bit-identical state, so worker scheduling can never leak into
+// results.
 func TestStreamStateOrderInvariant(t *testing.T) {
 	outcomes := syntheticOutcomes(257, 11)
 	baseline := NewStreamCollector(2)
@@ -69,166 +69,6 @@ func TestStreamStateOrderInvariant(t *testing.T) {
 		if string(got) != string(want) {
 			t.Fatalf("trial %d: permuted fold produced different state", trial)
 		}
-	}
-
-	// Split into uneven parts, merge in shuffled orders.
-	for trial := 0; trial < 5; trial++ {
-		cuts := []int{0, 31, 100, 181, len(outcomes)}
-		parts := make([]StreamState, 0, len(cuts)-1)
-		for p := 0; p+1 < len(cuts); p++ {
-			c := NewStreamCollector(2)
-			for i := cuts[p]; i < cuts[p+1]; i++ {
-				c.Add(i, outcomes[i])
-			}
-			parts = append(parts, c.State())
-		}
-		perm := rng.Perm(len(parts))
-		shuffled := make([]StreamState, len(parts))
-		for i, j := range perm {
-			shuffled[i] = parts[j]
-		}
-		merged, err := MergeStreamStates(shuffled...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := json.Marshal(merged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("trial %d: shuffled merge produced different state", trial)
-		}
-	}
-}
-
-// TestShardRangesPartition checks the shard math: for any n and count,
-// the ranges tile [0, n) contiguously with sizes differing by at most
-// one.
-func TestShardRangesPartition(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 100, 101, 4096} {
-		for count := 1; count <= 10; count++ {
-			next, minSz, maxSz := 0, n, 0
-			for i := 0; i < count; i++ {
-				sh := Shard{Index: i, Count: count}
-				if err := sh.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				lo, hi := sh.Range(n)
-				if lo != next || hi < lo {
-					t.Fatalf("n=%d count=%d shard %d: range [%d,%d), want lo=%d", n, count, i, lo, hi, next)
-				}
-				if sz := hi - lo; sz < minSz {
-					minSz = sz
-				} else if sz > maxSz {
-					maxSz = sz
-				}
-				next = hi
-			}
-			if next != n {
-				t.Fatalf("n=%d count=%d: ranges cover [0,%d), want [0,%d)", n, count, next, n)
-			}
-			if count <= n && maxSz-minSz > 1 {
-				t.Fatalf("n=%d count=%d: shard sizes span [%d,%d]", n, count, minSz, maxSz)
-			}
-		}
-	}
-	if err := (Shard{Index: 2, Count: 2}).Validate(); err == nil {
-		t.Fatal("index == count validated")
-	}
-	if err := (Shard{Index: 0, Count: 0}).Validate(); err == nil {
-		t.Fatal("count 0 validated")
-	}
-}
-
-// TestShardMergeMatchesUnsharded is the sharding property test across
-// scenario kinds × shard counts: the exact path must merge to the
-// unsharded Result byte for byte, and the streaming path must merge to
-// the unsharded streaming state bit for bit with percentiles within the
-// sketch bound of the exact aggregate.
-func TestShardMergeMatchesUnsharded(t *testing.T) {
-	cfg := ScenarioConfig{
-		Duration:     300 * time.Millisecond,
-		ReEvalPeriod: 50 * time.Millisecond,
-		Seed:         7,
-	}
-	kinds := []Kind{KindMixed, KindHome, KindCoex, KindCoexEDF, KindVenue}
-	if testing.Short() {
-		kinds = []Kind{KindCoex}
-	}
-	// Ten sessions do not split into whole rooms of four evenly, so the
-	// bay-aligned split production shards with differs from the plain
-	// Range split in some case below.
-	aligned := false
-	for _, kind := range kinds {
-		specs, err := kind.Specs(10, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		unsharded, err := Run(context.Background(), specs, Config{Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		wantExact, err := json.Marshal(unsharded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamRef, err := RunCollect(context.Background(), specs, Config{Workers: 2}, StreamCollectorFor(specs))
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		wantStream, err := json.Marshal(streamRef.Stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for _, count := range []int{2, 3, 4} {
-			exactParts := make([]Result, count)
-			streamParts := make([]Result, count)
-			for i := 0; i < count; i++ {
-				sh := Shard{Index: i, Count: count}
-				part := sh.SliceAligned(specs)
-				lo, hi := sh.Range(len(specs))
-				if alo, ahi := sh.AlignedRange(len(specs), BayLen(specs)); alo != lo || ahi != hi {
-					aligned = true
-				}
-				if exactParts[i], err = Run(context.Background(), part, Config{Workers: 2}); err != nil {
-					t.Fatalf("%s shard %d/%d: %v", kind, i, count, err)
-				}
-				// Every shard sizes its sketches from the FULL spec set,
-				// exactly as independent shard runners of one job spec do.
-				if streamParts[i], err = RunCollect(context.Background(), part, Config{Workers: 2}, StreamCollectorFor(specs)); err != nil {
-					t.Fatalf("%s shard %d/%d: %v", kind, i, count, err)
-				}
-			}
-
-			mergedExact, err := MergeShardResults(exactParts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotExact, err := json.Marshal(mergedExact)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(gotExact) != string(wantExact) {
-				t.Fatalf("%s %d-shard exact merge differs from unsharded run", kind, count)
-			}
-
-			mergedStream, err := MergeShardResults(streamParts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotStream, err := json.Marshal(mergedStream.Stream)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(gotStream) != string(wantStream) {
-				t.Fatalf("%s %d-shard stream merge differs from unsharded streaming run", kind, count)
-			}
-			assertStreamWithinBound(t, unsharded.Agg, mergedStream)
-		}
-	}
-	if !aligned {
-		t.Fatal("every shard range equals its unaligned Range: the bay-aligned split went unexercised")
 	}
 }
 
@@ -402,33 +242,6 @@ func exactPercentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// TestMergeRejectsMismatches pins the guard rails: mismatched sketch
-// shapes, schema versions, and mixed exact/stream merges must error
-// rather than silently corrupt aggregates.
-func TestMergeRejectsMismatches(t *testing.T) {
-	a := NewStreamCollector(1).State()
-	b := NewStreamCollector(2).State()
-	if _, err := MergeStreamStates(a, b); err == nil {
-		t.Fatal("merging sketches with different outage ranges succeeded")
-	}
-	bad := a.clone()
-	bad.SchemaV = 99
-	if _, err := MergeStreamStates(a, bad); err == nil {
-		t.Fatal("merging mismatched schema versions succeeded")
-	}
-	if _, err := MergeStreamStates(); err == nil {
-		t.Fatal("merging zero states succeeded")
-	}
-	exact := Result{Sessions: []SessionOutcome{{}}}
-	streamed := Result{Stream: &a}
-	if _, err := MergeShardResults(exact, streamed); err == nil {
-		t.Fatal("merging mixed exact/stream shard results succeeded")
-	}
-	if _, err := MergeShardResults(); err == nil {
-		t.Fatal("merging zero shard results succeeded")
-	}
 }
 
 // TestHistogramJSONIsDense pins the wire form of the sparse histogram:

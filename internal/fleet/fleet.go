@@ -139,9 +139,8 @@ type Result struct {
 	// Agg is the fleet-level aggregate over Sessions.
 	Agg Aggregate
 
-	// Stream is the mergeable sketch state of a streaming-collector
-	// run: what sharded jobs carry so their aggregates can be merged.
-	// Nil on the exact path.
+	// Stream is the sketch state of a streaming-collector run, from
+	// which Agg derives. Nil on the exact path.
 	Stream *StreamState `json:",omitempty"`
 }
 
@@ -242,19 +241,22 @@ func specVariant(sp Spec) experiments.SessionVariant {
 // specGroup is a contiguous run of specs executed together as one bay.
 type specGroup struct{ lo, hi int }
 
-// bayRunLen reports how many specs starting at i form one bay: the
+// BayLen reports how many specs at the head of specs form one bay: the
 // maximal run of consecutive specs whose Coex rooms share one non-nil
 // Geometry pointer, the way the scenario generators build bays — a bay
-// truncated by a spec-set or shard boundary included. Anything else is
-// a bay of one.
-func bayRunLen(specs []Spec, i int) int {
-	c := specs[i].Session.Coex
+// truncated by the end of the spec set included. Anything else is a
+// bay of one, as is an empty set.
+func BayLen(specs []Spec) int {
+	if len(specs) == 0 {
+		return 1
+	}
+	c := specs[0].Session.Coex
 	if c == nil || c.Geometry == nil {
 		return 1
 	}
 	k := 1
-	for i+k < len(specs) {
-		ck := specs[i+k].Session.Coex
+	for k < len(specs) {
+		ck := specs[k].Session.Coex
 		if ck == nil || ck.Geometry != c.Geometry {
 			break
 		}
@@ -267,21 +269,11 @@ func bayRunLen(specs []Spec, i int) int {
 func bayGroups(specs []Spec) []specGroup {
 	groups := make([]specGroup, 0, len(specs))
 	for i := 0; i < len(specs); {
-		n := bayRunLen(specs, i)
+		n := BayLen(specs[i:])
 		groups = append(groups, specGroup{i, i + n})
 		i += n
 	}
 	return groups
-}
-
-// BayLen reports the bay length at the head of specs — the granularity
-// shard boundaries should align to so no shard splits a bay (see
-// Shard.AlignedRange). 1 when the first spec runs alone.
-func BayLen(specs []Spec) int {
-	if len(specs) == 0 {
-		return 1
-	}
-	return bayRunLen(specs, 0)
 }
 
 // bayScratch is the per-worker reusable state of bay runs: the player

@@ -10,7 +10,7 @@ import (
 )
 
 // Aggregation paths of a fleet job: the exact collector keeps every
-// per-session outcome, the stream collector folds them into mergeable
+// per-session outcome, the stream collector folds them into fixed-bin
 // sketches at constant memory.
 const (
 	AggExact  = "exact"
@@ -35,10 +35,6 @@ type Job struct {
 	// Agg is AggExact or AggStream; empty streams a venue and runs
 	// every other kind exactly.
 	Agg string
-
-	// Shard selects the bay-aligned session range to run; the zero
-	// Shard (like 0/1) is the whole job.
-	Shard Shard
 
 	// Trace records a per-session event trace during Run.
 	Trace bool
@@ -77,9 +73,8 @@ var forcedPolicy = map[Kind]coex.PolicyName{
 // coexpf and coexedf shorthands into KindCoex with an explicit policy,
 // holds the coex-family knobs (players, policy, uplink) and
 // the venue-only knobs (bays, channels, assignment, interference,
-// admission) to their kinds and bounds, sizes the session count, picks
-// the aggregation path and checks the shard. Resolving a resolved job
-// changes nothing.
+// admission) to their kinds and bounds, sizes the session count and
+// picks the aggregation path. Resolving a resolved job changes nothing.
 func (j Job) Resolve(fe Frontend) (Job, error) {
 	if j.Kind == "" {
 		j.Kind = KindMixed
@@ -117,17 +112,6 @@ func (j Job) Resolve(fe Frontend) (Job, error) {
 	case AggExact, AggStream:
 	default:
 		return Job{}, fmt.Errorf("unknown %s %q (%s|%s)", fe.Agg, j.Agg, AggExact, AggStream)
-	}
-	if j.Shard == (Shard{Count: 1}) {
-		j.Shard = Shard{}
-	}
-	if j.Shard != (Shard{}) {
-		if err := j.Shard.Validate(); err != nil {
-			return Job{}, err
-		}
-		if j.Shard.Count > j.Sessions {
-			return Job{}, fmt.Errorf("shard count %d exceeds %s %d", j.Shard.Count, fe.Sessions, j.Sessions)
-		}
 	}
 	return j, nil
 }
@@ -199,9 +183,8 @@ func (cfg ScenarioConfig) resolve(kind Kind, fe Frontend) (ScenarioConfig, error
 
 // Run executes a resolved job by the one recipe both front-ends share:
 // generate the specs, let expand widen them (nil keeps them as they
-// are), size the stream collector from that full set, take the job's
-// bay-aligned shard, attach trace recorders when j.Trace is set, and
-// run. The trace is nil unless j.Trace is set.
+// are), size the stream collector from that set, attach trace recorders
+// when j.Trace is set, and run. The trace is nil unless j.Trace is set.
 func (j Job) Run(ctx context.Context, cfg Config, expand func([]Spec) []Spec) (Result, *obs.Trace, error) {
 	specs, err := j.Kind.Specs(j.Sessions, j.Config)
 	if err != nil {
@@ -210,18 +193,9 @@ func (j Job) Run(ctx context.Context, cfg Config, expand func([]Spec) []Spec) (R
 	if expand != nil {
 		specs = expand(specs)
 	}
-	// The sketch ranges come from the full set, before any shard slice,
-	// so every shard of one job gets identical ranges and the shard
-	// states merge.
 	var col Collector
 	if j.Agg == AggStream {
 		col = StreamCollectorFor(specs)
-	}
-	if j.Shard != (Shard{}) {
-		// Bay-aligned: no shard splits a bay, so every shard keeps the
-		// bay-batched execution path and merged shards still reassemble
-		// the whole run exactly.
-		specs = j.Shard.SliceAligned(specs)
 	}
 	var recs []*obs.Recorder
 	if j.Trace {

@@ -37,7 +37,7 @@ func TestResolveDefaults(t *testing.T) {
 		{Job{Kind: KindVenue}, Job{Kind: KindVenue, Sessions: 16, Agg: AggStream,
 			Config: ScenarioConfig{HeadsetsPerRoom: 4, CoexPolicy: coex.PolicyRR, VenueBays: 4, VenueChannels: 3,
 				VenueAssign: "color", VenueAdmission: AdmissionQueue}}},
-		{Job{Kind: KindVenue, Sessions: 8, Shard: Shard{Index: 0, Count: 1}}, Job{Kind: KindVenue, Sessions: 8, Agg: AggStream,
+		{Job{Kind: KindVenue, Sessions: 8}, Job{Kind: KindVenue, Sessions: 8, Agg: AggStream,
 			Config: ScenarioConfig{HeadsetsPerRoom: 4, CoexPolicy: coex.PolicyRR, VenueBays: 4, VenueChannels: 3,
 				VenueAssign: "color", VenueAdmission: AdmissionQueue}}},
 	}
@@ -76,8 +76,6 @@ func TestResolveRejects(t *testing.T) {
 		{Job{Kind: KindVenue, Config: ScenarioConfig{VenueAssign: "roulette"}}, "unknown assignment mode"},
 		{Job{Kind: KindVenue, Config: ScenarioConfig{VenueAdmission: "waitlist"}}, "unknown admission behavior"},
 		{Job{Agg: "sketch"}, `unknown Agg "sketch"`},
-		{Job{Shard: Shard{Index: 2, Count: 2}}, "shard index 2 outside [0,2)"},
-		{Job{Sessions: 3, Shard: Shard{Index: 0, Count: 4}}, "shard count 4 exceeds Sessions 3"},
 	}
 	for _, tc := range cases {
 		_, err := tc.job.Resolve(testNames)

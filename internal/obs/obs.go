@@ -10,7 +10,7 @@
 //
 //   - Determinism: events carry sim-time, never wall time, and are
 //     recorded in simulation callback order, so the same seed produces
-//     a byte-identical trace file on every run, shard, and worker
+//     a byte-identical trace file on every run and at every worker
 //     count. Recording never feeds back into the simulation — a traced
 //     run produces exactly the reports an untraced run does.
 //   - Zero cost when off: every Recorder method is nil-receiver safe,

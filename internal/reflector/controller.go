@@ -21,12 +21,6 @@ func NewController(dev *Reflector) *Controller {
 // unknown commands.
 func (c *Controller) HandleControl(m control.Message) control.Message {
 	switch m.Type {
-	case control.MsgSetRXBeam:
-		applied := c.Dev.SetRXBeam(control.WireToAngle(m.Value))
-		return control.Message{Type: control.MsgAck, Value: control.AngleToWire(applied)}
-	case control.MsgSetTXBeam:
-		applied := c.Dev.SetTXBeam(control.WireToAngle(m.Value))
-		return control.Message{Type: control.MsgAck, Value: control.AngleToWire(applied)}
 	case control.MsgSetBothBeams:
 		applied := c.Dev.SetBothBeams(control.WireToAngle(m.Value))
 		return control.Message{Type: control.MsgAck, Value: control.AngleToWire(applied)}

@@ -16,7 +16,7 @@ func ctl() (*Controller, *Reflector) {
 func TestControllerBeamCommands(t *testing.T) {
 	c, dev := ctl()
 	reply := c.HandleControl(control.Message{
-		Type: control.MsgSetRXBeam, Value: control.AngleToWire(250),
+		Type: control.MsgSetBothBeams, Value: control.AngleToWire(250),
 	})
 	if reply.Type != control.MsgAck {
 		t.Fatalf("reply = %+v", reply)
@@ -24,27 +24,20 @@ func TestControllerBeamCommands(t *testing.T) {
 	if got := control.WireToAngle(reply.Value); math.Abs(got-250) > 0.1 {
 		t.Errorf("acked angle = %v", got)
 	}
-	if math.Abs(dev.RXBeamDeg()-250) > 0.1 {
-		t.Errorf("rx beam = %v", dev.RXBeamDeg())
-	}
-
-	c.HandleControl(control.Message{Type: control.MsgSetTXBeam, Value: control.AngleToWire(300)})
-	if math.Abs(dev.TXBeamDeg()-300) > 0.1 {
-		t.Errorf("tx beam = %v", dev.TXBeamDeg())
-	}
-
-	c.HandleControl(control.Message{Type: control.MsgSetBothBeams, Value: control.AngleToWire(280)})
-	if dev.RXBeamDeg() != dev.TXBeamDeg() {
-		t.Error("both-beams command did not align beams")
+	if math.Abs(dev.RXBeamDeg()-250) > 0.1 || math.Abs(dev.TXBeamDeg()-250) > 0.1 {
+		t.Errorf("beams = %v/%v, want both at 250", dev.RXBeamDeg(), dev.TXBeamDeg())
 	}
 
 	// Out-of-scan-range request: the ack reports the clamped angle.
 	reply = c.HandleControl(control.Message{
-		Type: control.MsgSetRXBeam, Value: control.AngleToWire(90), // opposite the mount
+		Type: control.MsgSetBothBeams, Value: control.AngleToWire(90), // opposite the mount
 	})
 	applied := control.WireToAngle(reply.Value)
 	if math.Abs(applied-90) < 1 {
 		t.Errorf("impossible angle should clamp, acked %v", applied)
+	}
+	if dev.RXBeamDeg() != dev.TXBeamDeg() {
+		t.Error("both-beams command did not align beams")
 	}
 }
 

@@ -131,8 +131,5 @@ func executeFleet(ctx context.Context, f FleetJobSpec, runner *pool.Runner, onSe
 	if len(f.Variants) > 1 {
 		title += " [" + strings.Join(f.Variants, "+") + "]"
 	}
-	if f.Shard != nil {
-		title += fmt.Sprintf(" [shard %d/%d]", f.Shard.Index, f.Shard.Count)
-	}
 	return res, title, trace, nil
 }

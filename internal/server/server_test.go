@@ -184,6 +184,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		"unknown field": `{"kind":"fleet","fleet":{"sessons":3}}`,
 		"unknown kind":  `{"kind":"warp"}`,
 		"bad scenario":  `{"kind":"fleet","fleet":{"scenario":"stadium"}}`,
+		// Fleet jobs always run whole; a spec asking for one shard
+		// must not silently run the whole job instead.
+		"retired shard field": `{"kind":"fleet","fleet":{"sessions":4,"seed":2,"shard":{"index":0,"count":2}}}`,
 	} {
 		resp, _ := postJob(t, ts, body, false)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -63,14 +63,6 @@ type JobSpec struct {
 	Map   *MapJobSpec   `json:"map,omitempty"`
 }
 
-// ShardSpec selects one contiguous session-range shard of a fleet job:
-// the expanded session list is split into Count equal(±1) contiguous
-// ranges and only range Index runs. The shard coordinates participate
-// in the canonical hash — each shard is its own cacheable job — and
-// shard 0/1 (the whole job) normalizes to the omitted field, so
-// unsharded specs keep their pre-shard hashes.
-type ShardSpec = fleet.Shard
-
 // FleetJobSpec parameterizes a multi-session fleet run.
 type FleetJobSpec struct {
 	// Scenario is the generator kind: mixed|arcade|home|dense|coex|
@@ -147,16 +139,11 @@ type FleetJobSpec struct {
 
 	// Agg selects the aggregation path: "exact" (default — every
 	// per-session outcome retained in the result) or "stream"
-	// (constant-memory mergeable sketches; the result carries the
+	// (constant-memory fixed-bin sketches; the result carries the
 	// aggregate plus sketch state and no per-session list). Exact is
 	// canonically spelled as the omitted field, so pre-streaming specs
 	// keep their hashes.
 	Agg string `json:"agg,omitempty"`
-
-	// Shard, when set, runs only one contiguous session-range shard of
-	// the job (see ShardSpec). Shard count may not exceed Sessions, so
-	// every shard is non-empty.
-	Shard *ShardSpec `json:"shard,omitempty"`
 }
 
 // Fig9JobSpec parameterizes the §5.2 SNR-improvement study.
@@ -316,8 +303,8 @@ func (f FleetJobSpec) normalize() (FleetJobSpec, error) {
 	}
 	// Each default a field held before it existed is spelled as the
 	// omitted field — round-robin policy, exact aggregation off the
-	// venue, the whole job — so older specs keep their hashes. The
-	// venue streams by default, so its explicit exact stays.
+	// venue — so older specs keep their hashes. The venue streams by
+	// default, so its explicit exact stays.
 	c := job.Config
 	f.Scenario, f.Sessions, f.HeadsetsPerRoom = string(job.Kind), job.Sessions, c.HeadsetsPerRoom
 	f.CoexPolicy = string(c.CoexPolicy)
@@ -328,13 +315,6 @@ func (f FleetJobSpec) normalize() (FleetJobSpec, error) {
 	f.Agg = job.Agg
 	if job.Agg == fleet.AggExact && !fleet.IsVenueKind(job.Kind) {
 		f.Agg = ""
-	}
-	f.Shard = nil
-	if job.Shard != (fleet.Shard{}) {
-		// A fresh copy, so the normalized spec never aliases the
-		// caller's.
-		sh := job.Shard
-		f.Shard = &sh
 	}
 	return f, nil
 }
@@ -411,9 +391,6 @@ func (f FleetJobSpec) job() fleet.Job {
 			VenueInterferenceOff: f.InterferenceOff,
 			VenueAdmission:       f.Admission,
 		},
-	}
-	if f.Shard != nil {
-		j.Shard = *f.Shard
 	}
 	return j
 }

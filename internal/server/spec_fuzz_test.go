@@ -12,8 +12,10 @@ import (
 // normalize to itself and hash like the raw one; and its canonical JSON
 // must decode back to a spec with that hash. The seed corpus under
 // testdata/fuzz/FuzzJobSpec holds both halves of each equivalent
-// spelling — coexpf vs coex + pf, agg exact vs omitted, shard {0,1} vs
-// none, v 1 vs omitted — plus invalid and venue specs.
+// spelling — coexpf vs coex + pf, agg exact vs omitted, v 1 vs omitted
+// — plus invalid and venue specs, and specs carrying the retired
+// "shard" field, which this lenient decode drops and movrd's strict
+// decoder rejects.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var spec JobSpec

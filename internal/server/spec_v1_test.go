@@ -71,64 +71,3 @@ func TestAggModeHashing(t *testing.T) {
 		t.Fatal("unknown agg mode accepted")
 	}
 }
-
-// TestShardSpecHashing pins the shard field's hash behavior: shard 0/1
-// (and the zero value) fold away so unsharded specs keep their hashes,
-// distinct shards of one job hash distinctly, and out-of-range
-// coordinates are invalid.
-func TestShardSpecHashing(t *testing.T) {
-	mk := func(sh *ShardSpec) JobSpec {
-		return JobSpec{Kind: "fleet", Fleet: &FleetJobSpec{Scenario: "home", Sessions: 8, Seed: 5, Shard: sh}}
-	}
-	h0, err := mk(nil).Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range []*ShardSpec{{}, {Index: 0, Count: 1}} {
-		h, err := mk(sh).Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h != h0 {
-			t.Fatalf("shard %+v changed the canonical hash", *sh)
-		}
-	}
-	norm, err := mk(&ShardSpec{Index: 0, Count: 1}).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Fleet.Shard != nil {
-		t.Fatal("shard 0/1 did not fold away in the normalized spec")
-	}
-	seen := map[string]bool{h0: true}
-	for i := 0; i < 4; i++ {
-		h, err := mk(&ShardSpec{Index: i, Count: 4}).Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[h] {
-			t.Fatalf("shard %d/4 hash collides with another spec", i)
-		}
-		seen[h] = true
-	}
-	for _, sh := range []ShardSpec{
-		{Index: 0, Count: -1},
-		{Index: 4, Count: 4},
-		{Index: -1, Count: 4},
-		{Index: 0, Count: 9}, // count > sessions
-	} {
-		sh := sh
-		if _, err := mk(&sh).Hash(); err == nil {
-			t.Fatalf("invalid shard %+v accepted", sh)
-		}
-	}
-	// Normalization must not alias the caller's ShardSpec.
-	in := &ShardSpec{Index: 1, Count: 4}
-	norm, err = mk(in).Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm.Fleet.Shard == in {
-		t.Fatal("normalized spec aliases the caller's ShardSpec")
-	}
-}

@@ -21,7 +21,7 @@
 //     from the neighbors' room-owned geometry snapshots (coex.Geometry:
 //     who holds each window's slots, and where they stand) — so
 //     cross-bay coupling costs one table per bay, not a tracer run, and
-//     is bit-reproducible across runs, shards and worker counts.
+//     is bit-reproducible across runs and worker counts.
 package venue
 
 import (

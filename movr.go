@@ -207,15 +207,8 @@ var (
 	RunFleetCollect = fleet.RunCollect
 
 	// NewFleetStreamCollector builds the streaming collector sized for
-	// a spec set; always size it from the full pre-shard set so shard
-	// states stay mergeable.
+	// a spec set: its outage sketch spans the longest session.
 	NewFleetStreamCollector = fleet.StreamCollectorFor
-
-	// MergeFleetShardResults merges per-shard fleet results back into
-	// the whole-fleet aggregate: exact-path merges reproduce the
-	// unsharded run bit-identically, sketch merges are identical
-	// across merge orders.
-	MergeFleetShardResults = fleet.MergeShardResults
 
 	// MixedFleet generates a deterministic multi-session deployment
 	// that interleaves arcade bays, homes and cluttered rooms.

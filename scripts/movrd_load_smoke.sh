@@ -3,7 +3,10 @@
 # against a live daemon (asserting p95 submit-to-done latency), overrun
 # its queue to draw real 429 backpressure, then kill the daemon
 # uncleanly and assert the restarted process serves the persisted
-# result from its durable store without re-executing. The CI load-smoke
+# result from its durable store without re-executing. The restarted
+# daemon then runs and stores one fresh spec and is stopped with
+# SIGTERM, so a coverage-instrumented build (GOFLAGS='-cover ...', as
+# scripts/prodcover.sh runs it) writes its counters. The CI load-smoke
 # job and `make load-smoke` both run this.
 set -eu
 
@@ -104,5 +107,20 @@ curl -s "http://$addr/metrics" >"$workdir/metrics"
 grep -q '^movrd_store_hits_total 1$' "$workdir/metrics" || fail "/metrics does not report the durable-store hit"
 grep -q '^movrd_jobs_done_total 1$' "$workdir/metrics" || fail "restarted daemon re-executed instead of serving the store"
 echo "movrd-load-smoke: restart served the persisted result (sha $sha1)"
+
+# The restarted daemon executes and durably stores a spec of its own,
+# then shuts down cleanly on SIGTERM.
+fresh='{"kind":"fleet","fleet":{"scenario":"home","sessions":2,"seed":4243,"duration_ms":300}}'
+code="$(curl -s -D "$workdir/h3" -o "$workdir/r3" -w '%{http_code}' \
+    -X POST -H 'Content-Type: application/json' -d "$fresh" \
+    "http://$addr/v1/jobs?wait=1")"
+[ "$code" = 200 ] || fail "fresh submit after restart returned $code"
+grep -qi '^x-movr-cache: miss' "$workdir/h3" || fail "fresh submit after restart was not executed"
+kill "$pid"
+status=0
+wait "$pid" || status=$?
+pid=""
+[ "$status" = 0 ] || fail "restarted daemon exited $status on SIGTERM"
+echo "movrd-load-smoke: restarted daemon stored a fresh result and stopped cleanly"
 
 echo "movrd-load-smoke: PASS"

@@ -5,15 +5,15 @@
 # `make prod-cover` and the CI prod-cover step both run it.
 #
 # Runs: movrsim -fast -seed 1 all; movrsim -h; movrsim -fast fleet for
-# every scenario kind, plus a two-shard coex run and a streamed mixed
-# run; movrsim -trace on a coex fleet and movrtrace -analyze on that
-# trace; movrsim -fast bench gated against BENCH_baseline.json with
-# profiles, stamped with a fixed revision so a checkout without .git
-# runs the same code (its exit status 1 is the compare verdict, which
-# the bench-gate job owns); movrtrace -out, then -in on its output;
-# every examples/ program; and scripts/movrd_smoke.sh against an
-# instrumented movrd, which writes its counters when the smoke stops it
-# with SIGTERM.
+# every scenario kind, plus a streamed mixed run; movrsim -trace on a
+# coex fleet and movrtrace -analyze on that trace; movrsim -fast bench
+# gated against BENCH_baseline.json with profiles, stamped with a fixed
+# revision so a checkout without .git runs the same code (its exit
+# status 1 is the compare verdict, which the bench-gate job owns);
+# movrtrace -out, then -in on its output; every examples/ program; and
+# scripts/movrd_smoke.sh and scripts/movrd_load_smoke.sh against
+# instrumented movrd and movrload builds. Each smoke stops its last
+# daemon with SIGTERM, so the daemon writes its counters.
 #
 # Each function that never ran is then checked against testonly_test.go:
 #   - one in internal/server, internal/metrics, internal/movrclient,
@@ -39,7 +39,6 @@ bin="$workdir/bin"
 for kind in mixed arcade home dense coex coexpf coexedf venue; do
     "$bin/movrsim" -fast -scenario "$kind" fleet >/dev/null 2>&1
 done
-"$bin/movrsim" -fast -scenario coex -sessions 4 -shard 0/2 fleet >/dev/null 2>&1
 "$bin/movrsim" -fast -scenario mixed -agg stream fleet >/dev/null 2>&1
 "$bin/movrsim" -fast -scenario coex -sessions 4 -seed 7 -trace "$workdir/trace.json" fleet >/dev/null 2>&1
 "$bin/movrtrace" -analyze "$workdir/trace.json" >/dev/null
@@ -54,6 +53,8 @@ for ex in "$repo"/examples/*/; do
 done
 GOFLAGS='-cover -coverpkg=./...' sh scripts/movrd_smoke.sh >"$workdir/smoke.log" ||
     { cat "$workdir/smoke.log" >&2; exit 1; }
+GOFLAGS='-cover -coverpkg=./...' sh scripts/movrd_load_smoke.sh >"$workdir/load.log" ||
+    { cat "$workdir/load.log" >&2; exit 1; }
 unset GOCOVERDIR
 
 # The allowlist keys: package directory, then Type.Method or Func.

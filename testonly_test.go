@@ -98,10 +98,7 @@ var prodCoverAllowed = map[string]string{
 	"internal/coex.edfPolicy.weightedQuotas":    "EDF quotas under Room.Weights, whose deletion edits cmd/movrbench and so waits for a change that may touch the benchmark",
 	"internal/dsp.IFFT":                         "OFDM modulation of the signal-path reference (§5.2) the e2e test checks the analytic budget against",
 	"internal/geom.MirrorPoint":                 "image source behind the SpecularPoint oracle the channel golden tests rebuild reflections with",
-	"internal/fleet.MergeShardResults":          "shard merge that only ExampleMergeFleetShardResults reaches",
-	"internal/fleet.MergeStreamStates":          "shard merge of streamed aggregates that only ExampleMergeFleetShardResults reaches",
-	"internal/fleet.MetricSketch.merge":         "sketch merge under MergeStreamStates, which only ExampleMergeFleetShardResults reaches",
-	"internal/fleet.Histogram.UnmarshalJSON":    "decodes a shard's histogram for MergeShardResults, which only ExampleMergeFleetShardResults reaches",
+	"internal/fleet.Histogram.UnmarshalJSON":    "decodes every streamed movrd result in cmd/movrbench (resultFrames), a module of its own outside the census",
 }
 
 // TestNoTestOnlyCode fails on any function or method, in either module
