@@ -178,9 +178,9 @@ func BenchmarkArrayGain(b *testing.B) {
 }
 
 // BenchmarkTracer measures a full path trace in the office (direct +
-// first + second order reflections).
+// first-order reflections).
 func BenchmarkTracer(b *testing.B) {
-	world := movr.NewWorld(2)
+	world := movr.NewWorld(1)
 	tx, rx := movr.V(0.5, 0.5), movr.V(4.2, 3.7)
 	world.Room.AddObstacle(movr.Hand(movr.V(2.2, 2.0)))
 	for i := 0; i < b.N; i++ {
@@ -195,7 +195,7 @@ func BenchmarkTracer(b *testing.B) {
 // API — the steady-state hot path, which performs zero heap allocations
 // once the buffer has warmed up (compare allocs/op with BenchmarkTracer).
 func BenchmarkTracerInto(b *testing.B) {
-	world := movr.NewWorld(2)
+	world := movr.NewWorld(1)
 	tx, rx := movr.V(0.5, 0.5), movr.V(4.2, 3.7)
 	world.Room.AddObstacle(movr.Hand(movr.V(2.2, 2.0)))
 	var buf []channel.Path

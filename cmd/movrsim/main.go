@@ -39,8 +39,6 @@
 //	              window, e.g. 200us (coex family, default 0 = off); one that
 //	              leaves a bay no downlink airtime is an error
 //	-bays N       venue bay-grid size (venue scenario, default 4, max 64)
-//	-players-per-bay N
-//	              alias of -players, as the venue quickstart spells it
 //	-channels N   venue channel budget for bay assignment (venue, default 3, max 4)
 //	-assign M     venue channel assignment: color|fixed (venue, default color)
 //	-interference-off
@@ -287,17 +285,16 @@ func runMap(workers int) {
 // fleet.Job's knobs: every rule and default is the job's own, so the
 // CLI accepts and runs exactly what the movrd job API does.
 type fleetFlags struct {
-	scenario, policy, assign, admission, agg         string
-	sessions, players, playersPerBay, bays, channels int
-	uplink                                           time.Duration
-	interferenceOff                                  bool
+	scenario, policy, assign, admission, agg string
+	sessions, players, bays, channels        int
+	uplink                                   time.Duration
+	interferenceOff                          bool
 }
 
 func (f *fleetFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.scenario, "scenario", "mixed", "fleet scenario: "+movr.FleetScenarioNames())
 	fs.IntVar(&f.sessions, "sessions", 0, "fleet session count (0 = 24; venue: bays × players per bay)")
 	fs.IntVar(&f.players, "players", 0, "players sharing each coex bay's medium (coex scenarios; 0 = 4)")
-	fs.IntVar(&f.playersPerBay, "players-per-bay", 0, "alias of -players, as the venue quickstart spells it")
 	fs.StringVar(&f.policy, "coex-policy", "", "airtime policy for coex bays: "+movr.CoexPolicyNames()+" (coex scenarios; default rr)")
 	fs.DurationVar(&f.uplink, "uplink", 0, "pose-uplink sub-slot reserved per player per window (coex scenarios; 0 = off)")
 	fs.IntVar(&f.bays, "bays", 0, "venue bay-grid size (venue scenario; 0 = 4)")
@@ -321,13 +318,6 @@ var cliNames = fleet.Frontend{
 // job maps the flags onto the fleet job they describe and resolves it.
 // A -fast run plays 2 s at a 100 ms cadence instead of 10 s at 50 ms.
 func (f fleetFlags) job(seed int64, fast bool) (fleet.Job, error) {
-	names, players := cliNames, f.players
-	if f.playersPerBay != 0 {
-		if f.players != 0 && f.players != f.playersPerBay {
-			return fleet.Job{}, fmt.Errorf("-players %d conflicts with -players-per-bay %d", f.players, f.playersPerBay)
-		}
-		names.Players, players = "-players-per-bay", f.playersPerBay
-	}
 	j := fleet.Job{
 		Kind:     fleet.Kind(f.scenario),
 		Sessions: f.sessions,
@@ -335,7 +325,7 @@ func (f fleetFlags) job(seed int64, fast bool) (fleet.Job, error) {
 		Config: fleet.ScenarioConfig{
 			Seed:                 seed,
 			Duration:             10 * time.Second,
-			HeadsetsPerRoom:      players,
+			HeadsetsPerRoom:      f.players,
 			CoexPolicy:           movr.CoexPolicyName(f.policy),
 			CoexUplink:           f.uplink,
 			VenueBays:            f.bays,
@@ -349,7 +339,7 @@ func (f fleetFlags) job(seed int64, fast bool) (fleet.Job, error) {
 		j.Config.Duration = 2 * time.Second
 		j.Config.ReEvalPeriod = 100 * time.Millisecond
 	}
-	return j.Resolve(names)
+	return j.Resolve(cliNames)
 }
 
 // runFleet runs a resolved fleet job and prints its report under title.

@@ -47,13 +47,12 @@ func TestFleetFlagRejections(t *testing.T) {
 		// The coex-family rules.
 		{"players on mixed", []string{"-players", "2"}, `-players is only meaningful for the "coex" scenario family`},
 		{"too many players", []string{"-scenario", "coex", "-players", "9"}, "-players 9 exceeds the limit of 8"},
-		{"too many players per bay", []string{"-scenario", "venue", "-players-per-bay", "9"}, "-players-per-bay 9 exceeds"},
+		{"too many players per bay", []string{"-scenario", "venue", "-players", "9"}, "-players 9 exceeds"},
 		{"policy on home", []string{"-scenario", "home", "-coex-policy", "pf"}, "-coex-policy is only meaningful"},
 		{"shorthand conflict", []string{"-scenario", "coexpf", "-coex-policy", "edf"}, `-scenario "coexpf" conflicts with -coex-policy "edf"`},
 		{"negative uplink", []string{"-scenario", "coex", "-uplink", "-1ms"}, "-uplink -1ms must not be negative"},
 		{"uplink on dense", []string{"-scenario", "dense", "-uplink", "1ms"}, "-uplink is only meaningful"},
 		// Flag spellings of their own.
-		{"players alias conflict", []string{"-scenario", "venue", "-players", "3", "-players-per-bay", "4"}, "conflicts"},
 		{"unknown agg", []string{"-agg", "sketch"}, `unknown -agg "sketch"`},
 	}
 	for _, tc := range cases {
@@ -97,11 +96,11 @@ func TestVenueFlagsResolveLikeTheJobAPI(t *testing.T) {
 		t.Errorf("-agg exact resolved to %q", job.Agg)
 	}
 
-	job, err = fleetJobFromArgs(t, "-scenario", "coexedf", "-players-per-bay", "3")
+	job, err = fleetJobFromArgs(t, "-scenario", "coexedf", "-players", "3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Kind != fleet.KindCoex || job.Config.CoexPolicy != "edf" || job.Config.HeadsetsPerRoom != 3 || job.Sessions != 24 {
-		t.Errorf("coexedf -players-per-bay 3 resolved to %+v", job)
+		t.Errorf("coexedf -players 3 resolved to %+v", job)
 	}
 }

@@ -16,7 +16,11 @@ import (
 // rig builds an AP in the south-west corner and a reflector on the north
 // wall, the standard alignment geometry.
 func rig(reflPos geom.Vec, seed int64) (*Sweeper, *radio.AP, *reflector.Reflector) {
-	rm := room.NewOffice5x5()
+	return rigIn(room.NewOffice5x5(), reflPos, seed)
+}
+
+// rigIn is rig in a room the caller keeps, to place blockers in later.
+func rigIn(rm *room.Room, reflPos geom.Vec, seed int64) (*Sweeper, *radio.AP, *reflector.Reflector) {
 	b := channel.DefaultBudget()
 	tr := channel.NewTracer(rm, b.FreqHz, 0)
 	ap := radio.NewAP(geom.V(0.4, 0.4), antenna.Default(45), b)
@@ -151,7 +155,8 @@ func TestBlockageDegradesMeasurement(t *testing.T) {
 	// A floor-to-ceiling column between AP and reflector weakens the
 	// backscatter. (A person would not: the AP→reflector ray runs above
 	// head height — that is the point of mounting reflectors high.)
-	s, ap, dev := rig(geom.V(2.5, 5), 6)
+	rm := room.NewOffice5x5()
+	s, ap, dev := rigIn(rm, geom.V(2.5, 5), 6)
 	if err := s.prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +167,7 @@ func TestBlockageDegradesMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := ap.Pos.Lerp(dev.Pos(), 0.5)
-	s.Tracer.Room.AddObstacle(room.Column(mid, 0.2))
+	rm.AddObstacle(room.Column(mid, 0.2))
 	blocked, err := s.MeasureSidebandPower(truthAP, truthRefl)
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +193,9 @@ func TestErrorDeg(t *testing.T) {
 // power — direct AP↔reflector leg, blockage included — allocates
 // nothing, however many (θ1, θ2) pairs a sweep probes.
 func TestReflectedPowerZeroAllocs(t *testing.T) {
-	s, ap, dev := rig(geom.V(2.5, 5), 1)
-	s.Tracer.Room.AddObstacle(room.Hand(geom.V(1.4, 2.6)))
+	rm := room.NewOffice5x5()
+	s, ap, dev := rigIn(rm, geom.V(2.5, 5), 1)
+	rm.AddObstacle(room.Hand(geom.V(1.4, 2.6)))
 	ap.SteerToward(dev.Pos())
 	dev.SetRXBeam(GroundTruthDeg(dev, ap))
 	dev.SetTXBeam(GroundTruthDeg(dev, ap))

@@ -36,7 +36,7 @@ const SchemaVersion = 2
 // Spec is one benchmark in the suite.
 type Spec struct {
 	// Name is the stable identifier the gate keys on (e.g.
-	// "tracer/office2b").
+	// "tracer/office1b").
 	Name string
 
 	// Warmup and Reps are the unmeasured and measured repetition counts.

@@ -266,7 +266,7 @@ func TestCompareSchemaMismatchFails(t *testing.T) {
 // committed baseline keys on.
 func TestSuiteShape(t *testing.T) {
 	want := []string{
-		"tracer/office2b", "linkmgr/step", "gainctl/optimize", "coex/snapshot", "fig9/trial",
+		"tracer/office1b", "linkmgr/step", "gainctl/optimize", "coex/snapshot", "fig9/trial",
 		"obs/record", "obs/off",
 		"fleet/mixed", "fleet/arcade", "fleet/home", "fleet/dense",
 		"fleet/coex", "fleet/coexpf", "fleet/coexedf", "fleet/venue",
@@ -296,7 +296,7 @@ func TestSuiteTracerRuns(t *testing.T) {
 	}
 	var specs []Spec
 	for _, sp := range Suite() {
-		if sp.Name == "tracer/office2b" || sp.Name == "linkmgr/step" {
+		if sp.Name == "tracer/office1b" || sp.Name == "linkmgr/step" {
 			specs = append(specs, sp)
 		}
 	}

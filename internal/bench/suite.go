@@ -48,19 +48,19 @@ func Suite() []Spec {
 }
 
 // tracerSpec measures one steady-state TraceHInto in the furnished
-// office at full reflection order with two blockers standing — the
-// innermost loop of every experiment, which the tentpole refactor made
-// allocation-free.
+// office at reflection order 1 (the highest a tracer traces) with two
+// blockers standing — the innermost loop of every experiment, which
+// must stay allocation-free.
 func tracerSpec() Spec {
 	rm := room.NewOffice5x5()
 	rm.AddObstacle(room.Hand(geom.V(2.2, 2.0)))
 	rm.AddObstacle(room.Body(geom.V(3.1, 3.4)))
 	budget := channel.DefaultBudget()
-	tr := channel.NewTracer(rm, budget.FreqHz, 2)
+	tr := channel.NewTracer(rm, budget.FreqHz, 1)
 	tx, rx := geom.V(0.5, 0.5), geom.V(4.2, 3.7)
 	var buf []channel.Path
 	return Spec{
-		Name:      "tracer/office2b",
+		Name:      "tracer/office1b",
 		Warmup:    5,
 		Reps:      30,
 		OpsPerRep: 2000,

@@ -66,38 +66,29 @@ func TestSingleBouncePaths(t *testing.T) {
 	}
 }
 
+// TestDoubleBouncePaths pins the reflection-order cap: a tracer asked
+// for order 2 traces no double bounces, only the order-1 path set.
 func TestDoubleBouncePaths(t *testing.T) {
-	tr := NewTracer(office(), units.ISM24GHz, 2)
+	rm := office()
 	tx, rx := geom.V(1, 1.5), geom.V(4, 3.5)
-	paths := tr.Trace(tx, rx)
-	var doubles []Path
-	for _, p := range paths {
-		if p.Bounces == 2 {
-			doubles = append(doubles, p)
+	got := NewTracer(rm, units.ISM24GHz, 2).Trace(tx, rx)
+	want := NewTracer(rm, units.ISM24GHz, 1).Trace(tx, rx)
+	for _, p := range got {
+		if p.Bounces > 1 {
+			t.Fatalf("traced a %d-bounce path: %+v", p.Bounces, p)
 		}
 	}
-	if len(doubles) == 0 {
-		t.Fatal("expected at least one double-bounce path in a rectangular room")
-	}
-	for _, p := range doubles {
-		if len(p.Points) != 4 {
-			t.Errorf("double bounce should have 4 points, got %d", len(p.Points))
-		}
-		// Two bounces accumulate two reflection losses.
-		if p.ReflLossDB < 2*room.Metal.ReflLossDB {
-			t.Errorf("double-bounce refl loss = %v, too small", p.ReflLossDB)
-		}
-	}
+	pathsBitIdentical(t, "order 2", got, want)
 }
 
 func TestMaxBouncesClamp(t *testing.T) {
 	tr := NewTracer(office(), units.ISM24GHz, 99)
-	if tr.MaxBounces != 2 {
-		t.Errorf("MaxBounces = %d, want clamp to 2", tr.MaxBounces)
+	if tr.maxBounces != 1 {
+		t.Errorf("maxBounces = %d, want clamp to 1", tr.maxBounces)
 	}
 	tr = NewTracer(office(), units.ISM24GHz, -3)
-	if tr.MaxBounces != 0 {
-		t.Errorf("MaxBounces = %d, want clamp to 0", tr.MaxBounces)
+	if tr.maxBounces != 0 {
+		t.Errorf("maxBounces = %d, want clamp to 0", tr.maxBounces)
 	}
 }
 
@@ -302,7 +293,7 @@ func TestQuickChannelReciprocity(t *testing.T) {
 // of the direct distance (triangle inequality + nonnegative extra losses).
 func TestQuickLossLowerBound(t *testing.T) {
 	rm := office()
-	tr := NewTracer(rm, units.ISM24GHz, 2)
+	tr := NewTracer(rm, units.ISM24GHz, 1)
 	f := func(ax, ay, bx, by float64) bool {
 		tx := geom.V(0.3+math.Abs(math.Mod(ax, 4.4)), 0.3+math.Abs(math.Mod(ay, 4.4)))
 		rx := geom.V(0.3+math.Abs(math.Mod(bx, 4.4)), 0.3+math.Abs(math.Mod(by, 4.4)))

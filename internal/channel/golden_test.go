@@ -6,12 +6,13 @@ package channel
 // is a frozen verbatim copy of that implementation (it recomputes every
 // mirror image and allocates fresh slices per call); TestTraceGolden
 // drives both over seeded rooms, obstacles, endpoints, heights, carriers
-// and bounce orders and compares every float via math.Float64bits.
+// and reflection orders and compares every float via math.Float64bits.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/movr-sim/movr/internal/geom"
@@ -23,14 +24,11 @@ import (
 
 func referenceTraceH(t *Tracer, tx, rx geom.Vec, hTx, hRx float64) []Path {
 	paths := []Path{referenceDirect(t, tx, rx, hTx, hRx)}
-	if t.MaxBounces >= 1 {
+	if t.maxBounces >= 1 {
 		paths = append(paths, referenceSingleBounce(t, tx, rx, hTx, hRx)...)
 	}
-	if t.MaxBounces >= 2 {
-		paths = append(paths, referenceDoubleBounce(t, tx, rx, hTx, hRx)...)
-	}
 	for i := 1; i < len(paths); i++ {
-		for j := i; j > 0 && paths[j].PropagationLossDB(t.FreqHz) < paths[j-1].PropagationLossDB(t.FreqHz); j-- {
+		for j := i; j > 0 && paths[j].PropagationLossDB(t.freqHz) < paths[j-1].PropagationLossDB(t.freqHz); j-- {
 			paths[j], paths[j-1] = paths[j-1], paths[j]
 		}
 	}
@@ -51,7 +49,7 @@ func referenceDirect(t *Tracer, tx, rx geom.Vec, hTx, hRx float64) Path {
 
 func referenceSingleBounce(t *Tracer, tx, rx geom.Vec, hTx, hRx float64) []Path {
 	var paths []Path
-	for _, w := range t.Room.Walls() {
+	for _, w := range t.room.Walls() {
 		hit, ok := geom.SpecularPoint(tx, rx, w.Seg)
 		if !ok {
 			continue
@@ -74,53 +72,11 @@ func referenceSingleBounce(t *Tracer, tx, rx geom.Vec, hTx, hRx float64) []Path 
 	return paths
 }
 
-func referenceDoubleBounce(t *Tracer, tx, rx geom.Vec, hTx, hRx float64) []Path {
-	var paths []Path
-	walls := t.Room.Walls()
-	for i, w1 := range walls {
-		img1 := geom.MirrorPoint(tx, w1.Seg)
-		for j, w2 := range walls {
-			if i == j {
-				continue
-			}
-			hit2, ok := geom.SpecularPoint(img1, rx, w2.Seg)
-			if !ok {
-				continue
-			}
-			hit1, ok := geom.SpecularPoint(tx, hit2, w1.Seg)
-			if !ok {
-				continue
-			}
-			l1 := tx.Dist(hit1)
-			l2 := hit1.Dist(hit2)
-			l3 := hit2.Dist(rx)
-			total := l1 + l2 + l3
-			h1 := hTx + (hRx-hTx)*l1/total
-			h2 := hTx + (hRx-hTx)*(l1+l2)/total
-			p := Path{
-				Kind:    Reflected,
-				Points:  []geom.Vec{tx, hit1, hit2, rx},
-				Bounces: 2,
-				AoDDeg:  units.NormalizeDeg(geom.DirectionDeg(tx, hit1)),
-				AoADeg:  units.NormalizeDeg(geom.DirectionDeg(rx, hit2)),
-				LengthM: total,
-				ReflLossDB: w1.Mat.ReflLossDB +
-					w2.Mat.ReflLossDB,
-				BlockLossDB: referenceLegBlockageDB(t, tx, hit1, hTx, h1) +
-					referenceLegBlockageDB(t, hit1, hit2, h1, h2) +
-					referenceLegBlockageDB(t, hit2, rx, h2, hRx),
-			}
-			paths = append(paths, p)
-		}
-	}
-	return paths
-}
-
 func referenceLegBlockageDB(t *Tracer, a, b geom.Vec, hA, hB float64) float64 {
-	lambda := units.Wavelength(t.FreqHz)
+	lambda := units.Wavelength(t.freqHz)
 	seg := geom.Seg(a, b)
 	total := 0.0
-	for _, o := range t.Room.Obstacles() {
+	for _, o := range t.room.Obstacles() {
 		total += obstacleLossDB(seg, o, lambda, hA, hB)
 	}
 	return total
@@ -140,15 +96,16 @@ func goldenRoom(rng *rand.Rand) *room.Room {
 	default:
 		w := 3 + rng.Float64()*5
 		d := 3 + rng.Float64()*5
-		var err error
-		rm, err = room.New(w, d, room.Concrete)
-		if err != nil {
-			panic(err)
-		}
+		var interior []room.Wall
 		for i := rng.Intn(3); i > 0; i-- {
 			a := geom.V(rng.Float64()*w, rng.Float64()*d)
 			b := geom.V(rng.Float64()*w, rng.Float64()*d)
-			rm.AddWall(room.Wall{Seg: geom.Seg(a, b), Mat: room.Metal})
+			interior = append(interior, room.Wall{Seg: geom.Seg(a, b), Mat: room.Metal})
+		}
+		var err error
+		rm, err = room.New(w, d, room.Concrete, interior...)
+		if err != nil {
+			panic(err)
 		}
 	}
 	for i := rng.Intn(4); i > 0; i-- {
@@ -210,7 +167,7 @@ func TestTraceGolden(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		rm := goldenRoom(rng)
 		freq := freqs[rng.Intn(len(freqs))]
-		bounces := rng.Intn(3)
+		bounces := rng.Intn(2)
 		tr := NewTracer(rm, freq, bounces)
 		for c := 0; c < 8; c++ {
 			tx := geom.V(rng.Float64()*rm.WidthM, rng.Float64()*rm.DepthM)
@@ -227,20 +184,31 @@ func TestTraceGolden(t *testing.T) {
 	}
 }
 
-// TestTraceGoldenWallsAddedLater pins the cache-invalidation path: walls
-// appended to the room after NewTracer must still be traced, identically
-// to the reference.
-func TestTraceGoldenWallsAddedLater(t *testing.T) {
+// TestTracerConcurrentReaders pins the Tracer's concurrency contract: a
+// trace writes no tracer state, so goroutines sharing one tracer, each
+// with its own buffer, trace exactly what a lone trace does (run under
+// -race to check the "writes nothing" half).
+func TestTracerConcurrentReaders(t *testing.T) {
 	rm := room.NewOffice5x5()
-	tr := NewTracer(rm, units.ISM24GHz, 2)
-	tx, rx := geom.V(1.2, 1.1), geom.V(3.9, 4.2)
-	// Warm the cache, then mutate the room.
-	_ = tr.Trace(tx, rx)
-	rm.AddWall(room.Wall{Seg: geom.Seg(geom.V(2, 2), geom.V(3.5, 2)), Mat: room.Metal})
-	rm.AddObstacle(room.Head(geom.V(2.5, 3)))
-	want := referenceTraceH(tr, tx, rx, HeightAPM, HeightHeadsetM)
-	got := tr.TraceHInto(nil, tx, rx, HeightAPM, HeightHeadsetM)
-	pathsBitIdentical(t, "post-AddWall", got, want)
+	rm.AddObstacle(room.Body(geom.V(2.5, 2.5)))
+	tr := NewTracer(rm, units.ISM24GHz, 1)
+	tx, rx := geom.V(0.5, 0.5), geom.V(4.2, 3.7)
+	want := tr.Trace(tx, rx)
+	got := make([][]Path, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got[g] = tr.TraceInto(got[g][:0], tx, rx)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		pathsBitIdentical(t, fmt.Sprintf("goroutine %d", g), got[g], want)
+	}
 }
 
 // TestTraceIntoZeroAllocs is the tentpole guard: once the scratch buffer
@@ -249,7 +217,7 @@ func TestTraceIntoZeroAllocs(t *testing.T) {
 	rm := room.NewOffice5x5()
 	rm.AddObstacle(room.Hand(geom.V(2.2, 2.0)))
 	rm.AddObstacle(room.Body(geom.V(3.1, 3.4)))
-	tr := NewTracer(rm, units.ISM24GHz, 2)
+	tr := NewTracer(rm, units.ISM24GHz, 1)
 	tx, rx := geom.V(0.5, 0.5), geom.V(4.2, 3.7)
 	var buf []Path
 	// Warm-up: grows the slice and every Points backing array.

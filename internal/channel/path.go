@@ -1,8 +1,8 @@
 // Package channel implements the mmWave propagation model: a ray tracer
-// over the room geometry (direct path plus first- and second-order
-// specular wall reflections via the image method), knife-edge diffraction
-// losses for obstacles, and the link-budget arithmetic that converts a
-// traced path into received power and SNR.
+// over the room geometry (direct path plus first-order specular wall
+// reflections via the image method), knife-edge diffraction losses for
+// obstacles, and the link-budget arithmetic that converts a traced path
+// into received power and SNR.
 //
 // The model captures the three facts the paper's measurements hinge on
 // (§3): a clear line-of-sight mmWave link has ample SNR; blocking it with
@@ -37,12 +37,11 @@
 // tiers — a hit when nothing relevant moved, a revalidation when only
 // obstacles moved (each cached path's per-obstacle blockage legs are
 // re-checked and re-summed in room-obstacle order), or a full re-trace
-// when endpoints, the wall set, or the obstacle set changed. The
-// revalidation tier recomputes exactly the float expressions a fresh
-// trace would, in the same order, so all three tiers return
-// bit-identical paths (pinned by a 400-step motion fuzz in
-// pathcache_test.go) and all three run allocation-free in steady
-// state.
+// when endpoints or the obstacle set changed. The revalidation tier
+// recomputes exactly the float expressions a fresh trace would, in the
+// same order, so all three tiers return bit-identical paths (pinned by
+// a 400-step motion fuzz in pathcache_test.go) and all three run
+// allocation-free in steady state.
 package channel
 
 import (
@@ -59,7 +58,7 @@ type PathKind int
 const (
 	// Direct is the straight-line path.
 	Direct PathKind = iota
-	// Reflected is a specular wall-reflection path (one or two bounces).
+	// Reflected is a single-bounce specular wall-reflection path.
 	Reflected
 )
 
@@ -213,64 +212,41 @@ func (w *wallGeom) specular(tx, rx geom.Vec) (geom.Vec, bool) {
 
 // Tracer finds propagation paths between points in a room.
 //
-// A Tracer whose wall set and carrier are unchanged since NewTracer (or
-// since the last single-threaded trace) is safe for concurrent readers:
-// steady-state traces only read the precomputed caches. Adding walls or
-// retuning FreqHz triggers an unsynchronized lazy cache rebuild on the
-// next trace, so such mutations — unlike obstacle moves, which touch no
-// tracer state — must not race with traces from other goroutines; do
-// them from one goroutine before fanning out.
+// The room, carrier and reflection order are fixed by NewTracer, and a
+// room's walls by its constructor, so a Tracer holds no state a trace
+// writes: it is safe for concurrent readers. Obstacles are the one part
+// of the traced world that moves; each trace reads them from the room.
 type Tracer struct {
-	// Room is the environment to trace in.
-	Room *room.Room
+	room *room.Room
 
-	// FreqHz is the carrier frequency (used by diffraction math).
-	FreqHz float64
+	// freqHz is the carrier frequency and lambda its wavelength (used by
+	// diffraction math).
+	freqHz float64
+	lambda float64
 
-	// MaxBounces limits reflection order: 0 = direct only, 1 = direct +
-	// single bounce, 2 adds double bounces.
-	MaxBounces int
+	// maxBounces is the reflection order: 0 = direct only, 1 = direct +
+	// single bounce.
+	maxBounces int
 
-	// wallCache holds the per-wall precompute; wallsLen/wallsHead record
-	// the room wall slice it was built from so AddWall after NewTracer
-	// invalidates it (append changes length and usually the backing
-	// array).
-	wallCache []wallGeom
-	wallsLen  int
-	wallsHead *room.Wall
-
-	// lambda caches units.Wavelength(FreqHz); lambdaFreq detects callers
-	// that retune FreqHz after construction.
-	lambda     float64
-	lambdaFreq float64
+	// walls holds the per-wall precompute, in room wall order.
+	walls []wallGeom
 }
 
 // NewTracer returns a Tracer for the room at the given carrier with the
-// given maximum reflection order (clamped to [0, 2]). The per-wall
+// given maximum reflection order (clamped to [0, 1]). The per-wall
 // mirror-image transforms and material losses are precomputed here.
 func NewTracer(rm *room.Room, freqHz float64, maxBounces int) *Tracer {
-	if maxBounces < 0 {
-		maxBounces = 0
+	ws := rm.Walls()
+	t := &Tracer{
+		room:       rm,
+		freqHz:     freqHz,
+		lambda:     units.Wavelength(freqHz),
+		maxBounces: min(max(maxBounces, 0), 1),
+		walls:      make([]wallGeom, len(ws)),
 	}
-	if maxBounces > 2 {
-		maxBounces = 2
-	}
-	t := &Tracer{Room: rm, FreqHz: freqHz, MaxBounces: maxBounces}
-	t.rebuildWalls(rm.Walls())
-	t.lambda = units.Wavelength(freqHz)
-	t.lambdaFreq = freqHz
-	return t
-}
-
-// rebuildWalls recomputes the per-wall cache from the given wall set.
-func (t *Tracer) rebuildWalls(ws []room.Wall) {
-	if cap(t.wallCache) < len(ws) {
-		t.wallCache = make([]wallGeom, len(ws))
-	}
-	t.wallCache = t.wallCache[:len(ws)]
 	for i, w := range ws {
 		d := w.Seg.B.Sub(w.Seg.A)
-		t.wallCache[i] = wallGeom{
+		t.walls[i] = wallGeom{
 			seg:        w.Seg,
 			d:          d,
 			len2:       d.Dot(d),
@@ -278,33 +254,7 @@ func (t *Tracer) rebuildWalls(ws []room.Wall) {
 			reflLossDB: w.Mat.ReflLossDB,
 		}
 	}
-	t.wallsLen = len(ws)
-	if len(ws) > 0 {
-		t.wallsHead = &ws[0]
-	} else {
-		t.wallsHead = nil
-	}
-}
-
-// walls returns the per-wall cache, rebuilding it if the room's wall set
-// changed since it was built (or the Tracer was constructed as a bare
-// literal).
-func (t *Tracer) walls() []wallGeom {
-	ws := t.Room.Walls()
-	if len(ws) != t.wallsLen || (len(ws) > 0 && &ws[0] != t.wallsHead) {
-		t.rebuildWalls(ws)
-	}
-	return t.wallCache
-}
-
-// wavelength returns the cached carrier wavelength, recomputing if the
-// caller retuned FreqHz after construction.
-func (t *Tracer) wavelength() float64 {
-	if t.FreqHz != t.lambdaFreq {
-		t.lambda = units.Wavelength(t.FreqHz)
-		t.lambdaFreq = t.FreqHz
-	}
-	return t.lambda
+	return t
 }
 
 // Trace returns all propagation paths from tx to rx at the default
@@ -338,7 +288,7 @@ func (t *Tracer) TraceInto(dst []Path, tx, rx geom.Vec) []Path {
 // sorted ascending by total propagation loss among themselves.
 func (t *Tracer) TraceHInto(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
 	base := len(dst)
-	dst = t.traceGen(dst, tx, rx, hTx, hRx, t.MaxBounces)
+	dst = t.traceGen(dst, tx, rx, hTx, hRx, t.maxBounces)
 	t.sortByLoss(dst[base:])
 	return dst
 }
@@ -347,26 +297,21 @@ func (t *Tracer) TraceHInto(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Pat
 // (at height hRx), blockage included, with the buffer semantics of
 // TraceHInto. It runs the same builder TraceHInto does on the same
 // inputs, so the result is bit-identical to the Kind == Direct path of a
-// full trace at any MaxBounces — for callers such as a relay hop that
-// read nothing else, at a fraction of the cost.
+// full trace at either reflection order — for callers such as a relay
+// hop that read nothing else, at a fraction of the cost.
 func (t *Tracer) DirectHInto(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
 	return t.direct(dst, tx, rx, hTx, hRx)
 }
 
 // traceGen appends the paths up to the given reflection order in
-// generation order (direct, then single bounces in wall order, then
-// double bounces in wall-pair order) without the final loss sort.
-// PathCache records paths in this order so that its revalidated
-// emissions re-run the identical stable sort the public entry points
-// apply — ties (e.g. the mirror-image double-bounce pair off the same
-// two walls) resolve exactly as a fresh trace would.
+// generation order (direct, then single bounces in wall order) without
+// the final loss sort. PathCache records paths in this order so that its
+// revalidated emissions re-run the identical stable sort the public
+// entry points apply — ties resolve exactly as a fresh trace would.
 func (t *Tracer) traceGen(dst []Path, tx, rx geom.Vec, hTx, hRx float64, order int) []Path {
 	dst = t.direct(dst, tx, rx, hTx, hRx)
 	if order >= 1 {
 		dst = t.singleBounce(dst, tx, rx, hTx, hRx)
-	}
-	if order >= 2 {
-		dst = t.doubleBounce(dst, tx, rx, hTx, hRx)
 	}
 	return dst
 }
@@ -382,10 +327,10 @@ func (t *Tracer) sortByLoss(paths []Path) {
 	if len(paths) <= len(lossArr) {
 		loss = lossArr[:len(paths)]
 	} else {
-		loss = make([]float64, len(paths)) // >11 walls; never on the stock rooms
+		loss = make([]float64, len(paths)) // >127 walls; never on the stock rooms
 	}
 	for i := range paths {
-		loss[i] = paths[i].PropagationLossDB(t.FreqHz)
+		loss[i] = paths[i].PropagationLossDB(t.freqHz)
 	}
 	// Insertion sort; path counts are small.
 	for i := 1; i < len(paths); i++ {
@@ -426,9 +371,8 @@ func (t *Tracer) direct(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
 // are assumed at the interpolated ray height (walls span floor to
 // ceiling).
 func (t *Tracer) singleBounce(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
-	walls := t.walls()
-	for wi := range walls {
-		w := &walls[wi]
+	for wi := range t.walls {
+		w := &t.walls[wi]
 		hit, ok := w.specular(tx, rx)
 		if !ok {
 			continue
@@ -453,63 +397,13 @@ func (t *Tracer) singleBounce(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []P
 	return dst
 }
 
-// doubleBounce appends two-reflection paths off ordered wall pairs using
-// the double image method.
-func (t *Tracer) doubleBounce(dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
-	walls := t.walls()
-	for i := range walls {
-		w1 := &walls[i]
-		img1 := w1.mirror(tx)
-		for j := range walls {
-			if i == j {
-				continue
-			}
-			w2 := &walls[j]
-			// Reflection point on w2 comes from the second-order image.
-			hit2, ok := w2.specular(img1, rx)
-			if !ok {
-				continue
-			}
-			// Reflection point on w1 from tx toward hit2.
-			hit1, ok := w1.specular(tx, hit2)
-			if !ok {
-				continue
-			}
-			l1 := tx.Dist(hit1)
-			l2 := hit1.Dist(hit2)
-			l3 := hit2.Dist(rx)
-			total := l1 + l2 + l3
-			h1 := hTx + (hRx-hTx)*l1/total
-			h2 := hTx + (hRx-hTx)*(l1+l2)/total
-			dst = extendPaths(dst)
-			p := &dst[len(dst)-1]
-			pts := append(p.Points[:0], tx, hit1, hit2, rx)
-			*p = Path{
-				Kind:    Reflected,
-				Points:  pts,
-				Bounces: 2,
-				AoDDeg:  units.NormalizeDeg(geom.DirectionDeg(tx, hit1)),
-				AoADeg:  units.NormalizeDeg(geom.DirectionDeg(rx, hit2)),
-				LengthM: total,
-				ReflLossDB: w1.reflLossDB +
-					w2.reflLossDB,
-				BlockLossDB: t.legBlockageDB(tx, hit1, hTx, h1) +
-					t.legBlockageDB(hit1, hit2, h1, h2) +
-					t.legBlockageDB(hit2, rx, h2, hRx),
-			}
-		}
-	}
-	return dst
-}
-
 // legBlockageDB sums the knife-edge diffraction losses of all obstacles
 // crossing or grazing the leg a→b with endpoint heights hA→hB.
 func (t *Tracer) legBlockageDB(a, b geom.Vec, hA, hB float64) float64 {
-	lambda := t.wavelength()
 	seg := geom.Seg(a, b)
 	total := 0.0
-	for _, o := range t.Room.Obstacles() {
-		total += obstacleLossDB(seg, o, lambda, hA, hB)
+	for _, o := range t.room.Obstacles() {
+		total += obstacleLossDB(seg, o, t.lambda, hA, hB)
 	}
 	return total
 }

@@ -14,13 +14,13 @@ import (
 //
 // A slot is one logical leg the caller traces repeatedly (the AP→headset
 // path set, an AP→reflector feed, a reflector→headset hop). TraceHInto
-// traces a slot to the tracer's MaxBounces; DirectHInto traces it to
+// traces a slot to the tracer's reflection order; DirectHInto traces it to
 // order 0, the direct path alone, for legs whose callers read nothing
 // else. The order is part of the slot key, so a slot queried at a new
 // order is re-traced. Each query is answered in one of three tiers:
 //
-//   - full hit: endpoints, heights, carrier, wall set, and every obstacle
-//     are unchanged (detected via the room's obstacle-mutation epoch: one
+//   - full hit: endpoints, heights, trace order and every obstacle are
+//     unchanged (detected via the room's obstacle-mutation epoch: one
 //     integer compare when nothing moved) — the cached path set is
 //     emitted as-is;
 //   - revalidation: only obstacles changed (their per-obstacle epoch
@@ -28,9 +28,12 @@ import (
 //     (bounce points, lengths, angles, reflection losses) is still exact,
 //     so only the moved obstacles' per-leg knife-edge contributions are
 //     recomputed and the blockage sums rebuilt;
-//   - full re-trace: an endpoint, height, the carrier, the trace order,
-//     the wall set, or the obstacle count changed — the cached set is
-//     discarded and the tracer runs from scratch.
+//   - full re-trace: an endpoint, height, the trace order, or the
+//     obstacle count changed — the cached set is discarded and the
+//     tracer runs from scratch.
+//
+// The tracer's room walls and carrier are fixed at construction, so they
+// are not part of the key.
 //
 // Emissions are bit-identical to Tracer.TraceHInto (Tracer.DirectHInto
 // for direct-only queries). The cache stores paths in generation order
@@ -62,8 +65,8 @@ type PathCacheStats struct {
 	// obstacles' blockage contributions.
 	Revalidations int
 
-	// Misses are full re-traces (first use, moved endpoint, wall or
-	// obstacle-set change, or a not-yet-recorded slot).
+	// Misses are full re-traces (first use, moved endpoint, obstacle-set
+	// change, or a not-yet-recorded slot).
 	Misses int
 }
 
@@ -87,9 +90,9 @@ type cachedPath struct {
 	fsplDB         float64
 	atmosDB        float64
 	npts           int
-	pts            [4]geom.Vec
+	pts            [3]geom.Vec
 	nlegs          int
-	legs           [3]legGeom
+	legs           [2]legGeom
 	contribOff     int
 }
 
@@ -97,23 +100,20 @@ type cachedPath struct {
 type pathSlot struct {
 	valid bool
 
-	// Key: everything besides obstacles that the trace depends on;
-	// order is the reflection order traced (0 for direct-only).
-	tx, rx    geom.Vec
-	hTx, hRx  float64
-	freq      float64
-	order     int
-	wallsLen  int
-	wallsHead *room.Wall
+	// Key: the endpoints, their heights and the reflection order traced
+	// (0 for direct-only).
+	tx, rx   geom.Vec
+	hTx, hRx float64
+	order    int
 
-	// Obstacle snapshot the cached contributions were computed against,
-	// and the room mutation epoch it was taken at. Change detection is
+	// Obstacle count the cached contributions were computed against, and
+	// the room mutation epoch they were taken at. Change detection is
 	// epoch-driven: the room stamps each obstacle with the epoch of its
 	// last mutation, so "what moved since this snapshot?" is an integer
 	// compare per obstacle — and a single compare when nothing in the
 	// room moved at all — instead of a struct compare per obstacle per
 	// query.
-	obs     []room.Obstacle
+	nObs    int
 	epoch   uint64
 	changed []bool
 
@@ -142,7 +142,7 @@ func (c *PathCache) Stats() PathCacheStats { return c.stats }
 // paths are appended to dst reusing its capacity, sorted ascending by
 // total propagation loss, and alias dst until the next trace into it.
 func (c *PathCache) TraceHInto(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx float64) []Path {
-	return c.query(slot, dst, tx, rx, hTx, hRx, c.t.MaxBounces)
+	return c.query(slot, dst, tx, rx, hTx, hRx, c.t.maxBounces)
 }
 
 // DirectHInto answers a direct-only query through the cache, with the
@@ -159,25 +159,22 @@ func (c *PathCache) query(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx float6
 		c.slots = append(c.slots, pathSlot{})
 	}
 	s := &c.slots[slot]
-	t := c.t
-	ws := t.Room.Walls()
-	obs := t.Room.Obstacles()
+	rm := c.t.room
+	obs := rm.Obstacles()
 	keyOK := s.valid && s.tx == tx && s.rx == rx && s.hTx == hTx && s.hRx == hRx &&
-		s.freq == t.FreqHz && s.order == order &&
-		s.wallsLen == len(ws) && (len(ws) == 0 || s.wallsHead == &ws[0]) &&
-		len(s.obs) == len(obs)
+		s.order == order && s.nObs == len(obs)
 	if !keyOK {
 		c.stats.Misses++
 		return c.fullTrace(s, dst, tx, rx, hTx, hRx, order, false)
 	}
-	roomEpoch := t.Room.Epoch()
+	roomEpoch := rm.Epoch()
 	if roomEpoch == s.epoch {
 		c.stats.Hits++
 		return c.emit(s, dst)
 	}
 	// Something in the room mutated since the snapshot; obstacle i is
 	// affected iff its own stamp postdates the snapshot.
-	obsEpochs := t.Room.ObstacleEpochs()
+	obsEpochs := rm.ObstacleEpochs()
 	nChanged := 0
 	for i := range obs {
 		ch := obsEpochs[i] > s.epoch
@@ -215,19 +212,12 @@ func (c *PathCache) fullTrace(s *pathSlot, dst []Path, tx, rx geom.Vec, hTx, hRx
 	c.genBuf = t.traceGen(c.genBuf[:0], tx, rx, hTx, hRx, order)
 	gen := c.genBuf
 
-	ws := t.Room.Walls()
-	obs := t.Room.Obstacles()
+	obs := t.room.Obstacles()
 	s.valid = true
 	s.tx, s.rx, s.hTx, s.hRx = tx, rx, hTx, hRx
-	s.freq, s.order = t.FreqHz, order
-	s.wallsLen = len(ws)
-	if len(ws) > 0 {
-		s.wallsHead = &ws[0]
-	} else {
-		s.wallsHead = nil
-	}
-	s.obs = append(s.obs[:0], obs...)
-	s.epoch = t.Room.Epoch()
+	s.order = order
+	s.nObs = len(obs)
+	s.epoch = t.room.Epoch()
 	if cap(s.changed) < len(obs) {
 		s.changed = make([]bool, len(obs))
 	}
@@ -239,7 +229,7 @@ func (c *PathCache) fullTrace(s *pathSlot, dst []Path, tx, rx geom.Vec, hTx, hRx
 	s.paths = s.paths[:len(gen)]
 	s.contrib = s.contrib[:0]
 	s.hasContrib = false
-	freq := t.FreqHz
+	freq := t.freqHz
 	for i := range gen {
 		p := &gen[i]
 		cp := &s.paths[i]
@@ -271,7 +261,7 @@ func (c *PathCache) fullTrace(s *pathSlot, dst []Path, tx, rx geom.Vec, hTx, hRx
 // tracer) leaves the slot permanently on the full-trace path rather than
 // ever emitting a divergent revalidation.
 func (c *PathCache) recordContribs(s *pathSlot, obs []room.Obstacle) {
-	lambda := c.t.wavelength()
+	lambda := c.t.lambda
 	nObs := len(obs)
 	s.contrib = s.contrib[:0]
 	for pi := range s.paths {
@@ -302,12 +292,12 @@ func (c *PathCache) recordContribs(s *pathSlot, obs []room.Obstacle) {
 	s.hasContrib = true
 }
 
-// revalidate recomputes the contributions of the changed obstacles only,
-// rebuilds each path's blockage sum left-associatively in room-obstacle
-// order (exactly as legBlockageDB accumulates a fresh trace), and
-// refreshes the snapshot.
+// revalidate recomputes the contributions of the changed obstacles only
+// and rebuilds each path's blockage sum left-associatively in
+// room-obstacle order, exactly as legBlockageDB accumulates a fresh
+// trace.
 func (c *PathCache) revalidate(s *pathSlot, obs []room.Obstacle) {
-	lambda := c.t.wavelength()
+	lambda := c.t.lambda
 	nObs := len(obs)
 	for pi := range s.paths {
 		cp := &s.paths[pi]
@@ -330,11 +320,6 @@ func (c *PathCache) revalidate(s *pathSlot, obs []room.Obstacle) {
 			}
 		}
 		cp.blockLossDB = block
-	}
-	for i := range obs {
-		if s.changed[i] {
-			s.obs[i] = obs[i]
-		}
 	}
 }
 
@@ -390,27 +375,15 @@ func (c *PathCache) sortEmitted(s *pathSlot, paths []Path) {
 // tracer's builders evaluate (l1 = tx.Dist(hit), hHit = hTx +
 // (hRx−hTx)·l1/total with total the recorded LengthM), so the recomputed
 // heights are bitwise the ones the original blockage was computed with.
-func pathLegs(p *Path, hTx, hRx float64) (legs [3]legGeom, n int) {
-	switch p.Bounces {
-	case 0:
+func pathLegs(p *Path, hTx, hRx float64) (legs [2]legGeom, n int) {
+	if p.Bounces == 0 {
 		legs[0] = legGeom{a: p.Points[0], b: p.Points[1], hA: hTx, hB: hRx}
 		return legs, 1
-	case 1:
-		tx, hit, rx := p.Points[0], p.Points[1], p.Points[2]
-		l1 := tx.Dist(hit)
-		hHit := hTx + (hRx-hTx)*l1/p.LengthM
-		legs[0] = legGeom{a: tx, b: hit, hA: hTx, hB: hHit}
-		legs[1] = legGeom{a: hit, b: rx, hA: hHit, hB: hRx}
-		return legs, 2
-	default:
-		tx, hit1, hit2, rx := p.Points[0], p.Points[1], p.Points[2], p.Points[3]
-		l1 := tx.Dist(hit1)
-		l2 := hit1.Dist(hit2)
-		h1 := hTx + (hRx-hTx)*l1/p.LengthM
-		h2 := hTx + (hRx-hTx)*(l1+l2)/p.LengthM
-		legs[0] = legGeom{a: tx, b: hit1, hA: hTx, hB: h1}
-		legs[1] = legGeom{a: hit1, b: hit2, hA: h1, hB: h2}
-		legs[2] = legGeom{a: hit2, b: rx, hA: h2, hB: hRx}
-		return legs, 3
 	}
+	tx, hit, rx := p.Points[0], p.Points[1], p.Points[2]
+	l1 := tx.Dist(hit)
+	hHit := hTx + (hRx-hTx)*l1/p.LengthM
+	legs[0] = legGeom{a: tx, b: hit, hA: hTx, hB: hHit}
+	legs[1] = legGeom{a: hit, b: rx, hA: hHit, hB: hRx}
+	return legs, 2
 }

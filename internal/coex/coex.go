@@ -350,7 +350,7 @@ func shareScale(down time.Duration) int64 {
 // written into active/starts/ends (each len(players); a player with no
 // slot gets active=false and zero boundaries) and the end of the
 // window's uplink reservation is returned. BuildGeometry records every
-// window of the room's table from it.
+// window's sub-slots in the room's table.
 func (l *layout) layoutWindow(win int64, active []bool, starts, ends []time.Duration) time.Duration {
 	start := l.period * time.Duration(win)
 

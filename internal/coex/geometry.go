@@ -30,12 +30,10 @@ type Geometry struct {
 	nTicks  int
 	poses   []geom.Vec
 
-	// Window schedule table: for each window, the end of its uplink
-	// reservation and every player's downlink sub-slot (active=false
-	// when the player's airtime was reclaimed or sized to nothing).
-	// All three per-player arrays are window-major.
+	// Window schedule table: for each window, every player's downlink
+	// sub-slot (active=false when the player's airtime was reclaimed or
+	// sized to nothing). All three per-player arrays are window-major.
 	nWins  int64
-	upEnds []time.Duration
 	active []bool
 	starts []time.Duration
 	ends   []time.Duration
@@ -88,14 +86,12 @@ func BuildGeometry(rm Room, ap geom.Vec, step, horizon time.Duration) (*Geometry
 	}
 
 	g.nWins = int64(horizon/l.period) + 1
-	g.upEnds = make([]time.Duration, g.nWins)
 	g.active = make([]bool, int(g.nWins)*n)
 	g.starts = make([]time.Duration, int(g.nWins)*n)
 	g.ends = make([]time.Duration, int(g.nWins)*n)
 	for w := int64(0); w < g.nWins; w++ {
 		base := int(w) * n
-		g.upEnds[w] = l.layoutWindow(w,
-			g.active[base:base+n], g.starts[base:base+n], g.ends[base:base+n])
+		l.layoutWindow(w, g.active[base:base+n], g.starts[base:base+n], g.ends[base:base+n])
 	}
 	return g, nil
 }

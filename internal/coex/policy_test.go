@@ -106,17 +106,27 @@ func TestAirtimeConservation(t *testing.T) {
 		for _, uplink := range []time.Duration{0, 500 * time.Microsecond} {
 			for _, seed := range []int64{1, 7} {
 				players := movingRoom(t, seed, 4, 2*time.Second)
-				scheds := roomSchedulers(t, Room{
+				rm := Room{
 					Players:    players,
 					Policy:     policy,
 					Weights:    []float64{1, 2, 1, 3},
 					UplinkSlot: uplink,
-				})
+				}
+				scheds := roomSchedulers(t, rm)
+				// A second layout of the same room, stepped window by
+				// window, reports each window's uplink end.
+				l, err := newLayout(rm, apPos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				act := make([]bool, len(players))
+				starts := make([]time.Duration, len(players))
+				ends := make([]time.Duration, len(players))
 				for win := int64(0); win < 40; win++ {
 					start := DefaultPeriod * time.Duration(win)
 					end := start + DefaultPeriod
 					var slots []slot
-					upEnd := scheds[0].geo.upEnds[win]
+					upEnd := l.layoutWindow(win, act, starts, ends)
 					for _, s := range scheds {
 						s.computeWindow(win)
 						if !s.selfActive {

@@ -30,7 +30,8 @@ type World struct {
 }
 
 // NewWorld builds the testbed with reflections traced to the given
-// order, at the paper's 24 GHz prototype carrier.
+// order (0 = direct only, 1 adds single wall bounces; see
+// channel.NewTracer), at the paper's 24 GHz prototype carrier.
 func NewWorld(maxBounces int) *World {
 	return NewWorldWithBudget(maxBounces, channel.DefaultBudget())
 }

@@ -144,10 +144,6 @@ func (h *Histogram) inc(i int) {
 	h.bins = slices.Insert(h.bins, lo, binCount{int32(i), 1})
 }
 
-func (h Histogram) clone() Histogram {
-	return Histogram{n: h.n, bins: slices.Clone(h.bins)}
-}
-
 // MarshalJSON writes the dense count array (null for a zero Histogram,
 // as for a nil slice).
 func (h Histogram) MarshalJSON() ([]byte, error) {
@@ -381,16 +377,6 @@ func (st StreamState) Aggregate() Aggregate {
 	}
 }
 
-// clone deep-copies the state (the bin slices are owned).
-func (st StreamState) clone() StreamState {
-	out := st
-	out.DeliveredFrac.Bins = st.DeliveredFrac.Bins.clone()
-	out.GlitchFrac.Bins = st.GlitchFrac.Bins.clone()
-	out.OutageSeconds.Bins = st.OutageSeconds.Bins.clone()
-	out.Handoffs.Bins = st.Handoffs.Bins.clone()
-	return out
-}
-
 // StreamCollector folds outcomes into a StreamState as they complete:
 // the constant-memory aggregation path. Safe for concurrent Add; the
 // state is order-invariant, so worker scheduling cannot change the
@@ -427,16 +413,12 @@ func (c *StreamCollector) Add(_ int, o SessionOutcome) {
 	c.mu.Unlock()
 }
 
-// State returns a deep copy of the current accumulated state.
-func (c *StreamCollector) State() StreamState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.clone()
-}
-
 // Result returns the streaming Result: aggregate plus sketch state, no
-// per-session list.
+// per-session list. Call it after the last Add: the returned state
+// shares its histogram bins with the collector.
 func (c *StreamCollector) Result() Result {
-	st := c.State()
+	c.mu.Lock()
+	st := c.st
+	c.mu.Unlock()
 	return Result{Agg: st.Aggregate(), Stream: &st}
 }

@@ -50,7 +50,7 @@ func TestStreamStateOrderInvariant(t *testing.T) {
 	for i, o := range outcomes {
 		baseline.Add(i, o)
 	}
-	want, err := json.Marshal(baseline.State())
+	want, err := json.Marshal(baseline.Result().Stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestStreamStateOrderInvariant(t *testing.T) {
 		for _, i := range perm {
 			c.Add(i, outcomes[i])
 		}
-		got, err := json.Marshal(c.State())
+		got, err := json.Marshal(c.Result().Stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestStreamCollectorConstantMemory(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("StreamCollector.Add allocates %.1f objects/op, want 0", allocs)
 	}
-	st := c.State()
+	st := c.Result().Stream
 	if st.Sessions < 100000 {
 		t.Fatalf("folded %d sessions, want >= 100000", st.Sessions)
 	}

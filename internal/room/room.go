@@ -130,9 +130,10 @@ type Room struct {
 }
 
 // New returns a rectangular room of the given dimensions whose four
-// perimeter walls all use the given material. The room spans
-// [0, width] × [0, depth].
-func New(widthM, depthM float64, mat Material) (*Room, error) {
+// perimeter walls all use the given material, followed by the interior
+// walls in the order given. The room spans [0, width] × [0, depth]. A
+// room's walls are fixed here: a tracer precomputes them once.
+func New(widthM, depthM float64, mat Material, interior ...Wall) (*Room, error) {
 	if widthM <= 0 || depthM <= 0 {
 		return nil, fmt.Errorf("room: dimensions %vx%v must be positive", widthM, depthM)
 	}
@@ -146,6 +147,7 @@ func New(widthM, depthM float64, mat Material) (*Room, error) {
 			Mat: mat,
 		})
 	}
+	r.walls = append(r.walls, interior...)
 	return r, nil
 }
 
@@ -154,25 +156,17 @@ func New(widthM, depthM float64, mat Material) (*Room, error) {
 // east wall, and a wooden desk return — "standard furniture" that gives
 // the ray tracer a realistic mix of reflectors.
 func NewOffice5x5() *Room {
-	r, err := New(5, 5, Drywall)
+	r, err := New(5, 5, Drywall,
+		// Whiteboard: a better reflector on part of the north wall.
+		Wall{Seg: geom.Seg(geom.V(1.2, 5), geom.V(3.8, 5)), Mat: Whiteboard},
+		// Metal cabinet face along the east wall.
+		Wall{Seg: geom.Seg(geom.V(5, 0.8), geom.V(5, 1.9)), Mat: Metal},
+		// Wooden desk return jutting into the room near the south wall.
+		Wall{Seg: geom.Seg(geom.V(1.0, 0.75), geom.V(2.4, 0.75)), Mat: Wood},
+	)
 	if err != nil {
 		panic(err) // fixed literal dimensions; cannot fail
 	}
-	// Whiteboard: a better reflector on part of the north wall.
-	r.walls = append(r.walls, Wall{
-		Seg: geom.Seg(geom.V(1.2, 5), geom.V(3.8, 5)),
-		Mat: Whiteboard,
-	})
-	// Metal cabinet face along the east wall.
-	r.walls = append(r.walls, Wall{
-		Seg: geom.Seg(geom.V(5, 0.8), geom.V(5, 1.9)),
-		Mat: Metal,
-	})
-	// Wooden desk return jutting into the room near the south wall.
-	r.walls = append(r.walls, Wall{
-		Seg: geom.Seg(geom.V(1.0, 0.75), geom.V(2.4, 0.75)),
-		Mat: Wood,
-	})
 	return r
 }
 
@@ -180,28 +174,20 @@ func NewOffice5x5() *Room {
 // window wall (glass), a TV cabinet (wood), and a sofa as standing
 // furniture — the consumer deployment the paper's introduction targets.
 func NewLivingRoom() *Room {
-	r, err := New(6, 4, Drywall)
+	r, err := New(6, 4, Drywall,
+		// Window along most of the north wall.
+		Wall{Seg: geom.Seg(geom.V(1.0, 4), geom.V(5.0, 4)), Mat: Glass},
+		// TV cabinet on the south wall.
+		Wall{Seg: geom.Seg(geom.V(2.2, 0.4), geom.V(3.8, 0.4)), Mat: Wood},
+	)
 	if err != nil {
 		panic(err) // fixed literal dimensions; cannot fail
 	}
-	// Window along most of the north wall.
-	r.walls = append(r.walls, Wall{
-		Seg: geom.Seg(geom.V(1.0, 4), geom.V(5.0, 4)),
-		Mat: Glass,
-	})
-	// TV cabinet on the south wall.
-	r.walls = append(r.walls, Wall{
-		Seg: geom.Seg(geom.V(2.2, 0.4), geom.V(3.8, 0.4)),
-		Mat: Wood,
-	})
 	// Sofa: a long low obstacle mid-room.
 	r.AddObstacle(Obstacle{Name: "sofa", Shape: geom.Circle{C: geom.V(3.0, 1.5), R: 0.5},
 		MaxLossDB: 30, HeightM: 0.8})
 	return r
 }
-
-// AddWall appends an interior or replacement wall.
-func (r *Room) AddWall(w Wall) { r.walls = append(r.walls, w) }
 
 // Walls returns the room's reflecting surfaces. The returned slice is
 // shared; callers must not modify it.

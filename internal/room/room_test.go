@@ -25,6 +25,18 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("wall material = %v", w.Mat)
 		}
 	}
+	// Interior walls follow the perimeter in the order given.
+	in := []Wall{
+		{Seg: geom.Seg(geom.V(2, 2), geom.V(3, 2)), Mat: Metal},
+		{Seg: geom.Seg(geom.V(1, 1), geom.V(1, 2)), Mat: Glass},
+	}
+	r, err = New(5, 5, Drywall, in...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := r.Walls(); len(ws) != 6 || ws[4] != in[0] || ws[5] != in[1] {
+		t.Errorf("walls with interior = %+v", ws)
+	}
 }
 
 func TestOffice5x5(t *testing.T) {
@@ -102,13 +114,5 @@ func TestBlockerPresets(t *testing.T) {
 	f := Furniture(geom.V(1, 1), 0.4)
 	if f.Shape.R != 0.4 || f.MaxLossDB < b.MaxLossDB {
 		t.Errorf("furniture preset = %+v", f)
-	}
-}
-
-func TestAddWall(t *testing.T) {
-	r, _ := New(5, 5, Drywall)
-	r.AddWall(Wall{Seg: geom.Seg(geom.V(2, 2), geom.V(3, 2)), Mat: Metal})
-	if len(r.Walls()) != 5 {
-		t.Errorf("wall count = %d", len(r.Walls()))
 	}
 }

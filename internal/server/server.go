@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -292,16 +293,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.sched.met.reg.WritePrometheus(w)
 }
 
+// decodeJobSpec reads one job spec the way movrd accepts it: the first
+// JSON value of r, with any field JobSpec does not declare rejected.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // handleSubmit accepts a JobSpec. The response carries an X-Movr-Cache
 // header ("hit", "coalesced" or "miss"). Without ?wait the answer is
 // 202 Accepted with the queued job (or 200 with the finished job on a
 // cache hit); with ?wait=1 the handler blocks until the job is terminal
 // and always answers 200 — unless the client goes away first.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeJobSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeInvalidSpec, "malformed job spec", err.Error())
 		return
 	}

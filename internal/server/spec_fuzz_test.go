@@ -1,25 +1,26 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
 )
 
 // FuzzJobSpec drives arbitrary JSON through the job API's trust
-// boundary: decode → Normalize → Hash. Nothing may panic; Normalize and
-// Hash must accept and reject the same specs; a normalized spec must
-// normalize to itself and hash like the raw one; and its canonical JSON
-// must decode back to a spec with that hash. The seed corpus under
-// testdata/fuzz/FuzzJobSpec holds both halves of each equivalent
-// spelling — coexpf vs coex + pf, agg exact vs omitted, v 1 vs omitted
-// — plus invalid and venue specs, and specs carrying the retired
-// "shard" field, which this lenient decode drops and movrd's strict
-// decoder rejects.
+// boundary: decodeJobSpec (movrd's strict decoder) → Normalize → Hash.
+// Nothing may panic; Normalize and Hash must accept and reject the same
+// specs; a normalized spec must normalize to itself and hash like the
+// raw one; and its canonical JSON must pass the strict decoder back to
+// a spec with that hash. The seed corpus under testdata/fuzz/FuzzJobSpec
+// holds both halves of each equivalent spelling — coexpf vs coex + pf,
+// agg exact vs omitted, v 1 vs omitted — plus invalid and venue specs,
+// and specs carrying the retired "shard" field, which the decoder
+// rejects as an unknown field.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		var spec JobSpec
-		if err := json.Unmarshal(raw, &spec); err != nil {
+		spec, err := decodeJobSpec(bytes.NewReader(raw))
+		if err != nil {
 			return
 		}
 		norm, nerr := spec.Normalize()
@@ -45,8 +46,8 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: canonical encoding: %v", raw, err)
 		}
-		var back JobSpec
-		if err := json.Unmarshal(enc, &back); err != nil {
+		back, err := decodeJobSpec(bytes.NewReader(enc))
+		if err != nil {
 			t.Fatalf("%s: canonical encoding %s does not decode: %v", raw, enc, err)
 		}
 		if hb, err := back.Hash(); err != nil || hb != h {

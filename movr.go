@@ -43,7 +43,8 @@ var (
 	V = geom.V
 
 	// NewWorld builds the standard experimental world (room + AP) with
-	// the given reflection order, at the 24 GHz prototype carrier.
+	// the given reflection order (0 or 1), at the 24 GHz prototype
+	// carrier.
 	NewWorld = experiments.NewWorld
 
 	// DefaultArray returns the paper-calibrated phased array facing a

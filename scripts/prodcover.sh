@@ -5,12 +5,15 @@
 # `make prod-cover` and the CI prod-cover step both run it.
 #
 # Runs: movrsim -fast -seed 1 all; movrsim -h; movrsim -fast fleet for
-# every scenario kind, plus a streamed mixed run; movrsim -trace on a
-# coex fleet and movrtrace -analyze on that trace; movrsim -fast bench
-# gated against BENCH_baseline.json with profiles, stamped with a fixed
-# revision so a checkout without .git runs the same code (its exit
-# status 1 is the compare verdict, which the bench-gate job owns);
-# movrtrace -out, then -in on its output; every examples/ program; and
+# every scenario kind, plus a streamed mixed run and a venue on fixed
+# channel assignment; movrsim -trace, each followed by movrtrace
+# -analyze on its trace, on a coex fleet, on a venue whose 8-player
+# bays overflow under -admission reject, and on a single session;
+# movrsim -fast bench gated against BENCH_baseline.json with profiles,
+# stamped with a fixed revision so a checkout without .git runs the
+# same code (its exit status 1 is the compare verdict, which the
+# bench-gate job owns); movrtrace -out, then -in on its output; every
+# examples/ program; and
 # scripts/movrd_smoke.sh and scripts/movrd_load_smoke.sh against
 # instrumented movrd and movrload builds. Each smoke stops its last
 # daemon with SIGTERM, so the daemon writes its counters.
@@ -40,8 +43,14 @@ for kind in mixed arcade home dense coex coexpf coexedf venue; do
     "$bin/movrsim" -fast -scenario "$kind" fleet >/dev/null 2>&1
 done
 "$bin/movrsim" -fast -scenario mixed -agg stream fleet >/dev/null 2>&1
+"$bin/movrsim" -fast -scenario venue -assign fixed fleet >/dev/null 2>&1
 "$bin/movrsim" -fast -scenario coex -sessions 4 -seed 7 -trace "$workdir/trace.json" fleet >/dev/null 2>&1
 "$bin/movrtrace" -analyze "$workdir/trace.json" >/dev/null
+"$bin/movrsim" -fast -scenario venue -players 8 -uplink 20ms -admission reject \
+    -trace "$workdir/venue.json" fleet >/dev/null 2>&1
+"$bin/movrtrace" -analyze "$workdir/venue.json" >/dev/null
+"$bin/movrsim" -fast -trace "$workdir/session.json" session >/dev/null 2>&1
+"$bin/movrtrace" -analyze "$workdir/session.json" >/dev/null
 status=0
 (cd "$workdir" && MOVR_GIT_SHA=prodcover "$bin/movrsim" -fast -bench-compare "$repo/BENCH_baseline.json" \
     -bench-cpuprofile prof -bench-memprofile prof bench) >/dev/null 2>&1 || status=$?

@@ -47,7 +47,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/room.NewLivingRoom":         "furnished room of the channel golden traces and living-room tests",
 	"internal/channel.Budget60GHz":        "802.11ad fixture that band60_test and experiments_test check the model at",
 	"internal/room.Column":                "pillar that TestBlockageDegradesMeasurement blocks the sweep with",
-	"internal/room.Room.AddWall":          "interior walls of the golden traces and PathCache retrace tests",
 	"internal/room.Room.RemoveObstacle":   "obstacle-set change the PathCache retrace and epoch tests drive",
 	"internal/stats.LinearFit":            "TestFig8ReproducesPaperShape fits the Fig 8 error trend with it",
 	"internal/stats.MeanAbsError":         "TestFig7ReproducesPaperShape measures the Fig 7 curve error with it",
