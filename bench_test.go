@@ -13,6 +13,7 @@ package movr_test
 // full paper-scale runs.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -90,7 +91,10 @@ func BenchmarkFig9SNR(b *testing.B) {
 	cfg.NLOSStepDeg = 6
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
-		r := movr.RunFig9(cfg)
+		r, err := movr.RunFig9(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(r.MoVRImp) != cfg.Runs {
 			b.Fatal("bad result")
 		}

@@ -77,6 +77,7 @@ import (
 	"github.com/movr-sim/movr/internal/bench"
 	"github.com/movr-sim/movr/internal/experiments"
 	"github.com/movr-sim/movr/internal/fleet"
+	"github.com/movr-sim/movr/internal/fleet/pool"
 	"github.com/movr-sim/movr/internal/obs"
 )
 
@@ -123,6 +124,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	// fig9 and map fan out on one runner of -workers slots.
+	runner := pool.NewRunner(*workers)
 	start := time.Now()
 	switch cmd {
 	case "fig3":
@@ -132,7 +135,7 @@ func main() {
 	case "fig8":
 		runFig8(*seed, *runs, *fast)
 	case "fig9":
-		runFig9(*seed, *runs, *workers, *fast)
+		runFig9(*seed, *runs, runner, *fast)
 	case "battery":
 		fmt.Print(movr.RunBattery(movr.DefaultBatteryConfig()).Render())
 	case "latency":
@@ -142,7 +145,7 @@ func main() {
 	case "deployment":
 		fmt.Print(movr.RunDeployment().Render())
 	case "map":
-		runMap(*workers)
+		runMap(runner)
 	case "ablations":
 		runAblations(*seed)
 	case "fleet":
@@ -156,7 +159,7 @@ func main() {
 		fmt.Println()
 		runFig8(*seed, *runs, *fast)
 		fmt.Println()
-		runFig9(*seed, *runs, *workers, *fast)
+		runFig9(*seed, *runs, runner, *fast)
 		fmt.Println()
 		fmt.Print(movr.RunBattery(movr.DefaultBatteryConfig()).Render())
 		fmt.Println()
@@ -166,7 +169,7 @@ func main() {
 		fmt.Println()
 		fmt.Print(movr.RunDeployment().Render())
 		fmt.Println()
-		runMap(*workers)
+		runMap(runner)
 		fmt.Println()
 		runAblations(*seed)
 		fmt.Println()
@@ -220,10 +223,10 @@ func runFig8(seed int64, runs int, fast bool) {
 	fmt.Print(movr.RunFig8(cfg).Render())
 }
 
-func runFig9(seed int64, runs, workers int, fast bool) {
+func runFig9(seed int64, runs int, runner *pool.Runner, fast bool) {
 	cfg := movr.DefaultFig9Config()
 	cfg.Seed = seed
-	cfg.Workers = workers
+	cfg.Runner = runner
 	if runs > 0 {
 		cfg.Runs = runs
 	}
@@ -231,7 +234,12 @@ func runFig9(seed int64, runs, workers int, fast bool) {
 		cfg.Runs = 8
 		cfg.NLOSStepDeg = 5
 	}
-	fmt.Print(movr.RunFig9(cfg).Render())
+	res, err := movr.RunFig9(context.Background(), cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "movrsim: fig9: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Print(res.Render())
 }
 
 func runSession(seed int64, fast bool, tracePath string) {
@@ -271,14 +279,21 @@ func writeTrace(tr obs.Trace, path string) {
 	fmt.Fprintf(os.Stderr, "trace written to %s\n", path)
 }
 
-func runMap(workers int) {
-	bare := movr.DefaultHeatmapConfig(false)
-	bare.Workers = workers
-	with := movr.DefaultHeatmapConfig(true)
-	with.Workers = workers
-	fmt.Print(movr.RunHeatmap(bare).Render("VR coverage — bare AP"))
+func runMap(runner *pool.Runner) {
+	printMap(runner, false, "VR coverage — bare AP")
 	fmt.Println()
-	fmt.Print(movr.RunHeatmap(with).Render("VR coverage — AP + MoVR reflector"))
+	printMap(runner, true, "VR coverage — AP + MoVR reflector")
+}
+
+func printMap(runner *pool.Runner, withReflector bool, title string) {
+	cfg := movr.DefaultHeatmapConfig(withReflector)
+	cfg.Runner = runner
+	res, err := movr.RunHeatmap(context.Background(), cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "movrsim: map: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Print(res.Render(title))
 }
 
 // fleetFlags holds the fleet experiment's flags. They only name a

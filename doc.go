@@ -13,8 +13,8 @@
 //
 //   - the physical substrate: phased arrays with quantized phase
 //     shifters, a ray-traced indoor mmWave channel with knife-edge
-//     blockage, the 802.11ad MCS tables, an OFDM modem, and a
-//     saturating amplifier with a supply-current model;
+//     blockage, the 802.11ad MCS tables, and a saturating amplifier
+//     with a supply-current model;
 //   - the paper's two core algorithms: backscatter beam alignment
 //     (finding angles of incidence/reflection for a device that can
 //     neither transmit nor receive, §4.1) and current-sensing adaptive
@@ -92,7 +92,10 @@
 //
 // # Quick start
 //
-//	result := movr.RunFig9(movr.DefaultFig9Config())
+//	result, err := movr.RunFig9(context.Background(), movr.DefaultFig9Config())
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Println(result.Render())
 //
 // or run the CLI:

@@ -109,27 +109,50 @@ type Options struct {
 	Log func(format string, args ...any)
 }
 
-// gitSHA resolves the revision stamped into reports: $MOVR_GIT_SHA,
-// then the VCS revision embedded by the Go toolchain, then "unknown".
+// gitSHA resolves the revision stamped into reports (see revision).
 func gitSHA() string {
-	if env := os.Getenv("MOVR_GIT_SHA"); env != "" {
+	info, _ := debug.ReadBuildInfo()
+	return revision(os.Getenv("MOVR_GIT_SHA"), info)
+}
+
+// revision is env when set, else the VCS revision the Go toolchain
+// embedded in info, with "-dirty" appended when the working tree had
+// uncommitted changes (vcs.modified) so a report from a modified tree
+// is never filed as the clean commit, else "unknown".
+func revision(env string, info *debug.BuildInfo) string {
+	if env != "" {
 		return shortSHA(env)
 	}
-	if info, ok := debug.ReadBuildInfo(); ok {
+	rev, dirty := "", false
+	if info != nil {
 		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				return shortSHA(s.Value)
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
 			}
 		}
 	}
-	return "unknown"
+	if rev == "" {
+		return "unknown"
+	}
+	if dirty {
+		rev += "-dirty"
+	}
+	return shortSHA(rev)
 }
 
+// shortSHA cuts a revision to 12 hex digits, keeping a "-dirty" suffix.
 func shortSHA(sha string) string {
-	if len(sha) > 12 {
-		return sha[:12]
+	rev, dirty := strings.CutSuffix(sha, "-dirty")
+	if len(rev) > 12 {
+		rev = rev[:12]
 	}
-	return sha
+	if dirty {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 func (o Options) logf(format string, args ...any) {

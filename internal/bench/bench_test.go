@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,35 @@ func TestGitSHAFromEnv(t *testing.T) {
 	t.Setenv("MOVR_GIT_SHA", "0123456789abcdef")
 	if got := gitSHA(); got != "0123456789ab" {
 		t.Errorf("env sha = %q", got)
+	}
+	t.Setenv("MOVR_GIT_SHA", "0123456789abcdef-dirty")
+	if got := gitSHA(); got != "0123456789ab-dirty" {
+		t.Errorf("dirty env sha = %q", got)
+	}
+}
+
+func TestRevisionMarksModifiedTree(t *testing.T) {
+	rev := debug.BuildSetting{Key: "vcs.revision", Value: "0123456789abcdef0123"}
+	dirty := debug.BuildSetting{Key: "vcs.modified", Value: "true"}
+	for _, tc := range []struct {
+		env      string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"", nil, "unknown"},
+		{"", []debug.BuildSetting{dirty}, "unknown"},
+		{"", []debug.BuildSetting{rev}, "0123456789ab"},
+		{"", []debug.BuildSetting{rev, {Key: "vcs.modified", Value: "false"}}, "0123456789ab"},
+		{"", []debug.BuildSetting{dirty, rev}, "0123456789ab-dirty"},
+		{"", []debug.BuildSetting{{Key: "GOOS", Value: "linux"}, rev, dirty}, "0123456789ab-dirty"},
+		{"fedcba9876543210", []debug.BuildSetting{rev, dirty}, "fedcba987654"},
+	} {
+		if got := revision(tc.env, &debug.BuildInfo{Settings: tc.settings}); got != tc.want {
+			t.Errorf("revision(%q, %v) = %q, want %q", tc.env, tc.settings, got, tc.want)
+		}
+	}
+	if got := revision("", nil); got != "unknown" {
+		t.Errorf("revision without build info = %q, want unknown", got)
 	}
 }
 

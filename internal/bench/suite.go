@@ -13,6 +13,7 @@ import (
 	"github.com/movr-sim/movr/internal/coex"
 	"github.com/movr-sim/movr/internal/experiments"
 	"github.com/movr-sim/movr/internal/fleet"
+	"github.com/movr-sim/movr/internal/fleet/pool"
 	"github.com/movr-sim/movr/internal/gainctl"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/linkmgr"
@@ -200,13 +201,13 @@ func coexSnapshotSpec() Spec {
 // study): placement, LOS read, Opt-NLOS sweep, and MoVR reflector
 // evaluation per trial.
 func fig9Spec() Spec {
-	cfg := experiments.Fig9Config{Runs: 2, NLOSStepDeg: 6, Seed: 1, Workers: 1}
+	cfg := experiments.Fig9Config{Runs: 2, NLOSStepDeg: 6, Seed: 1, Runner: pool.NewRunner(1)}
 	return Spec{
 		Name:   "fig9/trial",
 		Warmup: 2,
 		Reps:   10,
 		Op: func() error {
-			res, err := experiments.Fig9Context(context.Background(), cfg)
+			res, err := experiments.Fig9(context.Background(), cfg)
 			if err != nil {
 				return err
 			}

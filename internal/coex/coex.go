@@ -6,7 +6,7 @@
 //   - airtime: the medium is one channel, so each player only transmits
 //     during its TDMA slots. The scheduler here splits every scheduling
 //     window (the 50 ms tracking cadence) across the room's players
-//     according to a pluggable AirtimePolicy — round-robin by default,
+//     according to one of its airtime policies — round-robin by default,
 //     with proportional-fair and deadline-aware alternatives — and
 //     reclaims the slots of players whose direct path from the AP is
 //     body-blocked: a blocked player cannot use the air, so its share is
@@ -256,13 +256,13 @@ type layout struct {
 	ap      geom.Vec
 	weights []float64
 	uplink  time.Duration
-	policy  AirtimePolicy
+	policy  airtimePolicy
 
 	poses     []geom.Vec
 	activeSet []bool
 	shares    []float64
 	lbPoses   []geom.Vec
-	win       Window
+	win       window
 	wis       []int64
 }
 
@@ -387,24 +387,9 @@ func (l *layout) layoutWindow(win int64, active []bool, starts, ends []time.Dura
 		l.shares[i] = 0
 	}
 	l.policy.Shares(w, l.shares)
-
-	// Sanitize the policy output: inactive players hold no air whatever
-	// the policy says, and non-finite or non-positive shares are "no
-	// slot". A policy that zeroes everyone degrades to the even split.
 	sum := 0.0
-	for i := range l.shares {
-		if !l.activeSet[i] || !(l.shares[i] > 0) || math.IsInf(l.shares[i], 0) {
-			l.shares[i] = 0
-		}
-		sum += l.shares[i]
-	}
-	if sum <= 0 {
-		for i := range l.shares {
-			if l.activeSet[i] {
-				l.shares[i] = 1
-				sum++
-			}
-		}
+	for _, sh := range l.shares {
+		sum += sh
 	}
 
 	// Lay the sub-slots out in cyclic order from the rotation offset,

@@ -62,12 +62,12 @@ func ParsePolicy(s string) (PolicyName, error) {
 	return "", fmt.Errorf("unknown airtime policy %q (%s)", s, PolicyNames())
 }
 
-// Window is the per-window context an AirtimePolicy sizes sub-slots
+// window is the per-window context an airtimePolicy sizes sub-slots
 // from. Every field and method is a pure function of Index and the
 // room's motion traces, so the room's schedule table does not depend on
 // the order windows are laid out in. The slices are layout-owned
 // scratch, valid only for the duration of the Shares call.
-type Window struct {
+type window struct {
 	// Index is the scheduling window number (its start / the room
 	// period).
 	Index int64
@@ -84,8 +84,7 @@ type Window struct {
 
 	// Active flags the players whose direct path from the AP is clear
 	// of other bodies (all true when everyone is blocked — the
-	// idle-reclaim fallback). Inactive players receive no airtime
-	// whatever the policy returns.
+	// idle-reclaim fallback). A policy gives inactive players no share.
 	Active []bool
 
 	// NActive counts the true entries of Active.
@@ -100,7 +99,7 @@ type Window struct {
 
 // Weight returns player i's airtime weight (1 when the room carries no
 // explicit weights).
-func (w *Window) Weight(i int) float64 {
+func (w *window) Weight(i int) float64 {
 	if w.Weights == nil {
 		return 1
 	}
@@ -121,19 +120,21 @@ const blockedQuality = 0.05
 // 90 Hz).
 var frameInterval = vr.HTCVive().FrameInterval()
 
-// AirtimePolicy sizes the per-player sub-slots of every scheduling
+// airtimePolicy sizes the per-player sub-slots of every scheduling
 // window. Implementations must be deterministic pure functions of the
-// Window (any state must be reconstructible from Index alone): the same
+// window (any state must be reconstructible from Index alone): the same
 // window must always produce the same shares, whatever order windows are
 // visited in, or concurrently simulated sessions of one room would
 // derive conflicting schedules.
-type AirtimePolicy interface {
+type airtimePolicy interface {
 	// Shares fills shares[i] with player i's relative share of the
 	// window's downlink airtime (shares is zeroed, one entry per player).
-	// The scheduler normalizes, so only ratios matter; inactive
-	// players are forced to zero regardless. Returning all zeros
-	// degrades to an even split over the active players.
-	Shares(w *Window, shares []float64)
+	// layoutWindow normalizes, so only ratios matter, and lays the
+	// shares out as they come: every share must be finite and
+	// non-negative, an inactive player's 0, and some active player's
+	// positive. TestPolicySharesAreWellFormed holds rr, pf and edf to
+	// that.
+	Shares(w *window, shares []float64)
 }
 
 // MaxAdmissible reports how many of n requested players the named
@@ -178,7 +179,7 @@ func MaxAdmissible(p PolicyName, n int, period, uplink time.Duration) int {
 // newPolicy instantiates the named policy with scratch sized for n
 // players. Policies are per-scheduler: their scratch must not be shared
 // between sessions.
-func newPolicy(name PolicyName, n int) (AirtimePolicy, error) {
+func newPolicy(name PolicyName, n int) (airtimePolicy, error) {
 	p, err := ParsePolicy(string(name))
 	if err != nil {
 		return nil, err
@@ -203,7 +204,7 @@ func newPolicy(name PolicyName, n int) (AirtimePolicy, error) {
 // sub-slot boundaries are bit-identical to the pre-policy scheduler.
 type rrPolicy struct{}
 
-func (rrPolicy) Shares(w *Window, shares []float64) {
+func (rrPolicy) Shares(w *window, shares []float64) {
 	for i := range shares {
 		if w.Active[i] {
 			shares[i] = w.Weight(i)
@@ -221,7 +222,7 @@ type pfPolicy struct {
 	q []float64 // per-player recent-quality scratch
 }
 
-func (p *pfPolicy) Shares(w *Window, shares []float64) {
+func (p *pfPolicy) Shares(w *window, shares []float64) {
 	// One bulk lookback pass per window: every lookback window's poses
 	// are evaluated once for all players.
 	w.lay.recentQualityInto(w.Index, p.q)
@@ -270,19 +271,12 @@ type edfPolicy struct {
 	frac   []float64 // fractional entitlements, by player
 }
 
-func (p *edfPolicy) Shares(w *Window, shares []float64) {
-	fallback := func() {
-		for i := range shares {
-			if w.Active[i] {
-				shares[i] = w.Weight(i)
-			}
-		}
-	}
+func (p *edfPolicy) Shares(w *window, shares []float64) {
 	frame := frameInterval
 	if w.Downlink < frame {
 		// The downlink span cannot carry even one whole frame: no
 		// sizing can save a deadline, fall back to the even split.
-		fallback()
+		rrPolicy{}.Shares(w, shares)
 		return
 	}
 	// The display's deadline grid: first deadline edge on or after the
@@ -292,7 +286,7 @@ func (p *edfPolicy) Shares(w *Window, shares []float64) {
 	g0 := ((ds + frame - 1) / frame) * frame
 	f := int((ds + w.Downlink - g0) / frame)
 	if f < 1 {
-		fallback()
+		rrPolicy{}.Shares(w, shares)
 		return
 	}
 
@@ -347,7 +341,7 @@ func (p *edfPolicy) Shares(w *Window, shares []float64) {
 // uniformWeights reports whether every active player carries the same
 // airtime weight — the common (nil-weights) case the concentration
 // path serves.
-func (p *edfPolicy) uniformWeights(w *Window) bool {
+func (p *edfPolicy) uniformWeights(w *window) bool {
 	if w.Weights == nil {
 		return true
 	}
@@ -373,7 +367,7 @@ func (p *edfPolicy) uniformWeights(w *Window) bool {
 // service frequency stays uniform and the longest-waiting players are
 // served next. The f frame intervals split as evenly as integers allow,
 // extras to the earliest slots — the ones nearest their deadline.
-func (p *edfPolicy) blockQuotas(w *Window, f int) {
+func (p *edfPolicy) blockQuotas(w *window, f int) {
 	nServe := f / edfMinFrames
 	if nServe < 1 {
 		nServe = 1
@@ -422,7 +416,7 @@ func (p *edfPolicy) blockQuotas(w *Window, f int) {
 // periodically collects a whole usable frame instead of starving.
 // Grants are padded/trimmed to exactly f, preferring the entitlements
 // closest to rolling over.
-func (p *edfPolicy) weightedQuotas(w *Window, f int) {
+func (p *edfPolicy) weightedQuotas(w *window, f int) {
 	n := len(w.Active)
 	sumW := 0.0
 	for i := range w.Active {

@@ -173,6 +173,60 @@ func TestAirtimeConservation(t *testing.T) {
 	}
 }
 
+// TestPolicySharesAreWellFormed pins what lets layoutWindow lay out a
+// policy's shares as they come: in every window of the seeded rooms,
+// with and without the uplink reservation and weights, every built-in
+// policy gives each inactive player exactly 0, every player a finite,
+// non-negative share, and some active player a positive one. The rooms
+// must block players in some windows, or the inactive case goes
+// untested.
+func TestPolicySharesAreWellFormed(t *testing.T) {
+	for _, policy := range Policies() {
+		blocked := 0
+		for _, uplink := range []time.Duration{0, 500 * time.Microsecond} {
+			for _, weights := range [][]float64{nil, {1, 2, 1, 3}} {
+				for _, seed := range []int64{1, 7} {
+					players := movingRoom(t, seed, 4, 2*time.Second)
+					rm := Room{Players: players, Policy: policy, Weights: weights, UplinkSlot: uplink}
+					l, err := newLayout(rm, apPos)
+					if err != nil {
+						t.Fatal(err)
+					}
+					act := make([]bool, len(players))
+					starts := make([]time.Duration, len(players))
+					ends := make([]time.Duration, len(players))
+					shares := make([]float64, len(players))
+					for win := int64(0); win < 40; win++ {
+						l.layoutWindow(win, act, starts, ends)
+						clear(shares)
+						l.policy.Shares(&l.win, shares)
+						positive := false
+						for i, sh := range shares {
+							switch {
+							case !l.win.Active[i]:
+								blocked++
+								if sh != 0 {
+									t.Fatalf("%s seed %d win %d: inactive player %d gets share %v", policy, seed, win, i, sh)
+								}
+							case !(sh >= 0) || math.IsInf(sh, 0):
+								t.Fatalf("%s seed %d win %d: player %d gets share %v", policy, seed, win, i, sh)
+							case sh > 0:
+								positive = true
+							}
+						}
+						if !positive {
+							t.Fatalf("%s seed %d win %d: no active player gets a positive share: %v", policy, seed, win, shares)
+						}
+					}
+				}
+			}
+		}
+		if blocked == 0 {
+			t.Errorf("%s: no window blocked a player", policy)
+		}
+	}
+}
+
 // TestComputeWindowAllocationFree pins the zero-alloc discipline: after
 // construction, laying out window after window — the policy evaluation
 // included — allocates nothing, for every policy, with weights and the

@@ -1,7 +1,7 @@
 // Package dsp provides the signal-processing primitives the simulator
-// needs to run the MoVR backscatter measurement and the OFDM modem on
-// actual synthesized samples: complex tone generation, a radix-2 FFT,
-// power spectra, and sideband power integration.
+// needs to run the MoVR backscatter measurement on actual synthesized
+// samples: complex tone generation, a radix-2 FFT, power spectra, and
+// sideband power integration.
 package dsp
 
 import (
@@ -19,24 +19,6 @@ func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 // power of two; FFT returns an error otherwise. The input slice is not
 // modified.
 func FFT(x []complex128) ([]complex128, error) {
-	return transform(x, false)
-}
-
-// IFFT computes the inverse DFT of x, normalized by 1/N, so that
-// IFFT(FFT(x)) == x. The input length must be a power of two.
-func IFFT(x []complex128) ([]complex128, error) {
-	y, err := transform(x, true)
-	if err != nil {
-		return nil, err
-	}
-	n := complex(float64(len(y)), 0)
-	for i := range y {
-		y[i] /= n
-	}
-	return y, nil
-}
-
-func transform(x []complex128, inverse bool) ([]complex128, error) {
 	n := len(x)
 	if !IsPow2(n) {
 		return nil, fmt.Errorf("dsp: FFT length %d is not a power of two", n)
@@ -51,13 +33,9 @@ func transform(x []complex128, inverse bool) ([]complex128, error) {
 		y[reverseBits(i, bits)] = x[i]
 	}
 	// Iterative butterflies.
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size / 2
-		step := sign * 2 * math.Pi / float64(size)
+		step := -2 * math.Pi / float64(size)
 		wBase := cmplx.Exp(complex(0, step))
 		for start := 0; start < n; start += size {
 			w := complex(1, 0)
@@ -181,17 +159,4 @@ func Modulate(x []complex128, m []float64) {
 	for i := range x {
 		x[i] *= complex(m[i], 0)
 	}
-}
-
-// SignalPower returns the mean power (1/N)·Σ|x[i]|² of x, or 0 for an
-// empty slice.
-func SignalPower(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range x {
-		sum += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return sum / float64(len(x))
 }

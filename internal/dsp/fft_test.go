@@ -25,7 +25,7 @@ func TestFFTRejectsNonPow2(t *testing.T) {
 	if _, err := FFT(make([]complex128, 12)); err == nil {
 		t.Error("expected error for length 12")
 	}
-	if _, err := IFFT(make([]complex128, 0)); err == nil {
+	if _, err := FFT(make([]complex128, 0)); err == nil {
 		t.Error("expected error for empty input")
 	}
 }
@@ -76,27 +76,6 @@ func TestFFTNegativeFreqTone(t *testing.T) {
 	}
 	if p[n-2] < 0.99 {
 		t.Errorf("negative-frequency tone power = %v", p[n-2])
-	}
-}
-
-func TestIFFTRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x := make([]complex128, 128)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	X, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	y, err := IFFT(X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if cmplx.Abs(x[i]-y[i]) > 1e-9 {
-			t.Fatalf("round trip mismatch at %d: %v vs %v", i, x[i], y[i])
-		}
 	}
 }
 
@@ -266,10 +245,12 @@ func TestQuickFFTLinear(t *testing.T) {
 	}
 }
 
-// Property: IFFT inverts FFT for random power-of-two lengths.
-func TestQuickFFTInverse(t *testing.T) {
+// Property: FFT equals the naive O(n²) DFT, X[k] = Σ x[j]·e^(−2πi·jk/n),
+// for random power-of-two lengths.
+func TestQuickFFTMatchesDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{2, 4, 16, 64, 512} {
+	for trial := 0; trial < 20; trial++ {
+		n := 1 << rng.Intn(10)
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
@@ -278,14 +259,28 @@ func TestQuickFFTInverse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		y, err := IFFT(X)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range x {
-			if cmplx.Abs(x[i]-y[i]) > 1e-9 {
-				t.Fatalf("n=%d: mismatch at %d", n, i)
+		for k := range X {
+			var want complex128
+			for j, v := range x {
+				ph := -2 * math.Pi * float64(j*k%n) / float64(n)
+				want += v * cmplx.Exp(complex(0, ph))
+			}
+			if cmplx.Abs(X[k]-want) > 1e-9*float64(n) {
+				t.Fatalf("n=%d: X[%d] = %v, DFT %v", n, k, X[k], want)
 			}
 		}
 	}
+}
+
+// SignalPower returns the mean power (1/N)·Σ|x[i]|² of x, or 0 for an
+// empty slice.
+func SignalPower(x []complex128) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range x {
+		sum += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return sum / float64(len(x))
 }

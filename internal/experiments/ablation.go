@@ -24,7 +24,7 @@ import (
 // failing point (the pool recovers the original panic, so its value and
 // stack are folded into the message).
 func ablate[T any](n int, point func(i int) T) []T {
-	rows, err := pool.Map(context.Background(), n, 0, func(_ context.Context, i int) (T, error) {
+	rows, err := pool.Map(context.Background(), pool.NewRunner(0), n, func(_ context.Context, i int) (T, error) {
 		return point(i), nil
 	})
 	if err != nil {

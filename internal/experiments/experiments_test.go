@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -134,7 +135,10 @@ func TestFig9ReproducesPaperShape(t *testing.T) {
 	cfg := DefaultFig9Config()
 	cfg.Runs = 20
 	cfg.NLOSStepDeg = 4
-	r := Fig9(cfg)
+	r, err := Fig9(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.MoVRImp) != cfg.Runs || len(r.OptNLOSImp) != cfg.Runs {
 		t.Fatal("missing runs")
 	}

@@ -26,14 +26,10 @@ type Fig9Config struct {
 	// Seed fixes placements.
 	Seed int64
 
-	// Workers bounds the trial parallelism (<= 0 means GOMAXPROCS).
-	// Results are identical for every worker count.
-	Workers int
-
-	// Runner, when non-nil, executes trials on a shared persistent pool
-	// instead of an ephemeral one (Workers is then ignored) — how the
-	// movrd scheduler keeps concurrent API jobs inside one capacity
-	// bound. Results are identical either way.
+	// Runner executes the trials; nil means a one-shot runner of
+	// GOMAXPROCS slots. A shared runner is how the movrd scheduler keeps
+	// concurrent API jobs inside one capacity bound. Results are
+	// identical for every runner and capacity.
 	Runner *pool.Runner
 }
 
@@ -61,18 +57,9 @@ type Fig9Result struct {
 // in the opposite corner, headset at random poses. For each pose it
 // measures (1) clear LOS SNR, (2) the best Opt-NLOS SNR under blockage,
 // and (3) the MoVR-delivered SNR under the same blockage, reporting each
-// as improvement over LOS.
-func Fig9(cfg Fig9Config) Fig9Result {
-	res, err := Fig9Context(context.Background(), cfg)
-	if err != nil {
-		panic(err) // the background context never cancels; only a worker panic lands here
-	}
-	return res
-}
-
-// Fig9Context is Fig9 with cancellation: ctx aborts the study between
-// trials (the movrd job API's DELETE), reported as the context error.
-func Fig9Context(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
+// as improvement over LOS. ctx aborts the study between trials (the
+// movrd job API's DELETE), reported as the context error.
+func Fig9(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 20
 	}
@@ -132,15 +119,11 @@ func Fig9Context(ctx context.Context, cfg Fig9Config) (Fig9Result, error) {
 		}
 		return trial{nlosImp: nlos.SNRdB - losSNR, movrImp: movrSNR - losSNR}, nil
 	}
-	var (
-		trials []trial
-		err    error
-	)
-	if cfg.Runner != nil {
-		trials, err = pool.MapOn(ctx, cfg.Runner, cfg.Runs, runTrial)
-	} else {
-		trials, err = pool.Map(ctx, cfg.Runs, cfg.Workers, runTrial)
+	runner := cfg.Runner
+	if runner == nil {
+		runner = pool.NewRunner(0)
 	}
+	trials, err := pool.Map(ctx, runner, cfg.Runs, runTrial)
 	if err != nil {
 		return Fig9Result{}, err
 	}

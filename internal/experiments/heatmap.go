@@ -25,15 +25,10 @@ type HeatmapConfig struct {
 	// WithReflector toggles the MoVR reflector install.
 	WithReflector bool
 
-	// Workers bounds the grid-cell parallelism (<= 0 means GOMAXPROCS).
-	// Every worker count produces identical results: cells are
-	// independent and land in fixed grid slots.
-	Workers int
-
-	// Runner, when non-nil, executes cells on a shared persistent pool
-	// instead of an ephemeral one (Workers is then ignored) — how the
-	// movrd scheduler keeps concurrent API jobs inside one capacity
-	// bound. Results are identical either way.
+	// Runner executes the grid cells; nil means a one-shot runner of
+	// GOMAXPROCS slots. A shared runner is how the movrd scheduler keeps
+	// concurrent API jobs inside one capacity bound. Results are
+	// identical for every runner and capacity.
 	Runner *pool.Runner
 }
 
@@ -62,19 +57,10 @@ type HeatmapResult struct {
 // Heatmap maps VR-grade coverage across the office: for every grid cell
 // and head orientation, can some path (direct or reflector) sustain the
 // required rate? It visualizes the claim behind Fig 5's cartoon — the
-// reflector fills the shadowed orientations.
-func Heatmap(cfg HeatmapConfig) HeatmapResult {
-	res, err := HeatmapContext(context.Background(), cfg)
-	if err != nil {
-		panic(err) // the background context never cancels; only a worker panic lands here
-	}
-	return res
-}
-
-// HeatmapContext is Heatmap with cancellation: ctx aborts the sweep
+// reflector fills the shadowed orientations. ctx aborts the sweep
 // between cells (the movrd job API's DELETE), reported as the context
 // error.
-func HeatmapContext(ctx context.Context, cfg HeatmapConfig) (HeatmapResult, error) {
+func Heatmap(ctx context.Context, cfg HeatmapConfig) (HeatmapResult, error) {
 	if cfg.GridStep <= 0 {
 		cfg.GridStep = 0.5
 	}
@@ -123,13 +109,11 @@ func HeatmapContext(ctx context.Context, cfg HeatmapConfig) (HeatmapResult, erro
 		res.Cover[iy][ix] = float64(covered) / float64(len(cfg.Yaws))
 		return nil
 	}
-	var err error
-	if cfg.Runner != nil {
-		err = cfg.Runner.ForEach(ctx, cells, runCell)
-	} else {
-		err = pool.ForEach(ctx, cells, cfg.Workers, runCell)
+	runner := cfg.Runner
+	if runner == nil {
+		runner = pool.NewRunner(0)
 	}
-	if err != nil {
+	if err := runner.ForEach(ctx, cells, runCell); err != nil {
 		return HeatmapResult{}, err
 	}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,9 +9,15 @@ import (
 func TestHeatmapReflectorExtendsCoverage(t *testing.T) {
 	// Coarse grid and orientation set keep the test quick.
 	cfg := HeatmapConfig{GridStep: 1.0, Yaws: []float64{0, 90, 180, 270}}
-	without := Heatmap(cfg)
+	without, err := Heatmap(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.WithReflector = true
-	with := Heatmap(cfg)
+	with, err := Heatmap(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if with.MeanCoverage <= without.MeanCoverage {
 		t.Errorf("reflector coverage %v should beat bare AP %v",
 			with.MeanCoverage, without.MeanCoverage)
@@ -36,7 +43,10 @@ func TestHeatmapReflectorExtendsCoverage(t *testing.T) {
 func TestHeatmapDefaults(t *testing.T) {
 	cfg := HeatmapConfig{} // degenerate: defaults kick in
 	cfg.GridStep = 2.0     // keep it fast
-	r := Heatmap(cfg)
+	r, err := Heatmap(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Xs) == 0 || len(r.Ys) == 0 {
 		t.Fatal("empty grid")
 	}

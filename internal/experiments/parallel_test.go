@@ -1,45 +1,59 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
 
+	"github.com/movr-sim/movr/internal/fleet/pool"
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/room"
 )
 
-// TestHeatmapParallelDeterminism: the coverage map is identical for any
-// worker count (and race-clean under `go test -race`).
+// TestHeatmapParallelDeterminism: the coverage map is identical on a
+// runner of 1 slot and one of 8 (and race-clean under `go test -race`).
 func TestHeatmapParallelDeterminism(t *testing.T) {
 	base := HeatmapConfig{GridStep: 1.0, Yaws: []float64{0, 120, 240}, WithReflector: true}
 
 	serial := base
-	serial.Workers = 1
+	serial.Runner = pool.NewRunner(1)
 	parallel := base
-	parallel.Workers = 8
+	parallel.Runner = pool.NewRunner(8)
 
-	a := Heatmap(serial)
-	b := Heatmap(parallel)
+	a, err := Heatmap(context.Background(), serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Heatmap(context.Background(), parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("heatmap differs between 1 and 8 workers")
+		t.Fatal("heatmap differs between runners of 1 and 8 slots")
 	}
 }
 
 // TestFig9ParallelDeterminism: trials measure the same poses and produce
-// the same CDFs for any worker count.
+// the same CDFs on a runner of 1 slot and one of 8.
 func TestFig9ParallelDeterminism(t *testing.T) {
 	base := Fig9Config{Runs: 6, NLOSStepDeg: 10, Seed: 2}
 
 	serial := base
-	serial.Workers = 1
+	serial.Runner = pool.NewRunner(1)
 	parallel := base
-	parallel.Workers = 8
+	parallel.Runner = pool.NewRunner(8)
 
-	a := Fig9(serial)
-	b := Fig9(parallel)
+	a, err := Fig9(context.Background(), serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Fig9(context.Background(), parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Fig 9 differs between 1 and 8 workers")
+		t.Fatal("Fig 9 differs between runners of 1 and 8 slots")
 	}
 }
 

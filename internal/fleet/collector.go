@@ -33,12 +33,12 @@ import (
 //   - Means are quantized at 1e-9 per sample: |mean_stream − mean_exact|
 //     ≤ 0.5e-9 (plus ordinary float rounding).
 //   - Percentiles come from a fixed-bin histogram sketch and are within
-//     one bin width of the exact (stats.Percentile) value:
-//     MetricSketch.ErrorBound() = (Hi−Lo)/bins. With 4096 bins that is
-//     ≈ 0.000245 for the delivered/glitch fractions (range [0,1]) and
-//     maxOutage/4096 for outage seconds; handoff percentiles use
-//     width-1 bins and are within 1 handoff (exact location, sub-bin
-//     interpolation only) while the per-session count stays below 4096.
+//     one bin width, (Hi−Lo)/bins, of the exact (stats.Percentile)
+//     value. With 4096 bins that is ≈ 0.000245 for the delivered/glitch
+//     fractions (range [0,1]) and maxOutage/4096 for outage seconds;
+//     handoff percentiles use width-1 bins and are within 1 handoff
+//     (exact location, sub-bin interpolation only) while the
+//     per-session count stays below 4096.
 
 // sketchBins is the fixed resolution of every percentile sketch. The
 // serialized state is ~4·sketchBins int64 counters per aggregate —
@@ -189,18 +189,6 @@ func newMetricSketch(lo, hi float64) MetricSketch {
 	return MetricSketch{Lo: lo, Hi: hi, Bins: Histogram{n: sketchBins, bins: make([]binCount, 0, histogramCap)}}
 }
 
-// ErrorBound is the guaranteed worst-case absolute error of Quantile
-// against the exact stats.Percentile over the same samples: one bin
-// width. (Values outside [Lo, Hi) clamp into the edge bins, so samples
-// beyond the declared range can exceed the bound — the fleet
-// constructors size ranges so that cannot happen.)
-func (m MetricSketch) ErrorBound() float64 {
-	if m.Bins.n == 0 {
-		return math.Inf(1)
-	}
-	return (m.Hi - m.Lo) / float64(m.Bins.n)
-}
-
 func (m *MetricSketch) binOf(x float64) int {
 	i := int((x - m.Lo) / (m.Hi - m.Lo) * float64(m.Bins.n))
 	if i < 0 {
@@ -262,7 +250,7 @@ func (m MetricSketch) orderStat(k int64) float64 {
 }
 
 // Quantile estimates the p-th percentile with the same rank
-// interpolation stats.Percentile uses, within ErrorBound of it.
+// interpolation stats.Percentile uses, within one bin width of it.
 func (m MetricSketch) Quantile(p float64) float64 {
 	if m.Count == 0 {
 		return math.NaN()
@@ -285,7 +273,7 @@ func (m MetricSketch) Quantile(p float64) float64 {
 }
 
 // Summary renders the sketch as the fleet Quantiles set; Min, Max are
-// exact, Mean fixed-point, percentiles within ErrorBound.
+// exact, Mean fixed-point, percentiles within one bin width.
 func (m MetricSketch) Summary() Quantiles {
 	return Quantiles{
 		P50:  m.Quantile(50),

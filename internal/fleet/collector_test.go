@@ -292,3 +292,15 @@ func TestHistogramJSONIsDense(t *testing.T) {
 		t.Fatalf("zero Histogram marshals to %s, want null like a nil slice", got)
 	}
 }
+
+// ErrorBound is the guaranteed worst-case absolute error of Quantile
+// against the exact stats.Percentile over the same samples: one bin
+// width. (Values outside [Lo, Hi) clamp into the edge bins, so samples
+// beyond the declared range can exceed the bound — the fleet
+// constructors size ranges so that cannot happen.)
+func (m MetricSketch) ErrorBound() float64 {
+	if m.Bins.n == 0 {
+		return math.Inf(1)
+	}
+	return (m.Hi - m.Lo) / float64(m.Bins.n)
+}

@@ -7,9 +7,10 @@
 //
 // The experiment sweeps (heatmap cells, Fig 9 trials, ablation points)
 // and the multi-session fleet engine all fan out through this package.
-// The package-level ForEach/Map bound one call; Runner is the same
+// The package-level ForEach bounds one call; Runner is the same
 // contract as a persistent pool whose capacity is shared across many
-// concurrent calls (the movrd job scheduler's substrate).
+// concurrent calls (the movrd job scheduler's substrate), and Map
+// collects a Runner's results in index order.
 package pool
 
 import (
@@ -55,27 +56,8 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	return NewRunner(Workers(workers, n)).ForEach(ctx, n, fn)
 }
 
-// Map runs fn over [0, n) through ForEach and returns the results in
-// index order — the slot for item i holds fn's result for i, whatever
-// worker computed it. On error the partial results are discarded.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Runner is a persistent bounded worker pool shared by many concurrent
-// ForEach/MapOn calls. Where the package-level functions bound the
+// ForEach/Map calls. Where the package-level functions bound the
 // parallelism of one call, a Runner bounds the parallelism of every
 // call that goes through it put together: the movrd scheduler
 // multiplexes all concurrent API jobs onto a single Runner so the
@@ -85,7 +67,7 @@ func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context
 // A slot is held only while an item executes, never while a call waits,
 // so concurrent calls interleave item-by-item instead of serializing
 // whole jobs. Determinism is unchanged: results land in index slots, so
-// a run through a Runner is byte-identical to a run through Map.
+// a run is byte-identical whatever the Runner's capacity.
 type Runner struct {
 	slots chan struct{}
 	inUse atomic.Int64
@@ -183,10 +165,11 @@ func (r *Runner) ForEach(ctx context.Context, n int, fn func(ctx context.Context
 	return ctx.Err()
 }
 
-// MapOn runs fn over [0, n) through r.ForEach and returns the results
-// in index order, exactly as Map does for an ephemeral pool. (A free
-// function because Go methods cannot introduce type parameters.)
-func MapOn[T any](ctx context.Context, r *Runner, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// Map runs fn over [0, n) through r.ForEach and returns the results in
+// index order — the slot for item i holds fn's result for i, whatever
+// worker computed it. On error the partial results are discarded. (A
+// free function because Go methods cannot introduce type parameters.)
+func Map[T any](ctx context.Context, r *Runner, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := r.ForEach(ctx, n, func(ctx context.Context, i int) error {
 		v, err := fn(ctx, i)

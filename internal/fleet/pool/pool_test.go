@@ -133,8 +133,8 @@ func TestForEachRecoversPanic(t *testing.T) {
 }
 
 func TestMapKeepsIndexOrder(t *testing.T) {
-	for _, workers := range []int{1, 7} {
-		out, err := Map(context.Background(), 64, workers, func(ctx context.Context, i int) (int, error) {
+	for _, capacity := range []int{1, 7} {
+		out, err := Map(context.Background(), NewRunner(capacity), 64, func(ctx context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -142,7 +142,7 @@ func TestMapKeepsIndexOrder(t *testing.T) {
 		}
 		for i, v := range out {
 			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
+				t.Fatalf("capacity=%d: out[%d] = %d", capacity, i, v)
 			}
 		}
 	}
@@ -150,7 +150,7 @@ func TestMapKeepsIndexOrder(t *testing.T) {
 
 func TestMapDiscardsOnError(t *testing.T) {
 	boom := errors.New("boom")
-	out, err := Map(context.Background(), 4, 2, func(ctx context.Context, i int) (int, error) {
+	out, err := Map(context.Background(), NewRunner(2), 4, func(ctx context.Context, i int) (int, error) {
 		return i, boom
 	})
 	if err == nil || out != nil {
@@ -278,21 +278,6 @@ func TestRunnerPropagatesErrorAndPanic(t *testing.T) {
 		return nil
 	}); err != nil || ran.Load() != 8 {
 		t.Fatalf("post-failure run: ran=%d err=%v", ran.Load(), err)
-	}
-}
-
-func TestMapOnKeepsIndexOrder(t *testing.T) {
-	r := NewRunner(7)
-	out, err := MapOn(context.Background(), r, 64, func(ctx context.Context, i int) (int, error) {
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
 	}
 }
 

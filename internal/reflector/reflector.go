@@ -231,10 +231,6 @@ func (r *Reflector) SetModulating(on bool, freqHz float64) {
 	r.modFreqHz = freqHz
 }
 
-// Modulating reports whether OOK modulation is active and at what
-// frequency.
-func (r *Reflector) Modulating() (bool, float64) { return r.modulating, r.modFreqHz }
-
 // LeakageDB returns the TX→RX isolation (a positive attenuation in dB)
 // for the current pair of beam angles: a base board isolation plus a
 // deterministic, device-specific, smooth function of both steering

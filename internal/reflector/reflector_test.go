@@ -308,3 +308,7 @@ func TestQuickUnstableCurrentDominates(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Modulating reports whether OOK modulation is active and at what
+// frequency.
+func (r *Reflector) Modulating() (bool, float64) { return r.modulating, r.modFreqHz }

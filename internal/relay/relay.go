@@ -49,19 +49,6 @@ func EndToEnd(hop1 HopBudget, hop2GainDB, headsetNoiseDBm float64) float64 {
 	return signalAtHeadset - totalNoise
 }
 
-// CombineSNRdB is the classic closed-form amplify-and-forward
-// combination of two hop SNRs (both in dB):
-//
-//	γ_e2e = γ1·γ2 / (γ1 + γ2 + 1)
-//
-// It equals EndToEnd when the hops are expressed in normalized form and
-// is used as a cross-check and for quick estimates.
-func CombineSNRdB(snr1DB, snr2DB float64) float64 {
-	g1 := units.DBToLinear(snr1DB)
-	g2 := units.DBToLinear(snr2DB)
-	return units.LinearToDB(g1 * g2 / (g1 + g2 + 1))
-}
-
 // Bound returns the theoretical ceiling of the combined SNR: the smaller
 // of the two hop SNRs.
 func Bound(snr1DB, snr2DB float64) float64 { return math.Min(snr1DB, snr2DB) }

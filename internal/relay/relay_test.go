@@ -148,3 +148,16 @@ func FuzzRelayCeiling(f *testing.F) {
 		}
 	})
 }
+
+// CombineSNRdB is the classic closed-form amplify-and-forward
+// combination of two hop SNRs (both in dB):
+//
+//	γ_e2e = γ1·γ2 / (γ1 + γ2 + 1)
+//
+// It equals EndToEnd when the hops are expressed in normalized form; the
+// tests hold EndToEnd to it.
+func CombineSNRdB(snr1DB, snr2DB float64) float64 {
+	g1 := units.DBToLinear(snr1DB)
+	g2 := units.DBToLinear(snr2DB)
+	return units.LinearToDB(g1 * g2 / (g1 + g2 + 1))
+}

@@ -60,7 +60,7 @@ func execute(ctx context.Context, spec JobSpec, runner *pool.Runner, onSession f
 			Seed:        f.Seed,
 			Runner:      runner,
 		}
-		res, err := experiments.Fig9Context(ctx, cfg)
+		res, err := experiments.Fig9(ctx, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -70,7 +70,7 @@ func execute(ctx context.Context, spec JobSpec, runner *pool.Runner, onSession f
 		cfg := experiments.DefaultHeatmapConfig(m.WithReflector)
 		cfg.GridStep = m.GridStep
 		cfg.Runner = runner
-		res, err := experiments.HeatmapContext(ctx, cfg)
+		res, err := experiments.Heatmap(ctx, cfg)
 		if err != nil {
 			return nil, nil, err
 		}

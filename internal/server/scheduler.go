@@ -131,13 +131,6 @@ func (j *Job) Trace() *TraceArtifact {
 	return j.trace
 }
 
-// Err returns the failure message ("" unless failed/canceled).
-func (j *Job) Err() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.errMsg
-}
-
 // outcome is how a job ends: its terminal state and what goes with it.
 type outcome struct {
 	state  State

@@ -417,3 +417,10 @@ func TestExecuteHonorsContextForEveryKind(t *testing.T) {
 		}
 	}
 }
+
+// Err returns the failure message ("" unless failed/canceled).
+func (j *Job) Err() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.errMsg
+}

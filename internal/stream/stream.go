@@ -119,7 +119,8 @@ func Begin(engine *sim.Engine, cfg Config, rate RateFunc) *Session {
 	s.frameBits = cfg.Display.FrameBits()
 
 	// slackBits absorbs float-rounding drift in the per-slice drain sums,
-	// so a link at exactly RequiredRateBps — which finishes each frame at
+	// so a link at exactly the display's rate (frame bits per frame
+	// interval) — which finishes each frame at
 	// the very last instant of its interval — counts as delivered. It is
 	// ~10⁻⁵ of one bit for the HTC Vive frame, far below any physical
 	// meaning.
@@ -231,11 +232,4 @@ func percentile(xs []float64, p float64) float64 {
 // ConstantRate returns a RateFunc pinned at rateBps.
 func ConstantRate(rateBps float64) RateFunc {
 	return func(time.Duration) float64 { return rateBps }
-}
-
-// RequiredRateBps returns the minimum constant link rate that delivers
-// every frame of the display within its interval — the paper's
-// "multiple Gbps" requirement, derived rather than asserted.
-func RequiredRateBps(d vr.DisplaySpec) float64 {
-	return d.FrameBits() / d.FrameInterval().Seconds()
 }

@@ -148,3 +148,10 @@ func TestPercentileMatchesStats(t *testing.T) {
 		t.Errorf("percentile(nil) = %v, want 0", got)
 	}
 }
+
+// RequiredRateBps returns the minimum constant link rate that delivers
+// every frame of the display within its interval — the paper's
+// "multiple Gbps" requirement, derived rather than asserted.
+func RequiredRateBps(d vr.DisplaySpec) float64 {
+	return d.FrameBits() / d.FrameInterval().Seconds()
+}

@@ -121,7 +121,8 @@ var (
 	// DefaultFig8Config returns the paper-scale Fig 8 parameters.
 	DefaultFig8Config = experiments.DefaultFig8Config
 
-	// RunFig9 reproduces Fig 9 (SNR improvement CDFs).
+	// RunFig9 reproduces Fig 9 (SNR improvement CDFs); ctx cancels it
+	// between trials.
 	RunFig9 = experiments.Fig9
 
 	// DefaultFig9Config returns the paper-scale Fig 9 parameters.
@@ -160,7 +161,8 @@ var (
 	// deployments (§1's cost argument).
 	RunDeployment = experiments.Deployment
 
-	// RunHeatmap maps VR-grade coverage across the office grid.
+	// RunHeatmap maps VR-grade coverage across the office grid; ctx
+	// cancels it between cells.
 	RunHeatmap = experiments.Heatmap
 
 	// DefaultHeatmapConfig returns the standard coverage-map settings.

@@ -5,12 +5,10 @@ package movr_test
 // failure injection, exercised through the public API.
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	movr "github.com/movr-sim/movr"
-	"github.com/movr-sim/movr/internal/ofdm"
 	"github.com/movr-sim/movr/internal/sim"
 	"github.com/movr-sim/movr/internal/stream"
 )
@@ -118,26 +116,5 @@ func TestE2EWalkOutOfCoverage(t *testing.T) {
 	st = mgr.Step(movr.V(0.6, 4.4), 135)
 	if st.MeetsRequirement {
 		t.Errorf("out-of-coverage pose reported as covered: %v", st)
-	}
-}
-
-// TestE2EDataPlaneAgreesWithBudget closes the loop between the analytic
-// link budget and the OFDM data plane: the SNR the headset's modem
-// measures over synthesized symbols must match the link budget's
-// prediction for the selected path.
-func TestE2EDataPlaneAgreesWithBudget(t *testing.T) {
-	world := movr.NewWorld(1)
-	hs := world.NewHeadsetAt(movr.V(3.0, 2.5), 0)
-	budgetSNR := world.AlignedLOSSNR(hs)
-	m, err := ofdm.NewModem(ofdm.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	measured, err := m.MeasureAtSNR(budgetSNR, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(measured-budgetSNR) > 1.0 {
-		t.Errorf("data plane measured %v dB for budget %v dB", measured, budgetSNR)
 	}
 }

@@ -1,6 +1,7 @@
 package movr_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func TestPublicAPIExperiments(t *testing.T) {
 	f9 := movr.DefaultFig9Config()
 	f9.Runs = 2
 	f9.NLOSStepDeg = 10
-	if r := movr.RunFig9(f9); !strings.Contains(r.Render(), "Figure 9") {
-		t.Error("Fig9 render broken")
+	if r, err := movr.RunFig9(context.Background(), f9); err != nil || !strings.Contains(r.Render(), "Figure 9") {
+		t.Errorf("Fig9 render broken (err %v)", err)
 	}
 	if r := movr.RunBattery(movr.DefaultBatteryConfig()); !r.MeetsPaperClaim {
 		t.Error("battery claim broken")

@@ -24,7 +24,8 @@
 # together with a regenerated baseline (make bench-baseline).
 #
 # The fresh report is kept for upload as a CI artifact — the repo's perf
-# trajectory, one BENCH_<sha>.json per revision. To re-baseline after an
+# trajectory, one BENCH_<sha>.json per revision (BENCH_<sha>-dirty.json
+# from a tree with uncommitted changes). To re-baseline after an
 # intentional perf change: copy the fresh report over BENCH_baseline.json
 # and commit it alongside the change that justified it.
 #
@@ -47,7 +48,12 @@ out_dir="${BENCH_OUT_DIR:-.}"
     exit 1
 }
 
+# A tree with uncommitted changes (what the Go toolchain stamps as
+# vcs.modified) is not HEAD: its report is named and stamped <sha>-dirty.
 sha="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
+if [ "$sha" != unknown ] && [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+    sha="$sha-dirty"
+fi
 out="$out_dir/BENCH_$sha.json"
 
 workdir="$(mktemp -d)"

@@ -4,6 +4,11 @@
 # the deterministic workloads under one GOCOVERDIR, and take the union.
 # `make prod-cover` and the CI prod-cover step both run it.
 #
+# First it fails, naming the package, on any package of the module that
+# no command or example links (`go list ./...` lists it, `go list -deps
+# ./cmd/... ./examples/...` does not): coverage counters exist only for
+# linked packages, so such a package would never appear below.
+#
 # Runs: movrsim -fast -seed 1 all; movrsim -h; movrsim -fast fleet for
 # every scenario kind, plus a streamed mixed run and a venue on fixed
 # channel assignment; movrsim -trace, each followed by movrtrace
@@ -33,6 +38,14 @@ mkdir -p "$workdir/bin" "$workdir/cov" "$workdir/prof"
 
 repo="$(pwd)"
 module="$(go list -m)"
+go list ./... | LC_ALL=C sort >"$workdir/pkgs"
+go list -deps ./cmd/... ./examples/... | LC_ALL=C sort >"$workdir/linked"
+unlinked="$(LC_ALL=C comm -23 "$workdir/pkgs" "$workdir/linked")"
+if [ -n "$unlinked" ]; then
+    echo "prod-cover: no command or example links these packages; delete them, or use them from one:" >&2
+    echo "$unlinked" | sed 's/^/  /' >&2
+    exit 1
+fi
 go build -cover -coverpkg=./... -o "$workdir/bin/" ./cmd/... ./examples/...
 
 export GOCOVERDIR="$workdir/cov"

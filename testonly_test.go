@@ -32,16 +32,11 @@ var testOnlyAllowed = map[string]string{
 	"internal/experiments.BayPlayerError.Unwrap": "RunSessionVariant unwraps the lone player's error with errors.Unwrap",
 
 	// Oracles and bounds that tests check production code against.
-	"internal/geom.SpecularPoint":            "the channel golden tests rebuild reflection points with it",
-	"internal/channel.Tracer.TraceInto":      "BenchmarkTracerInto prices the allocation-free full trace through it",
-	"internal/relay.CombineSNRdB":            "closed-form relay combine that relay_test holds EndToEnd to",
-	"internal/relay.Bound":                   "TestQuickCombinedBelowBound holds the relay SNR below the weaker hop",
-	"internal/relay.HopBudget.SNRdB":         "per-hop SNR that TestEndToEndMatchesClosedForm builds the closed form from",
-	"internal/radio.LinkSNRAligned":          "aligned LOS SNR that the baseline and radio tests compare against",
-	"internal/ofdm.DefaultConfig":            "signal-path reference (§5.2) the e2e test checks the analytic budget against",
-	"internal/ofdm.NewModem":                 "signal-path reference (§5.2) the e2e test checks the analytic budget against",
-	"internal/ofdm.Modem.MeasureAtSNR":       "signal-path reference (§5.2) the e2e test checks the analytic budget against",
-	"internal/fleet.MetricSketch.ErrorBound": "documented sketch bound the stream-vs-exact tests hold percentiles to",
+	"internal/geom.SpecularPoint":       "the channel golden tests rebuild reflection points with it",
+	"internal/channel.Tracer.TraceInto": "BenchmarkTracerInto prices the allocation-free full trace through it",
+	"internal/relay.Bound":              "TestQuickCombinedBelowBound holds the relay SNR below the weaker hop",
+	"internal/relay.HopBudget.SNRdB":    "per-hop SNR that TestEndToEndMatchesClosedForm builds the closed form from",
+	"internal/radio.LinkSNRAligned":     "aligned LOS SNR that the baseline and radio tests compare against",
 
 	// Fixtures that model-pinning tests need.
 	"internal/room.NewLivingRoom":         "furnished room of the channel golden traces and living-room tests",
@@ -52,8 +47,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/stats.MeanAbsError":         "TestFig7ReproducesPaperShape measures the Fig 7 curve error with it",
 	"internal/stream.Run":                 "single-session frame streamer the streaming model tests pin",
 	"internal/stream.ConstantRate":        "fixed-rate link the streaming model tests drive Run with",
-	"internal/stream.RequiredRateBps":     "VR display rate the streaming tests run links exactly at",
-	"internal/dsp.SignalPower":            "measures synthesized noise and OFDM signal power in the dsp and ofdm tests",
 	"internal/amplifier.Default":          "calibrated amplifier the amplifier model tests build",
 	"internal/amplifier.VGA.SetGainDB":    "puts the amplifier at a gain in dB for the amplifier and reflector tests",
 	"internal/amplifier.VGA.SetEnabled":   "switches the chain off for the disabled-device tests",
@@ -63,17 +56,14 @@ var testOnlyAllowed = map[string]string{
 	"internal/sim.Engine.After":           "relative-delay scheduling that TestAfterAndNow pins nested virtual time through",
 
 	// Accessors that let tests observe state production code keeps.
-	"internal/geom.Segment.PointAt":           "the direct-trace and drive-level tests place points along legs",
-	"internal/geom.Vec.AlmostEqual":           "tolerance comparison across the geometry tests",
-	"internal/metrics.Gauge.Value":            "reads a gauge in the metrics tests",
-	"internal/metrics.CounterVec.Value":       "reads one labelled counter in the metrics tests",
-	"internal/metrics.Histogram.Count":        "reads a histogram's sample count in the metrics tests",
-	"internal/server.Job.Err":                 "reports a job's failure in the scheduler and coalescing tests",
-	"internal/server.Server.Scheduler":        "lets server tests substitute the scheduler's executor",
-	"internal/channel.PathCache.Stats":        "query-tier counters the PathCache tests assert on",
-	"internal/ofdm.Modem.Config":              "modem layout the ofdm tests read",
-	"internal/reflector.Reflector.TXBeamDeg":  "transmit beam the reflector, controller and link-manager tests assert on",
-	"internal/reflector.Reflector.Modulating": "OOK state the controller tests check the alignment commands set",
+	"internal/geom.Segment.PointAt":          "the direct-trace and drive-level tests place points along legs",
+	"internal/geom.Vec.AlmostEqual":          "tolerance comparison across the geometry tests",
+	"internal/metrics.Gauge.Value":           "reads a gauge in the metrics tests",
+	"internal/metrics.CounterVec.Value":      "reads one labelled counter in the metrics tests",
+	"internal/metrics.Histogram.Count":       "reads a histogram's sample count in the metrics tests",
+	"internal/server.Server.Scheduler":       "lets server tests substitute the scheduler's executor",
+	"internal/channel.PathCache.Stats":       "query-tier counters the PathCache tests assert on",
+	"internal/reflector.Reflector.TXBeamDeg": "transmit beam the reflector, controller and link-manager tests assert on",
 }
 
 // testOnlyFieldsAllowed names the exported struct fields that non-test
@@ -95,7 +85,6 @@ var prodCoverAllowed = map[string]string{
 	"internal/experiments.BayPlayerError.Error": "message of the error RunBayLockstep attributes to one failed bay player",
 	"cmd/movrtrace.fatal":                       "reports a trace file movrtrace cannot read or write, and exits 1",
 	"internal/coex.edfPolicy.weightedQuotas":    "EDF quotas under Room.Weights, whose deletion edits cmd/movrbench and so waits for a change that may touch the benchmark",
-	"internal/dsp.IFFT":                         "OFDM modulation of the signal-path reference (§5.2) the e2e test checks the analytic budget against",
 	"internal/geom.MirrorPoint":                 "image source behind the SpecularPoint oracle the channel golden tests rebuild reflections with",
 	"internal/fleet.Histogram.UnmarshalJSON":    "decodes every streamed movrd result in cmd/movrbench (resultFrames), a module of its own outside the census",
 }
