@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -144,6 +145,40 @@ func TestMapKeepsIndexOrder(t *testing.T) {
 			if v != i*i {
 				t.Fatalf("capacity=%d: out[%d] = %d", capacity, i, v)
 			}
+		}
+	}
+}
+
+// TestMapOnKeepsIndexOrder keeps the name of the test of MapOn, which Map
+// replaced: concurrent Map calls sharing one Runner each get their own
+// results back in index order.
+func TestMapOnKeepsIndexOrder(t *testing.T) {
+	r := NewRunner(7)
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for c := range errs {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			out, err := Map(context.Background(), r, 64, func(ctx context.Context, i int) (int, error) {
+				return c*1000 + i*i, nil
+			})
+			if err != nil {
+				errs[c] = err
+				return
+			}
+			for i, v := range out {
+				if v != c*1000+i*i {
+					errs[c] = fmt.Errorf("call %d: out[%d] = %d", c, i, v)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }
