@@ -90,7 +90,8 @@ load-smoke:
 # Production-coverage gate: run every command and example, and the movrd
 # and load smokes, under coverage; fail on a function none of them reaches that no
 # allowlist in testonly_test.go names (daemon-side packages are listed
-# as advice only).
+# as advice only), and on a per-package count of never-run statements
+# that differs from scripts/prodcover_unrun.txt.
 prod-cover:
 	sh scripts/prodcover.sh
 

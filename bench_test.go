@@ -1,7 +1,7 @@
 package movr_test
 
-// Benchmark harness: one benchmark per paper table/figure (the
-// regeneration entry points DESIGN.md §4 indexes), plus ablations and
+// Benchmark harness: one benchmark per paper table/figure (the entry
+// points movrsim regenerates them with), plus ablations and
 // micro-benchmarks of the hot substrate paths.
 //
 // Run everything:
@@ -140,7 +140,7 @@ func BenchmarkVRSession(b *testing.B) {
 // BenchmarkAblationGainBackoff sweeps the §4.2 back-off design choice.
 func BenchmarkAblationGainBackoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := movr.RunAblationGainBackoff(int64(i + 1))
+		rows := movr.RunAblationGainBackoff(int64(i+1), nil)
 		if len(rows) == 0 {
 			b.Fatal("bad result")
 		}
@@ -150,7 +150,7 @@ func BenchmarkAblationGainBackoff(b *testing.B) {
 // BenchmarkAblationPhaseBits sweeps phase-shifter resolution.
 func BenchmarkAblationPhaseBits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := movr.RunAblationPhaseBits(int64(i + 1))
+		rows := movr.RunAblationPhaseBits(int64(i+1), nil)
 		if len(rows) == 0 {
 			b.Fatal("bad result")
 		}
@@ -160,7 +160,7 @@ func BenchmarkAblationPhaseBits(b *testing.B) {
 // BenchmarkAblationSweepStep sweeps alignment granularity.
 func BenchmarkAblationSweepStep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := movr.RunAblationSweepStep(int64(i + 1))
+		rows := movr.RunAblationSweepStep(int64(i+1), nil)
 		if len(rows) == 0 {
 			b.Fatal("bad result")
 		}
@@ -205,7 +205,7 @@ func BenchmarkTracerInto(b *testing.B) {
 	var buf []channel.Path
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = world.Tracer.TraceInto(buf[:0], tx, rx)
+		buf = world.Tracer.TraceHInto(buf[:0], tx, rx, channel.DefaultEndpointHeightM, channel.DefaultEndpointHeightM)
 		if len(buf) == 0 {
 			b.Fatal("no paths")
 		}

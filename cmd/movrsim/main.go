@@ -26,7 +26,7 @@
 //	-seed N       random seed (default 1)
 //	-runs N       Monte-Carlo runs where applicable (default: paper scale)
 //	-fast         reduce run counts and sweep resolution for a quick pass
-//	-workers N    worker-pool size for fleet, fig9 and map (0 = all cores)
+//	-workers N    worker-pool size for fleet, fig9, map and ablations (0 = all cores)
 //	-sessions N   fleet session count (default 24; venue: its whole bay grid,
 //	              bays × players per bay)
 //	-scenario S   fleet scenario: mixed|arcade|home|dense|coex|coexpf|coexedf|venue
@@ -85,7 +85,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	runs := flag.Int("runs", 0, "Monte-Carlo runs (0 = paper default)")
 	fast := flag.Bool("fast", false, "quick pass: fewer runs, coarser sweeps")
-	workers := flag.Int("workers", 0, "worker-pool size for fleet, fig9 and map (0 = all cores)")
+	workers := flag.Int("workers", 0, "worker-pool size for fleet, fig9, map and ablations (0 = all cores)")
 	var ff fleetFlags
 	ff.register(flag.CommandLine)
 	tracePath := flag.String("trace", "", "write a per-session event trace (Perfetto-loadable Chrome JSON) — session and fleet only")
@@ -124,7 +124,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	// fig9 and map fan out on one runner of -workers slots.
+	// fig9, map and the ablations fan out on one runner of -workers
+	// slots.
 	runner := pool.NewRunner(*workers)
 	start := time.Now()
 	switch cmd {
@@ -147,7 +148,7 @@ func main() {
 	case "map":
 		runMap(runner)
 	case "ablations":
-		runAblations(*seed)
+		runAblations(*seed, runner)
 	case "fleet":
 		runFleet(job, title, *workers, *tracePath)
 	case "bench":
@@ -171,7 +172,7 @@ func main() {
 		fmt.Println()
 		runMap(runner)
 		fmt.Println()
-		runAblations(*seed)
+		runAblations(*seed, runner)
 		fmt.Println()
 		runFleet(job, title, *workers, "")
 	default:
@@ -421,12 +422,12 @@ func runBench(outPath, comparePath, cpuProfDir, memProfDir string, tolPct, alloc
 	}
 }
 
-func runAblations(seed int64) {
+func runAblations(seed int64, runner *pool.Runner) {
 	fmt.Print(movr.RenderAblations(
-		movr.RunAblationGainBackoff(seed),
-		movr.RunAblationPhaseBits(seed),
-		movr.RunAblationSweepStep(seed),
+		movr.RunAblationGainBackoff(seed, runner),
+		movr.RunAblationPhaseBits(seed, runner),
+		movr.RunAblationSweepStep(seed, runner),
 	))
 	fmt.Println()
-	fmt.Print(movr.RenderTrackingAblation(movr.RunAblationTrackingPeriod(seed)))
+	fmt.Print(movr.RenderTrackingAblation(movr.RunAblationTrackingPeriod(seed, runner)))
 }

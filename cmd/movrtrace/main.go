@@ -1,13 +1,12 @@
-// Command movrtrace generates and inspects the seeded VR motion traces
-// the simulator replays (walking, head rotation, hand raises in the
-// 5 m × 5 m office), and summarizes the structured event traces the
-// simulator records (movrsim -trace, Chrome trace-event JSON).
+// Command movrtrace summarizes the seeded VR motion traces the simulator
+// generates (walking, head rotation, hand raises in the 5 m × 5 m
+// office), and the structured event traces the simulator records
+// (movrsim -trace, Chrome trace-event JSON).
 //
 // Usage:
 //
-//	movrtrace -seed 7 -duration 30s -out trace.json   # generate motion
-//	movrtrace -in trace.json                          # summarize motion
-//	movrtrace -analyze events.json                    # summarize an event trace
+//	movrtrace -seed 7 -duration 30s        # summarize seeded motion
+//	movrtrace -analyze events.json         # summarize an event trace
 package main
 
 import (
@@ -23,18 +22,11 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "trace seed")
 	duration := flag.Duration("duration", 30*time.Second, "trace duration")
-	out := flag.String("out", "", "write generated trace JSON to this file ('-' for stdout)")
-	in := flag.String("in", "", "summarize an existing trace JSON file instead of generating")
 	analyze := flag.String("analyze", "", "summarize a simulator event trace (movrsim -trace output, Chrome JSON)")
 	flag.Parse()
 
 	if *analyze != "" {
 		analyzeFile(*analyze)
-		return
-	}
-
-	if *in != "" {
-		summarizeFile(*in)
 		return
 	}
 
@@ -45,24 +37,6 @@ func main() {
 		fatal(err)
 	}
 	printSummary(trace)
-	if *out == "" {
-		return
-	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := trace.Save(w); err != nil {
-		fatal(err)
-	}
-	if *out != "-" {
-		fmt.Fprintf(os.Stderr, "wrote %d samples to %s\n", len(trace), *out)
-	}
 }
 
 // analyzeFile summarizes a structured event trace: blockage episodes,
@@ -74,19 +48,6 @@ func analyzeFile(path string) {
 		fatal(err)
 	}
 	fmt.Print(obs.Analyze(tr).Render())
-}
-
-func summarizeFile(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	trace, err := vr.Load(f)
-	if err != nil {
-		fatal(err)
-	}
-	printSummary(trace)
 }
 
 func printSummary(trace vr.Trace) {

@@ -58,7 +58,7 @@
 //     "Serving simulations" section for the API walkthrough;
 //   - a performance subsystem (internal/bench, `movrsim bench`): the
 //     channel tracer and the link manager's tracking step run
-//     allocation-free in steady state (TraceInto/TraceHInto reuse
+//     allocation-free in steady state (TraceHInto reuses
 //     caller-retained path buffers over per-wall transforms precomputed
 //     at NewTracer time, golden-tested bit-identical to the original
 //     tracer), temporal coherence caches tick-over-tick work (see
@@ -102,6 +102,7 @@
 //
 //	go run ./cmd/movrsim all
 //
-// See DESIGN.md for the modelling decisions and EXPERIMENTS.md for
-// paper-vs-measured comparisons.
+// See ARCHITECTURE.md for the layers and the model each one implements,
+// and README.md for the command-line, service and performance
+// workflows.
 package movr

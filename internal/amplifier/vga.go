@@ -14,9 +14,6 @@
 //     but spikes as the device enters compression — "amplifiers draw
 //     significantly higher current as they get close to saturation mode"
 //     (§4.2) — which is the only observable MoVR's gain control has.
-//
-// The amplifier also exposes an on/off port used as the OOK modulator for
-// the backscatter alignment protocol (§4.1).
 package amplifier
 
 import (
@@ -72,12 +69,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// VGA is a variable-gain amplifier chain with an on/off modulation port
-// and a supply-current model.
+// VGA is a variable-gain amplifier chain with a supply-current model.
 type VGA struct {
-	cfg     Config
-	word    int
-	enabled bool
+	cfg  Config
+	word int
 
 	// satMw caches DBmToMilliwatts(PsatDBm), fixed at construction.
 	satMw float64
@@ -89,7 +84,7 @@ type VGA struct {
 	tfGainLn float64
 }
 
-// New validates cfg and returns a VGA set to minimum gain, enabled.
+// New validates cfg and returns a VGA set to minimum gain.
 func New(cfg Config) (*VGA, error) {
 	if cfg.MaxGainDB < cfg.MinGainDB {
 		return nil, fmt.Errorf("amplifier: MaxGainDB %v < MinGainDB %v", cfg.MaxGainDB, cfg.MinGainDB)
@@ -100,7 +95,7 @@ func New(cfg Config) (*VGA, error) {
 	if cfg.RappP <= 0 {
 		return nil, fmt.Errorf("amplifier: RappP %v must be positive", cfg.RappP)
 	}
-	return &VGA{cfg: cfg, enabled: true, satMw: units.DBmToMilliwatts(cfg.PsatDBm)}, nil
+	return &VGA{cfg: cfg, satMw: units.DBmToMilliwatts(cfg.PsatDBm)}, nil
 }
 
 // Default returns a VGA with DefaultConfig.
@@ -151,13 +146,6 @@ func (v *VGA) SetGainDB(g float64) float64 {
 	return v.GainDB()
 }
 
-// SetEnabled switches the chain on or off; the off state is the "0" of
-// the backscatter OOK modulation.
-func (v *VGA) SetEnabled(on bool) { v.enabled = on }
-
-// Enabled reports whether the chain is on.
-func (v *VGA) Enabled() bool { return v.enabled }
-
 // Transfer is the amplifier's Rapp saturation model at one gain setting,
 // in linear power. The voltage form
 //
@@ -174,11 +162,9 @@ type Transfer struct {
 	gainLin, satMw, p float64
 }
 
-// Transfer returns the Rapp transfer at the current gain word. It
-// ignores the on/off state: a disabled chain outputs nothing, which
-// callers check with Enabled. The linear gain is a pure function of the
-// word (the config is fixed at New), so it is converted once per word
-// change.
+// Transfer returns the Rapp transfer at the current gain word. The
+// linear gain is a pure function of the word (the config is fixed at
+// New), so it is converted once per word change.
 func (v *VGA) Transfer() Transfer {
 	if !v.tfOK || v.tfWord != v.word {
 		v.tfOK, v.tfWord, v.tfGainLn = true, v.word, units.DBToLinear(v.GainDB())
@@ -206,21 +192,14 @@ func (t Transfer) OutputMw(inMw float64) float64 {
 }
 
 // OutputPowerDBm returns the output power for a given input power,
-// applying the Rapp saturation model (see Transfer). A disabled
-// amplifier outputs nothing (−Inf dBm).
+// applying the Rapp saturation model (see Transfer).
 func (v *VGA) OutputPowerDBm(inDBm float64) float64 {
-	if !v.enabled {
-		return math.Inf(-1)
-	}
 	return units.MilliwattsToDBm(v.Transfer().OutputMw(units.DBmToMilliwatts(inDBm)))
 }
 
 // CompressionDB returns how far the output is compressed below the ideal
 // linear output, in dB (0 = fully linear).
 func (v *VGA) CompressionDB(inDBm float64) float64 {
-	if !v.enabled {
-		return 0
-	}
 	return inDBm + v.GainDB() - v.OutputPowerDBm(inDBm)
 }
 
@@ -234,9 +213,6 @@ func (v *VGA) Saturated(inDBm float64) bool { return v.CompressionDB(inDBm) >= 1
 // and spikes as compression sets in; the spike is what the INA169-based
 // sensing in the gain-control algorithm detects.
 func (v *VGA) SupplyCurrentA(inDBm float64) float64 {
-	if !v.enabled {
-		return 0.02 // standby draw
-	}
 	// The envelope term and the compression term both need the output
 	// power; evaluate the Rapp transfer once and derive the compression
 	// depth from it, exactly as CompressionDB does.

@@ -1,7 +1,7 @@
 package channel
 
 // Golden determinism tests: the allocation-free tracer (precomputed wall
-// transforms + TraceInto/TraceHInto scratch reuse) must produce paths
+// transforms + TraceHInto scratch reuse) must produce paths
 // BIT-identical to the pre-refactor implementation. referenceTraceH below
 // is a frozen verbatim copy of that implementation (it recomputes every
 // mirror image and allocates fresh slices per call); TestTraceGolden
@@ -201,7 +201,7 @@ func TestTracerConcurrentReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				got[g] = tr.TraceInto(got[g][:0], tx, rx)
+				got[g] = tr.TraceHInto(got[g][:0], tx, rx, DefaultEndpointHeightM, DefaultEndpointHeightM)
 			}
 		}()
 	}

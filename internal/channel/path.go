@@ -15,10 +15,10 @@
 // Tracing runs on every simulation timestep of every session, so the
 // tracer is built for allocation-free steady state: NewTracer precomputes
 // the per-wall mirror-image transforms and material losses once, and the
-// TraceInto/TraceHInto entry points write into a caller-retained []Path
-// scratch buffer, reusing both the slice and the per-path Points backing
-// arrays on every call. Trace remains as a thin allocating wrapper
-// for callers that do not keep a buffer. Both produce bit-identical Path
+// TraceHInto entry point writes into a caller-retained []Path scratch
+// buffer, reusing both the slice and the per-path Points backing arrays
+// on every call. Trace remains as a thin allocating wrapper for callers
+// that do not keep a buffer. Both produce bit-identical Path
 // values (the golden tests in golden_test.go enforce this against a
 // frozen reference implementation).
 //
@@ -68,9 +68,9 @@ type Path struct {
 	Kind PathKind
 
 	// Points traces the ray: transmitter, bounce points (if any),
-	// receiver. For paths produced by TraceInto/TraceHInto the backing
-	// array belongs to the scratch buffer and is overwritten by the
-	// next trace into the same buffer.
+	// receiver. For paths produced by TraceHInto the backing array
+	// belongs to the scratch buffer and is overwritten by the next
+	// trace into the same buffer.
 	Points []geom.Vec
 
 	// Bounces is the number of wall reflections (0 for direct).
@@ -264,15 +264,9 @@ func NewTracer(rm *room.Room, freqHz float64, maxBounces int) *Tracer {
 // total propagation loss.
 //
 // Trace allocates a fresh slice per call; steady-state loops should hold
-// a scratch buffer and call TraceInto or TraceHInto instead.
+// a scratch buffer and call TraceHInto instead.
 func (t *Tracer) Trace(tx, rx geom.Vec) []Path {
 	return t.TraceHInto(nil, tx, rx, DefaultEndpointHeightM, DefaultEndpointHeightM)
-}
-
-// TraceInto is Trace writing into a caller-retained scratch buffer; see
-// TraceHInto.
-func (t *Tracer) TraceInto(dst []Path, tx, rx geom.Vec) []Path {
-	return t.TraceHInto(dst, tx, rx, DefaultEndpointHeightM, DefaultEndpointHeightM)
 }
 
 // TraceHInto appends the traced paths to dst and returns the extended

@@ -173,22 +173,13 @@ func (c *PathCache) query(slot int, dst []Path, tx, rx geom.Vec, hTx, hRx float6
 		return c.emit(s, dst)
 	}
 	// Something in the room mutated since the snapshot; obstacle i is
-	// affected iff its own stamp postdates the snapshot.
+	// affected iff its own stamp postdates the snapshot. At an unchanged
+	// obstacle count a mutation moved or re-added at least one obstacle,
+	// so some stamp does (ClearObstacles on an empty room aside, where
+	// revalidating emits the same paths).
 	obsEpochs := rm.ObstacleEpochs()
-	nChanged := 0
 	for i := range obs {
-		ch := obsEpochs[i] > s.epoch
-		s.changed[i] = ch
-		if ch {
-			nChanged++
-		}
-	}
-	if nChanged == 0 {
-		// Mutations cancelled out (e.g. an add/remove pair restored the
-		// set); every surviving obstacle is provably unchanged.
-		s.epoch = roomEpoch
-		c.stats.Hits++
-		return c.emit(s, dst)
+		s.changed[i] = obsEpochs[i] > s.epoch
 	}
 	if !s.hasContrib {
 		// The leg's endpoints repeated while its obstacles moved: it is

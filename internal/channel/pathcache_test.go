@@ -168,9 +168,10 @@ func TestPathCachePeerCrossesLeg(t *testing.T) {
 }
 
 // TestPathCacheObstacleSetChangeForcesRetrace pins the remaining
-// invalidation edge: adding or removing an obstacle (a player entering
-// or leaving the room) changes the obstacle count and must bypass the
-// cached contributions entirely.
+// invalidation edge: adding an obstacle (a player entering the room), or
+// clearing the set and re-adding fewer (fig3's rebuild), changes the
+// obstacle count and must bypass the cached contributions entirely. A
+// player leaving is parked outside the room, which keeps the count.
 func TestPathCacheObstacleSetChangeForcesRetrace(t *testing.T) {
 	rm := room.NewOffice5x5()
 	tr := NewTracer(rm, DefaultBudget().FreqHz, 1)
@@ -191,14 +192,26 @@ func TestPathCacheObstacleSetChangeForcesRetrace(t *testing.T) {
 	refBuf = ref.TraceHInto(refBuf[:0], a, b, 1.5, 1.5)
 	comparePaths(t, "enter", buf, refBuf)
 
-	rm.RemoveObstacle(idx) // player leaves
-	misses = c.Stats().Misses
+	rm.MoveObstacle(idx, geom.V(-10, -10)) // player leaves
+	hits := c.Stats().Hits
 	buf = c.TraceHInto(0, buf[:0], a, b, 1.5, 1.5)
-	if c.Stats().Misses != misses+1 {
-		t.Fatalf("obstacle remove did not force a re-trace, stats %+v", c.Stats())
+	if c.Stats().Hits != hits {
+		t.Fatalf("parking the obstacle outside was served as a hit, stats %+v", c.Stats())
 	}
 	refBuf = ref.TraceHInto(refBuf[:0], a, b, 1.5, 1.5)
 	comparePaths(t, "leave", buf, refBuf)
+
+	rm.AddObstacle(room.Hand(geom.V(2.0, 2.5)))
+	buf = c.TraceHInto(0, buf[:0], a, b, 1.5, 1.5)
+	rm.ClearObstacles() // rebuild with one obstacle fewer
+	rm.AddObstacle(room.Body(geom.V(2.5, 2.5)))
+	misses = c.Stats().Misses
+	buf = c.TraceHInto(0, buf[:0], a, b, 1.5, 1.5)
+	if c.Stats().Misses != misses+1 {
+		t.Fatalf("clearing and re-adding fewer did not force a re-trace, stats %+v", c.Stats())
+	}
+	refBuf = ref.TraceHInto(refBuf[:0], a, b, 1.5, 1.5)
+	comparePaths(t, "rebuild", buf, refBuf)
 }
 
 // TestPathCacheZeroAllocs guards the steady-state budget of all three
@@ -252,8 +265,8 @@ func TestPathCacheZeroAllocs(t *testing.T) {
 // move in a tick, the cache must revalidate exactly the moved ones
 // (taking the revalidation tier, not a full re-trace), a parked obstacle
 // "moved" to its current position must not defeat the full-hit tier, and
-// an add/remove pair that restores the obstacle set must be recognized
-// as unchanged.
+// clearing the set and re-adding the same obstacles (fig3's rebuild)
+// revalidates rather than re-traces.
 func TestPathCacheEpochSubsetMove(t *testing.T) {
 	rm := room.NewOffice5x5()
 	bodyA := rm.AddObstacle(room.Body(geom.V(1.5, 3.5)))
@@ -299,14 +312,17 @@ func TestPathCacheEpochSubsetMove(t *testing.T) {
 		t.Fatalf("parked tick should be a full hit: before %+v after %+v", before, after)
 	}
 
-	// Add/remove pair restoring the set: epoch advances but every
-	// surviving obstacle is unchanged, so the query is still a hit.
-	idx := rm.AddObstacle(room.Body(geom.V(0.2, 0.2)))
-	rm.RemoveObstacle(idx)
+	// Rebuild at the same count: every obstacle is stamped anew, so the
+	// query revalidates them all from the recorded contributions.
+	kept := append([]room.Obstacle(nil), rm.Obstacles()...)
+	rm.ClearObstacles()
+	for _, o := range kept {
+		rm.AddObstacle(o)
+	}
 	before = c.Stats()
-	query("cancelled")
+	query("rebuild")
 	after = c.Stats()
-	if after.Hits != before.Hits+1 {
-		t.Fatalf("cancelled mutation should be a full hit: before %+v after %+v", before, after)
+	if after.Revalidations != before.Revalidations+1 || after.Misses != before.Misses {
+		t.Fatalf("same-count rebuild should revalidate: before %+v after %+v", before, after)
 	}
 }

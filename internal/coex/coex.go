@@ -395,7 +395,7 @@ func (l *layout) layoutWindow(win int64, active []bool, starts, ends []time.Dura
 	// Lay the sub-slots out in cyclic order from the rotation offset,
 	// boundaries computed from the window span so the slots partition
 	// [upEnd, start+period) exactly — the same full-coverage rule
-	// stream.Run uses.
+	// stream.Session uses for its frame slices.
 	off := int(win % int64(n))
 	scale := float64(shareScale(down))
 	var cum int64

@@ -29,7 +29,9 @@ const (
 	// MsgSetGainWord programs the amplifier gain DAC.
 	MsgSetGainWord
 
-	// MsgSetModulation turns the OOK alignment modulation on/off.
+	// MsgSetModulation turns the OOK alignment modulation on (Value f2
+	// in Hz) or off (0). The sweep synthesizes the modulated tone
+	// itself, so the device acks it and keeps no state.
 	MsgSetModulation
 
 	// Reserved, so that MsgAck and MsgNack keep their wire values.

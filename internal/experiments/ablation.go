@@ -17,14 +17,18 @@ import (
 	"github.com/movr-sim/movr/internal/stats"
 )
 
-// ablate fans a sweep's points across the fleet worker pool. Each point
-// computes one row independently; rows come back in sweep order, so the
-// tables are identical to a serial run. Sweep points cannot fail — only
-// a worker panic surfaces, re-raised here as an error naming the
+// ablate fans a sweep's points across runner; nil means a one-shot
+// runner of GOMAXPROCS slots. Each point computes one row
+// independently; rows come back in sweep order, so the tables are
+// identical to a serial run on any runner. Sweep points cannot fail —
+// only a worker panic surfaces, re-raised here as an error naming the
 // failing point (the pool recovers the original panic, so its value and
 // stack are folded into the message).
-func ablate[T any](n int, point func(i int) T) []T {
-	rows, err := pool.Map(context.Background(), pool.NewRunner(0), n, func(_ context.Context, i int) (T, error) {
+func ablate[T any](runner *pool.Runner, n int, point func(i int) T) []T {
+	if runner == nil {
+		runner = pool.NewRunner(0)
+	}
+	rows, err := pool.Map(context.Background(), runner, n, func(_ context.Context, i int) (T, error) {
 		return point(i), nil
 	})
 	if err != nil {
@@ -48,8 +52,9 @@ type GainBackoffRow struct {
 // AblationGainBackoff quantifies the §4.2 design choice "keeps the
 // amplification gain just below this point": a small back-off maximizes
 // gain but risks instability when beam tracking moves the leakage; a
-// large back-off is safe but wastes SNR.
-func AblationGainBackoff(seed int64) []GainBackoffRow {
+// large back-off is safe but wastes SNR. The sweep runs on runner (nil
+// means a one-shot GOMAXPROCS runner), as every ablation does.
+func AblationGainBackoff(seed int64, runner *pool.Runner) []GainBackoffRow {
 	backoffs := []int{1, 2, 4, 8, 16}
 	const trials = 40
 
@@ -73,7 +78,7 @@ func AblationGainBackoff(seed int64) []GainBackoffRow {
 		}
 	}
 
-	return ablate(len(backoffs), func(bi int) GainBackoffRow {
+	return ablate(runner, len(backoffs), func(bi int) GainBackoffRow {
 		cfg := gainctl.DefaultConfig()
 		cfg.BackoffSteps = backoffs[bi]
 		var gains, margins []float64
@@ -119,9 +124,9 @@ type PhaseBitsRow struct {
 // AblationPhaseBits quantifies how much phase-shifter resolution the
 // arrays need: coarse quantization costs steered gain and alignment
 // accuracy.
-func AblationPhaseBits(seed int64) []PhaseBitsRow {
+func AblationPhaseBits(seed int64, runner *pool.Runner) []PhaseBitsRow {
 	allBits := []int{1, 2, 3, 4, 6, 8}
-	return ablate(len(allBits), func(i int) PhaseBitsRow {
+	return ablate(runner, len(allBits), func(i int) PhaseBitsRow {
 		bits := allBits[i]
 		aCfg := antenna.DefaultConfig(0)
 		aCfg.PhaseShifterBits = bits
@@ -176,9 +181,9 @@ type SweepStepRow struct {
 
 // AblationSweepStep trades alignment time against accuracy by varying
 // the hierarchical sweep's coarse step.
-func AblationSweepStep(seed int64) []SweepStepRow {
+func AblationSweepStep(seed int64, runner *pool.Runner) []SweepStepRow {
 	steps := []float64{3, 5, 7, 10, 15}
-	return ablate(len(steps), func(i int) SweepStepRow {
+	return ablate(runner, len(steps), func(i int) SweepStepRow {
 		step := steps[i]
 		var errs []float64
 		var total time.Duration
@@ -227,7 +232,7 @@ type TrackingPeriodRow struct {
 // AblationTrackingPeriod sweeps the pose-driven re-steering cadence of
 // the §6 tracking proposal: how often must the link manager act on VR
 // pose for the stream to survive player motion?
-func AblationTrackingPeriod(seed int64) []TrackingPeriodRow {
+func AblationTrackingPeriod(seed int64, runner *pool.Runner) []TrackingPeriodRow {
 	periods := []time.Duration{
 		20 * time.Millisecond,
 		50 * time.Millisecond,
@@ -235,7 +240,7 @@ func AblationTrackingPeriod(seed int64) []TrackingPeriodRow {
 		250 * time.Millisecond,
 		500 * time.Millisecond,
 	}
-	return ablate(len(periods), func(i int) TrackingPeriodRow {
+	return ablate(runner, len(periods), func(i int) TrackingPeriodRow {
 		out, err := RunSessionVariant(SessionConfig{
 			Duration:     10 * time.Second,
 			Seed:         seed,

@@ -164,8 +164,7 @@ func TestFig9ReproducesPaperShape(t *testing.T) {
 		t.Errorf("MoVR mean improvement = %v, paper: around +a few dB", r.MoVRSummary.Mean)
 	}
 	// A negative tail exists (paper: −3 dB near the AP; our 2-D floor
-	// plan adds rare player-on-the-feed-line poses, see EXPERIMENTS.md)
-	// but stays bounded.
+	// plan adds rare player-on-the-feed-line poses) but stays bounded.
 	if r.MoVRSummary.Min < -25 {
 		t.Errorf("MoVR min improvement = %v, tail too deep", r.MoVRSummary.Min)
 	}
@@ -320,7 +319,7 @@ func TestDeploymentComparison(t *testing.T) {
 
 // TestAblationTrackingPeriod: slower tracking cannot glitch less.
 func TestAblationTrackingPeriod(t *testing.T) {
-	rows := AblationTrackingPeriod(3)
+	rows := AblationTrackingPeriod(3, nil)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -336,7 +335,7 @@ func TestAblationTrackingPeriod(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	backoff := AblationGainBackoff(1)
+	backoff := AblationGainBackoff(1, nil)
 	if len(backoff) != 5 {
 		t.Fatalf("backoff rows = %d", len(backoff))
 	}
@@ -352,7 +351,7 @@ func TestAblations(t *testing.T) {
 		t.Error("margin should grow with backoff")
 	}
 
-	bits := AblationPhaseBits(2)
+	bits := AblationPhaseBits(2, nil)
 	if len(bits) != 6 {
 		t.Fatalf("bits rows = %d", len(bits))
 	}
@@ -361,7 +360,7 @@ func TestAblations(t *testing.T) {
 		t.Error("coarse phases should not beat fine phases")
 	}
 
-	steps := AblationSweepStep(3)
+	steps := AblationSweepStep(3, nil)
 	if len(steps) != 5 {
 		t.Fatalf("step rows = %d", len(steps))
 	}

@@ -57,6 +57,16 @@ func TestFig9ParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestAblationParallelDeterminism: an ablation table is identical on a
+// runner of 1 slot and one of 4, so movrsim -workers does not move it.
+func TestAblationParallelDeterminism(t *testing.T) {
+	a := AblationGainBackoff(1, pool.NewRunner(1))
+	b := AblationGainBackoff(1, pool.NewRunner(4))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("gain back-off ablation differs between runners of 1 and 4 slots:\n%+v\n%+v", a, b)
+	}
+}
+
 // TestRunSessionVariant exercises the fleet-facing session entry point:
 // custom rooms, mounts and blockers work; impossible rooms error instead
 // of panicking; reflector variants hand off.

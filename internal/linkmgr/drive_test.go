@@ -44,7 +44,7 @@ func evaluateReflectorReference(m *Manager, i int) (float64, bool) {
 		return math.Inf(-1), false
 	}
 	e := m.entries[i]
-	if !e.Aligned || !e.Dev.Amp().Enabled() {
+	if !e.Aligned {
 		return math.Inf(-1), false
 	}
 	dev := e.Dev
@@ -71,7 +71,7 @@ func evaluateReflectorFrozenReference(m *Manager, i int) (float64, bool) {
 		return math.Inf(-1), false
 	}
 	e := m.entries[i]
-	if !e.Aligned || !e.Dev.Amp().Enabled() {
+	if !e.Aligned {
 		return math.Inf(-1), false
 	}
 	dev := e.Dev
@@ -87,9 +87,6 @@ func evaluateReflectorFrozenReference(m *Manager, i int) (float64, bool) {
 // drive level.
 func reflectorSNRAsIsReference(m *Manager, i int) float64 {
 	dev := m.entries[i].Dev
-	if !dev.Amp().Enabled() {
-		return math.Inf(-1)
-	}
 	inbound := inboundReference(m, i)
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1)

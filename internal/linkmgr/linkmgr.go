@@ -320,7 +320,7 @@ func (m *Manager) evaluateReflector(i int, floor float64) (float64, bool) {
 		return math.Inf(-1), false
 	}
 	e := m.entries[i]
-	if !e.Aligned || !e.Dev.Amp().Enabled() {
+	if !e.Aligned {
 		return math.Inf(-1), false
 	}
 	dev := e.Dev
@@ -394,7 +394,7 @@ func (m *Manager) EvaluateReflectorFrozen(i int) (float64, bool) {
 	}
 	e := m.entries[i]
 	m.settle(e)
-	if !e.Aligned || !e.Dev.Amp().Enabled() {
+	if !e.Aligned {
 		return math.Inf(-1), false
 	}
 	dev := e.Dev
@@ -704,9 +704,6 @@ func (m *Manager) reflectorSNRAsIs(i int) float64 {
 	e := m.entries[i]
 	m.settle(e)
 	dev := e.Dev
-	if !dev.Amp().Enabled() {
-		return math.Inf(-1)
-	}
 	inbound := m.driveLevel(i)
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1)

@@ -103,20 +103,3 @@ func TestEvaluateReflectorAppliesConfiguration(t *testing.T) {
 		t.Errorf("TX beam %v, want toward headset %v", after, wantDir)
 	}
 }
-
-func TestDisabledAmpUnusableEverywhere(t *testing.T) {
-	_, m := world(geom.V(3.4, 2.4), 60)
-	if st := m.Best(); st.Choice != PathReflector {
-		t.Fatalf("setup: want reflector, got %v", st)
-	}
-	m.Reflectors()[0].Dev.Amp().SetEnabled(false)
-	if _, ok := m.EvaluateReflector(0); ok {
-		t.Error("EvaluateReflector should reject a dead device")
-	}
-	if _, ok := m.EvaluateReflectorFrozen(0); ok {
-		t.Error("EvaluateReflectorFrozen should reject a dead device")
-	}
-	if snr := m.reflectorSNRAsIs(0); !math.IsInf(snr, -1) {
-		t.Error("reflectorSNRAsIs should report -Inf for a dead device")
-	}
-}

@@ -18,7 +18,8 @@ func NewController(dev *Reflector) *Controller {
 
 // HandleControl implements control.Handler: it applies one command to the
 // device and returns an Ack carrying the applied operand, or a Nack for
-// unknown commands.
+// unknown commands. A modulation command is acked and changes nothing:
+// the alignment sweep synthesizes the OOK signal it would switch on.
 func (c *Controller) HandleControl(m control.Message) control.Message {
 	switch m.Type {
 	case control.MsgSetBothBeams:
@@ -28,11 +29,6 @@ func (c *Controller) HandleControl(m control.Message) control.Message {
 		applied := c.Dev.Amp().SetGainWord(int(m.Value))
 		return control.Message{Type: control.MsgAck, Value: int32(applied)}
 	case control.MsgSetModulation:
-		if m.Value > 0 {
-			c.Dev.SetModulating(true, float64(m.Value))
-		} else {
-			c.Dev.SetModulating(false, 0)
-		}
 		return control.Message{Type: control.MsgAck, Value: m.Value}
 	default:
 		return control.Message{Type: control.MsgNack}

@@ -56,13 +56,11 @@ func TestControllerGainAndModulation(t *testing.T) {
 		t.Errorf("clamped gain ack = %d", reply.Value)
 	}
 
-	c.HandleControl(control.Message{Type: control.MsgSetModulation, Value: 100000})
-	if on, f := dev.Modulating(); !on || f != 100000 {
-		t.Error("modulation on failed")
-	}
-	c.HandleControl(control.Message{Type: control.MsgSetModulation, Value: 0})
-	if on, _ := dev.Modulating(); on {
-		t.Error("modulation off failed")
+	for _, v := range []int32{100000, 0} {
+		reply = c.HandleControl(control.Message{Type: control.MsgSetModulation, Value: v})
+		if reply.Type != control.MsgAck || reply.Value != v {
+			t.Errorf("modulation %d reply = %+v", v, reply)
+		}
 	}
 }
 

@@ -121,29 +121,25 @@ func fixedLeakDevice(leakDB float64) *Reflector {
 }
 
 // FuzzFeedbackSolver checks EffectiveAmpInputDBm over arbitrary drive,
-// leakage, gain word and amplifier state: the result is never NaN, is
+// leakage and gain word: the result is never NaN, is
 // −Inf (a fully blocked leg) or at least the external input (feedback
 // only adds power), and lies within feedbackTolDB of the frozen
 // dB-domain reference. Inputs outside the physical range — drive above
 // +30 dBm or below −150 dBm other than −Inf, leakage outside 0..120 dB
 // — are skipped. The seed corpus under testdata/fuzz/FuzzFeedbackSolver
 // covers a blocked leg, a probe that hits the iteration cap (loop gain
-// 1), deep saturation (max word at MinLeakageDB) and a disabled
-// amplifier.
+// 1), deep saturation (max word at MinLeakageDB) and an unstable loop
+// (45 dB of gain over 40 dB of leakage) at moderate drive.
 func FuzzFeedbackSolver(f *testing.F) {
-	f.Fuzz(func(t *testing.T, ext, leak float64, word uint8, on bool) {
+	f.Fuzz(func(t *testing.T, ext, leak float64, word uint8) {
 		if !math.IsInf(ext, -1) && !(ext >= -150 && ext <= 30) || !(leak >= 0 && leak <= 120) {
 			t.Skip()
 		}
 		r := fixedLeakDevice(leak)
 		amp := r.Amp()
 		amp.SetGainWord(int(word) % amp.Words())
-		amp.SetEnabled(on)
 		got := r.EffectiveAmpInputDBm(ext)
-		want := ext
-		if on {
-			want = refSolveDBm(amp.Config(), amp.GainDB(), ext, r.LeakageDB())
-		}
+		want := refSolveDBm(amp.Config(), amp.GainDB(), ext, r.LeakageDB())
 		switch {
 		case math.IsNaN(got):
 			t.Fatalf("x = NaN")

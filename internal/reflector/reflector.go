@@ -5,9 +5,9 @@
 //
 // The device is two phased arrays joined by a variable-gain amplifier
 // (Fig 4). It has no transmit or receive basebands: everything it does is
-// set a receive beam, set a transmit beam, set an amplifier gain word, and
-// toggle the amplifier for OOK modulation. Its only sensor is a DC
-// current monitor on the amplifier supply.
+// set a receive beam, set a transmit beam, and set an amplifier gain
+// word; the alignment sweep sees it OOK-modulate the reflected tone. Its
+// only sensor is a DC current monitor on the amplifier supply.
 //
 // The central physical subtlety is the TX→RX antenna leakage: part of the
 // amplified output couples back into the receive antenna, closing a
@@ -67,8 +67,7 @@ type Config struct {
 	// and a fast ripple. Fig 7 measures total swings of ~20 dB; the
 	// defaults reproduce that. Near-field coupling between co-located
 	// arrays is not a far-field pattern product, so the model is
-	// calibrated empirical structure rather than first-principles
-	// (see DESIGN.md).
+	// calibrated empirical structure rather than first-principles.
 	SlowSwingDB, FastSwingDB float64
 
 	// MinLeakageDB floors the total isolation; no physical board has
@@ -104,9 +103,6 @@ type Reflector struct {
 	rx  *antenna.Array
 	tx  *antenna.Array
 	amp *amplifier.VGA
-
-	modulating bool
-	modFreqHz  float64
 
 	ripple leakagePattern
 
@@ -224,13 +220,6 @@ func (r *Reflector) TXPeak() (gainDBi float64, elements int) {
 // Amp returns the amplifier chain for gain programming.
 func (r *Reflector) Amp() *amplifier.VGA { return r.amp }
 
-// SetModulating toggles the OOK modulation used during alignment, with
-// the given modulation frequency (f2 in the paper's description).
-func (r *Reflector) SetModulating(on bool, freqHz float64) {
-	r.modulating = on
-	r.modFreqHz = freqHz
-}
-
 // LeakageDB returns the TX→RX isolation (a positive attenuation in dB)
 // for the current pair of beam angles: a base board isolation plus a
 // deterministic, device-specific, smooth function of both steering
@@ -277,9 +266,6 @@ const feedbackIterations = 400
 // converges to a point deep in compression, which is exactly the physical
 // "saturated, generating garbage" state.
 func (r *Reflector) EffectiveAmpInputDBm(extDBm float64) float64 {
-	if !r.amp.Enabled() {
-		return extDBm
-	}
 	l := r.LeakageDB()
 	w := r.amp.GainWord()
 	if r.fpKeyOK && r.fpExt == extDBm && r.fpLeak == l {

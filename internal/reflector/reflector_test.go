@@ -212,19 +212,6 @@ func TestLeakageSteeringChangesStability(t *testing.T) {
 	}
 }
 
-func TestModulation(t *testing.T) {
-	r := dev()
-	on, f := r.Modulating()
-	if on || f != 0 {
-		t.Error("should start unmodulated")
-	}
-	r.SetModulating(true, 100e3)
-	on, f = r.Modulating()
-	if !on || f != 100e3 {
-		t.Error("modulation not applied")
-	}
-}
-
 func TestRippleDeterministicPerSeed(t *testing.T) {
 	cfg1 := DefaultConfig(geom.V(0, 0), 0)
 	cfg2 := DefaultConfig(geom.V(0, 0), 0)
@@ -240,18 +227,6 @@ func TestRippleDeterministicPerSeed(t *testing.T) {
 	}
 	if r1a.LeakageDB() == r2.LeakageDB() {
 		t.Error("different seeds should differ")
-	}
-}
-
-func TestDisabledAmpPassesNothing(t *testing.T) {
-	r := dev()
-	r.Amp().SetEnabled(false)
-	if !math.IsInf(r.OutputPowerDBm(-40), -1) {
-		t.Error("disabled reflector should output nothing")
-	}
-	// Effective input equals external input when off (no feedback).
-	if got := r.EffectiveAmpInputDBm(-40); got != -40 {
-		t.Errorf("effective input with amp off = %v", got)
 	}
 }
 
@@ -308,7 +283,3 @@ func TestQuickUnstableCurrentDominates(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// Modulating reports whether OOK modulation is active and at what
-// frequency.
-func (r *Reflector) Modulating() (bool, float64) { return r.modulating, r.modFreqHz }

@@ -51,7 +51,7 @@ func TestEndToEndMatchesClosedForm(t *testing.T) {
 
 func TestEndToEndPaperScenario(t *testing.T) {
 	// The §5.2 geometry: AP and reflector in opposite corners (~6.2 m),
-	// headset mid-room (~3 m from reflector). Numbers per DESIGN.md.
+	// headset mid-room (~3 m from reflector).
 	hop1 := HopBudget{
 		SignalDBm: 0 + 15 - units.FSPL(6.2, units.ISM24GHz) + 15, // ≈ -46
 		NoiseDBm:  units.ThermalNoiseDBm(units.Channel80211adBandwidth, 5),

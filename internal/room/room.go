@@ -194,28 +194,12 @@ func NewLivingRoom() *Room {
 func (r *Room) Walls() []Wall { return r.walls }
 
 // AddObstacle places an obstacle in the room and returns its index, which
-// can be passed to RemoveObstacle.
+// can be passed to MoveObstacle.
 func (r *Room) AddObstacle(o Obstacle) int {
 	r.obstacles = append(r.obstacles, o)
 	r.epoch++
 	r.obsEpochs = append(r.obsEpochs, r.epoch)
 	return len(r.obstacles) - 1
-}
-
-// RemoveObstacle removes the obstacle at the given index (as returned by
-// AddObstacle). Removing an out-of-range index is a no-op. Indices of
-// later obstacles shift down by one.
-func (r *Room) RemoveObstacle(i int) {
-	if i < 0 || i >= len(r.obstacles) {
-		return
-	}
-	r.obstacles = append(r.obstacles[:i], r.obstacles[i+1:]...)
-	r.obsEpochs = append(r.obsEpochs[:i], r.obsEpochs[i+1:]...)
-	r.epoch++
-	// Indices from i onward now name different obstacles.
-	for j := i; j < len(r.obsEpochs); j++ {
-		r.obsEpochs[j] = r.epoch
-	}
 }
 
 // ClearObstacles removes all obstacles.

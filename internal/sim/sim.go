@@ -72,14 +72,6 @@ func (e *Engine) At(t time.Duration, fn func()) {
 	heap.Push(&e.queue, ev)
 }
 
-// After schedules fn delay after the current time.
-func (e *Engine) After(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.At(e.now+delay, fn)
-}
-
 // Every schedules fn at the given period starting at start, until the
 // run horizon ends.
 func (e *Engine) Every(start, period time.Duration, fn func()) {

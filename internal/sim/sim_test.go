@@ -40,9 +40,9 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestAfterAndNow(t *testing.T) {
 	e := New()
 	var seen time.Duration
-	e.After(15*time.Millisecond, func() {
+	e.At(e.Now()+15*time.Millisecond, func() {
 		seen = e.Now()
-		e.After(10*time.Millisecond, func() { seen = e.Now() })
+		e.At(e.Now()+10*time.Millisecond, func() { seen = e.Now() })
 	})
 	e.Run(time.Second)
 	if seen != 25*time.Millisecond {
@@ -63,11 +63,11 @@ func TestPastSchedulingClamps(t *testing.T) {
 	if !ran {
 		t.Error("past-scheduled event should run at current time")
 	}
-	// Negative delay clamps to zero.
+	// A negative time clamps to the start.
 	e2 := New()
-	e2.After(-time.Second, func() { ran = true })
+	e2.At(e2.Now()-time.Second, func() { ran = true })
 	if e2.Run(time.Second) != 1 {
-		t.Error("negative delay should still run")
+		t.Error("negative time should still run")
 	}
 }
 

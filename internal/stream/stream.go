@@ -73,23 +73,14 @@ type Config struct {
 	LatencyScratch []time.Duration
 }
 
-// Run simulates frame delivery: each frame interval a frame of
+// Session simulates frame delivery: each frame interval a frame of
 // Display.FrameBits() bits is offered to the link; the link drains it at
 // rate(t), re-sampled every slice of the frame interval to track SNR
 // changes. A frame that fails to finish within one frame interval is a
 // glitch (the display shows a stale frame) and is then abandoned —
 // matching a real-time uncompressed pipeline with no retransmission
-// budget.
-func Run(engine *sim.Engine, cfg Config, rate RateFunc) Report {
-	s := Begin(engine, cfg, rate)
-	engine.Run(cfg.Duration)
-	return s.Report()
-}
-
-// Session is a streaming session begun with Begin whose frame events are
-// scheduled on a caller-driven engine. Splitting scheduling from the
-// engine run lets several sessions share one engine (the bay-batched
-// fleet runner) while executing the exact delivery logic of Run.
+// budget. Its frame events are scheduled on a caller-driven engine, so
+// several sessions can share one engine (the bay-batched fleet runner).
 type Session struct {
 	engine *sim.Engine
 	cfg    Config
@@ -109,9 +100,8 @@ type Session struct {
 
 // Begin schedules the session's frames on engine and returns the
 // session. Frames form a lazy chain — each frame event schedules the
-// next — so only one frame event per session is ever queued; frame
-// times and delivery arithmetic are identical to Run's eager schedule.
-// The caller runs the engine to (at least) cfg.Duration, then calls
+// next — so only one frame event per session is ever queued. The caller
+// runs the engine to (at least) cfg.Duration, then calls
 // Report.
 func Begin(engine *sim.Engine, cfg Config, rate RateFunc) *Session {
 	s := &Session{engine: engine, cfg: cfg, rate: rate}
@@ -227,9 +217,4 @@ func percentile(xs []float64, p float64) float64 {
 		return 0
 	}
 	return stats.Percentile(xs, p)
-}
-
-// ConstantRate returns a RateFunc pinned at rateBps.
-func ConstantRate(rateBps float64) RateFunc {
-	return func(time.Duration) float64 { return rateBps }
 }

@@ -16,8 +16,22 @@ func cfg(d time.Duration) Config {
 	return Config{Display: vr.HTCVive(), Duration: d}
 }
 
+// run streams one session on its own engine: Begin, then the engine
+// run to the session horizon, then Report.
+func run(cfg Config, rate RateFunc) Report {
+	engine := sim.New()
+	s := Begin(engine, cfg, rate)
+	engine.Run(cfg.Duration)
+	return s.Report()
+}
+
+// ConstantRate returns a RateFunc pinned at rateBps.
+func ConstantRate(rateBps float64) RateFunc {
+	return func(time.Duration) float64 { return rateBps }
+}
+
 func TestPerfectLinkDeliversEverything(t *testing.T) {
-	rep := Run(sim.New(), cfg(time.Second), ConstantRate(7*units.Gbps))
+	rep := run(cfg(time.Second), ConstantRate(7*units.Gbps))
 	if rep.Frames != 90 {
 		t.Errorf("frames = %d, want 90 (90 Hz for 1 s)", rep.Frames)
 	}
@@ -34,7 +48,7 @@ func TestPerfectLinkDeliversEverything(t *testing.T) {
 
 func TestInsufficientRateGlitchesEverything(t *testing.T) {
 	// 1 Gbps cannot carry a 5.6 Gbps stream: every frame misses.
-	rep := Run(sim.New(), cfg(time.Second), ConstantRate(1*units.Gbps))
+	rep := run(cfg(time.Second), ConstantRate(1*units.Gbps))
 	if rep.Delivered != 0 {
 		t.Errorf("delivered %d frames on a starved link", rep.Delivered)
 	}
@@ -47,7 +61,7 @@ func TestInsufficientRateGlitchesEverything(t *testing.T) {
 }
 
 func TestDeadLinkNoDivision(t *testing.T) {
-	rep := Run(sim.New(), cfg(100*time.Millisecond), ConstantRate(0))
+	rep := run(cfg(100*time.Millisecond), ConstantRate(0))
 	if rep.Delivered != 0 || rep.Glitches != rep.Frames {
 		t.Errorf("dead link report: %+v", rep)
 	}
@@ -62,7 +76,7 @@ func TestTransientBlockageGlitchesOnlyDuring(t *testing.T) {
 		}
 		return 7 * units.Gbps
 	}
-	rep := Run(sim.New(), cfg(time.Second), rate)
+	rep := run(cfg(time.Second), rate)
 	if rep.Glitches == 0 {
 		t.Fatal("expected glitches during blockage")
 	}
@@ -86,7 +100,7 @@ func TestRequiredRate(t *testing.T) {
 		t.Errorf("required = %v, raw = %v", req, d.RawRateBps())
 	}
 	// A link at exactly the required rate delivers every frame.
-	rep := Run(sim.New(), cfg(500*time.Millisecond), ConstantRate(req*1.001))
+	rep := run(cfg(500*time.Millisecond), ConstantRate(req*1.001))
 	if rep.Glitches != 0 {
 		t.Errorf("at-requirement link glitched: %+v", rep)
 	}
@@ -96,7 +110,7 @@ func TestMarginallyFastLinkLatency(t *testing.T) {
 	// Slightly above requirement: everything delivers, with latency
 	// near (but below) the full interval.
 	d := vr.HTCVive()
-	rep := Run(sim.New(), cfg(time.Second), ConstantRate(RequiredRateBps(d)*1.05))
+	rep := run(cfg(time.Second), ConstantRate(RequiredRateBps(d)*1.05))
 	if rep.Glitches != 0 {
 		t.Fatalf("glitches = %d", rep.Glitches)
 	}
@@ -115,7 +129,7 @@ func TestExactRequiredRateDeliversEveryFrame(t *testing.T) {
 	// the interval's tail unscanned, so exactly-fast-enough links could
 	// glitch every frame.
 	d := vr.HTCVive()
-	rep := Run(sim.New(), cfg(2*time.Second), ConstantRate(RequiredRateBps(d)))
+	rep := run(cfg(2*time.Second), ConstantRate(RequiredRateBps(d)))
 	if rep.Delivered != rep.Frames || rep.Glitches != 0 {
 		t.Errorf("at-required-rate link: delivered %d of %d frames (%d glitches)",
 			rep.Delivered, rep.Frames, rep.Glitches)

@@ -145,8 +145,11 @@ var (
 	DefaultSessionConfig = experiments.DefaultSessionConfig
 
 	// RunAblationGainBackoff, RunAblationPhaseBits,
-	// RunAblationSweepStep and RunAblationTrackingPeriod quantify the
-	// design choices called out in DESIGN.md.
+	// RunAblationSweepStep and RunAblationTrackingPeriod quantify four
+	// design choices: the §4.2 gain back-off, the phase-shifter
+	// resolution, the alignment sweep's coarse step and the §6 tracking
+	// cadence. Each runs its sweep on the given runner; nil means a
+	// one-shot runner of GOMAXPROCS slots.
 	RunAblationGainBackoff    = experiments.AblationGainBackoff
 	RunAblationPhaseBits      = experiments.AblationPhaseBits
 	RunAblationSweepStep      = experiments.AblationSweepStep

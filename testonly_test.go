@@ -32,28 +32,22 @@ var testOnlyAllowed = map[string]string{
 	"internal/experiments.BayPlayerError.Unwrap": "RunSessionVariant unwraps the lone player's error with errors.Unwrap",
 
 	// Oracles and bounds that tests check production code against.
-	"internal/geom.SpecularPoint":       "the channel golden tests rebuild reflection points with it",
-	"internal/channel.Tracer.TraceInto": "BenchmarkTracerInto prices the allocation-free full trace through it",
-	"internal/relay.Bound":              "TestQuickCombinedBelowBound holds the relay SNR below the weaker hop",
-	"internal/relay.HopBudget.SNRdB":    "per-hop SNR that TestEndToEndMatchesClosedForm builds the closed form from",
-	"internal/radio.LinkSNRAligned":     "aligned LOS SNR that the baseline and radio tests compare against",
+	"internal/geom.SpecularPoint":    "the channel golden tests rebuild reflection points with it",
+	"internal/relay.Bound":           "TestQuickCombinedBelowBound holds the relay SNR below the weaker hop",
+	"internal/relay.HopBudget.SNRdB": "per-hop SNR that TestEndToEndMatchesClosedForm builds the closed form from",
+	"internal/radio.LinkSNRAligned":  "aligned LOS SNR that the baseline and radio tests compare against",
 
 	// Fixtures that model-pinning tests need.
 	"internal/room.NewLivingRoom":         "furnished room of the channel golden traces and living-room tests",
 	"internal/channel.Budget60GHz":        "802.11ad fixture that band60_test and experiments_test check the model at",
 	"internal/room.Column":                "pillar that TestBlockageDegradesMeasurement blocks the sweep with",
-	"internal/room.Room.RemoveObstacle":   "obstacle-set change the PathCache retrace and epoch tests drive",
 	"internal/stats.LinearFit":            "TestFig8ReproducesPaperShape fits the Fig 8 error trend with it",
 	"internal/stats.MeanAbsError":         "TestFig7ReproducesPaperShape measures the Fig 7 curve error with it",
-	"internal/stream.Run":                 "single-session frame streamer the streaming model tests pin",
-	"internal/stream.ConstantRate":        "fixed-rate link the streaming model tests drive Run with",
 	"internal/amplifier.Default":          "calibrated amplifier the amplifier model tests build",
 	"internal/amplifier.VGA.SetGainDB":    "puts the amplifier at a gain in dB for the amplifier and reflector tests",
-	"internal/amplifier.VGA.SetEnabled":   "switches the chain off for the disabled-device tests",
 	"internal/antenna.Array.BeamwidthDeg": "TestBeamwidthMatchesPaper holds the half-power beamwidth to the paper's ~10°",
 	"internal/channel.Tracer.Trace":       "default-height trace the channel, radio and baseline tests build paths with",
 	"internal/radio.New":                  "generic radio the baseline testbed is built from",
-	"internal/sim.Engine.After":           "relative-delay scheduling that TestAfterAndNow pins nested virtual time through",
 
 	// Accessors that let tests observe state production code keeps.
 	"internal/geom.Segment.PointAt":          "the direct-trace and drive-level tests place points along legs",
@@ -83,7 +77,7 @@ var prodCoverAllowed = map[string]string{
 	// Error paths no deterministic run takes.
 	"internal/antenna.NonFiniteError.Error":     "message of the typed error antenna.New returns for a NaN or ±Inf Config field",
 	"internal/experiments.BayPlayerError.Error": "message of the error RunBayLockstep attributes to one failed bay player",
-	"cmd/movrtrace.fatal":                       "reports a trace file movrtrace cannot read or write, and exits 1",
+	"cmd/movrtrace.fatal":                       "reports an event trace movrtrace cannot read, or a motion config vr.Generate refuses, and exits 1",
 	"internal/coex.edfPolicy.weightedQuotas":    "EDF quotas under Room.Weights, whose deletion edits cmd/movrbench and so waits for a change that may touch the benchmark",
 	"internal/geom.MirrorPoint":                 "image source behind the SpecularPoint oracle the channel golden tests rebuild reflections with",
 	"internal/fleet.Histogram.UnmarshalJSON":    "decodes every streamed movrd result in cmd/movrbench (resultFrames), a module of its own outside the census",
