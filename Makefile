@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check fast-all-golden bench-suite bench-gate bench-baseline bench-profile serve load-smoke prod-cover ci
+.PHONY: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check fast-all-golden trace-check bench-suite bench-gate bench-baseline bench-profile serve load-smoke prod-cover ci
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,18 @@ fast-all-check:
 # commit it with the change that justified it.
 fast-all-golden:
 	$(GO) run ./cmd/movrsim -fast -seed 1 all > cmd/movrsim/testdata/fast_all_seed1.txt
+
+# Record the seed-7 coex fleet trace and the four-variant session trace
+# (one recorder per variant) and check their bytes against the digests
+# pinned in cmd/movrsim/testdata/trace_digests.txt, so a trace that
+# changes across commits fails here. Re-pin a digest only with the
+# change that justified it.
+trace-check:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/movrsim" ./cmd/movrsim && \
+	"$$dir/movrsim" -scenario coex -sessions 4 -seed 7 -fast -trace "$$dir/coex_fleet_seed7.json" fleet >/dev/null && \
+	"$$dir/movrsim" -fast -trace "$$dir/session_seed1.json" session >/dev/null && \
+	cd "$$dir" && sha256sum -c "$(CURDIR)/cmd/movrsim/testdata/trace_digests.txt"
 
 # Run the named perf suite — one fleet entry per scenario kind, the
 # coex airtime-policy family (fleet/coex{,pf,edf}) included — and write
@@ -95,4 +107,4 @@ load-smoke:
 prod-cover:
 	sh scripts/prodcover.sh
 
-ci: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check serve load-smoke bench-gate prod-cover
+ci: build build-cmds vet fmt-check test race bench-module-test bench fast-all-check trace-check serve load-smoke bench-gate prod-cover

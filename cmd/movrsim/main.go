@@ -124,8 +124,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	// fig9, map and the ablations fan out on one runner of -workers
-	// slots.
+	// fig9, map, the ablations and the fleet fan out on one runner of
+	// -workers slots.
 	runner := pool.NewRunner(*workers)
 	start := time.Now()
 	switch cmd {
@@ -150,7 +150,7 @@ func main() {
 	case "ablations":
 		runAblations(*seed, runner)
 	case "fleet":
-		runFleet(job, title, *workers, *tracePath)
+		runFleet(job, title, runner, *tracePath)
 	case "bench":
 		runBench(*benchOut, *benchCompare, *benchCPUProf, *benchMemProf, *benchTolPct, *benchAllocTol, *fast)
 	case "all":
@@ -174,7 +174,7 @@ func main() {
 		fmt.Println()
 		runAblations(*seed, runner)
 		fmt.Println()
-		runFleet(job, title, *workers, "")
+		runFleet(job, title, runner, "")
 	default:
 		fmt.Fprintf(os.Stderr, "movrsim: unknown experiment %q\n\n", cmd)
 		usage()
@@ -359,7 +359,7 @@ func (f fleetFlags) job(seed int64, fast bool) (fleet.Job, error) {
 }
 
 // runFleet runs a resolved fleet job and prints its report under title.
-func runFleet(job fleet.Job, title string, workers int, tracePath string) {
+func runFleet(job fleet.Job, title string, runner *pool.Runner, tracePath string) {
 	// Shared-medium runs lead with a self-describing header, so a saved
 	// report records which airtime policy and bay population produced
 	// it. Legacy scenarios print nothing extra — their output stays
@@ -371,7 +371,7 @@ func runFleet(job fleet.Job, title string, workers int, tracePath string) {
 	} else if fleet.IsCoexKind(job.Kind) {
 		fmt.Printf("coex: policy=%s players=%d uplink=%v\n\n", c.CoexPolicy, c.HeadsetsPerRoom, c.CoexUplink)
 	}
-	res, tr, err := job.Run(context.Background(), fleet.Config{Workers: workers}, nil)
+	res, tr, err := job.Run(context.Background(), fleet.Config{Runner: runner}, nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "movrsim: fleet: %v\n", err)
 		os.Exit(1)

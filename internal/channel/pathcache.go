@@ -131,9 +131,6 @@ func NewPathCache(t *Tracer) *PathCache {
 	return &PathCache{t: t}
 }
 
-// Tracer returns the underlying tracer.
-func (c *PathCache) Tracer() *Tracer { return c.t }
-
 // Stats returns the query-tier counters.
 func (c *PathCache) Stats() PathCacheStats { return c.stats }
 

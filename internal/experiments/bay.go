@@ -23,19 +23,13 @@ import (
 	"github.com/movr-sim/movr/internal/geom"
 	"github.com/movr-sim/movr/internal/sim"
 	"github.com/movr-sim/movr/internal/stream"
-	"github.com/movr-sim/movr/internal/vr"
 )
 
-// BayPlayer describes one player of a bay run.
+// BayPlayer describes one player of a bay run: its session and the
+// system variant it streams through. RunBayLockstep only reads it.
 type BayPlayer struct {
 	Cfg     SessionConfig
 	Variant SessionVariant
-
-	// LatencyScratch, when it has capacity for every frame of the
-	// session, seeds the player's stream latency buffer. RunBayLockstep
-	// writes the (possibly regrown) buffer back to this field so callers
-	// can recycle it across bays.
-	LatencyScratch []time.Duration
 }
 
 // BayPlayerError attributes a bay-run failure to one player.
@@ -108,10 +102,8 @@ func RunBayLockstep(players []BayPlayer) ([]VariantOutcome, error) {
 	for i := range states {
 		ps := &states[i]
 		ps.sess = stream.Begin(engine, stream.Config{
-			Display:        vr.HTCVive(),
-			Duration:       ps.cfg.Duration,
-			Obs:            ps.rec,
-			LatencyScratch: players[i].LatencyScratch,
+			Duration: ps.cfg.Duration,
+			Obs:      ps.rec,
 		}, ps.rateFn())
 	}
 	engine.Run(duration)
@@ -121,7 +113,6 @@ func RunBayLockstep(players []BayPlayer) ([]VariantOutcome, error) {
 		ps := &states[i]
 		rep := ps.sess.Report()
 		ps.finish(rep)
-		players[i].LatencyScratch = ps.sess.LatencyBuffer()
 		outs[i] = VariantOutcome{Report: rep, Handoffs: ps.handoffs}
 	}
 	return outs, nil

@@ -138,7 +138,7 @@ func (ps *playerState) init(cfg SessionConfig, trace vr.Trace, geo *coex.Geometr
 	// the session span. All recorder methods are nil-safe, but the wiring
 	// stays behind a nil check: the engine.Now method value would
 	// allocate a closure per session even on untraced runs.
-	rec := cfg.Obs
+	var rec *obs.Recorder
 	if cfg.ObsFor != nil {
 		rec = cfg.ObsFor(variant)
 	}

@@ -90,19 +90,15 @@ type SessionConfig struct {
 	AdmissionQueued   int
 	AdmissionRejected int
 
-	// Obs, when non-nil, records the session's event stream: link
-	// transitions and reassessments from the controller, per-window
-	// slot grants from the coex scheduler, and per-frame delivery from
-	// the stream. Events are stamped in sim time from the session's own
-	// engine, so traces are byte-identical across runs. Recording never
-	// feeds back into the simulation. When a session runs multiple
-	// variants their events land in this one recorder interleaved; use
-	// ObsFor to keep variants apart.
-	Obs *obs.Recorder
-
-	// ObsFor, when non-nil, resolves the recorder per variant and takes
-	// precedence over Obs. Returning nil disables recording for that
-	// variant.
+	// ObsFor, when non-nil, resolves the recorder of each variant the
+	// session runs; a nil recorder disables recording for that variant.
+	// A recorder receives the session's event stream: link transitions
+	// and reassessments from the controller, per-window slot grants from
+	// the coex scheduler, and per-frame delivery from the stream. Events
+	// are stamped in sim time from the session's own engine, so traces
+	// are byte-identical across runs. Recording never feeds back into
+	// the simulation. A recorder is single-writer: give each concurrent
+	// run its own.
 	ObsFor func(SessionVariant) *obs.Recorder
 
 	// sizedRoom records (via withDefaults) that the footprint was set

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -155,9 +154,9 @@ func Run(ctx context.Context, specs []Spec, cfg Config) (Result, error) {
 
 // RunCollect simulates every spec across the worker pool, feeding each
 // outcome to col as it completes, and returns col's Result. With an
-// ExactCollector this is exactly Run; with a StreamCollector the run
-// holds constant memory whatever len(specs) — no per-session slice is
-// ever allocated. A nil col defaults to the exact collector.
+// ExactCollector this is exactly Run; with a StreamCollector no outcome
+// is retained, and the collector's state stays constant-size whatever
+// len(specs). A nil col defaults to the exact collector.
 func RunCollect(ctx context.Context, specs []Spec, cfg Config, col Collector) (Result, error) {
 	if len(specs) == 0 {
 		return Result{}, fmt.Errorf("fleet: no sessions to run")
@@ -165,13 +164,21 @@ func RunCollect(ctx context.Context, specs []Spec, cfg Config, col Collector) (R
 	if col == nil {
 		col = NewExactCollector(len(specs))
 	}
+	// The pool's unit of work is a bay run in lockstep; a session on its
+	// own is a bay of one. Each bay runs its subslice of one player slice
+	// built for the whole run, and outcomes land per session in spec
+	// order.
+	players := make([]experiments.BayPlayer, len(specs))
+	for i, sp := range specs {
+		players[i] = experiments.BayPlayer{Cfg: sp.Session, Variant: specVariant(sp)}
+	}
 	var completed atomic.Int64
-	emit := func(i int, variant experiments.SessionVariant, out experiments.VariantOutcome) {
+	emit := func(i int, out experiments.VariantOutcome) {
 		sp := specs[i]
 		o := SessionOutcome{
 			ID:       sp.ID,
 			Seed:     sp.Session.Seed,
-			Variant:  variant,
+			Variant:  players[i].Variant,
 			Report:   out.Report,
 			Handoffs: out.Handoffs,
 		}
@@ -183,27 +190,10 @@ func RunCollect(ctx context.Context, specs []Spec, cfg Config, col Collector) (R
 			cfg.OnSession(int(completed.Add(1)), len(specs), o)
 		}
 	}
-	// The pool's unit of work is a bay run in lockstep; a session on its
-	// own is a bay of one. Outcomes land per session in spec order.
 	groups := bayGroups(specs)
 	run := func(_ context.Context, gi int) error {
 		g := groups[gi]
-		scr := bayScratchPool.Get().(*bayScratch)
-		defer bayScratchPool.Put(scr)
-		k := g.hi - g.lo
-		for len(scr.lat) < k {
-			scr.lat = append(scr.lat, nil)
-		}
-		players := scr.players[:0]
-		for i := g.lo; i < g.hi; i++ {
-			players = append(players, experiments.BayPlayer{
-				Cfg:            specs[i].Session,
-				Variant:        specVariant(specs[i]),
-				LatencyScratch: scr.lat[i-g.lo],
-			})
-		}
-		scr.players = players
-		outs, err := experiments.RunBayLockstep(players)
+		outs, err := experiments.RunBayLockstep(players[g.lo:g.hi])
 		if err != nil {
 			var be *experiments.BayPlayerError
 			if errors.As(err, &be) {
@@ -212,8 +202,7 @@ func RunCollect(ctx context.Context, specs []Spec, cfg Config, col Collector) (R
 			return err
 		}
 		for j, out := range outs {
-			scr.lat[j] = players[j].LatencyScratch
-			emit(g.lo+j, specVariant(specs[g.lo+j]), out)
+			emit(g.lo+j, out)
 		}
 		return nil
 	}
@@ -275,17 +264,6 @@ func bayGroups(specs []Spec) []specGroup {
 	}
 	return groups
 }
-
-// bayScratch is the per-worker reusable state of bay runs: the player
-// slice and each player's stream latency buffer, recycled across bays
-// through bayScratchPool so steady-state fleet runs stop allocating
-// them.
-type bayScratch struct {
-	players []experiments.BayPlayer
-	lat     [][]time.Duration
-}
-
-var bayScratchPool = sync.Pool{New: func() any { return new(bayScratch) }}
 
 // aggregate folds per-session outcomes (in spec order) into the fleet
 // statistics.

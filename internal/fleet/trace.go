@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"github.com/movr-sim/movr/internal/experiments"
 	"github.com/movr-sim/movr/internal/obs"
 )
 
@@ -16,8 +17,9 @@ func AttachTraceRecorders(specs []Spec, capacity int) []*obs.Recorder {
 	}
 	recs := make([]*obs.Recorder, len(specs))
 	for i := range specs {
-		recs[i] = obs.NewRecorder(capacity)
-		specs[i].Session.Obs = recs[i]
+		rec := obs.NewRecorder(capacity)
+		recs[i] = rec
+		specs[i].Session.ObsFor = func(experiments.SessionVariant) *obs.Recorder { return rec }
 	}
 	return recs
 }

@@ -118,17 +118,16 @@ type Entry struct {
 	Aligned bool
 
 	// Gain-control memo: the word Optimize chose, keyed on everything
-	// it depends on — drive level, leakage, and the manager's GainCfg.
+	// it depends on — drive level and leakage (the config is always
+	// gainctl.DefaultConfig).
 	gainKeyOK         bool
 	gainExt, gainLeak float64
-	gainCfg           gainctl.Config
 	gainWord          int
 
 	// Deferred gain control: the inputs of a gain-control run Best
 	// skipped, which settle runs before anything reads the gain word.
 	pending           bool
 	pendExt, pendLeak float64
-	pendCfg           gainctl.Config
 
 	// Drive-level memo: the last driveLevel result, keyed on every value
 	// it is computed from.
@@ -151,13 +150,13 @@ type driveKey struct {
 	rxOrient, rxSteer             uint64
 }
 
-// Manager owns path selection for one AP/headset pair.
+// Manager owns path selection for one AP/headset pair. It traces through
+// the tracer given to New for its whole life, and runs gain control
+// under gainctl.DefaultConfig.
 type Manager struct {
-	Tracer  *channel.Tracer
 	AP      *radio.AP
 	Headset *radio.Headset
 	Req     phy.VRRequirement
-	GainCfg gainctl.Config
 
 	// Obs, when non-nil, receives link lifecycle events: handoff when
 	// the carrying path changes, link_down when the link drops to no
@@ -194,8 +193,7 @@ type Manager struct {
 	// last evaluation of a leg, the cached paths are revalidated
 	// (blockage recomputed for the moved obstacles only) instead of
 	// re-traced, and when nothing moved they are emitted as-is.
-	// Emissions are bit-identical to a fresh trace. Rebuilt lazily if
-	// Tracer is swapped.
+	// Emissions are bit-identical to a fresh trace.
 	cache *channel.PathCache
 }
 
@@ -208,32 +206,23 @@ const slotDirect = 0
 func slotLeg1(i int) int { return 1 + 2*i }
 func slotLeg2(i int) int { return 2 + 2*i }
 
-// pc returns the manager's path cache, (re)building it if the Tracer
-// was set or swapped after construction.
-func (m *Manager) pc() *channel.PathCache {
-	if m.cache == nil || m.cache.Tracer() != m.Tracer {
-		m.cache = channel.NewPathCache(m.Tracer)
-	}
-	return m.cache
-}
-
 // directSNR traces the AP→headset leg through the path cache and
 // combines it exactly as radio.LinkSNRdBBuf does.
 func (m *Manager) directSNR() float64 {
-	m.pathBuf = m.pc().TraceHInto(slotDirect, m.pathBuf[:0],
+	m.pathBuf = m.cache.TraceHInto(slotDirect, m.pathBuf[:0],
 		m.AP.Pos, m.Headset.Pos, m.AP.HeightM, m.Headset.HeightM)
 	return m.AP.Budget.CombinedSNRdB(m.pathBuf, m.AP.Array, m.Headset.Array)
 }
 
-// New builds a Manager with the HTC Vive requirement and default gain
-// control.
+// New builds a Manager over tr with the HTC Vive requirement and default
+// gain control. Its path cache wraps tr, which fixes the room, carrier
+// and reflection order for the Manager's life.
 func New(tr *channel.Tracer, ap *radio.AP, hs *radio.Headset) *Manager {
 	return &Manager{
-		Tracer:  tr,
 		AP:      ap,
 		Headset: hs,
 		Req:     phy.HTCViveRequirement(),
-		GainCfg: gainctl.DefaultConfig(),
+		cache:   channel.NewPathCache(tr),
 	}
 }
 
@@ -344,13 +333,13 @@ func (m *Manager) evaluateReflector(i int, floor float64) (float64, bool) {
 	h := m.traceHops(i, inbound)
 	if inCeilingRange(floor) {
 		if c, ok := m.snrCeiling(dev, h, leak); ok && c+ceilingSlackDB <= floor {
-			e.pending, e.pendExt, e.pendLeak, e.pendCfg = true, inbound, leak, m.GainCfg
+			e.pending, e.pendExt, e.pendLeak = true, inbound, leak
 			return math.Inf(-1), false
 		}
 	}
 
 	// Adaptive gain control at the current beams and drive level.
-	m.gainControl(e, inbound, leak, m.GainCfg)
+	m.gainControl(e, inbound, leak)
 	if !dev.Stable() || dev.SaturatedAt(inbound) {
 		return math.Inf(-1), false
 	}
@@ -358,16 +347,16 @@ func (m *Manager) evaluateReflector(i int, floor float64) (float64, bool) {
 }
 
 // gainControl programs entry e's amplifier for drive level ext and
-// leakage leak under cfg: the memoized word when all three match the
-// last run, a fresh Optimize otherwise. The word Optimize picks is a pure
-// function of the three, so a memo hit sets exactly what it would.
-func (m *Manager) gainControl(e *Entry, ext, leak float64, cfg gainctl.Config) {
-	if e.gainKeyOK && e.gainExt == ext && e.gainLeak == leak && e.gainCfg == cfg {
+// leakage leak: the memoized word when both match the last run, a fresh
+// Optimize otherwise. The word Optimize picks is a pure function of the
+// two, so a memo hit sets exactly what it would.
+func (m *Manager) gainControl(e *Entry, ext, leak float64) {
+	if e.gainKeyOK && e.gainExt == ext && e.gainLeak == leak {
 		e.Dev.Amp().SetGainWord(e.gainWord)
 		return
 	}
-	m.opt.Optimize(e.Dev, ext, cfg)
-	e.gainKeyOK, e.gainExt, e.gainLeak, e.gainCfg, e.gainWord = true, ext, leak, cfg, e.Dev.Amp().GainWord()
+	m.opt.Optimize(e.Dev, ext, gainctl.DefaultConfig())
+	e.gainKeyOK, e.gainExt, e.gainLeak, e.gainWord = true, ext, leak, e.Dev.Amp().GainWord()
 }
 
 // settle runs entry e's deferred gain control, if any, from the inputs
@@ -377,7 +366,7 @@ func (m *Manager) gainControl(e *Entry, ext, leak float64, cfg gainctl.Config) {
 func (m *Manager) settle(e *Entry) {
 	if e.pending {
 		e.pending = false
-		m.gainControl(e, e.pendExt, e.pendLeak, e.pendCfg)
+		m.gainControl(e, e.pendExt, e.pendLeak)
 	}
 }
 
@@ -562,7 +551,7 @@ func (m *Manager) snrCeiling(dev *reflector.Reflector, h relayHops, leak float64
 // buffer and are overwritten by the next trace; callers use only the
 // scalar fields (angles, length, losses), which are value copies.
 func (m *Manager) directLeg(slot int, a, b geom.Vec, hA, hB float64) channel.Path {
-	m.pathBuf = m.pc().DirectHInto(slot, m.pathBuf[:0], a, b, hA, hB)
+	m.pathBuf = m.cache.DirectHInto(slot, m.pathBuf[:0], a, b, hA, hB)
 	return m.pathBuf[0]
 }
 
@@ -572,8 +561,7 @@ func (m *Manager) directLeg(slot int, a, b geom.Vec, hA, hB float64) channel.Pat
 // A reflector whose SNR ceiling (snrCeiling) is certified and at least
 // ceilingSlackDB below the best SNR found so far cannot win: Best steers
 // its beams but skips its gain control and second-hop gains, recording
-// the drive level, leakage and GainCfg that gain control would have run
-// with. Reflectors, EvaluateReflectorFrozen (and so BestFrozen) and
+// the drive level and leakage that gain control would have run with. Reflectors, EvaluateReflectorFrozen (and so BestFrozen) and
 // Reassess run the deferred gain control from those inputs before they
 // read the device, so every read through the Manager sees exactly the
 // gain word the eager evaluation would have set. Reassess reads only the

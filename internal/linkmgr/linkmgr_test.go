@@ -225,49 +225,6 @@ func TestDeadLinkState(t *testing.T) {
 	}
 }
 
-// TestGainMemoKeyedOnConfig changes GainCfg between two evaluations at
-// the same pose: the second must program the word a fresh manager with
-// the new config picks, not the word memoized under the old one.
-func TestGainMemoKeyedOnConfig(t *testing.T) {
-	evalWord := func(m *Manager) int {
-		m.EvaluateReflector(0)
-		return m.Reflectors()[0].Dev.Amp().GainWord()
-	}
-	lowIsoWorld := func() *Manager {
-		rm := room.NewOffice5x5()
-		b := channel.DefaultBudget()
-		tr := channel.NewTracer(rm, b.FreqHz, 1)
-		m := New(tr, radio.NewAP(geom.V(0.4, 0.4), antenna.Default(45), b),
-			radio.NewHeadset(geom.V(3.4, 2.4), antenna.Default(60), b))
-		cfg := reflector.DefaultConfig(geom.V(4.6, 4.6), 225)
-		cfg.BaseIsolationDB, cfg.MinLeakageDB = 40, 25 // knee inside the gain range
-		dev, err := reflector.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		i := m.AddReflector(dev)
-		if err := m.AlignFromGeometry(i); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	m := lowIsoWorld()
-	before := evalWord(m)
-	m.GainCfg.BackoffSteps = 8
-	got := evalWord(m)
-
-	fresh := lowIsoWorld()
-	fresh.GainCfg.BackoffSteps = 8
-	want := evalWord(fresh)
-	if want == before {
-		t.Fatalf("setup: backoff 4 and 8 both give word %d — no knee in range", want)
-	}
-	if got != want {
-		t.Errorf("after GainCfg change: word %d, fresh manager picks %d (stale word was %d)", got, want, before)
-	}
-}
-
 func TestStrings(t *testing.T) {
 	if PathDirect.String() != "direct" || PathReflector.String() != "reflector" ||
 		PathNone.String() != "none" || !strings.Contains(PathChoice(9).String(), "unknown") {

@@ -65,13 +65,19 @@ func Max(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between order statistics. It returns NaN for an empty
-// slice.
+// slice. xs is not modified: Percentile sorts a copy.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return PercentileSorted(s, p)
+}
+
+// PercentileSorted is Percentile over s already sorted ascending, with no
+// copy. It returns NaN for an empty slice.
+func PercentileSorted(s []float64, p float64) float64 {
+	if len(s) == 0 {
+		return math.NaN()
+	}
 	if p <= 0 {
 		return s[0]
 	}

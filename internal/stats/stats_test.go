@@ -56,6 +56,29 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+func TestPercentileSortedMatchesPercentile(t *testing.T) {
+	// Percentile is a copy and a sort in front of PercentileSorted, so
+	// the two must agree bit for bit on every size and rank; the input
+	// holds repeats so ties are covered too.
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 1000; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Round(rng.Float64()*1e4) * 1e3
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{0, 1, 25, 50, 99, 99.9, 100} {
+			if got, want := PercentileSorted(sorted, p), Percentile(xs, p); got != want {
+				t.Fatalf("n=%d p=%v: PercentileSorted %v, Percentile %v", n, p, got, want)
+			}
+		}
+	}
+	if !math.IsNaN(PercentileSorted(nil, 50)) {
+		t.Error("PercentileSorted of an empty slice should be NaN")
+	}
+}
+
 func TestSummary(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if s.N != 10 || s.Mean != 5.5 || s.Min != 1 || s.Max != 10 {

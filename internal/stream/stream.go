@@ -10,6 +10,7 @@
 package stream
 
 import (
+	"sort"
 	"time"
 
 	"github.com/movr-sim/movr/internal/obs"
@@ -53,11 +54,10 @@ type Report struct {
 	GlitchFrac float64
 }
 
-// Config describes the stream.
+// Config describes the stream. Frames come from the HTC Vive display,
+// the headset the paper streams to; coex's EDF deadlines sit on the
+// same frame grid.
 type Config struct {
-	// Display is the headset display generating frames.
-	Display vr.DisplaySpec
-
 	// Duration is the session length.
 	Duration time.Duration
 
@@ -65,18 +65,12 @@ type Config struct {
 	// frame. Recording is observation only: it never feeds back into
 	// delivery, so traced and untraced runs produce identical Reports.
 	Obs *obs.Recorder
-
-	// LatencyScratch, when it has capacity for every frame of the
-	// session, seeds the delivered-frame latency buffer so callers can
-	// reuse one allocation across sessions. The session owns the buffer
-	// until Report; reclaim it afterwards with LatencyBuffer.
-	LatencyScratch []time.Duration
 }
 
 // Session simulates frame delivery: each frame interval a frame of
-// Display.FrameBits() bits is offered to the link; the link drains it at
-// rate(t), re-sampled every slice of the frame interval to track SNR
-// changes. A frame that fails to finish within one frame interval is a
+// vr.HTCVive().FrameBits() bits is offered to the link; the link drains
+// it at rate(t), re-sampled every slice of the frame interval to track
+// SNR changes. A frame that fails to finish within one frame interval is a
 // glitch (the display shows a stale frame) and is then abandoned —
 // matching a real-time uncompressed pipeline with no retransmission
 // budget. Its frame events are scheduled on a caller-driven engine, so
@@ -91,22 +85,26 @@ type Session struct {
 	slackBits float64
 	frames    int
 
-	next      int    // index of the next frame to generate
-	tick      func() // frameTick bound once, reused by the chain
-	rep       Report
-	latencies []time.Duration
-	outage    time.Duration
+	next   int    // index of the next frame to generate
+	tick   func() // frameTick bound once, reused by the chain
+	rep    Report
+	outage time.Duration
+
+	// latencies holds each delivered frame's latency in whole
+	// nanoseconds; Report sorts it in place.
+	latencies []float64
 }
 
-// Begin schedules the session's frames on engine and returns the
-// session. Frames form a lazy chain — each frame event schedules the
-// next — so only one frame event per session is ever queued. The caller
-// runs the engine to (at least) cfg.Duration, then calls
-// Report.
+// Begin schedules the session's frames on engine, one per HTC Vive
+// frame interval that fits in cfg.Duration, and returns the session.
+// Frames form a lazy chain — each frame event schedules the next — so
+// only one frame event per session is ever queued. The caller runs the
+// engine to (at least) cfg.Duration, then calls Report.
 func Begin(engine *sim.Engine, cfg Config, rate RateFunc) *Session {
 	s := &Session{engine: engine, cfg: cfg, rate: rate}
-	s.interval = cfg.Display.FrameInterval()
-	s.frameBits = cfg.Display.FrameBits()
+	display := vr.HTCVive()
+	s.interval = display.FrameInterval()
+	s.frameBits = display.FrameBits()
 
 	// slackBits absorbs float-rounding drift in the per-slice drain sums,
 	// so a link at exactly the display's rate (frame bits per frame
@@ -117,11 +115,7 @@ func Begin(engine *sim.Engine, cfg Config, rate RateFunc) *Session {
 	s.slackBits = s.frameBits * 1e-12
 
 	s.frames = int(cfg.Duration / s.interval)
-	if cap(cfg.LatencyScratch) >= s.frames {
-		s.latencies = cfg.LatencyScratch[:0]
-	} else {
-		s.latencies = make([]time.Duration, 0, s.frames)
-	}
+	s.latencies = make([]float64, 0, s.frames)
 	s.tick = s.frameTick
 	if s.frames > 0 {
 		engine.At(0, s.tick)
@@ -163,7 +157,7 @@ func (s *Session) frameTick() {
 	}
 	if remaining <= s.slackBits && elapsed <= s.interval {
 		s.rep.Delivered++
-		s.latencies = append(s.latencies, elapsed)
+		s.latencies = append(s.latencies, float64(elapsed))
 		s.outage = 0
 		s.cfg.Obs.EmitAt(start, obs.KindFrameOK, int32(i), 0, elapsed.Seconds(), 0)
 	} else {
@@ -182,39 +176,28 @@ func (s *Session) frameTick() {
 	}
 }
 
-// Report finalizes the session's metrics. Call it once, after the engine
-// has run to the session horizon.
+// Report finalizes the session's metrics. Call it after the engine has
+// run to the session horizon; calling it again returns the same Report.
+//
+// P99Latency is stats.PercentileSorted over the latencies, sorted in
+// place, so stream reports and fleet aggregates share one definition of
+// a percentile. The latencies are whole nanoseconds and their sum stays
+// far below 2⁵³, so the float sum is exact in any order and MeanLatency
+// is the integer mean.
 func (s *Session) Report() Report {
 	rep := s.rep
 	rep.TotalOutage = time.Duration(rep.Glitches) * s.interval
-	if len(s.latencies) > 0 {
-		var sum time.Duration
-		xs := make([]float64, len(s.latencies))
-		for i, l := range s.latencies {
+	if n := len(s.latencies); n > 0 {
+		var sum float64
+		for _, l := range s.latencies {
 			sum += l
-			xs[i] = float64(l)
 		}
-		rep.MeanLatency = sum / time.Duration(len(s.latencies))
-		rep.P99Latency = time.Duration(percentile(xs, 99))
+		rep.MeanLatency = time.Duration(sum) / time.Duration(n)
+		sort.Float64s(s.latencies)
+		rep.P99Latency = time.Duration(stats.PercentileSorted(s.latencies, 99))
 	}
 	if rep.Frames > 0 {
 		rep.GlitchFrac = float64(rep.Glitches) / float64(rep.Frames)
 	}
 	return rep
-}
-
-// LatencyBuffer returns the session's internal latency buffer for reuse
-// as a later session's Config.LatencyScratch. Only meaningful after
-// Report.
-func (s *Session) LatencyBuffer() []time.Duration { return s.latencies }
-
-// percentile delegates to stats.Percentile (linear interpolation between
-// order statistics) so stream reports and fleet aggregates can never
-// disagree on what a percentile is. An earlier local copy truncated the
-// rank to an integer index, biasing P99Latency low.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return stats.Percentile(xs, p)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 func cfg(d time.Duration) Config {
-	return Config{Display: vr.HTCVive(), Duration: d}
+	return Config{Duration: d}
 }
 
 // run streams one session on its own engine: Begin, then the engine
@@ -140,26 +140,67 @@ func TestExactRequiredRateDeliversEveryFrame(t *testing.T) {
 	}
 }
 
-func TestPercentileMatchesStats(t *testing.T) {
-	// stream's percentile must agree with stats.Percentile, which the
-	// fleet aggregates use — a truncating local copy once biased
-	// P99Latency low.
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 3, 10, 99, 1000} {
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 1e7
-		}
-		for _, p := range []float64{0, 1, 25, 50, 90, 99, 99.9, 100} {
-			got := percentile(xs, p)
-			want := stats.Percentile(xs, p)
-			if got != want {
-				t.Fatalf("percentile(n=%d, p=%v) = %v, stats.Percentile = %v", n, p, got, want)
+// piecewiseRate returns a seeded RateFunc that holds a random rate, from
+// starved to twice the stream's requirement, for random spans of 5 to
+// 60 ms across d.
+func piecewiseRate(seed int64, d time.Duration) RateFunc {
+	rng := rand.New(rand.NewSource(seed))
+	req := RequiredRateBps(vr.HTCVive())
+	var ends []time.Duration
+	var rates []float64
+	for t := time.Duration(0); t < d; {
+		t += time.Duration(5+rng.Intn(56)) * time.Millisecond
+		ends = append(ends, t)
+		rates = append(rates, req*2*rng.Float64())
+	}
+	return func(now time.Duration) float64 {
+		for i, end := range ends {
+			if now < end {
+				return rates[i]
 			}
 		}
+		return rates[len(rates)-1]
 	}
-	if got := percentile(nil, 99); got != 0 {
-		t.Errorf("percentile(nil) = %v, want 0", got)
+}
+
+func TestReportLatenciesMatchStats(t *testing.T) {
+	// Report sorts the session's latencies in place and reads P99 with
+	// stats.PercentileSorted; it must agree with stats.Percentile, which
+	// the fleet aggregates use, and with the integer mean of the
+	// delivered frames' latencies.
+	const d = 2 * time.Second
+	delivered := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		engine := sim.New()
+		s := Begin(engine, cfg(d), piecewiseRate(seed, d))
+		engine.Run(d)
+		lat := append([]float64(nil), s.latencies...)
+		rep := s.Report()
+		if len(lat) != rep.Delivered {
+			t.Fatalf("seed %d: %d latencies for %d delivered frames", seed, len(lat), rep.Delivered)
+		}
+		var wantP99, wantMean time.Duration
+		if n := len(lat); n > 0 {
+			var sum time.Duration
+			for _, l := range lat {
+				sum += time.Duration(l)
+			}
+			wantMean = sum / time.Duration(n)
+			wantP99 = time.Duration(stats.Percentile(lat, 99))
+		}
+		if rep.P99Latency != wantP99 || rep.MeanLatency != wantMean {
+			t.Errorf("seed %d: P99/mean = %v/%v, stats.Percentile/integer mean = %v/%v",
+				seed, rep.P99Latency, rep.MeanLatency, wantP99, wantMean)
+		}
+		if again := s.Report(); again != rep {
+			t.Errorf("seed %d: second Report %+v differs from first %+v", seed, again, rep)
+		}
+		if rep.Delivered > 0 && rep.Glitches > 0 {
+			delivered++
+		}
+	}
+	if delivered < 10 {
+		t.Errorf("only %d of 20 seeded sessions both delivered and glitched", delivered)
 	}
 }
 

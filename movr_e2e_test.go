@@ -50,7 +50,6 @@ func TestE2EFullPipeline(t *testing.T) {
 	}
 	engine := sim.New()
 	sess := stream.Begin(engine, stream.Config{
-		Display:  movr.HTCVive(),
 		Duration: time.Second,
 	}, func(time.Duration) float64 { return st.RateBps })
 	engine.Run(time.Second)
