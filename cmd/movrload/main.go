@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"github.com/movr-sim/movr/internal/movrclient"
+	"github.com/movr-sim/movr/internal/stats"
 )
 
 // countingTransport tallies 429 responses so the report can show how
@@ -87,7 +88,7 @@ func main() {
 	ctx := context.Background()
 	var (
 		mu        sync.Mutex
-		latencies []time.Duration
+		latencies []float64 // submit-to-done, ns
 		cacheHits int
 		failures  []string
 	)
@@ -119,7 +120,7 @@ func main() {
 				case job.State != "done":
 					failures = append(failures, fmt.Sprintf("job %d: state %s: %s", i, job.State, job.Error))
 				default:
-					latencies = append(latencies, elapsed)
+					latencies = append(latencies, float64(elapsed))
 					if job.Cached {
 						cacheHits++
 					}
@@ -142,16 +143,16 @@ func main() {
 		fmt.Fprintf(os.Stderr, "movrload: no job completed\n")
 		os.Exit(2)
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	p50 := percentile(latencies, 50)
-	p95 := percentile(latencies, 95)
+	sort.Float64s(latencies)
+	p50 := time.Duration(stats.PercentileSorted(latencies, 50))
+	p95 := time.Duration(stats.PercentileSorted(latencies, 95))
 	backpressed := transport.backpressed.Load()
 	fmt.Printf("movrload: %d/%d jobs done in %v (%.1f jobs/s)\n",
 		len(latencies), *jobs, wall.Round(time.Millisecond),
 		float64(len(latencies))/wall.Seconds())
 	fmt.Printf("movrload: submit-to-done p50=%v p95=%v max=%v\n",
 		p50.Round(time.Millisecond), p95.Round(time.Millisecond),
-		latencies[len(latencies)-1].Round(time.Millisecond))
+		time.Duration(latencies[len(latencies)-1]).Round(time.Millisecond))
 	fmt.Printf("movrload: backpressure_429=%d cache_hits=%d\n", backpressed, cacheHits)
 
 	exit := 0
@@ -167,19 +168,4 @@ func main() {
 		exit = 1
 	}
 	os.Exit(exit)
-}
-
-// percentile mirrors the simulator's rank convention: linear
-// interpolation at rank p/100·(n−1) over the sorted sample.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo] + time.Duration(frac*float64(sorted[lo+1]-sorted[lo]))
 }

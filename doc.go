@@ -79,15 +79,15 @@
 // boundaries for every scheduling window over the horizon), the fleet
 // generator builds it once per room, and all of the room's sessions
 // read it instead of re-evaluating the airtime policy N times per
-// window. The table is the only schedule source: a session whose room
-// carries none builds a private one, and pose queries answer only
-// exact on-grid times. Every session runs as a bay — a session on its
-// own is a bay of one — and golden tests pin whole fleet results byte
-// for byte. One layer down, channel.PathCache applies the same
-// temporal-coherence idea to ray tracing: each link leg caches last
-// tick's path set and revalidates only the blockage legs that moved
-// geometry could have changed, re-tracing in full when endpoints or
-// walls change. See ARCHITECTURE.md for the layer map and the
+// window. The table is the only schedule source: a session whose shared
+// room carries none fails, and pose queries answer only exact on-grid
+// times. Every session runs as a bay — a session on its own is a bay of
+// one — and golden tests pin whole fleet results byte for byte. One
+// layer down, channel.PathCache applies the same temporal-coherence idea
+// to ray tracing: each link leg caches last tick's path set and
+// revalidates only the blockage legs that moved geometry could have
+// changed, re-tracing in full when an endpoint moves or the obstacle
+// count changes. See ARCHITECTURE.md for the layer map and the
 // per-layer determinism guarantees.
 //
 // # Quick start

@@ -24,6 +24,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"github.com/movr-sim/movr/internal/stats"
 )
 
 // SchemaVersion identifies the BENCH_*.json layout. Bump it when fields
@@ -305,20 +307,15 @@ func writeMemProfile(dir, name string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// percentile reads the p-th percentile (nearest-rank) from an ascending
-// sample set.
+// percentile reads the p-th percentile of an ascending sample set by
+// stats.PercentileSorted, the rule every percentile the repository
+// prints follows. An empty set reads 0, not NaN, so the report still
+// encodes as JSON.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return stats.PercentileSorted(sorted, p)
 }
 
 // FileName returns the report's canonical file name, BENCH_<sha>.json.

@@ -8,6 +8,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"github.com/movr-sim/movr/internal/stats"
 )
 
 // tinySpec is a fast deterministic benchmark for harness tests.
@@ -66,6 +68,21 @@ func TestRunAndRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(rep.Render(), "micro/sqrt") {
 		t.Error("Render omits the benchmark name")
+	}
+}
+
+// TestPercentilesFollowStats pins the p50_ns and p95_ns columns to the
+// repository's one percentile rule, stats.PercentileSorted: on {1,2,3,4}
+// that is 2.5 and 3.85, where nearest rank would read 2 and 4.
+func TestPercentilesFollowStats(t *testing.T) {
+	sorted := []float64{1, 2, 3, 4}
+	for _, p := range []float64{50, 95} {
+		if got, want := percentile(sorted, p), stats.PercentileSorted(sorted, p); got != want {
+			t.Errorf("p%v = %v, want %v", p, got, want)
+		}
+	}
+	if got := percentile(nil, 95); got != 0 {
+		t.Errorf("empty p95 = %v, want 0 (NaN does not encode as JSON)", got)
 	}
 }
 

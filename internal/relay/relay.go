@@ -10,11 +10,7 @@
 // why it can lose a few dB when the headset is right next to the AP.
 package relay
 
-import (
-	"math"
-
-	"github.com/movr-sim/movr/internal/units"
-)
+import "github.com/movr-sim/movr/internal/units"
 
 // HopBudget describes one hop of the relayed link in received-power
 // terms.
@@ -48,7 +44,3 @@ func EndToEnd(hop1 HopBudget, hop2GainDB, headsetNoiseDBm float64) float64 {
 	totalNoise := units.AddPowersDBm(forwardedNoise, headsetNoiseDBm)
 	return signalAtHeadset - totalNoise
 }
-
-// Bound returns the theoretical ceiling of the combined SNR: the smaller
-// of the two hop SNRs.
-func Bound(snr1DB, snr2DB float64) float64 { return math.Min(snr1DB, snr2DB) }

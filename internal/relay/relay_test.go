@@ -67,12 +67,6 @@ func TestEndToEndPaperScenario(t *testing.T) {
 	}
 }
 
-func TestBound(t *testing.T) {
-	if Bound(10, 20) != 10 || Bound(30, 5) != 5 {
-		t.Error("Bound wrong")
-	}
-}
-
 // Property: combined SNR never exceeds either hop (relay can only lose).
 func TestQuickCombinedBelowBound(t *testing.T) {
 	f := func(a, b float64) bool {
@@ -82,7 +76,7 @@ func TestQuickCombinedBelowBound(t *testing.T) {
 			return true
 		}
 		c := CombineSNRdB(s1, s2)
-		return c <= Bound(s1, s2)+1e-9
+		return c <= math.Min(s1, s2)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

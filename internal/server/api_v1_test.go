@@ -119,7 +119,7 @@ func TestQueueFullEnvelope(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, MaxJobs: 1, QueueDepth: 1})
 	fn, release := blockingExec()
 	defer release()
-	s.Scheduler().execFn = fn
+	s.sched.execFn = fn
 
 	// Distinct seeds so nothing coalesces: one runs, one queues, the
 	// third must bounce.

@@ -49,9 +49,6 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Scheduler exposes the underlying scheduler (tests, embedding).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
-
 // Close shuts the scheduler down.
 func (s *Server) Close() { s.sched.Close() }
 

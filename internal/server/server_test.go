@@ -199,12 +199,12 @@ func TestSubmitBackpressure429(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, MaxJobs: 1, QueueDepth: 1})
 	fn, release := blockingExec()
 	defer release()
-	s.Scheduler().execFn = fn
+	s.sched.execFn = fn
 
 	_, v1 := postJob(t, ts, `{"kind":"fleet","fleet":{"seed":1}}`, false)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		j, ok := s.Scheduler().Get(v1.ID)
+		j, ok := s.sched.Get(v1.ID)
 		if ok && j.State() == StateRunning {
 			break
 		}
@@ -229,7 +229,7 @@ func TestCancelEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, MaxJobs: 1})
 	fn, release := blockingExec()
 	defer release()
-	s.Scheduler().execFn = fn
+	s.sched.execFn = fn
 
 	_, v := postJob(t, ts, `{"kind":"fleet","fleet":{"seed":1}}`, false)
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
@@ -241,7 +241,7 @@ func TestCancelEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status %d", resp.StatusCode)
 	}
-	j, _ := s.Scheduler().Get(v.ID)
+	j, _ := s.sched.Get(v.ID)
 	select {
 	case <-j.Done():
 	case <-time.After(10 * time.Second):

@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -33,7 +34,6 @@ var testOnlyAllowed = map[string]string{
 
 	// Oracles and bounds that tests check production code against.
 	"internal/geom.SpecularPoint":    "the channel golden tests rebuild reflection points with it",
-	"internal/relay.Bound":           "TestQuickCombinedBelowBound holds the relay SNR below the weaker hop",
 	"internal/relay.HopBudget.SNRdB": "per-hop SNR that TestEndToEndMatchesClosedForm builds the closed form from",
 	"internal/radio.LinkSNRAligned":  "aligned LOS SNR that the baseline and radio tests compare against",
 
@@ -55,7 +55,6 @@ var testOnlyAllowed = map[string]string{
 	"internal/metrics.Gauge.Value":           "reads a gauge in the metrics tests",
 	"internal/metrics.CounterVec.Value":      "reads one labelled counter in the metrics tests",
 	"internal/metrics.Histogram.Count":       "reads a histogram's sample count in the metrics tests",
-	"internal/server.Server.Scheduler":       "lets server tests substitute the scheduler's executor",
 	"internal/channel.PathCache.Stats":       "query-tier counters the PathCache tests assert on",
 	"internal/reflector.Reflector.TXBeamDeg": "transmit beam the reflector, controller and link-manager tests assert on",
 }
@@ -102,7 +101,7 @@ var prodCoverAllowed = map[string]string{
 // fails too, as does a prodCoverAllowed entry that names nothing or
 // that testOnlyAllowed names too.
 func TestNoTestOnlyCode(t *testing.T) {
-	l, err := loadRepo(".")
+	l, err := loadedRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 // and entries of testOnlyFieldsAllowed are exempt. An allowlist
 // entry that names no such field fails too.
 func TestNoTestOnlyFields(t *testing.T) {
-	l, err := loadRepo(".")
+	l, err := loadedRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,6 +291,10 @@ func (l *repo) implements(d decl, ifaces []*types.Interface) bool {
 	}
 	return false
 }
+
+// loadedRepo loads the repository once for every test that reads it;
+// none of them changes it.
+var loadedRepo = sync.OnceValues(func() (*repo, error) { return loadRepo(".") })
 
 // loadRepo finds every Go module under root, type-checks each non-test
 // package in them and records which functions non-test code references.
